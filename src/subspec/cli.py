@@ -28,6 +28,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import ConfigError, SubspecError
+
 _TASKS = ("spectrum", "compare", "robin", "scatter", "validate", "oracle")
 
 G17 = lambda v: format(float(v), ".17g")
@@ -43,7 +45,6 @@ class RunConfig:
         return self.options.get(key, default)
 
     def require(self, key):
-        from .errors import ConfigError
         if key not in self.options:
             raise ConfigError(f"missing required config key '{key}'")
         return self.options[key]
@@ -52,7 +53,6 @@ class RunConfig:
         v = self.get(key, default)
         if v is None:
             return None
-        from .errors import ConfigError
         try:
             return float(v)
         except ValueError:
@@ -64,7 +64,6 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    from .errors import ConfigError
     opts = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -75,6 +74,8 @@ def parse_config(text: str) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in opts:
+            raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         opts[key] = value
     task = opts.pop("task", None)
     if task not in _TASKS:
@@ -89,7 +90,6 @@ _EXPR_NAMES = ("sin", "cos", "tan", "exp", "log", "log1p", "sqrt", "abs",
 
 def _compile_expr(expr: str, what: str):
     import numpy as np
-    from .errors import ConfigError
     ns = {name: getattr(np, name) for name in _EXPR_NAMES}
     ns.update(pi=np.pi, e=np.e)
     try:
@@ -106,7 +106,6 @@ def _compile_expr(expr: str, what: str):
 
 def build_phi_spec(cfg: RunConfig, prefix: str = "phi"):
     """Realize the phi.* (or compare.phi2.*) block into a PhiSpec."""
-    from .errors import ConfigError
     from .phi_models import DecayInfo, PhiSpec, inv_power_zeta
 
     kind = cfg.require(f"{prefix}.kind")
@@ -150,17 +149,23 @@ def build_phi_spec(cfg: RunConfig, prefix: str = "phi"):
 _ENVELOPE_N = 4000  # dense-eigensolve design envelope
 
 
-def _resolution(cfg: RunConfig, model, notes: list):
-    import numpy as np
-    from .discretization import auto_truncation
+def _resolution(cfg: RunConfig, models, notes: list):
+    """(X, panels, order) shared by the grid-based tasks.
+
+    X defaults to the largest auto truncation of `models` at resolution.eps
+    and panels to discretization.default_panels(X); N = panels * order is
+    clamped to the dense design envelope.
+    """
+    from .discretization import auto_truncation, default_panels
     X = cfg.get_float("resolution.X")
     if X is None:
-        X = auto_truncation(model, cfg.get_float("resolution.eps", 1e-6))
+        eps = cfg.get_float("resolution.eps", 1e-6)
+        X = max(auto_truncation(m, eps) for m in models)
         notes.append(f"auto truncation X = {X:.6g}")
     order = cfg.get_int("resolution.order", 10)
     panels = cfg.get_int("resolution.panels")
     if panels is None:
-        panels = max(40, int(np.ceil(4.0 * X)))
+        panels = default_panels(X)
     if panels * order > _ENVELOPE_N:
         panels = _ENVELOPE_N // order
         notes.append(f"resolution clamped to N = {panels * order} "
@@ -168,39 +173,41 @@ def _resolution(cfg: RunConfig, model, notes: list):
     return X, panels, order
 
 
-def _write_report(outdir: Path, lines) -> None:
-    (outdir / "report.txt").write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
-def _task_spectrum(cfg: RunConfig, outdir: Path) -> int:
+# Task runners compute, write their CSV and return (exit status, report
+# lines); run() owns the output directory, the notes and report.txt.
+
+def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
+    from dataclasses import replace
     from .discretization import assemble_kernel, build_quadrature
     from .green_kernel import KernelKind
     from .phi_models import make_phi
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
 
     model = make_phi(build_phi_spec(cfg))
-    notes = []
-    X, panels, order = _resolution(cfg, model, notes)
+    X, panels, order = _resolution(cfg, [model], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 25)
     fine = build_quadrature(X, panels, order)
     coarse = build_quadrature(X, max(1, panels // 2), order)
     res_f = eigen_mu(assemble_kernel(model, fine, KernelKind("dirichlet")), n_keep)
     res_c = eigen_mu(assemble_kernel(model, coarse, KernelKind("dirichlet")), n_keep)
-    conv = converged_mask(res_f.mu, res_c.mu)
-    res = type(res_f)(mu=res_f.mu, lam=res_f.lam, norm_estimate=res_f.norm_estimate,
-                      kind=res_f.kind, provenance=res_f.provenance, converged=conv)
+    res = replace(res_f, converged=converged_mask(res_f.mu, res_c.mu))
     write_spectrum_csv(res, outdir / "spectrum.csv")
-    lines = ["task = spectrum", f"model = {model.label}",
-             f"X = {X:.6g}, panels = {panels}, order = {order}",
-             f"norm estimate = {res.norm_estimate:.6g}",
-             f"converged top eigenvalues = {int(conv.sum())} / {n_keep}"] + notes
-    _write_report(outdir, lines)
-    return 0
+    return 0, [f"model = {model.label}",
+               f"X = {X:.6g}, panels = {panels}, order = {order}",
+               f"norm estimate = {res.norm_estimate:.6g}",
+               f"converged top eigenvalues = {int(res.converged.sum())} / {n_keep}"]
 
 
-def _task_compare(cfg: RunConfig, outdir: Path) -> int:
+def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import assemble_kernel, auto_truncation, build_quadrature
+    from .discretization import assemble_kernel, build_quadrature
     from .green_kernel import KernelKind
     from .phi_models import make_phi
     from .spectral import compare_spectra, eigen_mu
@@ -208,16 +215,7 @@ def _task_compare(cfg: RunConfig, outdir: Path) -> int:
     model1 = make_phi(build_phi_spec(cfg, "phi"))
     model2 = make_phi(build_phi_spec(cfg, "compare.phi2"))
     c = cfg.get_float("compare.c")
-    notes = []
-    X = cfg.get_float("resolution.X")
-    if X is None:
-        X = max(auto_truncation(model1, 1e-6), auto_truncation(model2, 1e-6))
-        notes.append(f"auto truncation X = {X:.6g}")
-    order = cfg.get_int("resolution.order", 10)
-    panels = cfg.get_int("resolution.panels") or max(40, int(np.ceil(4.0 * X)))
-    if panels * order > _ENVELOPE_N:
-        panels = _ENVELOPE_N // order
-        notes.append("resolution clamped to the dense design envelope")
+    X, panels, order = _resolution(cfg, [model1, model2], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 20)
     quad = build_quadrature(X, panels, order)
     res1 = eigen_mu(assemble_kernel(model1, quad, KernelKind("dirichlet")), n_keep)
@@ -228,54 +226,45 @@ def _task_compare(cfg: RunConfig, outdir: Path) -> int:
         c = float(np.exp(np.max(np.abs(diff))))
         notes.append(f"measured ratio bound c = {c:.6g}")
     report = compare_spectra(res1, res2, c)
-    with open(outdir / "compare.csv", "w") as fh:
-        fh.write("n,mu1,mu2,ratio,in_band\n")
-        for i in range(report.ratios.size):
-            r = report.ratios[i]
-            in_band = bool(report.band[0] <= r <= report.band[1]) if np.isfinite(r) else False
-            fh.write(f"{i + 1},{G17(res1.mu[i])},{G17(res2.mu[i])},"
-                     f"{'' if np.isnan(r) else G17(r)},{in_band}\n")
-    lines = ["task = compare", f"model1 = {model1.label}", f"model2 = {model2.label}",
-             f"c = {c:.6g}, band = [{report.band[0]:.6g}, {report.band[1]:.6g}]",
-             f"measured ratio band = [{report.measured_band[0]:.6g}, "
-             f"{report.measured_band[1]:.6g}]",
-             f"holds = {report.holds} (worst n = {report.worst_n})"] + notes
-    _write_report(outdir, lines)
-    return 0 if report.holds else 2
+    lo, hi = report.band
+    _write_csv(outdir / "compare.csv", "n,mu1,mu2,ratio,in_band",
+               ((str(n), G17(m1), G17(m2), "" if np.isnan(r) else G17(r),
+                 str(bool(np.isfinite(r) and lo <= r <= hi)))
+                for n, (m1, m2, r) in enumerate(zip(res1.mu, res2.mu, report.ratios), 1)))
+    return (0 if report.holds else 2), [
+        f"model1 = {model1.label}", f"model2 = {model2.label}",
+        f"c = {c:.6g}, band = [{lo:.6g}, {hi:.6g}]",
+        f"measured ratio band = [{report.measured_band[0]:.6g}, "
+        f"{report.measured_band[1]:.6g}]",
+        f"holds = {report.holds} (worst n = {report.worst_n})"]
 
 
-def _task_robin(cfg: RunConfig, outdir: Path) -> int:
+def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import assemble_kernel, build_quadrature
-    from .green_kernel import KernelKind
+    from .discretization import build_quadrature
     from .phi_models import make_phi
     from .spectral import robin_sigma, robin_spectrum, write_spectrum_csv
 
     model = make_phi(build_phi_spec(cfg))
     gamma = cfg.get_float("robin.gamma")
     if gamma is None:
-        from .errors import ConfigError
         raise ConfigError("robin task needs robin.gamma")
-    notes = []
-    X, panels, order = _resolution(cfg, model, notes)
+    X, panels, order = _resolution(cfg, [model], notes)
     quad = build_quadrature(X, panels, order)
     res = robin_spectrum(model, gamma, quad)
     write_spectrum_csv(res, outdir / "robin_spectrum.csv")
-    Kd = assemble_kernel(model, quad, KernelKind("dirichlet"))
-    Kg = assemble_kernel(model, quad, KernelKind("robin", gamma=gamma))
-    trace_diff = float(np.trace(Kg.entries.real) - np.trace(Kd.entries))
+    # G_gamma - G = gamma phi(x) phi(y), so the weighted diagonals differ by
+    # gamma w_i phi(x_i)^2
+    trace_diff = gamma * float(np.sum(quad.weights * np.exp(2.0 * model.log_phi(quad.nodes))))
     sigma = robin_sigma(model, gamma) if model.dlog_phi is not None else float("nan")
-    lines = ["task = robin", f"model = {model.label}", f"gamma = {gamma:.6g}",
-             f"boundary sigma = {sigma:.6g}",
-             f"trace(G_gamma) - trace(G) = {trace_diff:.6g} "
-             f"(gamma ||phi||^2 = {gamma * model.l2_norm_phi**2:.6g})",
-             f"most negative mu = {float(res.mu[-1]):.6g}"] + notes
-    _write_report(outdir, lines)
-    return 0
+    return 0, [f"model = {model.label}", f"gamma = {gamma:.6g}",
+               f"boundary sigma = {sigma:.6g}",
+               f"trace(G_gamma) - trace(G) = {trace_diff:.6g} "
+               f"(gamma ||phi||^2 = {gamma * model.l2_norm_phi**2:.6g})",
+               f"most negative mu = {float(res.mu[-1]):.6g}"]
 
 
-def _task_scatter(cfg: RunConfig, outdir: Path) -> int:
-    from .errors import ConfigError
+def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     from .scattering import example_scatt_sweep, write_sweep_csv
 
     raw = cfg.get("scatter.alpha_list", "0.5,1,1.5,2,4")
@@ -289,27 +278,25 @@ def _task_scatter(cfg: RunConfig, outdir: Path) -> int:
     rows = example_scatt_sweep(alphas, c, X=X, panels=panels,
                                order=cfg.get_int("resolution.order", 10))
     write_sweep_csv(rows, outdir / "scatter.csv")
-    lines = ["task = scatter", f"c = {c:.6g}", f"X = {X:.6g}"]
+    lines = [f"c = {c:.6g}", f"X = {X:.6g}"]
     for r in rows:
         lines.append(f"alpha={r['alpha']:.6g}: trace={r['trace_numeric']:.6g} "
                      f"nu-bound={r['bound_nu_route']:.6g} "
                      f"deriv-bound={r['bound_derivative_route']:.6g} "
                      f"criterion_met={r['criterion_met']}")
-    _write_report(outdir, lines)
-    return 0
+    return 0, lines
 
 
-def _task_validate(cfg: RunConfig, outdir: Path) -> int:
+def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import assemble_kernel, build_quadrature, operator_norm
+    from .discretization import assemble_kernel, build_quadrature, default_panels
     from .green_kernel import KernelKind, exp_bound_margin, factor
     from .phi_models import make_phi, verify_decay_hypothesis
     from .spectral import weighted_identity_residual
     from .subordinate import SubordinateCache, wronskian_residual
 
     model = make_phi(build_phi_spec(cfg))
-    notes = []
-    X, panels, order = _resolution(cfg, model, notes)
+    X, panels, order = _resolution(cfg, [model], notes)
     oscillatory = model.kind == "oscillating" or "sin" in model.label
     if cfg.get_float("resolution.X") is None:
         # the identities under test are local; keep auto windows sane for
@@ -318,8 +305,7 @@ def _task_validate(cfg: RunConfig, outdir: Path) -> int:
         if X > cap:
             X = cap
             notes.append(f"validation window capped at X = {cap:g}")
-            panels = max(40, int(np.ceil(4.0 * X)),
-                         cfg.get_int("resolution.panels") or 0)
+            panels = max(default_panels(X), cfg.get_int("resolution.panels") or 0)
     if oscillatory:
         panels = max(panels, int(np.ceil(40.0 * X)))
     quad = build_quadrature(X, panels, order)
@@ -358,40 +344,36 @@ def _task_validate(cfg: RunConfig, outdir: Path) -> int:
                    worst <= 1e-8 * scale, worst))
 
     Ge = assemble_kernel(model, quad, KernelKind("dirichlet"), cache=cache)
-    mu_min = float(np.min(np.linalg.eigvalsh(Ge.entries)))
-    nrm = operator_norm(Ge)
+    mu = np.linalg.eigvalsh(Ge.entries)
+    mu_min = float(mu[0])
+    nrm = float(np.max(np.abs(mu)))
     checks.append(("positivity min mu >= -1e-10 ||G||", mu_min >= -1e-10 * nrm, mu_min))
 
     if model.dlog_phi is not None:
         wi = weighted_identity_residual(model, quad, x0=min(3.0, 0.5 * X), cache=cache)
         checks.append(("weighted identity residual <= 1e-3", wi <= 1e-3, wi))
 
-    lines = ["task = validate", f"model = {model.label}",
-             f"X = {X:.6g}, panels = {panels}, order = {order}"] + notes
+    lines = [f"model = {model.label}", f"X = {X:.6g}, panels = {panels}, order = {order}"]
     ok = True
     for name, passed, value in checks:
         ok &= bool(passed)
         lines.append(f"[{'PASS' if passed else 'FAIL'}] {name} (value = {value:.6g})")
     lines.append("all checks passed" if ok else "VALIDATION FAILED")
-    _write_report(outdir, lines)
-    return 0 if ok else 2
+    return (0 if ok else 2), lines
 
 
-def _task_oracle(cfg: RunConfig, outdir: Path) -> int:
+def _task_oracle(cfg: RunConfig, outdir: Path, notes: list):
     from .oracle_fd import cross_validate
     from .phi_models import make_phi
 
     model = make_phi(build_phi_spec(cfg))
     k = cfg.get_int("oracle.k", 5)
     cv = cross_validate(model, k)
-    with open(outdir / "oracle.csv", "w") as fh:
-        fh.write("n,lambda_green,lambda_fd,rel_err\n")
-        for i in range(k):
-            rel = abs(cv.lam_green[i] - cv.lam_fd[i]) / abs(cv.lam_fd[i])
-            fh.write(f"{i + 1},{G17(cv.lam_green[i])},{G17(cv.lam_fd[i])},{G17(rel)}\n")
-    _write_report(outdir, ["task = oracle", f"model = {model.label}", f"k = {k}",
-                           f"max relative error = {cv.max_rel_err:.6g}"])
-    return 0
+    _write_csv(outdir / "oracle.csv", "n,lambda_green,lambda_fd,rel_err",
+               ((str(n), G17(g), G17(f), G17(abs(g - f) / abs(f)))
+                for n, (g, f) in enumerate(zip(cv.lam_green, cv.lam_fd), 1)))
+    return 0, [f"model = {model.label}", f"k = {k}",
+               f"max relative error = {cv.max_rel_err:.6g}"]
 
 
 _RUNNERS = {
@@ -405,15 +387,22 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute one task pipeline; returns the process exit status."""
-    from .errors import SubspecError
+    """Execute one task pipeline; returns the process exit status.
+
+    report.txt holds the task line, the runner's lines and then the notes
+    collected along the way (auto truncation, clamps, measured bounds).
+    """
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
+    notes = []
     try:
-        return _RUNNERS[config.task](config, outdir)
+        status, lines = _RUNNERS[config.task](config, outdir, notes)
     except SubspecError as exc:
         print(f"error: {config.task}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    (outdir / "report.txt").write_text("\n".join([f"task = {config.task}", *lines, *notes])
+                                       + "\n")
+    return status
 
 
 def run_cli(argv=None) -> int:
@@ -435,7 +424,6 @@ def run_cli(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(threads))
 
-    from .errors import ConfigError
     try:
         config = parse_config(args.config.read_text())
     except FileNotFoundError:
@@ -451,3 +439,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -72,12 +72,9 @@ def build_quadrature(X: float, panels: int, order: int) -> Quadrature:
     return Quadrature(float(X), int(panels), int(order), nodes, weights)
 
 
-def default_quadrature(model: PhiModel, X: float, order: int = 10,
-                       panels: Optional[int] = None) -> Quadrature:
-    """Default resolution: panels = max(40, ceil(4 X))."""
-    if panels is None:
-        panels = max(40, int(np.ceil(4.0 * X)))
-    return build_quadrature(X, panels, order)
+def default_panels(X: float) -> int:
+    """Default panel count for a window [0, X]: max(40, ceil(4 X))."""
+    return max(40, int(np.ceil(4.0 * X)))
 
 
 def auto_truncation(model: PhiModel, eps: float) -> float:

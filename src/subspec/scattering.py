@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .discretization import KernelMatrix, assemble_kernel, build_quadrature
 from .errors import GridMismatchError, InvalidParameterError, MissingNuError
@@ -107,12 +106,13 @@ def xi_norms(profile: ScatteringProfile, x: float,
     norm_xi = math.sqrt(head + tail)
     norm_xi0 = 1.0 / math.sqrt(2.0 * c)
 
-    def diff_integrand(u):
-        dz = zx - float(zeta.fn(np.asarray(u, dtype=float)))
-        return math.exp(-2.0 * c * (u - x)) * math.expm1(dz) ** 2
+    def log_diff(u):
+        u = np.asarray(u, dtype=float)
+        dz = zx - np.asarray(zeta.fn(u), dtype=float)
+        with np.errstate(divide="ignore"):  # dz = 0 contributes exp(-inf) = 0
+            return -2.0 * c * (u - x) + 2.0 * np.log(np.abs(np.expm1(dz)))
 
-    diff_sq, _ = _quad(diff_integrand, x, x + W, limit=400, epsabs=1e-14, epsrel=1e-11)
-    norm_diff = math.sqrt(max(diff_sq, 0.0))
+    norm_diff = math.exp(0.5 * log_integral_exp(log_diff, x, x + W, rtol=rtol))
     return norm_xi, norm_xi0, norm_diff
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import NegativeArgumentError, NonPositiveFError, ZeroGammaError
-from .lse_quad import DEFAULT_RTOL, gauss_legendre, log_integral_exp, segment_log_integrals
+from .lse_quad import DEFAULT_RTOL, log_integral_exp, segment_log_integrals
 from .phi_models import PhiModel, eval_dlog_phi
 
 
@@ -202,35 +202,18 @@ def regularized_potential(model: PhiModel, f_coeffs, x: float,
         # psi(0) = 0, so f(0) = a phi(0) must already be positive
         raise NonPositiveFError("f(0) = a*phi(0) <= 0 violates positivity on [0, x]")
 
-    cache = None
+    integral = 0.0
     if x > 0:
-        order = 10
-        n_seg = max(8, int(np.ceil(4.0 * x)))
-        edges = np.linspace(0.0, x, n_seg + 1)
-        gx, gw = gauss_legendre(order)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * np.diff(edges)[:, None]
-        pts = (mid + half * gx[None, :]).ravel()
-        wts = (half * gw[None, :]).ravel()
-        cache = SubordinateCache(model, np.sort(pts), rtol=min(rtol, 1e-10))
-
-        def fpf(nodes):
-            tau = model.dlog_phi(nodes)
-            if b == 0.0:
-                return tau
-            r = np.exp(cache.log_I(nodes))  # psi/phi
-            denom = a + b * r
+        from .discretization import build_quadrature  # local import avoids a cycle
+        quad = build_quadrature(x, max(8, int(np.ceil(4.0 * x))), 10)
+        fpf = model.dlog_phi(quad.nodes)
+        if b != 0.0:
+            cache = SubordinateCache(model, quad.nodes, rtol=min(rtol, 1e-10))
+            denom = a + b * np.exp(cache.log_I_nodes)  # psi/phi
             if np.any(denom <= 0.0):
                 raise NonPositiveFError("a*phi + b*psi vanishes inside [0, x]")
-            phi2 = np.exp(2.0 * model.log_phi(nodes))
-            return tau + b / (phi2 * denom)
-
-        order_sorted = np.argsort(pts)
-        vals = np.empty_like(pts)
-        vals[order_sorted] = fpf(pts[order_sorted])
-        integral = float(np.sum(wts * vals**2))
-    else:
-        integral = 0.0
+            fpf = fpf + b / (np.exp(2.0 * model.log_phi(quad.nodes)) * denom)
+        integral = float(np.sum(quad.weights * fpf**2))
 
     tau_x = float(eval_dlog_phi(model, x))
     if b == 0.0:

@@ -1,6 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import subspec
 from subspec.cli import build_phi_spec, parse_config, run, run_cli
 from subspec.errors import ConfigError
 
@@ -32,6 +39,8 @@ def test_parse_config_errors():
         parse_config("task = spectrum\nnot a keyvalue line")
     with pytest.raises(ConfigError):
         parse_config("phi.kind = exp-decay")  # missing task
+    with pytest.raises(ConfigError, match="line 3: duplicate key 'phi.c'"):
+        parse_config("task = spectrum\nphi.c = 1\nphi.c = 2\n")
 
 
 def test_build_phi_spec_kinds(tmp_path):
@@ -128,6 +137,46 @@ spectrum.n_keep = 8
     assert "worst n = " in report
 
 
+def test_compare_task_resolution_keys(tmp_path):
+    base = """
+task = compare
+phi.kind = exp-decay
+phi.c = 1
+compare.phi2.kind = exp-decay
+compare.phi2.c = 1
+resolution.eps = 1e-3
+spectrum.n_keep = 5
+"""
+    out = tmp_path / "eps"
+    assert run_cli(["run", str(_write(tmp_path, "eps.cfg", base)), "--out", str(out)]) == 0
+    assert "auto truncation X = 6.9125" in (out / "report.txt").read_text()
+    zero = _write(tmp_path, "zero.cfg", base + "resolution.panels = 0\n")
+    assert run_cli(["run", str(zero), "--out", str(tmp_path / "zero")]) == 1
+
+
+def test_robin_trace_difference_matches_dense(tmp_path):
+    from subspec.discretization import assemble_kernel, build_quadrature
+    from subspec.green_kernel import KernelKind
+    from subspec.phi_models import PhiSpec, make_phi
+    cfgfile = _write(tmp_path, "robin.cfg", """
+task = robin
+phi.kind = stretched-exp
+phi.c = 2
+robin.gamma = -0.5
+resolution.X = 4
+resolution.panels = 12
+""")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    reported = float(re.search(r"trace\(G_gamma\) - trace\(G\) = (\S+)",
+                               (out / "report.txt").read_text()).group(1))
+    model = make_phi(PhiSpec.stretched_exp(2.0))
+    quad = build_quadrature(4.0, 12, 10)
+    dense = (np.trace(assemble_kernel(model, quad, KernelKind("robin", gamma=-0.5)).entries)
+             - np.trace(assemble_kernel(model, quad, KernelKind("dirichlet")).entries))
+    assert reported == pytest.approx(dense, rel=1e-5)
+
+
 def test_robin_task(tmp_path):
     cfgfile = _write(tmp_path, "robin.cfg", """
 task = robin
@@ -197,3 +246,24 @@ resolution.panels = 32
 """)
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o"),
                     "--threads", "2"]) == 0
+
+
+def test_module_entry_point(tmp_path):
+    cfgfile = _write(tmp_path, "run.cfg", """
+task = spectrum
+phi.kind = exp-decay
+phi.c = 1
+resolution.X = 6
+resolution.panels = 12
+spectrum.n_keep = 3
+""")
+    out = tmp_path / "out"
+    src = str(Path(subspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "subspec.cli", "run", str(cfgfile),
+                           "--out", str(out), "--threads", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "spectrum.csv").is_file()
+    assert (out / "report.txt").read_text().startswith("task = spectrum\n")

@@ -56,7 +56,12 @@ def test_xi_norm_against_direct_quadrature():
         direct, _ = quad(lambda u: math.exp(-2.0 * (u - x) - 2.0 * float(zeta(u))
                                             + 2.0 * float(zeta(x))), x, x + 40.0,
                          limit=400)
-        assert xi_norms(prof, x)[0] == pytest.approx(math.sqrt(direct), rel=1e-8)
+        diff, _ = quad(lambda u: math.exp(-2.0 * (u - x))
+                       * math.expm1(float(zeta(x)) - float(zeta(u))) ** 2, x, x + 40.0,
+                       limit=400, epsabs=0.0, epsrel=1e-12)
+        norms = xi_norms(prof, x)
+        assert norms[0] == pytest.approx(math.sqrt(direct), rel=1e-8)
+        assert norms[2] == pytest.approx(math.sqrt(diff), rel=1e-8)
 
 
 def test_elementary_exponential_bound():
