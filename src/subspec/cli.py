@@ -32,6 +32,29 @@ from .errors import ConfigError, SubspecError
 
 _TASKS = ("spectrum", "compare", "robin", "scatter", "validate", "oracle")
 
+# keys of a profile block (phi.* or compare.phi2.*), as read by build_phi_spec
+_PHI_KEYS = ("kind", "c", "zeta.k", "zeta.alpha", "csv", "log_expr", "dlog_expr",
+             "d2log_expr", "label", "decay.rate", "decay.c1", "decay.c2",
+             "decay.sigma_expr", "decay.dsigma_expr")
+_GRID_KEYS = ("resolution.X", "resolution.eps", "resolution.panels", "resolution.order")
+
+
+def _phi_keys(prefix: str) -> tuple:
+    return tuple(f"{prefix}.{key}" for key in _PHI_KEYS)
+
+
+# every key a task reads besides task and output_dir; anything else is a typo
+_TASK_KEYS = {
+    "spectrum": _phi_keys("phi") + _GRID_KEYS + ("spectrum.n_keep",),
+    "compare": (_phi_keys("phi") + _phi_keys("compare.phi2") + _GRID_KEYS
+                + ("spectrum.n_keep", "compare.c")),
+    "robin": _phi_keys("phi") + _GRID_KEYS + ("robin.gamma",),
+    "scatter": ("resolution.X", "resolution.panels", "resolution.order",
+                "scatter.c", "scatter.alpha_list"),
+    "validate": _phi_keys("phi") + _GRID_KEYS,
+    "oracle": _phi_keys("phi") + ("oracle.k",),
+}
+
 G17 = lambda v: format(float(v), ".17g")
 
 
@@ -65,6 +88,7 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     opts = {}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -77,10 +101,14 @@ def parse_config(text: str) -> RunConfig:
         if key in opts:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         opts[key] = value
+        lines[key] = lineno
     task = opts.pop("task", None)
     if task not in _TASKS:
         raise ConfigError(f"task must be one of {_TASKS}, got {task!r}")
     out = Path(opts.pop("output_dir", "out"))
+    for key in opts:
+        if key not in _TASK_KEYS[task]:
+            raise ConfigError(f"line {lines[key]}: unknown key '{key}' for task {task}")
     return RunConfig(task=task, options=opts, output_dir=out)
 
 
@@ -146,31 +174,51 @@ def build_phi_spec(cfg: RunConfig, prefix: str = "phi"):
     raise ConfigError(f"unknown {prefix}.kind '{kind}'")
 
 
-_ENVELOPE_N = 4000  # dense-eigensolve design envelope
+# Upper bound on N = panels * order of the grid tasks.  The spectra cost only
+# O(N) memory; the bound exists because equal panels on the auto window of a
+# sub-exponential profile would reach N ~ 4e7 (power(c=1)).
+_MAX_N = 4000
 
 
-def _resolution(cfg: RunConfig, models, notes: list):
+def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     """(X, panels, order) shared by the grid-based tasks.
 
-    X defaults to the largest auto truncation of `models` at resolution.eps
-    and panels to discretization.default_panels(X); N = panels * order is
-    clamped to the dense design envelope.
+    X defaults to the largest auto truncation of `models` at resolution.eps,
+    cut to `cap` when given; panels default to
+    discretization.default_panels(X) (at least that many on a capped
+    window); N = panels * order is then clamped to _MAX_N.
     """
     from .discretization import auto_truncation, default_panels
     X = cfg.get_float("resolution.X")
+    panels = cfg.get_int("resolution.panels")
     if X is None:
         eps = cfg.get_float("resolution.eps", 1e-6)
         X = max(auto_truncation(m, eps) for m in models)
         notes.append(f"auto truncation X = {X:.6g}")
+        if cap is not None and X > cap:
+            X = cap
+            notes.append(f"validation window capped at X = {cap:g}")
+            panels = max(default_panels(X), panels or 0)
     order = cfg.get_int("resolution.order", 10)
-    panels = cfg.get_int("resolution.panels")
     if panels is None:
         panels = default_panels(X)
-    if panels * order > _ENVELOPE_N:
-        panels = _ENVELOPE_N // order
+    if panels * order > _MAX_N:
+        panels = _MAX_N // order
         notes.append(f"resolution clamped to N = {panels * order} "
-                     "(dense design envelope); treat spectra as unconverged")
+                     "(equal-panel resolution bound); treat spectra as unconverged")
     return X, panels, order
+
+
+def _check_log_expr(cfg: RunConfig, prefix: str, model, nodes) -> None:
+    """A custom-log-profile must give a finite log phi on the task grid."""
+    import numpy as np
+    if cfg.get(f"{prefix}.kind") != "custom-log-profile":
+        return
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(model.log_phi(nodes))
+    if np.any(bad):
+        raise ConfigError(f"{prefix}.log_expr = {cfg.get(f'{prefix}.log_expr')} is not "
+                          f"finite at x = {nodes[bad][0]:.6g} on the task grid")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -185,7 +233,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     from dataclasses import replace
-    from .discretization import assemble_kernel, build_quadrature
+    from .discretization import assemble_jacobi, build_quadrature
     from .green_kernel import KernelKind
     from .phi_models import make_phi
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
@@ -195,8 +243,9 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     n_keep = cfg.get_int("spectrum.n_keep", 25)
     fine = build_quadrature(X, panels, order)
     coarse = build_quadrature(X, max(1, panels // 2), order)
-    res_f = eigen_mu(assemble_kernel(model, fine, KernelKind("dirichlet")), n_keep)
-    res_c = eigen_mu(assemble_kernel(model, coarse, KernelKind("dirichlet")), n_keep)
+    _check_log_expr(cfg, "phi", model, fine.nodes)
+    res_f = eigen_mu(assemble_jacobi(model, fine, KernelKind("dirichlet")), n_keep)
+    res_c = eigen_mu(assemble_jacobi(model, coarse, KernelKind("dirichlet")), n_keep)
     res = replace(res_f, converged=converged_mask(res_f.mu, res_c.mu))
     write_spectrum_csv(res, outdir / "spectrum.csv")
     return 0, [f"model = {model.label}",
@@ -207,7 +256,7 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import assemble_kernel, build_quadrature
+    from .discretization import assemble_jacobi, build_quadrature
     from .green_kernel import KernelKind
     from .phi_models import make_phi
     from .spectral import compare_spectra, eigen_mu
@@ -218,8 +267,10 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     X, panels, order = _resolution(cfg, [model1, model2], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 20)
     quad = build_quadrature(X, panels, order)
-    res1 = eigen_mu(assemble_kernel(model1, quad, KernelKind("dirichlet")), n_keep)
-    res2 = eigen_mu(assemble_kernel(model2, quad, KernelKind("dirichlet")), n_keep)
+    _check_log_expr(cfg, "phi", model1, quad.nodes)
+    _check_log_expr(cfg, "compare.phi2", model2, quad.nodes)
+    res1 = eigen_mu(assemble_jacobi(model1, quad, KernelKind("dirichlet")), n_keep)
+    res2 = eigen_mu(assemble_jacobi(model2, quad, KernelKind("dirichlet")), n_keep)
     if c is None:
         grid = np.linspace(0.0, X, 2001)
         diff = model2.log_phi(grid) - model1.log_phi(grid)
@@ -251,6 +302,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
         raise ConfigError("robin task needs robin.gamma")
     X, panels, order = _resolution(cfg, [model], notes)
     quad = build_quadrature(X, panels, order)
+    _check_log_expr(cfg, "phi", model, quad.nodes)
     res = robin_spectrum(model, gamma, quad)
     write_spectrum_csv(res, outdir / "robin_spectrum.csv")
     # G_gamma - G = gamma phi(x) phi(y), so the weighted diagonals differ by
@@ -289,26 +341,22 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import assemble_kernel, build_quadrature, default_panels
+    from .discretization import assemble_kernel, build_quadrature
     from .green_kernel import KernelKind, exp_bound_margin, factor
     from .phi_models import make_phi, verify_decay_hypothesis
     from .spectral import weighted_identity_residual
     from .subordinate import SubordinateCache, wronskian_residual
 
     model = make_phi(build_phi_spec(cfg))
-    X, panels, order = _resolution(cfg, [model], notes)
     oscillatory = model.kind == "oscillating" or "sin" in model.label
-    if cfg.get_float("resolution.X") is None:
-        # the identities under test are local; keep auto windows sane for
-        # sub-exponential profiles and oscillation-capped for phi4-like ones
-        cap = 6.0 if oscillatory else (50.0 if model.decay is None else X)
-        if X > cap:
-            X = cap
-            notes.append(f"validation window capped at X = {cap:g}")
-            panels = max(default_panels(X), cfg.get_int("resolution.panels") or 0)
+    # the identities under test are local; keep auto windows sane for
+    # sub-exponential profiles and oscillation-capped for phi4-like ones
+    cap = 6.0 if oscillatory else (50.0 if model.decay is None else None)
+    X, panels, order = _resolution(cfg, [model], notes, cap)
     if oscillatory:
         panels = max(panels, int(np.ceil(40.0 * X)))
     quad = build_quadrature(X, panels, order)
+    _check_log_expr(cfg, "phi", model, quad.nodes)
     checks = []
 
     if model.decay is not None:

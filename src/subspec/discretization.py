@@ -2,7 +2,10 @@
 
 A kernel K on [0, X]^2 becomes the matrix sqrt(w_i) K(x_i, x_j) sqrt(w_j)
 over composite Gauss-Legendre nodes; the similarity with K W preserves the
-Nystrom spectrum while keeping hermitian structure explicit.
+Nystrom spectrum while keeping hermitian structure explicit.  For the
+hermitian Green kernels that matrix has an exact tridiagonal inverse
+(JacobiMatrix), from which spectra are computed in O(N) memory; the dense
+matrices serve the validation checks and are the test oracle.
 
 psi entering the Green kernel can come from two sources:
 
@@ -143,6 +146,15 @@ def _grid_log_psi(model: PhiModel, quad: Quadrature) -> np.ndarray:
     return lp + np.logaddexp.accumulate(terms)
 
 
+def _kernel_model(model: Optional[PhiModel], kind: KernelKind) -> PhiModel:
+    # the free kernel brings its own profile exp(-c0 x)
+    if kind.variant == "free":
+        return make_phi(PhiSpec.exp_decay(kind.c0))
+    if model is None:
+        raise InvalidParameterError("a model is required for this kernel kind")
+    return model
+
+
 def assemble_kernel(model: Optional[PhiModel], quad: Quadrature, kind: KernelKind,
                     rtol: float = DEFAULT_RTOL, psi_source: str = "exact",
                     cache: Optional[SubordinateCache] = None) -> KernelMatrix:
@@ -151,10 +163,7 @@ def assemble_kernel(model: Optional[PhiModel], quad: Quadrature, kind: KernelKin
     A prebuilt SubordinateCache on the same nodes may be passed to avoid
     re-integrating psi across several kinds on one grid.
     """
-    if kind.variant == "free":
-        model = make_phi(PhiSpec.exp_decay(kind.c0))
-    if model is None:
-        raise InvalidParameterError("a model is required for this kernel kind")
+    model = _kernel_model(model, kind)
     nodes = quad.nodes
     log_phi = model.log_phi(nodes)
 
@@ -191,6 +200,73 @@ def assemble_kernel(model: Optional[PhiModel], quad: Quadrature, kind: KernelKin
                         psi_source=psi_source)
 
 
+@dataclass(frozen=True)
+class JacobiMatrix:
+    """Symmetric tridiagonal T = (W^1/2 G W^1/2)^-1 of a hermitian Green kernel.
+
+    G(x, y) = u(min) v(max) with v = phi and u = phi (I + gamma) is
+    semiseparable, so the inverse of its Nystrom matrix is exactly
+    tridiagonal; the eigenvalues of T are lambda = 1/mu.  diag[0] = +inf
+    encodes the singular Robin case I(x_1) + gamma = 0, where row and column
+    1 of G vanish (mu = 0 exactly) and T decouples into that node and the
+    Jacobi matrix diag[1:], off[1:] of nodes 2..N.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    kind: KernelKind
+    quad: Quadrature
+    model_label: str
+
+    @property
+    def n(self) -> int:
+        return self.diag.size
+
+
+def assemble_jacobi(model: Optional[PhiModel], quad: Quadrature, kind: KernelKind,
+                    rtol: float = DEFAULT_RTOL,
+                    cache: Optional[SubordinateCache] = None) -> JacobiMatrix:
+    """Tridiagonal inverse of the Nystrom Green matrix for dirichlet, free and
+    real-gamma robin kernels, in O(N) memory.
+
+    With Delta I_i = int_{x_i}^{x_i+1} phi^-2 (the cache's panel sums) and
+    r_1 = I(x_1) + gamma (gamma = 0 unless robin):
+
+        T_i,i+1 = -1 / (phi_i phi_i+1 Delta I_i sqrt(w_i w_i+1))
+        T_ii    = (1/Delta I_i-1 + 1/Delta I_i) / (phi_i^2 w_i)    interior
+        T_NN    = 1 / (Delta I_N-1 phi_N^2 w_N)
+        T_11    = (1/Delta I_1 + 1/r_1) / (phi_1^2 w_1)
+
+    Every entry is exp of one log sum, so phi^-2 and I (which overflow for
+    stretched-exponential profiles) are never formed.
+    """
+    model = _kernel_model(model, kind)
+    if kind.variant not in ("dirichlet", "free", "robin"):
+        raise InvalidParameterError(f"no Jacobi form for kernel kind '{kind.variant}'")
+    if not kind.hermitian:
+        raise NonHermitianError("no hermitian Jacobi form for complex gamma")
+    if cache is None:
+        cache = SubordinateCache(model, quad.nodes, rtol=rtol)
+    lp = model.log_phi(quad.nodes)
+    lw = np.log(quad.weights)
+    ls = cache.panel_logsums[1:]  # log Delta I_i between consecutive nodes
+    log_I1 = cache.log_I_nodes[0]
+    off = -np.exp(-(lp[:-1] + lp[1:] + ls + 0.5 * (lw[:-1] + lw[1:])))
+    inv_dI = np.full(quad.n + 1, -np.inf)  # log of 1/Delta I around each node
+    inv_dI[1:-1] = -ls
+    diag = np.exp(np.logaddexp(inv_dI[:-1], inv_dI[1:]) - 2.0 * lp - lw)
+    gamma = complex(kind.gamma).real if kind.variant == "robin" else 0.0
+    if gamma == 0.0:
+        diag[0] += np.exp(-log_I1 - 2.0 * lp[0] - lw[0])
+    else:
+        r1 = np.exp(log_I1) + gamma
+        if r1 == 0.0:
+            diag[0] = np.inf
+        else:
+            diag[0] += np.sign(r1) * np.exp(-np.log(abs(r1)) - 2.0 * lp[0] - lw[0])
+    return JacobiMatrix(diag=diag, off=off, kind=kind, quad=quad, model_label=model.label)
+
+
 def kink_bias_estimate(quad: Quadrature) -> float:
     """Leading uniform eigenvalue bias of Green-kernel Nystrom on this grid.
 
@@ -208,16 +284,11 @@ def kink_bias_estimate(quad: Quadrature) -> float:
     return -0.5 * cell_err * h * h
 
 
-def operator_norm(K: KernelMatrix, tol: float = 1e-10) -> float:
+def operator_norm(K: KernelMatrix) -> float:
     """Largest |eigenvalue| of a hermitian kernel matrix."""
     if not K.hermitian:
         raise NonHermitianError("operator_norm needs a hermitian matrix")
-    A = K.entries
-    if K.n <= 1200:
-        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    from scipy.sparse.linalg import eigsh
-    vals = eigsh(A, k=1, which="LM", tol=tol, return_eigenvectors=False)
-    return float(abs(vals[0]))
+    return float(np.max(np.abs(np.linalg.eigvalsh(K.entries))))
 
 
 @dataclass(frozen=True)
@@ -269,8 +340,7 @@ def convergence_sweep(model: PhiModel, kind: KernelKind,
         for N in N_list:
             panels = max(1, int(np.ceil(N / order)))
             quad = build_quadrature(X, panels, order)
-            K = assemble_kernel(model, quad, kind, rtol=rtol)
-            mu = eigen_mu(K, n_keep).mu
+            mu = eigen_mu(assemble_jacobi(model, quad, kind, rtol=rtol), n_keep).mu
             rel = np.nan if prev_mu is None else _rel_diff(mu, prev_mu)
             rows.append(SweepRow(X=float(X), N=quad.n, mu=mu, rel_change=rel))
             cells[(X, N)] = mu

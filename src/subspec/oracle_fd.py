@@ -115,7 +115,7 @@ def cross_validate(model: PhiModel, k: int, fd_N: int = 4000,
     smooth, since then V = (sigma')^2 - sigma'' identically.  The domains are
     chosen so V(X) exceeds lambda_k by a wide classically forbidden margin.
     """
-    from .discretization import (assemble_kernel, auto_truncation, build_quadrature,
+    from .discretization import (assemble_jacobi, auto_truncation, build_quadrature,
                                  default_panels)
     from .green_kernel import KernelKind
     from .spectral import eigen_mu, lambdas
@@ -132,8 +132,8 @@ def cross_validate(model: PhiModel, k: int, fd_N: int = 4000,
     X_green = max(auto_truncation(model, 1e-6),
                   turning_point(model, float(lam_fd[-1])) + 2.0)
     quad = build_quadrature(X_green, default_panels(X_green), order)
-    K = assemble_kernel(model, quad, KernelKind("dirichlet"))
-    res = eigen_mu(K, n_keep=max(2 * k, k + 8))
+    res = eigen_mu(assemble_jacobi(model, quad, KernelKind("dirichlet")),
+                   n_keep=max(2 * k, k + 8))
     lam_green = lambdas(res)[:k]
     if lam_green.size < k:
         raise InvalidParameterError("Green route produced too few eigenvalues")

@@ -1,7 +1,8 @@
 """Eigenvalue extraction and the identity checks built on top of it.
 
 mu denotes eigenvalues of a Green matrix in decreasing order; lambda = 1/mu
-are the eigenvalues of the differential operator itself.  Values of mu below
+are the eigenvalues of the differential operator itself, and of the
+tridiagonal inverse (JacobiMatrix) that spectra are computed from.  Values of mu below
 1e3 * machine epsilon * ||G|| are discretization noise and never produce a
 lambda.  "Converged" is operational: relative movement below CONVERGED_REL
 under the final (X, N) doubling.
@@ -13,11 +14,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .discretization import (
     CONVERGED_REL,
+    JacobiMatrix,
     KernelMatrix,
     Quadrature,
+    assemble_jacobi,
     assemble_kernel,
 )
 from .errors import (
@@ -59,29 +63,57 @@ def _lam_from_mu(mu: np.ndarray, norm_estimate: float) -> np.ndarray:
     return np.sort(1.0 / mu[keep])
 
 
-def eigen_mu(K: KernelMatrix, n_keep: Optional[int] = None) -> SpectralResult:
-    """Top n_keep eigenvalues (descending) of a hermitian kernel matrix;
+# Below this fraction of max|lambda| the values of a full spectrum are
+# re-solved by bisection, which keeps small lambda (the top mu) relatively
+# accurate instead of accurate to eps * max|lambda| only.
+_BISECT_LOW_END = 1e-3
+
+
+def _bisect(T_diag, T_off, hi: int) -> np.ndarray:
+    """Lowest hi + 1 eigenvalues of a tridiagonal matrix by bisection to full
+    precision."""
+    return eigvalsh_tridiagonal(T_diag, T_off, select="i", select_range=(0, hi),
+                                lapack_driver="stebz", tol=np.finfo(float).tiny)
+
+
+def _jacobi_lambdas(T: JacobiMatrix, n_keep: int) -> np.ndarray:
+    """Ascending eigenvalues of T: all of them when n_keep == n, else the
+    lowest n_keep + 1 (G_gamma has at most one negative mu, index 0)."""
+    d, e = T.diag, T.off
+    if np.isinf(d[0]):  # singular Robin: node 1 decouples with lambda = inf
+        d, e = d[1:], e[1:]
+    if n_keep >= T.n:
+        # sterf needs O(N) memory; stemr would allocate an N x N workspace
+        lam = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+        mag = np.abs(lam)
+        low = np.nonzero(mag < _BISECT_LOW_END * np.max(mag))[0]
+        if low.size:
+            lam[:low[-1] + 1] = _bisect(d, e, int(low[-1]))
+    else:
+        lam = _bisect(d, e, min(n_keep, d.size - 1))
+    return np.append(lam, np.inf) if d.size < T.n else lam
+
+
+def eigen_mu(K: JacobiMatrix | KernelMatrix,
+             n_keep: Optional[int] = None) -> SpectralResult:
+    """Top n_keep eigenvalues mu (descending) of a hermitian Green matrix;
     n_keep=None keeps the whole spectrum (negative Robin values included).
 
-    Large positive-definite grids go through Lanczos for the top of the
-    spectrum; everything else is a full symmetric eigensolve.
+    A JacobiMatrix gives lambda from its tridiagonal eigenproblem and
+    mu = 1/lambda; a dense KernelMatrix (kept as a test oracle) goes through
+    a full symmetric eigensolve.
     """
-    if not K.hermitian:
-        raise NonHermitianError(
-            "eigen-analysis needs a hermitian matrix (complex gamma is refused)")
-    A = K.entries.real if np.iscomplexobj(K.entries) else K.entries
-    n = A.shape[0]
-    n_keep = n if n_keep is None else min(int(n_keep), n)
-    psd_kind = K.kind.variant in ("dirichlet", "free")
-    if n > 4096 and psd_kind and n_keep <= 64:
-        from scipy.sparse.linalg import eigsh
-        vals = eigsh(A, k=n_keep, which="LA", return_eigenvectors=False, tol=1e-12)
-        mu = np.sort(vals)[::-1]
-        norm = float(mu[0]) if mu.size else 0.0
+    n_keep = K.n if n_keep is None else min(int(n_keep), K.n)
+    if isinstance(K, JacobiMatrix):
+        all_mu = np.sort(1.0 / _jacobi_lambdas(K, n_keep))[::-1]
     else:
+        if not K.hermitian:
+            raise NonHermitianError(
+                "eigen-analysis needs a hermitian matrix (complex gamma is refused)")
+        A = K.entries.real if np.iscomplexobj(K.entries) else K.entries
         all_mu = np.sort(np.linalg.eigvalsh(A))[::-1]
-        norm = float(np.max(np.abs(all_mu))) if all_mu.size else 0.0
-        mu = all_mu[:n_keep]
+    norm = float(np.max(np.abs(all_mu))) if all_mu.size else 0.0
+    mu = all_mu[:n_keep]
     return SpectralResult(
         mu=mu, lam=_lam_from_mu(mu, norm), norm_estimate=norm, kind=K.kind,
         provenance={"model": K.model_label, "X": K.quad.X, "N": K.quad.n})
@@ -260,8 +292,8 @@ def robin_spectrum(model: PhiModel, gamma: float, quad: Quadrature,
         raise ZeroGammaError("gamma must be nonzero")
     if complex(gamma).imag != 0.0:
         raise ComplexGammaError("spectral analysis is restricted to real gamma")
-    K = assemble_kernel(model, quad, robin_kind(float(gamma)), rtol=rtol, cache=cache)
-    return eigen_mu(K, n_keep)
+    T = assemble_jacobi(model, quad, robin_kind(float(gamma)), rtol=rtol, cache=cache)
+    return eigen_mu(T, n_keep)
 
 
 def write_spectrum_csv(res: SpectralResult, path) -> None:

@@ -19,7 +19,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import NegativeArgumentError, NonPositiveFError, ZeroGammaError
+from .errors import (
+    InvalidParameterError,
+    NegativeArgumentError,
+    NonPositiveFError,
+    ZeroGammaError,
+)
 from .lse_quad import DEFAULT_RTOL, log_integral_exp, segment_log_integrals
 from .phi_models import PhiModel, eval_dlog_phi
 
@@ -86,6 +91,10 @@ class SubordinateCache:
         edges = np.concatenate(([0.0], nodes))
         self.panel_logsums = segment_log_integrals(_neg2_log_phi(model), edges, rtol=rtol)
         self.log_I_nodes = np.logaddexp.accumulate(self.panel_logsums)
+        if not np.all(np.isfinite(self.log_I_nodes)):
+            raise InvalidParameterError(
+                f"{model.label}: int phi^-2 is not finite on the grid (log phi is "
+                "not finite there)")
         self.log_psi_nodes = model.log_phi(nodes) + self.log_I_nodes
         # interpolate in log x: log I has a log singularity at 0 but is
         # nearly linear in log x there, and stays smooth at the far end

@@ -41,6 +41,34 @@ def test_parse_config_errors():
         parse_config("phi.kind = exp-decay")  # missing task
     with pytest.raises(ConfigError, match="line 3: duplicate key 'phi.c'"):
         parse_config("task = spectrum\nphi.c = 1\nphi.c = 2\n")
+    with pytest.raises(ConfigError, match="line 3: unknown key 'resolution.panel'"):
+        parse_config("task = spectrum\nphi.kind = exp-decay\nresolution.panel = 10\n")
+    with pytest.raises(ConfigError, match="unknown key 'robin.gamma' for task spectrum"):
+        parse_config("robin.gamma = 1\ntask = spectrum\n")
+    with pytest.raises(ConfigError, match="unknown key 'resolution.eps' for task scatter"):
+        parse_config("task = scatter\nresolution.eps = 1e-3\n")
+
+
+def test_parse_config_accepts_every_documented_key():
+    block = ["kind", "c", "zeta.k", "zeta.alpha", "csv", "log_expr", "dlog_expr",
+             "d2log_expr", "label", "decay.rate", "decay.c1", "decay.c2",
+             "decay.sigma_expr", "decay.dsigma_expr"]
+    grid = ["resolution.X", "resolution.eps", "resolution.panels", "resolution.order"]
+    phi = [f"phi.{k}" for k in block]
+    documented = {
+        "spectrum": phi + grid + ["spectrum.n_keep"],
+        "compare": phi + [f"compare.phi2.{k}" for k in block] + grid
+        + ["spectrum.n_keep", "compare.c"],
+        "robin": phi + grid + ["robin.gamma"],
+        "scatter": ["resolution.X", "resolution.panels", "resolution.order",
+                    "scatter.c", "scatter.alpha_list"],
+        "validate": phi + grid,
+        "oracle": phi + ["oracle.k"],
+    }
+    for task, keys in documented.items():
+        text = "".join(f"{k} = 1\n" for k in keys)
+        cfg = parse_config(f"task = {task}\noutput_dir = o\n{text}")
+        assert sorted(cfg.options) == sorted(keys)
 
 
 def test_build_phi_spec_kinds(tmp_path):
@@ -104,7 +132,9 @@ def test_validate_task_power_slow_decay(tmp_path):
     with pytest.warns(SlowDecayWarning):
         assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
     report = (out / "report.txt").read_text()
-    assert "validation window capped" in report
+    assert "validation window capped at X = 50" in report
+    assert "X = 50, panels = 200, order = 10" in report
+    assert "resolution clamped" not in report  # the cap comes before the N bound
     assert "[FAIL]" not in report
 
 
@@ -233,6 +263,19 @@ def test_error_exit_codes(tmp_path):
     noncompact = _write(tmp_path, "nc.cfg",
                         "task = oracle\nphi.kind = exp-decay\nphi.c = 1\n")
     assert run_cli(["run", str(noncompact), "--out", str(tmp_path / "o2")]) == 1
+
+
+def test_custom_log_profile_must_be_finite(tmp_path, capsys):
+    cfgfile = _write(tmp_path, "bad.cfg", """
+task = spectrum
+phi.kind = custom-log-profile
+phi.log_expr = -x + log(x - 1)
+resolution.X = 5
+""")
+    with np.errstate(all="ignore"):
+        assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError: phi.log_expr = -x + log(x - 1) is not finite" in err
 
 
 def test_threads_flag_smoke(tmp_path, monkeypatch):

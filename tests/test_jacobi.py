@@ -1,0 +1,118 @@
+"""The tridiagonal (Jacobi) spectral core against the dense Nystrom oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from subspec.discretization import (
+    assemble_jacobi,
+    assemble_kernel,
+    build_quadrature,
+)
+from subspec.errors import NonHermitianError
+from subspec.green_kernel import KernelKind, free, robin
+from subspec.phi_models import PhiSpec, inv_power_zeta, make_phi
+from subspec.spectral import eigen_mu, robin_spectrum
+from subspec.subordinate import SubordinateCache
+
+KINDS = [KernelKind("dirichlet"), free(1.0), robin(0.5), robin(-0.05), robin(-2.0)]
+KIND_IDS = ["dirichlet", "free", "robin+0.5", "robin-0.05", "robin-2"]
+
+
+@pytest.fixture(scope="module")
+def grids(phi1, phi2, phi3, phi4):
+    """(model, quadrature, shared cache) per built-in family.
+
+    power and oscillating run at N = 2000, where a tridiagonal solver at its
+    default tolerance (absolute, eps * max lambda) misses 1e-9 on the top mu.
+    """
+    scattering = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(1.0, 1.0)))
+    out = {}
+    for name, model, X, panels in (("exp-decay", phi1, 20.0, 100),
+                                   ("power", phi2, 200.0, 200),
+                                   ("stretched-exp", phi3, 8.0, 100),
+                                   ("oscillating", phi4, 6.0, 200),
+                                   ("scattering-profile", scattering, 30.0, 100)):
+        quad = build_quadrature(X, panels, 10)
+        out[name] = (model, quad, SubordinateCache(model, quad.nodes))
+    return out
+
+
+def _dense_T(T):
+    return np.diag(T.diag) + np.diag(T.off, 1) + np.diag(T.off, -1)
+
+
+@pytest.mark.parametrize("family", ["exp-decay", "power", "stretched-exp",
+                                    "oscillating", "scattering-profile"])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+def test_jacobi_spectrum_matches_dense(grids, family, kind):
+    model, quad, cache = grids[family]
+    cache = None if kind.variant == "free" else cache
+    dense = eigen_mu(assemble_kernel(model, quad, kind, cache=cache))
+    T = assemble_jacobi(model, quad, kind, cache=cache)
+    full = eigen_mu(T)
+    top = np.argsort(-np.abs(dense.mu))[:25]
+    assert np.max(np.abs(full.mu[top] - dense.mu[top]) / np.abs(dense.mu[top])) <= 1e-9
+    assert np.max(np.abs(full.mu - dense.mu)) <= 1e-9 * np.max(np.abs(dense.mu))
+    assert full.norm_estimate == pytest.approx(dense.norm_estimate, rel=1e-9)
+    top25 = eigen_mu(T, 25)
+    assert np.max(np.abs(top25.mu - dense.mu[:25]) / np.abs(dense.mu[:25])) <= 1e-9
+    assert top25.norm_estimate == pytest.approx(dense.norm_estimate, rel=1e-9)
+    if kind.variant == "robin" and kind.gamma.real < 0:
+        assert np.sum(full.mu < 0) == 1  # rank-one shift: one negative mu
+
+
+@st.composite
+def _profiles(draw):
+    """Random tabulated or custom-log-profile models."""
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=12))
+        xs = np.concatenate(([0.0], np.cumsum(steps)))
+        slopes = np.asarray(draw(st.lists(st.floats(-3.0, 1.0), min_size=xs.size - 2,
+                                          max_size=xs.size - 2)) + [-1.0])
+        logs = np.concatenate(([draw(st.floats(-2.0, 2.0))], slopes * np.diff(xs)))
+        return make_phi(PhiSpec.tabulated(xs, np.exp(np.cumsum(logs))))
+    a = draw(st.floats(0.2, 3.0))
+    b = draw(st.floats(0.0, 1.0))
+    amp = draw(st.floats(0.0, 2.0))
+    k = draw(st.floats(0.5, 20.0))
+    return make_phi(PhiSpec.custom(
+        log_phi=lambda x: -a * x - b * x**2 + amp * np.sin(k * x), label="random"))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=_profiles(), X=st.floats(0.5, 12.0), panels=st.integers(1, 12),
+       order=st.integers(2, 10), gamma=st.sampled_from([None, 0.7, -0.3, -5.0]))
+def test_jacobi_is_inverse_of_nystrom_matrix(model, X, panels, order, gamma):
+    quad = build_quadrature(X, panels, order)
+    kind = KernelKind("dirichlet") if gamma is None else robin(gamma)
+    cache = SubordinateCache(model, quad.nodes)
+    T = assemble_jacobi(model, quad, kind, cache=cache)
+    if np.isinf(T.diag[0]):  # gamma hit -I(x_1) exactly
+        return
+    Td = _dense_T(T)
+    A = assemble_kernel(model, quad, kind, cache=cache).entries
+    resid = np.max(np.abs(Td @ A - np.eye(quad.n)))
+    assert resid <= 1e-12 * np.max(np.abs(Td)) * np.max(np.abs(A))
+
+
+def test_singular_robin_has_one_exact_zero_mu(phi3):
+    quad = build_quadrature(4.0, 20, 10)
+    cache = SubordinateCache(phi3, quad.nodes)
+    gamma = -float(np.exp(cache.log_I_nodes[0]))  # xi(x_1) = 0
+    res = robin_spectrum(phi3, gamma, quad, cache=cache)
+    assert np.sum(res.mu == 0.0) == 1
+    assert np.all(res.mu >= 0.0)
+    dense = eigen_mu(assemble_kernel(phi3, quad, robin(gamma), cache=cache))
+    assert np.max(np.abs(res.mu - dense.mu)) <= 1e-9 * dense.norm_estimate
+    top = robin_spectrum(phi3, gamma, quad, n_keep=10, cache=cache)
+    assert np.allclose(top.mu, res.mu[:10], rtol=1e-12, atol=0.0)
+
+
+def test_jacobi_refuses_complex_gamma(phi1):
+    quad = build_quadrature(5.0, 10, 4)
+    with pytest.raises(NonHermitianError):
+        assemble_jacobi(phi1, quad, robin(1.0 + 2.0j))
+    with pytest.raises(NonHermitianError):
+        eigen_mu(assemble_kernel(phi1, quad, robin(1.0 + 2.0j)), 4)

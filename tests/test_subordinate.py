@@ -81,6 +81,16 @@ def test_cache_exact_at_nodes_and_interpolates(phi1):
     assert float(cache.psi(0.0)) == 0.0
 
 
+def test_cache_refuses_non_finite_log_phi():
+    from subspec.errors import InvalidParameterError
+    from subspec.phi_models import PhiModel
+    bad = PhiModel("custom-log-profile", "log(x - 1)",
+                   log_phi=lambda x: np.log(np.asarray(x, float) - 1.0),
+                   dlog_phi=None, d2log_phi=None, decay=None, l2_norm_phi=1.0)
+    with np.errstate(all="ignore"), pytest.raises(InvalidParameterError, match="log"):
+        SubordinateCache(bad, np.linspace(0.5, 3.0, 20))
+
+
 def test_psi_over_phi_strictly_increasing(phi1, phi2, phi3, phi4):
     # prefix-accumulated positive panel sums make this structural
     for m, X in ((phi1, 12.0), (phi2, 12.0), (phi3, 4.0), (phi4, 7.0)):
