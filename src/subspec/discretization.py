@@ -9,7 +9,8 @@ matrices serve the validation checks and are the test oracle.
 
 psi entering the Green kernel can come from two sources:
 
-  psi_source="exact"       adaptive log-space quadrature (spectral work);
+  psi_source="exact"       the SubordinateCache on the grid nodes, exact to
+                           the adaptive tolerance (spectral work);
   psi_source="quadrature"  the grid's own prefix sums of w phi^-2, which
                            makes the assembled Green matrix equal to
                            M^T M for the assembled factor matrix exactly,

@@ -6,9 +6,9 @@
     L(x, y)       = phi(x)/phi(y) [y <= x]           (adjoint factor)
 
 Everything is evaluated through logs of phi and psi; x ^ y = 0 short-circuits
-to exactly 0 so that -inf + inf never forms.  Pointwise calls integrate psi
-adaptively per unique argument; matrix assembly (discretization module) goes
-through a shared SubordinateCache instead.
+to exactly 0 so that -inf + inf never forms.  psi comes from a
+SubordinateCache: pointwise calls build one on the unique positive minima,
+matrix assembly (discretization module) shares one on the grid.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidParameterError, MissingDecayError, NegativeArgumentError, ZeroGammaError
 from .lse_quad import DEFAULT_RTOL
 from .phi_models import PhiModel
-from .subordinate import log_psi_grid
+from .subordinate import SubordinateCache
 
 KERNEL_VARIANTS = ("dirichlet", "robin", "factor-M", "factor-L", "free")
 
@@ -85,24 +85,16 @@ def _pair_arrays(x, y):
     return np.broadcast_arrays(x, y)
 
 
-def _log_psi_at(model: PhiModel, pts: np.ndarray, rtol: float) -> np.ndarray:
-    """log psi at arbitrary nonnegative points (0 handled by the caller)."""
-    flat = pts.ravel()
-    pos = flat[flat > 0]
-    out = np.full(flat.shape, -np.inf)
-    if pos.size:
-        uniq, inv = np.unique(pos, return_inverse=True)
-        vals = log_psi_grid(model, uniq, rtol=rtol)
-        out[flat > 0] = vals[inv]
-    return out.reshape(pts.shape)
-
-
 def green_eval(model: PhiModel, x, y, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """G(x, y); symmetric in (x, y) through a shared min/max code path."""
     x, y = _pair_arrays(x, y)
     mn = np.minimum(x, y)
     mx = np.maximum(x, y)
-    log_psi_mn = _log_psi_at(model, mn, rtol)
+    log_psi_mn = np.full(mn.shape, -np.inf)
+    pos = mn > 0
+    if np.any(pos):
+        uniq, inv = np.unique(mn[pos], return_inverse=True)
+        log_psi_mn[pos] = SubordinateCache(model, uniq, rtol).log_psi_nodes[inv]
     with np.errstate(invalid="ignore"):
         vals = np.exp(log_psi_mn + model.log_phi(mx))
     vals = np.where(mn == 0.0, 0.0, vals)

@@ -195,9 +195,14 @@ def _l2_window(log_phi, x0: float = 8.0, cap: float = 2.0e4) -> float:
     return X
 
 
-def _l2_norm_by_quadrature(log_phi, decay: Optional[DecayInfo]) -> float:
-    X = _l2_window(log_phi)
-    head = math.exp(log_integral_exp(lambda s: 2.0 * log_phi(s), 0.0, X))
+def _l2_norm_by_quadrature(log_phi, decay: Optional[DecayInfo], label: str) -> float:
+    """||phi|| from a windowed quadrature plus the sandwich tail; an error
+    (no decay, or a log phi that is NaN) names the profile label."""
+    try:
+        X = _l2_window(log_phi)
+        head = math.exp(log_integral_exp(lambda s: 2.0 * log_phi(s), 0.0, X))
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{label}: {exc}") from None
     tail = decay.tail_l2sq(X) if decay is not None else 0.0
     return math.sqrt(head + tail)
 
@@ -248,13 +253,14 @@ def make_phi(spec: PhiSpec) -> PhiModel:
                 c, 1.0, 1.0,
                 sigma=lambda x, c=c: (1.0 + np.asarray(x, dtype=float)) ** c,
                 dsigma=lambda x, c=c: c * (1.0 + np.asarray(x, dtype=float)) ** (c - 1.0))
+        label = f"stretched-exp(c={c:g})"
         return PhiModel(
-            kind, f"stretched-exp(c={c:g})",
+            kind, label,
             log_phi=log_phi,
             dlog_phi=lambda x, c=c: -c * (1.0 + _as_nonneg(x)) ** (c - 1.0),
             d2log_phi=lambda x, c=c: -c * (c - 1.0) * (1.0 + _as_nonneg(x)) ** (c - 2.0),
             decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay), params=dict(p))
+            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label), params=dict(p))
 
     if kind == "oscillating":
         log_phi = lambda x: -_as_nonneg(x) - np.sin(np.exp(_as_nonneg(x)))
@@ -270,7 +276,8 @@ def make_phi(spec: PhiSpec) -> PhiModel:
             d2log_phi=lambda x: (np.exp(2.0 * _as_nonneg(x)) * np.sin(np.exp(_as_nonneg(x)))
                                  - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x)))),
             decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay), params=dict(p))
+            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, "oscillating"),
+            params=dict(p))
 
     if kind == "scattering-profile":
         c, zeta = p["c"], p["zeta"]
@@ -287,10 +294,10 @@ def make_phi(spec: PhiSpec) -> PhiModel:
             c, math.exp(-zeta.sup), math.exp(zeta.sup),
             sigma=lambda x, c=c: c * np.asarray(x, dtype=float),
             dsigma=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c))
+        label = f"scattering(c={c:g}, zeta={zeta.label})"
         return PhiModel(
-            kind, f"scattering(c={c:g}, zeta={zeta.label})",
-            log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log, decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay), params=dict(p))
+            kind, label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log, decay=decay,
+            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label), params=dict(p))
 
     if kind == "tabulated":
         xs, vals = p["x"], p["values"]
@@ -331,10 +338,10 @@ def make_phi(spec: PhiSpec) -> PhiModel:
         if d2log is not None:
             d2log = lambda x, f=p["d2log_phi"]: np.asarray(f(_as_nonneg(x)), dtype=float)
         decay = p.get("decay")
+        label = p.get("label", "custom")
         return PhiModel(
-            kind, p.get("label", "custom"),
-            log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log, decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay), params={})
+            kind, label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log, decay=decay,
+            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label), params={})
 
     raise InvalidParameterError(f"unknown profile kind '{kind}'")
 

@@ -275,7 +275,7 @@ resolution.X = 5
     with np.errstate(all="ignore"):
         assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "ConfigError: phi.log_expr = -x + log(x - 1) is not finite" in err
+    assert "InvalidParameterError: custom[-x + log(x - 1)]: log integrand is not finite" in err
 
 
 def test_threads_flag_smoke(tmp_path, monkeypatch):
@@ -291,6 +291,25 @@ resolution.panels = 32
                     "--threads", "2"]) == 0
 
 
+def _subprocess_env():
+    src = str(Path(subspec.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_startup_imports_no_interpolate_or_optimize():
+    # what `subspec run` loads for any task: the CLI and every task module
+    code = ("import sys, subspec.cli, subspec.discretization, subspec.green_kernel, "
+            "subspec.oracle_fd, subspec.phi_models, subspec.scattering, subspec.spectral, "
+            "subspec.subordinate; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point(tmp_path):
     cfgfile = _write(tmp_path, "run.cfg", """
 task = spectrum
@@ -301,12 +320,9 @@ resolution.panels = 12
 spectrum.n_keep = 3
 """)
     out = tmp_path / "out"
-    src = str(Path(subspec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "subspec.cli", "run", str(cfgfile),
                            "--out", str(out), "--threads", "1"],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (out / "spectrum.csv").is_file()
     assert (out / "report.txt").read_text().startswith("task = spectrum\n")

@@ -148,3 +148,11 @@ def test_scattering_profile_kind():
     assert m.decay.c_upper == pytest.approx(math.e)
     rep = verify_decay_hypothesis(m, np.linspace(0.0, 30.0, 301))
     assert rep.holds
+
+
+def test_make_phi_names_the_profile_whose_log_is_nan():
+    spec = PhiSpec.custom(log_phi=lambda x: -x + np.log(np.asarray(x, float) - 1.0),
+                          label="shifted-log")
+    with np.errstate(all="ignore"), pytest.raises(
+            InvalidParameterError, match=r"shifted-log: log integrand is not finite"):
+        make_phi(spec)

@@ -5,14 +5,18 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfi
 
-from subspec.errors import NegativeArgumentError, NonPositiveFError, ZeroGammaError
+from subspec.errors import (
+    InvalidParameterError,
+    NegativeArgumentError,
+    NonPositiveFError,
+    ZeroGammaError,
+)
 from subspec.subordinate import (
     SubordinateCache,
     compute_log_psi,
     compute_psi,
     compute_xi,
     diagonal_D,
-    log_psi_grid,
     regularized_potential,
     riccati_residual,
     wronskian_residual,
@@ -61,9 +65,9 @@ def test_psi_domain_errors(phi1):
     assert compute_psi(phi1, 0.0) == 0.0
 
 
-def test_log_psi_grid_matches_pointwise(phi3):
+def test_cache_log_psi_nodes_match_pointwise(phi3):
     xs = np.linspace(0.2, 4.0, 25)
-    grid_vals = log_psi_grid(phi3, xs)
+    grid_vals = SubordinateCache(phi3, xs).log_psi_nodes
     for i in (0, 7, 24):
         assert grid_vals[i] == pytest.approx(compute_log_psi(phi3, xs[i]), abs=1e-11)
 
@@ -72,10 +76,10 @@ def test_cache_exact_at_nodes_and_interpolates(phi1):
     nodes = np.linspace(0.05, 10.0, 300)
     cache = SubordinateCache(phi1, nodes)
     assert np.allclose(cache.log_psi_nodes, np.log(np.sinh(nodes)), atol=1e-11)
-    # off-node queries: monotone-cubic on log(psi/phi) against log x
+    # off-node queries: node value plus one bridging integral
     for x in (1.2345, 7.77):
-        assert float(cache.log_psi(x)) == pytest.approx(math.log(math.sinh(x)), abs=1e-6)
-    # near and below the first nodes falls back to direct integration
+        assert float(cache.log_psi(x)) == pytest.approx(math.log(math.sinh(x)), abs=1e-10)
+    # near the first node, and below it where the bridge starts at 0
     for x in (0.0731, 0.01):
         assert float(cache.log_psi(x)) == pytest.approx(math.log(math.sinh(x)), abs=1e-10)
     assert float(cache.psi(0.0)) == 0.0
@@ -114,6 +118,11 @@ def test_wronskian_residuals(phi1, phi3, phi4):
     assert wronskian_residual(phi3, np.linspace(0.25, 5.0, 20), h=1e-5) <= 1e-6
     # oscillatory derivative: looser tolerance, FD path
     assert wronskian_residual(phi4, np.linspace(0.25, 4.5, 18), h=1e-5) <= 1e-3
+
+
+def test_wronskian_unknown_method(phi1):
+    with pytest.raises(InvalidParameterError, match="unknown method"):
+        wronskian_residual(phi1, [1.0], method="spline")
 
 
 def test_xi_values(phi1):
