@@ -23,6 +23,7 @@ numpy namespace; configs are trusted input.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -74,16 +75,27 @@ class RunConfig:
 
     def get_float(self, key, default=None):
         v = self.get(key, default)
-        if v is None:
-            return None
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"config key '{key}' is not a number: {v!r}") from None
+        return None if v is None else _number(key, v)
 
     def get_int(self, key, default=None):
+        """A count: every integer key must be a whole number >= 1."""
         v = self.get_float(key, default)
-        return None if v is None else int(v)
+        if v is None:
+            return None
+        if v != int(v) or v < 1:
+            raise ConfigError(f"config key '{key}' must be a whole number >= 1, "
+                              f"got {self.get(key, default)!r}")
+        return int(v)
+
+
+def _number(key: str, text) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise ConfigError(f"config key '{key}' is not a number: {text!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"config key '{key}' is not finite: {text!r}")
+    return v
 
 
 def parse_config(text: str) -> RunConfig:
@@ -320,10 +332,8 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     from .scattering import example_scatt_sweep, write_sweep_csv
 
     raw = cfg.get("scatter.alpha_list", "0.5,1,1.5,2,4")
-    try:
-        alphas = [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"scatter.alpha_list is not a comma list of numbers: {raw!r}")
+    alphas = [_number("scatter.alpha_list", tok.strip())
+              for tok in raw.replace(";", ",").split(",") if tok.strip()]
     c = cfg.get_float("scatter.c", 1.0)
     X = cfg.get_float("resolution.X", 50.0)
     panels = cfg.get_int("resolution.panels")
@@ -369,7 +379,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
 
     nodes = np.linspace(max(0.25, X / 40.0), min(X, 5.0), 12)
     tol_w = 1e-3 if oscillatory or model.dlog_phi is None else 1e-6
-    wr = wronskian_residual(model, nodes, h=1e-5)
+    wr = wronskian_residual(model, nodes)
     checks.append((f"wronskian residual <= {tol_w:g}", wr <= tol_w, wr))
 
     cache = SubordinateCache(model, quad.nodes)
@@ -462,15 +472,12 @@ def run_cli(argv=None) -> int:
     runp.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None and os.environ.get("SUBSPEC_THREADS"):
-        try:
-            threads = int(os.environ["SUBSPEC_THREADS"])
-        except ValueError:
-            threads = None
-    if threads is not None and threads > 0:
+    if args.threads is not None:
+        if args.threads < 1:
+            print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+            return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
+            os.environ.setdefault(var, str(args.threads))
 
     try:
         config = parse_config(args.config.read_text())

@@ -36,11 +36,12 @@ from .errors import (
     SlowDecayWarning,
 )
 from .green_kernel import KernelKind
-from .lse_quad import DEFAULT_RTOL, gauss_legendre
-from .phi_models import PhiModel, PhiSpec, make_phi
+from .lse_quad import gauss_legendre
+from .phi_models import PhiModel
 from .subordinate import SubordinateCache
 
 CONVERGED_REL = 1e-6  # operational convergence threshold for sweeps
+SWEEP_ORDER = 10  # Gauss-Legendre nodes per panel in convergence_sweep
 
 
 @dataclass(frozen=True)
@@ -147,31 +148,21 @@ def _grid_log_psi(model: PhiModel, quad: Quadrature) -> np.ndarray:
     return lp + np.logaddexp.accumulate(terms)
 
 
-def _kernel_model(model: Optional[PhiModel], kind: KernelKind) -> PhiModel:
-    # the free kernel brings its own profile exp(-c0 x)
-    if kind.variant == "free":
-        return make_phi(PhiSpec.exp_decay(kind.c0))
-    if model is None:
-        raise InvalidParameterError("a model is required for this kernel kind")
-    return model
-
-
-def assemble_kernel(model: Optional[PhiModel], quad: Quadrature, kind: KernelKind,
-                    rtol: float = DEFAULT_RTOL, psi_source: str = "exact",
+def assemble_kernel(model: PhiModel, quad: Quadrature, kind: KernelKind,
+                    psi_source: str = "exact",
                     cache: Optional[SubordinateCache] = None) -> KernelMatrix:
     """Build sqrt(w) K(x_i, x_j) sqrt(w) for the requested kernel kind.
 
     A prebuilt SubordinateCache on the same nodes may be passed to avoid
     re-integrating psi across several kinds on one grid.
     """
-    model = _kernel_model(model, kind)
     nodes = quad.nodes
     log_phi = model.log_phi(nodes)
 
-    if kind.variant in ("dirichlet", "free", "robin"):
+    if kind.variant in ("dirichlet", "robin"):
         if psi_source == "exact":
             if cache is None:
-                cache = SubordinateCache(model, nodes, rtol=rtol)
+                cache = SubordinateCache(model, nodes)
             log_psi = cache.log_psi_nodes
         elif psi_source == "quadrature":
             log_psi = _grid_log_psi(model, quad)
@@ -224,10 +215,9 @@ class JacobiMatrix:
         return self.diag.size
 
 
-def assemble_jacobi(model: Optional[PhiModel], quad: Quadrature, kind: KernelKind,
-                    rtol: float = DEFAULT_RTOL,
+def assemble_jacobi(model: PhiModel, quad: Quadrature, kind: KernelKind,
                     cache: Optional[SubordinateCache] = None) -> JacobiMatrix:
-    """Tridiagonal inverse of the Nystrom Green matrix for dirichlet, free and
+    """Tridiagonal inverse of the Nystrom Green matrix for dirichlet and
     real-gamma robin kernels, in O(N) memory.
 
     With Delta I_i = int_{x_i}^{x_i+1} phi^-2 (the cache's panel sums) and
@@ -241,13 +231,12 @@ def assemble_jacobi(model: Optional[PhiModel], quad: Quadrature, kind: KernelKin
     Every entry is exp of one log sum, so phi^-2 and I (which overflow for
     stretched-exponential profiles) are never formed.
     """
-    model = _kernel_model(model, kind)
-    if kind.variant not in ("dirichlet", "free", "robin"):
+    if kind.variant not in ("dirichlet", "robin"):
         raise InvalidParameterError(f"no Jacobi form for kernel kind '{kind.variant}'")
     if not kind.hermitian:
         raise NonHermitianError("no hermitian Jacobi form for complex gamma")
     if cache is None:
-        cache = SubordinateCache(model, quad.nodes, rtol=rtol)
+        cache = SubordinateCache(model, quad.nodes)
     lp = model.log_phi(quad.nodes)
     lw = np.log(quad.weights)
     ls = cache.panel_logsums[1:]  # log Delta I_i between consecutive nodes
@@ -320,9 +309,9 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def convergence_sweep(model: PhiModel, kind: KernelKind,
                       X_list: Sequence[float], N_list: Sequence[int],
-                      n_keep: int = 10, order: int = 10,
-                      rtol: float = DEFAULT_RTOL) -> SweepResult:
-    """Top-k eigenvalues over the (X, N) grid with successive differences.
+                      n_keep: int = 10) -> SweepResult:
+    """Top-k eigenvalues over the (X, N) grid with successive differences,
+    on order-SWEEP_ORDER grids with ceil(N / SWEEP_ORDER) panels.
 
     Convergence is declared when the final cell moves less than CONVERGED_REL
     relatively against both the (X_last, N_prev) and (X_prev, N_last) cells.
@@ -339,9 +328,9 @@ def convergence_sweep(model: PhiModel, kind: KernelKind,
     prev_mu = None
     for X in X_list:
         for N in N_list:
-            panels = max(1, int(np.ceil(N / order)))
-            quad = build_quadrature(X, panels, order)
-            mu = eigen_mu(assemble_jacobi(model, quad, kind, rtol=rtol), n_keep).mu
+            panels = max(1, int(np.ceil(N / SWEEP_ORDER)))
+            quad = build_quadrature(X, panels, SWEEP_ORDER)
+            mu = eigen_mu(assemble_jacobi(model, quad, kind), n_keep).mu
             rel = np.nan if prev_mu is None else _rel_diff(mu, prev_mu)
             rows.append(SweepRow(X=float(X), N=quad.n, mu=mu, rel_change=rel))
             cells[(X, N)] = mu

@@ -19,24 +19,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, MissingDecayError, NegativeArgumentError, ZeroGammaError
-from .lse_quad import DEFAULT_RTOL
 from .phi_models import PhiModel
 from .subordinate import SubordinateCache
 
-KERNEL_VARIANTS = ("dirichlet", "robin", "factor-M", "factor-L", "free")
+KERNEL_VARIANTS = ("dirichlet", "robin", "factor-M", "factor-L")
 
 
 @dataclass(frozen=True)
 class KernelKind:
-    """Which kernel to evaluate/assemble.
-
-    robin carries gamma != 0; free carries c0 > 0 and builds its own
-    comparison profile phi0 = exp(-c0 x), ignoring the supplied model.
-    """
+    """Which kernel to evaluate/assemble; robin carries gamma != 0."""
 
     variant: str
     gamma: Optional[complex] = None
-    c0: Optional[float] = None
 
     def __post_init__(self):
         if self.variant not in KERNEL_VARIANTS:
@@ -44,9 +38,6 @@ class KernelKind:
         if self.variant == "robin":
             if self.gamma is None or self.gamma == 0:
                 raise ZeroGammaError("robin kernel needs gamma != 0")
-        if self.variant == "free":
-            if self.c0 is None or self.c0 <= 0:
-                raise InvalidParameterError("free kernel needs c0 > 0")
 
     @property
     def gamma_is_real(self) -> bool:
@@ -54,15 +45,11 @@ class KernelKind:
 
     @property
     def hermitian(self) -> bool:
-        if self.variant in ("dirichlet", "free"):
+        if self.variant == "dirichlet":
             return True
         if self.variant == "robin":
             return self.gamma_is_real
         return False
-
-
-def dirichlet() -> KernelKind:
-    return KernelKind("dirichlet")
 
 
 def robin(gamma: complex) -> KernelKind:
@@ -73,10 +60,6 @@ def factor(which: str) -> KernelKind:
     return KernelKind(f"factor-{which}")
 
 
-def free(c0: float) -> KernelKind:
-    return KernelKind("free", c0=c0)
-
-
 def _pair_arrays(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -85,7 +68,7 @@ def _pair_arrays(x, y):
     return np.broadcast_arrays(x, y)
 
 
-def green_eval(model: PhiModel, x, y, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def green_eval(model: PhiModel, x, y) -> np.ndarray:
     """G(x, y); symmetric in (x, y) through a shared min/max code path."""
     x, y = _pair_arrays(x, y)
     mn = np.minimum(x, y)
@@ -94,20 +77,19 @@ def green_eval(model: PhiModel, x, y, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     pos = mn > 0
     if np.any(pos):
         uniq, inv = np.unique(mn[pos], return_inverse=True)
-        log_psi_mn[pos] = SubordinateCache(model, uniq, rtol).log_psi_nodes[inv]
+        log_psi_mn[pos] = SubordinateCache(model, uniq).log_psi_nodes[inv]
     with np.errstate(invalid="ignore"):
         vals = np.exp(log_psi_mn + model.log_phi(mx))
     vals = np.where(mn == 0.0, 0.0, vals)
     return vals if vals.ndim else float(vals)
 
 
-def green_gamma_eval(model: PhiModel, gamma: complex, x, y,
-                     rtol: float = DEFAULT_RTOL):
+def green_gamma_eval(model: PhiModel, gamma: complex, x, y):
     """G_gamma(x, y) = G(x, y) + gamma phi(x) phi(y)."""
     if gamma == 0:
         raise ZeroGammaError("gamma must be nonzero")
     x, y = _pair_arrays(x, y)
-    g = green_eval(model, x, y, rtol)
+    g = green_eval(model, x, y)
     shift = gamma * np.exp(model.log_phi(x) + model.log_phi(y))
     out = g + shift
     return out if np.ndim(out) else complex(out) if np.iscomplexobj(shift) else float(out)
@@ -125,12 +107,12 @@ def factor_kernel_eval(model: PhiModel, which: str, x, y) -> np.ndarray:
     return vals if vals.ndim else float(vals)
 
 
-def exp_bound_margin(model: PhiModel, x, y, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def exp_bound_margin(model: PhiModel, x, y) -> np.ndarray:
     """(c2^3 / (2 c c1^3)) e^{-c|x-y|} - G(x, y); >= 0 under the sandwich."""
     if model.decay is None:
         raise MissingDecayError(f"{model.label} carries no decay metadata")
     x, y = _pair_arrays(x, y)
     const = model.decay.kernel_bound_const()
     bound = const * np.exp(-model.decay.rate * np.abs(x - y))
-    out = bound - green_eval(model, x, y, rtol)
+    out = bound - green_eval(model, x, y)
     return out if np.ndim(out) else float(out)

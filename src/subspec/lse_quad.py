@@ -16,8 +16,8 @@ Refinement is level-batched: all panels pending at a bisection depth, over
 all intervals, are evaluated together in vectorized calls of at most CHUNK
 panels, which keeps rapidly oscillating profiles (panel counts in the
 thousands) cheap and bounds the temporaries.  Because the integrand is
-positive, per-panel relative tolerance gives global relative control.  A
-NaN sample of the log integrand raises InvalidParameterError.
+positive, the per-panel relative tolerance RTOL gives global relative
+control; it is the package's one quadrature tolerance.  A NaN sample of the log integrand raises InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from scipy.special import logsumexp
 
 from .errors import InvalidParameterError
 
-DEFAULT_RTOL = 1e-12
+RTOL = 1e-12  # relative agreement of a panel with its bisection
 ORDER = 10  # Gauss-Legendre nodes per panel
 MAX_DEPTH = 12  # bisection levels below width MAX_SEG; panels are accepted there
 MAX_SEG = 1.0  # longest piece an interval is cut into before bisection ...
@@ -62,11 +62,11 @@ def _batch_panel_logs(log_f, a, b):
     return logsumexp(vals, axis=1, b=w[None, :] * half)
 
 
-def _adaptive_many(log_f, lo, hi, owner, limit, n_out, rtol):
+def _adaptive_many(log_f, lo, hi, owner, limit, n_out):
     """Adaptive log integrals of the pieces [lo_j, hi_j], refinement batched.
 
     A panel is accepted when its bisected value agrees with the unsplit one
-    to rtol relatively (always at bisection depth limit_j); accepted pieces
+    to RTOL relatively (always at bisection depth limit_j); accepted pieces
     accumulate into out[owner_j] through logaddexp.
     """
     out = np.full(n_out, -np.inf)
@@ -78,7 +78,7 @@ def _adaptive_many(log_f, lo, hi, owner, limit, n_out, rtol):
         right = _batch_panel_logs(log_f, mid, cur_hi)
         split = np.logaddexp(left, right)
         with np.errstate(invalid="ignore"):
-            accept = np.abs(np.expm1(whole - split)) <= rtol
+            accept = np.abs(np.expm1(whole - split)) <= RTOL
         accept |= (whole == -np.inf) & (split == -np.inf)
         accept |= limit == depth
         if np.any(accept):
@@ -96,7 +96,7 @@ def _adaptive_many(log_f, lo, hi, owner, limit, n_out, rtol):
     return out
 
 
-def log_integral_exp(log_f, a, b, rtol: float = DEFAULT_RTOL):
+def log_integral_exp(log_f, a, b):
     """log of int_a^b exp(log_f(s)) ds (-inf where b <= a).
 
     a and b broadcast; scalar bounds give a float, array bounds an array of
@@ -116,15 +116,15 @@ def log_integral_exp(log_f, a, b, rtol: float = DEFAULT_RTOL):
     step = ((b - a) / np.maximum(n, 1))[owner]
     lo = k * step + a[owner]
     hi = np.where(k + 1 == n[owner], b[owner], (k + 1) * step + a[owner])
-    out = _adaptive_many(log_f, lo, hi, owner, MAX_DEPTH + extra[owner], a.size, rtol)
+    out = _adaptive_many(log_f, lo, hi, owner, MAX_DEPTH + extra[owner], a.size)
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def segment_log_integrals(log_f, edges, rtol: float = DEFAULT_RTOL):
+def segment_log_integrals(log_f, edges):
     """log of int over each consecutive interval of `edges`.
 
     All segments share the level-batched refinement, so thousands of short
     segments (cache construction) cost a few vectorized calls.
     """
     edges = np.asarray(edges, dtype=float)
-    return log_integral_exp(log_f, edges[:-1], edges[1:], rtol)
+    return log_integral_exp(log_f, edges[:-1], edges[1:])

@@ -21,6 +21,10 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import InvalidParameterError, NonSmoothModelError, NotCompactError
 from .phi_models import PhiModel
 
+TURNING_X_MAX = 200.0  # right end of turning_point's scan
+FD_N = 4000  # nodes of the resolved FD pass in cross_validate
+GREEN_ORDER = 10  # Gauss-Legendre nodes per panel of cross_validate's Green grid
+
 
 @dataclass(frozen=True)
 class RobinBC:
@@ -88,15 +92,16 @@ def _require_compact(model: PhiModel) -> None:
             f"{model.label}: potential does not confine, spectrum is not discrete")
 
 
-def turning_point(model: PhiModel, level: float, x_max: float = 200.0) -> float:
-    """Smallest x beyond which V stays above `level` (bisection on a scan)."""
-    xs = np.linspace(0.0, x_max, 4001)
+def turning_point(model: PhiModel, level: float) -> float:
+    """Smallest x beyond which V stays above `level`, on a scan of
+    [0, TURNING_X_MAX]."""
+    xs = np.linspace(0.0, TURNING_X_MAX, 4001)
     V = np.asarray(potential_from_phi(model, xs))
     below = np.nonzero(V < level)[0]
     if below.size == 0:
         return 0.0
     if below[-1] == xs.size - 1:
-        raise InvalidParameterError(f"V never exceeds {level} before x={x_max}")
+        raise InvalidParameterError(f"V never exceeds {level} before x={TURNING_X_MAX}")
     return float(xs[below[-1] + 1])
 
 
@@ -107,8 +112,7 @@ class CrossValidation:
     lam_fd: np.ndarray
 
 
-def cross_validate(model: PhiModel, k: int, fd_N: int = 4000,
-                   order: int = 10) -> CrossValidation:
+def cross_validate(model: PhiModel, k: int) -> CrossValidation:
     """Lowest k eigenvalues from the Green route against the FD oracle.
 
     Both routes solve the same operator exactly when phi = exp(-sigma) is
@@ -127,11 +131,11 @@ def cross_validate(model: PhiModel, k: int, fd_N: int = 4000,
                                       X_fd, 1500), k)
     X_fd = turning_point(model, float(lam_fd[-1]) + 50.0) + 2.0
     lam_fd = fd_eigenvalues(FDProblem(lambda x: potential_from_phi(model, x),
-                                      X_fd, fd_N), k)
+                                      X_fd, FD_N), k)
 
     X_green = max(auto_truncation(model, 1e-6),
                   turning_point(model, float(lam_fd[-1])) + 2.0)
-    quad = build_quadrature(X_green, default_panels(X_green), order)
+    quad = build_quadrature(X_green, default_panels(X_green), GREEN_ORDER)
     res = eigen_mu(assemble_jacobi(model, quad, KernelKind("dirichlet")),
                    n_keep=max(2 * k, k + 8))
     lam_green = lambdas(res)[:k]

@@ -161,9 +161,6 @@ class PhiModel:
     l2_norm_phi: float
     params: dict = field(default_factory=dict)
 
-    def phi(self, x):
-        return np.exp(self.log_phi(x))
-
 
 @dataclass(frozen=True)
 class DecayReport:

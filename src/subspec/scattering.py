@@ -10,7 +10,8 @@ operators (Kuroda-Birman).  This module computes the xi norms, the analytic
 bound from a dominating decreasing nu, the numeric trace norm of the
 assembled difference, and the alpha sweep that contrasts the nu route
 (finite only for alpha > 1) with the sharper derivative route (finite for
-every alpha > 0).
+every alpha > 0).  The comparison kernel G0 is the Dirichlet kernel of the
+exp-decay(c) profile.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ import numpy as np
 
 from .discretization import KernelMatrix, assemble_kernel, build_quadrature
 from .errors import GridMismatchError, InvalidParameterError, MissingNuError
-from .green_kernel import KernelKind, free as free_kind
-from .lse_quad import DEFAULT_RTOL, log_integral_exp
+from .green_kernel import KernelKind
+from .lse_quad import log_integral_exp
 from .phi_models import PhiSpec, Zeta, inv_power_zeta, make_phi
 
 SV_NOISE_FACTOR = 1e2  # singular values below this many eps * ||K - K0|| are dropped
+TRACE_ORDER = 10  # Gauss-Legendre nodes per panel of trace_report
+XI_PROFILE_POINTS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)  # x of trace_report's xi rows
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,9 @@ class ScatteringProfile:
             raise InvalidParameterError(f"free decay rate must be positive, got {self.c}")
 
 
-def inv_power_profile(c: float, alpha: float, k: float = 1.0) -> ScatteringProfile:
-    """zeta = k (1+x)^-alpha with nu = zeta itself (decreasing, dominates)."""
-    return ScatteringProfile(c=c, zeta=inv_power_zeta(k, alpha), nu=power_nu(k, alpha))
+def inv_power_profile(c: float, alpha: float) -> ScatteringProfile:
+    """zeta = (1+x)^-alpha with nu = zeta itself (decreasing, dominates)."""
+    return ScatteringProfile(c=c, zeta=inv_power_zeta(1.0, alpha), nu=power_nu(1.0, alpha))
 
 
 def nu_is_valid(profile: ScatteringProfile, audit_nodes=None) -> bool:
@@ -82,8 +85,7 @@ def _tail_window(profile: ScatteringProfile) -> float:
     return (30.0 + 4.0 * profile.zeta.sup) / (2.0 * profile.c)
 
 
-def xi_norms(profile: ScatteringProfile, x: float,
-             rtol: float = DEFAULT_RTOL) -> tuple:
+def xi_norms(profile: ScatteringProfile, x: float) -> tuple:
     """(||xi_x||, ||xi_{0,x}||, ||xi_x - xi_{0,x}||).
 
     The squared norms integrate adaptively over an exponential window
@@ -100,7 +102,7 @@ def xi_norms(profile: ScatteringProfile, x: float,
         u = np.asarray(u, dtype=float)
         return -2.0 * c * (u - x) - 2.0 * np.asarray(zeta.fn(u), dtype=float) + 2.0 * zx
 
-    head = math.exp(log_integral_exp(log_f, x, x + W, rtol=rtol))
+    head = math.exp(log_integral_exp(log_f, x, x + W))
     z_far = float(zeta.fn(np.asarray(x + W, dtype=float)))
     tail = math.exp(-2.0 * c * W + 2.0 * (zx - z_far)) / (2.0 * c)
     norm_xi = math.sqrt(head + tail)
@@ -112,7 +114,7 @@ def xi_norms(profile: ScatteringProfile, x: float,
         with np.errstate(divide="ignore"):  # dz = 0 contributes exp(-inf) = 0
             return -2.0 * c * (u - x) + 2.0 * np.log(np.abs(np.expm1(dz)))
 
-    norm_diff = math.exp(0.5 * log_integral_exp(log_diff, x, x + W, rtol=rtol))
+    norm_diff = math.exp(0.5 * log_integral_exp(log_diff, x, x + W))
     return norm_xi, norm_xi0, norm_diff
 
 
@@ -142,14 +144,13 @@ def analytic_trace_bound(profile: ScatteringProfile) -> float:
     return (math.exp(2.0 * s) + 1.0) * math.exp(2.0 * s) * profile.nu.integral / profile.c
 
 
-def derivative_route_bound(profile_alpha: float, c: float, k: float = 1.0) -> float:
-    """Sharper bound for zeta = k (1+x)^-alpha via the mean-value estimate
-    |zeta(u) - zeta(x)| <= (u - x) k alpha (1+x)^{-alpha-1}; finite for all
-    alpha > 0."""
+def derivative_route_bound(profile_alpha: float, c: float) -> float:
+    """Sharper bound for zeta = (1+x)^-alpha (sup|zeta| = 1) via the
+    mean-value estimate |zeta(u) - zeta(x)| <= (u - x) alpha (1+x)^{-alpha-1};
+    finite for all alpha > 0."""
     if profile_alpha <= 0:
         raise InvalidParameterError("alpha must be positive")
-    s = k
-    return (math.exp(2.0 * s) + 1.0) * math.exp(2.0 * s) * k / (2.0**1.5 * c**2)
+    return (math.exp(2.0) + 1.0) * math.exp(2.0) / (2.0**1.5 * c**2)
 
 
 def numeric_trace_norm(K: KernelMatrix, K0: KernelMatrix) -> float:
@@ -180,22 +181,20 @@ class ScatteringReport:
     provenance: dict = field(default_factory=dict)
 
 
-def trace_report(profile: ScatteringProfile, X: float, panels: int,
-                 order: int = 10, rtol: float = DEFAULT_RTOL,
-                 profile_points: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0),
-                 ) -> ScatteringReport:
-    """Assemble G and G0 on one grid and compare trace norm against the
-    nu-route bound (inf when nu is missing or not integrable)."""
-    quad = build_quadrature(X, panels, order)
+def trace_report(profile: ScatteringProfile, X: float, panels: int) -> ScatteringReport:
+    """Assemble G and G0 on one order-TRACE_ORDER grid and compare trace norm
+    against the nu-route bound (inf when nu is missing or not integrable);
+    xi norms are tabulated at XI_PROFILE_POINTS."""
+    quad = build_quadrature(X, panels, TRACE_ORDER)
     model = make_phi(PhiSpec.scattering_profile(profile.c, profile.zeta))
-    K = assemble_kernel(model, quad, KernelKind("dirichlet"), rtol=rtol)
-    K0 = assemble_kernel(None, quad, free_kind(profile.c), rtol=rtol)
+    K = assemble_kernel(model, quad, KernelKind("dirichlet"))
+    K0 = assemble_kernel(make_phi(PhiSpec.exp_decay(profile.c)), quad, KernelKind("dirichlet"))
     numeric = numeric_trace_norm(K, K0)
     try:
         bound = analytic_trace_bound(profile)
     except MissingNuError:
         bound = math.inf
-    rows = [(x, *xi_norms(profile, x, rtol=rtol)) for x in profile_points]
+    rows = [(x, *xi_norms(profile, x)) for x in XI_PROFILE_POINTS]
     return ScatteringReport(
         trace_norm_numeric=numeric,
         trace_bound_analytic=bound,
@@ -207,7 +206,7 @@ def trace_report(profile: ScatteringProfile, X: float, panels: int,
 
 def example_scatt_sweep(alpha_list: Sequence[float], c: float,
                         X: float = 50.0, panels: Optional[int] = None,
-                        order: int = 10, rtol: float = DEFAULT_RTOL):
+                        order: int = 10):
     """Per-alpha table for zeta = (1+x)^-alpha: numeric trace norm, the
     nu-route bound (finite iff alpha > 1) and the derivative-route bound
     (finite for every alpha > 0)."""
@@ -217,12 +216,12 @@ def example_scatt_sweep(alpha_list: Sequence[float], c: float,
     if panels is None:
         panels = max(40, int(np.ceil(2.0 * X)))
     quad = build_quadrature(X, panels, order)
-    K0 = assemble_kernel(None, quad, free_kind(c), rtol=rtol)
+    K0 = assemble_kernel(make_phi(PhiSpec.exp_decay(c)), quad, KernelKind("dirichlet"))
     rows = []
     for a in alpha_list:
         prof = inv_power_profile(c, a)
         model = make_phi(PhiSpec.scattering_profile(c, prof.zeta))
-        K = assemble_kernel(model, quad, KernelKind("dirichlet"), rtol=rtol)
+        K = assemble_kernel(model, quad, KernelKind("dirichlet"))
         numeric = numeric_trace_norm(K, K0)
         bound_nu = analytic_trace_bound(prof)
         bound_deriv = derivative_route_bound(a, c)

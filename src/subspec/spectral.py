@@ -27,6 +27,7 @@ from .discretization import (
 from .errors import (
     ComplexGammaError,
     InsufficientDataError,
+    InvalidParameterError,
     MismatchedLengthsError,
     NonHermitianError,
     NonPositiveMuError,
@@ -34,7 +35,6 @@ from .errors import (
     ZeroGammaError,
 )
 from .green_kernel import KernelKind, robin as robin_kind
-from .lse_quad import DEFAULT_RTOL
 from .phi_models import PhiModel, eval_dlog_phi
 from .subordinate import SubordinateCache
 
@@ -119,13 +119,13 @@ def eigen_mu(K: JacobiMatrix | KernelMatrix,
         provenance={"model": K.model_label, "X": K.quad.X, "N": K.quad.n})
 
 
-def lambdas(res: SpectralResult, tol: float = 1e-8) -> np.ndarray:
-    """lambda_n = 1/mu_n ascending; all >= 1/norm_estimate - tol.
+def lambdas(res: SpectralResult) -> np.ndarray:
+    """lambda_n = 1/mu_n ascending; all >= 1/norm_estimate.
 
     For a positive kernel kind a significantly negative mu flags a failed
     discretization and raises.
     """
-    if res.kind is not None and res.kind.variant in ("dirichlet", "free"):
+    if res.kind is not None and res.kind.variant == "dirichlet":
         if np.any(res.mu < -res.mu_floor):
             raise NonPositiveMuError(
                 f"negative mu = {float(np.min(res.mu)):.3e} for a positive kernel")
@@ -147,6 +147,8 @@ def compare_spectra(res1: SpectralResult, res2: SpectralResult, c: float) -> Com
     if res1.mu.size != res2.mu.size:
         raise MismatchedLengthsError(
             f"spectra have {res1.mu.size} vs {res2.mu.size} entries")
+    if not c > 0.0:
+        raise InvalidParameterError(f"the ratio bound c must be positive, got {c}")
     if c < 1.0:
         c = 1.0 / c
     usable = (res1.mu > res1.mu_floor) & (res2.mu > res2.mu_floor)
@@ -181,13 +183,13 @@ def growth_exponent(res, n_range: tuple) -> float:
     return float(slope)
 
 
-def converged_mask(mu_fine: np.ndarray, mu_coarse: np.ndarray,
-                   tol: float = CONVERGED_REL) -> np.ndarray:
-    """Entrywise operational convergence between two refinements."""
+def converged_mask(mu_fine: np.ndarray, mu_coarse: np.ndarray) -> np.ndarray:
+    """Entrywise operational convergence (relative change below
+    CONVERGED_REL) between two refinements."""
     m = min(mu_fine.size, mu_coarse.size)
     out = np.zeros(mu_fine.size, dtype=bool)
     denom = np.maximum(np.abs(mu_fine[:m]), 1e-300)
-    out[:m] = np.abs(mu_fine[:m] - mu_coarse[:m]) / denom < tol
+    out[:m] = np.abs(mu_fine[:m] - mu_coarse[:m]) / denom < CONVERGED_REL
     return out
 
 
@@ -199,7 +201,6 @@ def _extrapolate_to_zero(nodes: np.ndarray, values: np.ndarray) -> float:
 
 def quadratic_form_residual(model: PhiModel, quad: Quadrature, f,
                             gamma: Optional[float] = None,
-                            rtol: float = DEFAULT_RTOL,
                             cache: Optional[SubordinateCache] = None) -> float:
     """Relative defect of <f, G f> against the first-order form of H.
 
@@ -221,7 +222,7 @@ def quadratic_form_residual(model: PhiModel, quad: Quadrature, f,
         kind = robin_kind(float(gamma))
     else:
         kind = KernelKind("dirichlet")
-    K = assemble_kernel(model, quad, kind, rtol=rtol, cache=cache)
+    K = assemble_kernel(model, quad, kind, cache=cache)
     g = K.apply_to_function(f).real
     w = quad.weights
     fg = float(np.sum(w * f * g))
@@ -248,7 +249,6 @@ def smoothstep_quintic(x, x0: float):
 
 
 def weighted_identity_residual(model: PhiModel, quad: Quadrature, x0: float,
-                               rtol: float = DEFAULT_RTOL,
                                cache: Optional[SubordinateCache] = None) -> float:
     """Defect of G(-phi h'' - 2 phi' h') = phi h for the quintic smoothstep.
 
@@ -264,7 +264,7 @@ def weighted_identity_residual(model: PhiModel, quad: Quadrature, x0: float,
     phi = np.exp(model.log_phi(nodes))
     tau = model.dlog_phi(nodes)
     v = -phi * (hpp + 2.0 * tau * hp)
-    K = assemble_kernel(model, quad, KernelKind("dirichlet"), rtol=rtol, cache=cache)
+    K = assemble_kernel(model, quad, KernelKind("dirichlet"), cache=cache)
     lhs = K.apply_to_function(v)
     target = phi * h
     scale = float(np.max(np.abs(target)))
@@ -285,14 +285,14 @@ def robin_sigma(model: PhiModel, gamma: float) -> float:
 
 
 def robin_spectrum(model: PhiModel, gamma: float, quad: Quadrature,
-                   n_keep: Optional[int] = None, rtol: float = DEFAULT_RTOL,
+                   n_keep: Optional[int] = None,
                    cache: Optional[SubordinateCache] = None) -> SpectralResult:
     """Eigenvalues of the Robin kernel matrix; mu may be negative here."""
     if gamma == 0:
         raise ZeroGammaError("gamma must be nonzero")
     if complex(gamma).imag != 0.0:
         raise ComplexGammaError("spectral analysis is restricted to real gamma")
-    T = assemble_jacobi(model, quad, robin_kind(float(gamma)), rtol=rtol, cache=cache)
+    T = assemble_jacobi(model, quad, robin_kind(float(gamma)), cache=cache)
     return eigen_mu(T, n_keep)
 
 

@@ -28,34 +28,36 @@ from .errors import (
     NonPositiveFError,
     ZeroGammaError,
 )
-from .lse_quad import DEFAULT_RTOL, log_integral_exp, segment_log_integrals
+from .lse_quad import log_integral_exp, segment_log_integrals
 from .phi_models import PhiModel, eval_dlog_phi
+
+WRONSKIAN_H = 1e-5  # central-difference step of wronskian_residual
 
 
 def _neg2_log_phi(model):
     return lambda s: -2.0 * model.log_phi(s)
 
 
-def log_int_phi_inv2(model: PhiModel, x: float, rtol: float = DEFAULT_RTOL) -> float:
+def log_int_phi_inv2(model: PhiModel, x: float) -> float:
     """log I(x) = log int_0^x phi(s)^-2 ds."""
     if x < 0:
         raise NegativeArgumentError("x must be >= 0")
     if x == 0:
         return -np.inf
-    return float(SubordinateCache(model, [x], rtol).log_I_nodes[0])
+    return float(SubordinateCache(model, [x]).log_I_nodes[0])
 
 
-def compute_log_psi(model: PhiModel, x: float, rtol: float = DEFAULT_RTOL) -> float:
+def compute_log_psi(model: PhiModel, x: float) -> float:
     """log psi(x) for x > 0."""
     if x <= 0:
         raise NegativeArgumentError("psi is defined by its integral only for x > 0")
-    return float(SubordinateCache(model, [x], rtol).log_psi_nodes[0])
+    return float(SubordinateCache(model, [x]).log_psi_nodes[0])
 
 
-def compute_psi(model: PhiModel, x: float, rtol: float = DEFAULT_RTOL) -> float:
+def compute_psi(model: PhiModel, x: float) -> float:
     if x == 0:
         return 0.0
-    return float(np.exp(compute_log_psi(model, x, rtol)))
+    return float(np.exp(compute_log_psi(model, x)))
 
 
 class SubordinateCache:
@@ -69,15 +71,14 @@ class SubordinateCache:
     after construction and safe for concurrent reads.
     """
 
-    def __init__(self, model: PhiModel, nodes, rtol: float = DEFAULT_RTOL):
+    def __init__(self, model: PhiModel, nodes):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size == 0 or nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
             raise NegativeArgumentError("cache grid must be strictly increasing in (0, inf)")
         self.model = model
         self.grid = nodes
-        self.rtol = rtol
         edges = np.concatenate(([0.0], nodes))
-        self.panel_logsums = segment_log_integrals(_neg2_log_phi(model), edges, rtol=rtol)
+        self.panel_logsums = segment_log_integrals(_neg2_log_phi(model), edges)
         self.log_I_nodes = np.logaddexp.accumulate(self.panel_logsums)
         if not np.all(np.isfinite(self.log_I_nodes)):
             raise InvalidParameterError(
@@ -93,7 +94,7 @@ class SubordinateCache:
         k = np.searchsorted(self.grid, x, side="right")  # nodes at or below x
         start = np.concatenate(([0.0], self.grid))[k]
         base = np.concatenate(([-np.inf], self.log_I_nodes))[k]
-        bridge = log_integral_exp(_neg2_log_phi(self.model), start, x, self.rtol)
+        bridge = log_integral_exp(_neg2_log_phi(self.model), start, x)
         return np.logaddexp(base, bridge)
 
     def log_psi(self, x) -> np.ndarray:
@@ -103,23 +104,24 @@ class SubordinateCache:
         return np.exp(self.log_psi(x))
 
 
-def wronskian_residual(model: PhiModel, nodes, h: float = 1e-5,
-                       method: str = "fd", rtol: float = DEFAULT_RTOL) -> float:
+def wronskian_residual(model: PhiModel, nodes, method: str = "fd") -> float:
     """max over nodes of |psi' phi - phi' psi - 1|.
 
     method="fd" differentiates the computed log I (an honest check of the
-    quadrature); the three values I(x-h), I(x), I(x+h) share one prefix
-    integral, so quadrature noise cancels in the difference.
+    quadrature) with step h = WRONSKIAN_H; the three values I(x-h), I(x),
+    I(x+h) share one prefix integral, so quadrature noise cancels in the
+    difference.
     method="analytic" uses psi' = phi'(psi/phi) + 1/phi, which satisfies the
     identity structurally and only measures roundoff.
     """
     if method not in ("fd", "analytic"):
         raise InvalidParameterError(f"unknown method '{method}'")
+    h = WRONSKIAN_H
     worst = 0.0
     for x in np.atleast_1d(np.asarray(nodes, dtype=float)):
         if x <= h:
-            raise NegativeArgumentError("nodes must satisfy x > h > 0")
-        lo, mid, hi = SubordinateCache(model, [x - h, x, x + h], rtol).log_I_nodes
+            raise NegativeArgumentError(f"nodes must satisfy x > {h:g}")
+        lo, mid, hi = SubordinateCache(model, [x - h, x, x + h]).log_I_nodes
         lphi = float(model.log_phi(np.asarray(x)))
         if method == "analytic":
             phi = np.exp(lphi)
@@ -135,30 +137,28 @@ def wronskian_residual(model: PhiModel, nodes, h: float = 1e-5,
     return worst
 
 
-def compute_xi(model: PhiModel, gamma: complex, x: float,
-               rtol: float = DEFAULT_RTOL) -> complex:
+def compute_xi(model: PhiModel, gamma: complex, x: float) -> complex:
     """xi(x) = psi(x) + gamma phi(x); xi(0) = gamma phi(0)."""
     if gamma == 0:
         raise ZeroGammaError("gamma must be nonzero")
     if x < 0:
         raise NegativeArgumentError("x must be >= 0")
     phi = float(np.exp(model.log_phi(np.asarray(x))))
-    psi = compute_psi(model, x, rtol)
+    psi = compute_psi(model, x)
     return psi + gamma * phi
 
 
-def diagonal_D(model: PhiModel, x: float, rtol: float = DEFAULT_RTOL) -> float:
+def diagonal_D(model: PhiModel, x: float) -> float:
     """D(x) = G(x,x) = phi(x)^2 int_0^x phi^-2 = phi(x) psi(x); D(0) = 0."""
     if x < 0:
         raise NegativeArgumentError("x must be >= 0")
     if x == 0:
         return 0.0
     return float(np.exp(2.0 * float(model.log_phi(np.asarray(x)))
-                        + log_int_phi_inv2(model, x, rtol)))
+                        + log_int_phi_inv2(model, x)))
 
 
-def regularized_potential(model: PhiModel, f_coeffs, x: float,
-                          rtol: float = 1e-10) -> float:
+def regularized_potential(model: PhiModel, f_coeffs, x: float) -> float:
     """f'/f (x) + int_0^x (f'/f)^2 ds for f = a phi + b psi, f > 0 on [0, x].
 
     The difference of two such values is independent of x (same constant for
@@ -182,7 +182,7 @@ def regularized_potential(model: PhiModel, f_coeffs, x: float,
         quad = build_quadrature(x, max(8, int(np.ceil(4.0 * x))), 10)
         fpf = model.dlog_phi(quad.nodes)
         if b != 0.0:
-            cache = SubordinateCache(model, quad.nodes, rtol=min(rtol, 1e-10))
+            cache = SubordinateCache(model, quad.nodes)
             denom = a + b * np.exp(cache.log_I_nodes)  # psi/phi
             if np.any(denom <= 0.0):
                 raise NonPositiveFError("a*phi + b*psi vanishes inside [0, x]")

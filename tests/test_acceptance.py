@@ -59,9 +59,9 @@ def test_criterion_01_subordinate_closed_forms(phi1, phi2):
 
 
 def test_criterion_02_wronskian(phi1, phi3, phi4):
-    r1 = wronskian_residual(phi1, np.linspace(0.25, 13.5, 25), h=1e-5)
-    r3 = wronskian_residual(phi3, np.linspace(0.25, 5.0, 25), h=1e-5)
-    r4 = wronskian_residual(phi4, np.linspace(0.25, 4.5, 18), h=1e-5)
+    r1 = wronskian_residual(phi1, np.linspace(0.25, 13.5, 25))
+    r3 = wronskian_residual(phi3, np.linspace(0.25, 5.0, 25))
+    r4 = wronskian_residual(phi4, np.linspace(0.25, 4.5, 18))
     assert r1 <= 1e-6 and r3 <= 1e-6
     assert r4 <= 1e-3
     _ok(2, f"wronskian residuals: phi1 {r1:.1e}, phi3 {r3:.1e} <= 1e-6; "

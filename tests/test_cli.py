@@ -49,6 +49,36 @@ def test_parse_config_errors():
         parse_config("task = scatter\nresolution.eps = 1e-3\n")
 
 
+SPECTRUM = "task = spectrum\nphi.kind = exp-decay\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    (SPECTRUM + "resolution.panels = 20.7\n", "resolution.panels"),
+    (SPECTRUM + "resolution.panels = 0\n", "resolution.panels"),
+    (SPECTRUM + "resolution.X = nan\n", "resolution.X"),
+    (SPECTRUM + "resolution.X = inf\n", "resolution.X"),
+    (SPECTRUM + "resolution.eps = -inf\n", "resolution.eps"),
+    (SPECTRUM + "spectrum.n_keep = -2\n", "spectrum.n_keep"),
+    (SPECTRUM + "phi.c = two\n", "phi.c"),
+    ("task = oracle\nphi.kind = stretched-exp\nphi.c = 2\noracle.k = 0\n", "oracle.k"),
+    ("task = scatter\nscatter.alpha_list = 1, nan\n", "scatter.alpha_list"),
+])
+def test_bad_config_numbers_name_the_key(tmp_path, capsys, text, key):
+    cfgfile = _write(tmp_path, "bad.cfg", text)
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    task = text.split("\n", 1)[0].removeprefix("task = ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {task}: ConfigError: config key '{key}'")
+
+
+def test_threads_below_one_is_an_error(tmp_path, capsys):
+    cfgfile = _write(tmp_path, "run.cfg", SPECTRUM)
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o"),
+                    "--threads", "0"]) == 1
+    assert capsys.readouterr().err == "error: --threads must be >= 1, got 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_config_accepts_every_documented_key():
     block = ["kind", "c", "zeta.k", "zeta.alpha", "csv", "log_expr", "dlog_expr",
              "d2log_expr", "label", "decay.rate", "decay.c1", "decay.c2",
@@ -278,8 +308,14 @@ resolution.X = 5
     assert "InvalidParameterError: custom[-x + log(x - 1)]: log integrand is not finite" in err
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def test_threads_flag_smoke(tmp_path, monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    for var in THREAD_VARS:
+        # setenv first so that teardown also removes what the CLI exports
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
     cfgfile = _write(tmp_path, "run.cfg", """
 task = spectrum
 phi.kind = exp-decay
@@ -289,6 +325,7 @@ resolution.panels = 32
 """)
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o"),
                     "--threads", "2"]) == 0
+    assert all(os.environ[var] == "2" for var in THREAD_VARS)
 
 
 def _subprocess_env():

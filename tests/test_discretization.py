@@ -18,7 +18,7 @@ from subspec.errors import (
     NonHermitianError,
     SlowDecayWarning,
 )
-from subspec.green_kernel import KernelKind, factor, free, robin
+from subspec.green_kernel import KernelKind, factor, robin
 from subspec.subordinate import SubordinateCache
 
 
@@ -78,13 +78,6 @@ def test_assembly_symmetric_nonnegative(phi1):
     assert np.array_equal(K.entries, K.entries.T)
     assert np.all(K.entries >= 0.0)
     assert operator_norm(K) <= 1.0 + 1e-9  # ||G|| = 1 for the free profile
-
-
-def test_free_kind_equals_exp_decay_dirichlet(phi1):
-    quad = build_quadrature(10.0, 20, 6)
-    K1 = assemble_kernel(phi1, quad, KernelKind("dirichlet"))
-    K2 = assemble_kernel(None, quad, free(1.0))
-    assert np.allclose(K1.entries, K2.entries, rtol=1e-14)
 
 
 def test_robin_assembly_is_rank_one_shift(phi1):

@@ -13,7 +13,6 @@ from subspec.green_kernel import (
     KernelKind,
     exp_bound_margin,
     factor_kernel_eval,
-    free,
     green_eval,
     green_gamma_eval,
     robin,
@@ -104,8 +103,6 @@ def test_exp_bound_missing_decay(phi2):
 def test_kernel_kind_validation():
     with pytest.raises(ZeroGammaError):
         robin(0.0)
-    with pytest.raises(InvalidParameterError):
-        free(-1.0)
     with pytest.raises(InvalidParameterError):
         KernelKind("weird")
     assert robin(1.0).hermitian

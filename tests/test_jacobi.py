@@ -11,13 +11,13 @@ from subspec.discretization import (
     build_quadrature,
 )
 from subspec.errors import NonHermitianError
-from subspec.green_kernel import KernelKind, free, robin
+from subspec.green_kernel import KernelKind, robin
 from subspec.phi_models import PhiSpec, inv_power_zeta, make_phi
 from subspec.spectral import eigen_mu, robin_spectrum
 from subspec.subordinate import SubordinateCache
 
-KINDS = [KernelKind("dirichlet"), free(1.0), robin(0.5), robin(-0.05), robin(-2.0)]
-KIND_IDS = ["dirichlet", "free", "robin+0.5", "robin-0.05", "robin-2"]
+KINDS = [KernelKind("dirichlet"), robin(0.5), robin(-0.05), robin(-2.0)]
+KIND_IDS = ["dirichlet", "robin+0.5", "robin-0.05", "robin-2"]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,6 @@ def _dense_T(T):
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_jacobi_spectrum_matches_dense(grids, family, kind):
     model, quad, cache = grids[family]
-    cache = None if kind.variant == "free" else cache
     dense = eigen_mu(assemble_kernel(model, quad, kind, cache=cache))
     T = assemble_jacobi(model, quad, kind, cache=cache)
     full = eigen_mu(T)

@@ -1,0 +1,66 @@
+"""Guards on the public surface: one quadrature tolerance, no unused knobs."""
+
+import importlib
+import inspect
+from pathlib import Path
+
+import subspec
+from subspec import lse_quad
+from subspec.green_kernel import KERNEL_VARIANTS, KernelKind
+
+# parameters no caller ever set; they are module constants now
+RETIRED = {
+    "convergence_sweep": {"order"},
+    "cross_validate": {"fd_N", "order"},
+    "trace_report": {"order", "profile_points"},
+    "lambdas": {"tol"},
+    "converged_mask": {"tol"},
+    "turning_point": {"x_max"},
+    "wronskian_residual": {"h"},
+    "derivative_route_bound": {"k"},
+    "inv_power_profile": {"k"},
+}
+
+
+def _public_callables():
+    """(qualified name, bare name, signature) of every public function,
+    class and method defined in a subspec module."""
+    out = []
+    for name in subspec._SUBMODULES:
+        mod = importlib.import_module(f"subspec.{name}")
+        for attr, obj in vars(mod).items():
+            if (attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__
+                    or isinstance(obj, type) and issubclass(obj, BaseException)):
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                out.append((f"{name}.{attr}", attr, inspect.signature(obj)))
+            if inspect.isclass(obj):
+                for mname, meth in vars(obj).items():
+                    if inspect.isfunction(meth) and not mname.startswith("_"):
+                        out.append((f"{name}.{attr}.{mname}", mname,
+                                    inspect.signature(meth)))
+    return out
+
+
+def test_no_public_callable_takes_rtol():
+    found = _public_callables()
+    assert len(found) > 80
+    assert [q for q, _, sig in found if "rtol" in sig.parameters] == []
+    assert lse_quad.RTOL == 1e-12
+    assert not hasattr(lse_quad, "DEFAULT_RTOL")
+
+
+def test_retired_parameters_stay_constants():
+    seen = set()
+    for qual, attr, sig in _public_callables():
+        if attr in RETIRED:
+            seen.add(attr)
+            assert not RETIRED[attr] & set(sig.parameters), qual
+    assert seen == set(RETIRED)
+
+
+def test_one_spelling_per_kernel_and_thread_setting():
+    assert "free" not in KERNEL_VARIANTS
+    assert "c0" not in inspect.signature(KernelKind).parameters
+    cli_source = Path(subspec.cli.__file__).read_text()
+    assert "SUBSPEC_THREADS" not in cli_source

@@ -5,6 +5,7 @@ from subspec.discretization import assemble_kernel, build_quadrature, operator_n
 from subspec.errors import (
     ComplexGammaError,
     InsufficientDataError,
+    InvalidParameterError,
     MismatchedLengthsError,
     NonHermitianError,
     NonPositiveMuError,
@@ -91,6 +92,9 @@ def test_compare_trivial_cases():
     assert doubled.worst_n == 1
     with pytest.raises(MismatchedLengthsError):
         compare_spectra(r1, _result_from_mu([0.4, 0.2]), 1.0)
+    for c in (0.0, -2.0):
+        with pytest.raises(InvalidParameterError, match="ratio bound"):
+            compare_spectra(r1, r1, c)
 
 
 def test_growth_exponent_synthetic():

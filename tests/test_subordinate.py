@@ -114,10 +114,10 @@ def test_growth_bound_all_builtins(phi1, phi2, phi3, phi4):
 
 def test_wronskian_residuals(phi1, phi3, phi4):
     assert wronskian_residual(phi1, [0.5, 1.0, 2.0, 4.0], method="analytic") <= 1e-8
-    assert wronskian_residual(phi1, [0.5, 1.0, 2.0, 4.0, 8.0], h=1e-5) <= 1e-6
-    assert wronskian_residual(phi3, np.linspace(0.25, 5.0, 20), h=1e-5) <= 1e-6
+    assert wronskian_residual(phi1, [0.5, 1.0, 2.0, 4.0, 8.0]) <= 1e-6
+    assert wronskian_residual(phi3, np.linspace(0.25, 5.0, 20)) <= 1e-6
     # oscillatory derivative: looser tolerance, FD path
-    assert wronskian_residual(phi4, np.linspace(0.25, 4.5, 18), h=1e-5) <= 1e-3
+    assert wronskian_residual(phi4, np.linspace(0.25, 4.5, 18)) <= 1e-3
 
 
 def test_wronskian_unknown_method(phi1):
@@ -182,4 +182,4 @@ def test_riccati_residuals(phi1, phi3, phi4):
     assert riccati_residual(phi1, 3.0) <= 1e-12  # tau = -1, V = 1
     assert riccati_residual(phi3, 1.0, h=1e-4) <= 1e-8
     # rapidly oscillating V: compare against the symbolic form at x = 1
-    assert riccati_residual(phi4, 1.0, h=1e-5) <= 1e-2
+    assert riccati_residual(phi4, 1.0) <= 1e-2
