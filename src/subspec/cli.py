@@ -263,7 +263,7 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     return 0, [f"model = {model.label}",
                f"X = {X:.6g}, panels = {panels}, order = {order}",
                f"norm estimate = {res.norm_estimate:.6g}",
-               f"converged top eigenvalues = {int(res.converged.sum())} / {n_keep}"]
+               f"converged top eigenvalues = {int(res.converged.sum())} / {res.mu.size}"]
 
 
 def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
@@ -351,10 +351,10 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import assemble_kernel, build_quadrature
-    from .green_kernel import KernelKind, exp_bound_margin, factor
+    from .discretization import assemble_jacobi, build_quadrature
+    from .green_kernel import KernelKind, exp_bound_margin
     from .phi_models import make_phi, verify_decay_hypothesis
-    from .spectral import weighted_identity_residual
+    from .spectral import _extreme_eigenvalues, factorization_forms, weighted_identity_residual
     from .subordinate import SubordinateCache, wronskian_residual
 
     model = make_phi(build_phi_spec(cfg))
@@ -388,24 +388,23 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     checks.append(("growth bound x^2 <= ||phi||^2 psi/phi", bool(growth),
                    float(np.max(quad.nodes**2 / (model.l2_norm_phi**2 * ratio)))))
 
-    Gq = assemble_kernel(model, quad, KernelKind("dirichlet"), psi_source="quadrature")
-    Mh = assemble_kernel(model, quad, factor("M"))
-    rng = np.random.default_rng(20)
-    worst = 0.0
-    for _ in range(20):
-        f = rng.standard_normal(quad.n)
-        worst = max(worst, abs(f @ Gq.entries @ f - float(np.sum((Mh.entries @ f) ** 2)))
-                    / float(f @ f))
-    # scale guard: entries of order s push float roundoff to ~s * eps
-    scale = max(1.0, float(np.max(np.abs(Gq.entries))))
+    fs = np.random.default_rng(20).standard_normal((20, quad.n))
+    fGf, Mf2 = factorization_forms(model, quad, fs)
+    worst = float(np.max(np.abs(fGf - Mf2) / np.sum(fs * fs, axis=1)))
+    # scale guard: entries of order s push float roundoff to ~s * eps; the
+    # largest entry of the Gram matrix G is on its diagonal w phi psi
+    scale = max(1.0, float(np.max(quad.weights
+                                  * np.exp(model.log_phi(quad.nodes) + cache.log_psi_nodes))))
     checks.append(("factorization |f^T G f - ||M f||^2| <= 1e-8 scale ||f||^2",
                    worst <= 1e-8 * scale, worst))
 
-    Ge = assemble_kernel(model, quad, KernelKind("dirichlet"), cache=cache)
-    mu = np.linalg.eigvalsh(Ge.entries)
-    mu_min = float(mu[0])
-    nrm = float(np.max(np.abs(mu)))
-    checks.append(("positivity min mu >= -1e-10 ||G||", mu_min >= -1e-10 * nrm, mu_min))
+    # G = T^-1 is positive iff T is, and then min mu = 1/lambda_max(T);
+    # otherwise 1/lambda_min(T) <= 0 is an eigenvalue of G and the check fails
+    T = assemble_jacobi(model, quad, KernelKind("dirichlet"), cache=cache)
+    lam = np.array(_extreme_eigenvalues(T.diag, T.off))
+    with np.errstate(divide="ignore"):
+        mu_min = float(np.min(1.0 / lam))
+    checks.append(("positivity min mu >= -1e-10 ||G||", bool(lam[0] > 0.0), mu_min))
 
     if model.dlog_phi is not None:
         wi = weighted_identity_residual(model, quad, x0=min(3.0, 0.5 * X), cache=cache)

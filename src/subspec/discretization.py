@@ -1,24 +1,13 @@
-"""Truncated composite quadrature grids and symmetrized Nystrom matrices.
+"""Truncated composite quadrature grids and the tridiagonal Nystrom form.
 
-A kernel K on [0, X]^2 becomes the matrix sqrt(w_i) K(x_i, x_j) sqrt(w_j)
-over composite Gauss-Legendre nodes; the similarity with K W preserves the
-Nystrom spectrum while keeping hermitian structure explicit.  For the
-hermitian Green kernels that matrix has an exact tridiagonal inverse
-(JacobiMatrix), from which spectra are computed in O(N) memory; the dense
-matrices serve the validation checks and are the test oracle.
-
-psi entering the Green kernel can come from two sources:
-
-  psi_source="exact"       the SubordinateCache on the grid nodes, exact to
-                           the adaptive tolerance (spectral work);
-  psi_source="quadrature"  the grid's own prefix sums of w phi^-2, which
-                           makes the assembled Green matrix equal to
-                           M^T M for the assembled factor matrix exactly,
-                           so factorization checks close at roundoff level.
-
-The second source aligns the diagonal kink with the grid by construction;
-its node values are only O(panel) accurate, so it is never used for
-eigenvalue work.
+A hermitian Green kernel G on [0, X]^2 has the symmetrized Nystrom matrix
+sqrt(w_i) G(x_i, x_j) sqrt(w_j) over composite Gauss-Legendre nodes; the
+similarity with G W preserves the Nystrom spectrum while keeping hermitian
+structure explicit.  G(x, y) = u(min) v(max) is semiseparable, so that
+matrix has an exact tridiagonal inverse (JacobiMatrix), built in O(N) from
+the panel sums of the psi cache.  It is the package's only matrix
+representation: spectra, G f and the trace of G - G0 all come from it and
+from the cache, and no N x N array is ever formed.
 """
 
 from __future__ import annotations
@@ -28,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import (
     InvalidParameterError,
@@ -57,10 +47,6 @@ class Quadrature:
     @property
     def n(self) -> int:
         return self.nodes.size
-
-    def same_grid(self, other: "Quadrature") -> bool:
-        return (self.n == other.n and np.array_equal(self.nodes, other.nodes)
-                and np.array_equal(self.weights, other.weights))
 
 
 def build_quadrature(X: float, panels: int, order: int) -> Quadrature:
@@ -116,83 +102,6 @@ def auto_truncation(model: PhiModel, eps: float) -> float:
 
 
 @dataclass(frozen=True)
-class KernelMatrix:
-    """Symmetrized Nystrom matrix sqrt(w) K sqrt(w) on a quadrature grid."""
-
-    entries: np.ndarray
-    kind: KernelKind
-    quad: Quadrature
-    hermitian: bool
-    model_label: str
-    psi_source: str = "exact"
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def unweighted(self) -> np.ndarray:
-        """Plain kernel samples K(x_i, x_j) with the weight scaling removed."""
-        rw = 1.0 / np.sqrt(self.quad.weights)
-        return self.entries * np.outer(rw, rw)
-
-    def apply_to_function(self, values: np.ndarray) -> np.ndarray:
-        """(K f)(x_i) = sum_j w_j K(x_i, x_j) f(x_j) for node samples f."""
-        sw = np.sqrt(self.quad.weights)
-        return (self.entries @ (sw * values)) / sw
-
-
-def _grid_log_psi(model: PhiModel, quad: Quadrature) -> np.ndarray:
-    # prefix sums of the grid's own w phi^-2, in log space
-    lp = model.log_phi(quad.nodes)
-    terms = np.log(quad.weights) - 2.0 * lp
-    return lp + np.logaddexp.accumulate(terms)
-
-
-def assemble_kernel(model: PhiModel, quad: Quadrature, kind: KernelKind,
-                    psi_source: str = "exact",
-                    cache: Optional[SubordinateCache] = None) -> KernelMatrix:
-    """Build sqrt(w) K(x_i, x_j) sqrt(w) for the requested kernel kind.
-
-    A prebuilt SubordinateCache on the same nodes may be passed to avoid
-    re-integrating psi across several kinds on one grid.
-    """
-    nodes = quad.nodes
-    log_phi = model.log_phi(nodes)
-
-    if kind.variant in ("dirichlet", "robin"):
-        if psi_source == "exact":
-            if cache is None:
-                cache = SubordinateCache(model, nodes)
-            log_psi = cache.log_psi_nodes
-        elif psi_source == "quadrature":
-            log_psi = _grid_log_psi(model, quad)
-        else:
-            raise InvalidParameterError(f"unknown psi_source '{psi_source}'")
-        K = np.exp(np.add.outer(log_phi, log_psi))  # phi_i psi_j, valid for j <= i
-        low = np.tril(K)
-        K = low + np.tril(K, -1).T
-        if kind.variant == "robin":
-            phi = np.exp(log_phi)
-            gamma = complex(kind.gamma)
-            if gamma.imag == 0.0:
-                K = K + gamma.real * np.outer(phi, phi)
-            else:
-                K = K.astype(complex) + gamma * np.outer(phi, phi)
-    elif kind.variant == "factor-M":
-        K = np.triu(np.exp(np.subtract.outer(-log_phi, -log_phi)))
-    elif kind.variant == "factor-L":
-        K = np.tril(np.exp(np.subtract.outer(log_phi, log_phi)))
-    else:  # pragma: no cover - guarded in KernelKind
-        raise InvalidParameterError(kind.variant)
-
-    sw = np.sqrt(quad.weights)
-    entries = K * np.outer(sw, sw)
-    return KernelMatrix(entries=entries, kind=kind, quad=quad,
-                        hermitian=kind.hermitian, model_label=model.label,
-                        psi_source=psi_source)
-
-
-@dataclass(frozen=True)
 class JacobiMatrix:
     """Symmetric tridiagonal T = (W^1/2 G W^1/2)^-1 of a hermitian Green kernel.
 
@@ -213,6 +122,18 @@ class JacobiMatrix:
     @property
     def n(self) -> int:
         return self.diag.size
+
+    def apply_to_function(self, values: np.ndarray) -> np.ndarray:
+        """(G f)(x_i) = sum_j w_j G(x_i, x_j) f(x_j) for node samples f, by one
+        banded solve: (G f)_i = (T^-1 sqrt(w) f)_i / sqrt(w_i)."""
+        sw = np.sqrt(self.quad.weights)
+        k = int(np.isinf(self.diag[0]))  # singular Robin: (G f)(x_1) = 0
+        bands = np.zeros((3, self.n - k))
+        bands[0, 1:] = bands[2, :-1] = self.off[k:]
+        bands[1] = self.diag[k:]
+        out = np.zeros(self.n)
+        out[k:] = solve_banded((1, 1), bands, (sw * values)[k:]) / sw[k:]
+        return out
 
 
 def assemble_jacobi(model: PhiModel, quad: Quadrature, kind: KernelKind,
@@ -272,13 +193,6 @@ def kink_bias_estimate(quad: Quadrature) -> float:
     cell_err = float(np.einsum("i,j,ij->", wu, wu, np.abs(u[:, None] - u[None, :]))) - 1.0 / 3.0
     h = quad.X / quad.panels
     return -0.5 * cell_err * h * h
-
-
-def operator_norm(K: KernelMatrix) -> float:
-    """Largest |eigenvalue| of a hermitian kernel matrix."""
-    if not K.hermitian:
-        raise NonHermitianError("operator_norm needs a hermitian matrix")
-    return float(np.max(np.abs(np.linalg.eigvalsh(K.entries))))
 
 
 @dataclass(frozen=True)
@@ -344,21 +258,3 @@ def convergence_sweep(model: PhiModel, kind: KernelKind,
     final_rel = max(checks) if checks else np.nan
     converged = bool(checks) and final_rel < CONVERGED_REL
     return SweepResult(rows=rows, converged=converged, final_rel_change=final_rel)
-
-
-def matrix_to_csv(K: KernelMatrix, path) -> None:
-    """Row-major full-precision dump for external inspection.
-
-    Complex entries (complex-gamma Robin kernels) are written as
-    'a+bj' literals that python's complex() parses back.
-    """
-    is_complex = np.iscomplexobj(K.entries)
-
-    def fmt(v):
-        if is_complex:
-            return f"{v.real:.17g}{v.imag:+.17g}j"
-        return format(v, ".17g")
-
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(K.entries):
-            fh.write(",".join(fmt(v) for v in row) + "\n")

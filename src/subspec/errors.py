@@ -45,8 +45,8 @@ class NoDecayDetectedError(SubspecError):
     """phi did not fall below the requested threshold within the search window."""
 
 
-class GridMismatchError(SubspecError):
-    """Two kernel matrices were built on different quadrature grids."""
+class IndefiniteDifferenceError(SubspecError):
+    """T0 - T is indefinite, so the trace norm of G - G0 is not its trace."""
 
 
 class InsufficientDataError(SubspecError):

@@ -7,8 +7,9 @@
 
 Everything is evaluated through logs of phi and psi; x ^ y = 0 short-circuits
 to exactly 0 so that -inf + inf never forms.  psi comes from a
-SubordinateCache: pointwise calls build one on the unique positive minima,
-matrix assembly (discretization module) shares one on the grid.
+SubordinateCache built on the unique positive minima.  KernelKind names the
+two kernels the discretization module assembles, as the tridiagonal inverse
+of their Nystrom matrix; the factor kernels exist pointwise only.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from .errors import InvalidParameterError, MissingDecayError, NegativeArgumentEr
 from .phi_models import PhiModel
 from .subordinate import SubordinateCache
 
-KERNEL_VARIANTS = ("dirichlet", "robin", "factor-M", "factor-L")
+KERNEL_VARIANTS = ("dirichlet", "robin")
 
 
 @dataclass(frozen=True)
 class KernelKind:
-    """Which kernel to evaluate/assemble; robin carries gamma != 0."""
+    """Which Green kernel to assemble; robin carries gamma != 0."""
 
     variant: str
     gamma: Optional[complex] = None
@@ -45,19 +46,11 @@ class KernelKind:
 
     @property
     def hermitian(self) -> bool:
-        if self.variant == "dirichlet":
-            return True
-        if self.variant == "robin":
-            return self.gamma_is_real
-        return False
+        return self.variant == "dirichlet" or self.gamma_is_real
 
 
 def robin(gamma: complex) -> KernelKind:
     return KernelKind("robin", gamma=gamma)
-
-
-def factor(which: str) -> KernelKind:
-    return KernelKind(f"factor-{which}")
 
 
 def _pair_arrays(x, y):
@@ -98,9 +91,9 @@ def green_gamma_eval(model: PhiModel, gamma: complex, x, y):
 def factor_kernel_eval(model: PhiModel, which: str, x, y) -> np.ndarray:
     """M(x,y) = phi(y)/phi(x) for y >= x; L(x,y) = phi(x)/phi(y) for y <= x."""
     x, y = _pair_arrays(x, y)
-    if which in ("M", "factor-M"):
+    if which == "M":
         vals = np.where(y >= x, np.exp(model.log_phi(y) - model.log_phi(x)), 0.0)
-    elif which in ("L", "factor-L"):
+    elif which == "L":
         vals = np.where(y <= x, np.exp(model.log_phi(x) - model.log_phi(y)), 0.0)
     else:
         raise InvalidParameterError(f"unknown factor '{which}'")

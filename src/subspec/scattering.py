@@ -8,10 +8,17 @@ xi_x(u) = phi(u)/phi(x) [u >= x], giving
 finiteness of which triggers existence and completeness of the wave
 operators (Kuroda-Birman).  This module computes the xi norms, the analytic
 bound from a dominating decreasing nu, the numeric trace norm of the
-assembled difference, and the alpha sweep that contrasts the nu route
+discretized difference, and the alpha sweep that contrasts the nu route
 (finite only for alpha > 1) with the sharper derivative route (finite for
 every alpha > 0).  The comparison kernel G0 is the Dirichlet kernel of the
 exp-decay(c) profile.
+
+The numeric trace norm needs no N x N matrix.  Inversion reverses order, so
+T <= T0 for the tridiagonal inverses means G >= G0; a definite difference
+has trace norm |tr(G - G0)|, the weighted sum of the diagonals D = phi psi
+the psi caches hold (||A||_1 = tr A for A >= 0).  Definiteness is certified
+by the extreme eigenvalues of T0 - T; an indefinite difference is an error,
+never a silent fallback.
 """
 
 from __future__ import annotations
@@ -22,13 +29,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .discretization import KernelMatrix, assemble_kernel, build_quadrature
-from .errors import GridMismatchError, InvalidParameterError, MissingNuError
+from .discretization import Quadrature, assemble_jacobi, build_quadrature
+from .errors import IndefiniteDifferenceError, InvalidParameterError, MissingNuError
 from .green_kernel import KernelKind
 from .lse_quad import log_integral_exp
-from .phi_models import PhiSpec, Zeta, inv_power_zeta, make_phi
+from .phi_models import PhiModel, PhiSpec, Zeta, inv_power_zeta, make_phi
+from .spectral import _extreme_eigenvalues
+from .subordinate import SubordinateCache
 
-SV_NOISE_FACTOR = 1e2  # singular values below this many eps * ||K - K0|| are dropped
+DEFINITE_NOISE_FACTOR = 1e4  # |eigenvalues| of T0 - T below this many eps * max T_ii are rounding
 TRACE_ORDER = 10  # Gauss-Legendre nodes per panel of trace_report
 XI_PROFILE_POINTS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)  # x of trace_report's xi rows
 
@@ -153,23 +162,28 @@ def derivative_route_bound(profile_alpha: float, c: float) -> float:
     return (math.exp(2.0) + 1.0) * math.exp(2.0) / (2.0**1.5 * c**2)
 
 
-def numeric_trace_norm(K: KernelMatrix, K0: KernelMatrix) -> float:
-    """Sum of singular values of K - K0 on a shared grid.
+def trace_norm_difference(model: PhiModel, model0: PhiModel, quad: Quadrature) -> float:
+    """||G - G0||_tr of the two Dirichlet Nystrom matrices on one grid, in O(N).
 
-    Values below SV_NOISE_FACTOR * eps * ||K - K0|| are eigensolver noise
-    (they would otherwise grow linearly with N) and are excluded.
+    The lowest and highest eigenvalue of the tridiagonal T0 - T must share a
+    sign, up to the rounding floor DEFINITE_NOISE_FACTOR * eps * max T_ii of
+    the entries (which two profiles that agree far out reach); then the
+    result is |sum_i w_i (D(x_i) - D0(x_i))|.  Otherwise
+    IndefiniteDifferenceError is raised.
     """
-    if not K.quad.same_grid(K0.quad):
-        raise GridMismatchError("trace norm needs both matrices on one grid")
-    D = K.entries - K0.entries
-    if K.hermitian and K0.hermitian and not np.iscomplexobj(D):
-        sv = np.abs(np.linalg.eigvalsh(D))
-    else:
-        sv = np.linalg.svd(D, compute_uv=False)
-    if sv.size == 0:
-        return 0.0
-    floor = SV_NOISE_FACTOR * np.finfo(float).eps * float(np.max(sv))
-    return float(np.sum(sv[sv > floor]))
+    kind = KernelKind("dirichlet")
+    T, D = [], []
+    for m in (model, model0):
+        cache = SubordinateCache(m, quad.nodes)
+        T.append(assemble_jacobi(m, quad, kind, cache=cache))
+        D.append(np.exp(m.log_phi(quad.nodes) + cache.log_psi_nodes))
+    lo, hi = _extreme_eigenvalues(T[1].diag - T[0].diag, T[1].off - T[0].off)
+    floor = DEFINITE_NOISE_FACTOR * np.finfo(float).eps * max(np.max(t.diag) for t in T)
+    if lo < -floor and hi > floor:
+        raise IndefiniteDifferenceError(
+            f"T0 - T has eigenvalues in [{lo:.3g}, {hi:.3g}] for {model.label} "
+            f"against {model0.label}: ||G - G0||_tr is not a trace")
+    return abs(float(np.sum(quad.weights * (D[0] - D[1]))))
 
 
 @dataclass(frozen=True)
@@ -182,14 +196,12 @@ class ScatteringReport:
 
 
 def trace_report(profile: ScatteringProfile, X: float, panels: int) -> ScatteringReport:
-    """Assemble G and G0 on one order-TRACE_ORDER grid and compare trace norm
-    against the nu-route bound (inf when nu is missing or not integrable);
-    xi norms are tabulated at XI_PROFILE_POINTS."""
+    """Trace norm of G - G0 on one order-TRACE_ORDER grid against the
+    nu-route bound (inf when nu is missing or not integrable); xi norms are
+    tabulated at XI_PROFILE_POINTS."""
     quad = build_quadrature(X, panels, TRACE_ORDER)
     model = make_phi(PhiSpec.scattering_profile(profile.c, profile.zeta))
-    K = assemble_kernel(model, quad, KernelKind("dirichlet"))
-    K0 = assemble_kernel(make_phi(PhiSpec.exp_decay(profile.c)), quad, KernelKind("dirichlet"))
-    numeric = numeric_trace_norm(K, K0)
+    numeric = trace_norm_difference(model, make_phi(PhiSpec.exp_decay(profile.c)), quad)
     try:
         bound = analytic_trace_bound(profile)
     except MissingNuError:
@@ -216,13 +228,12 @@ def example_scatt_sweep(alpha_list: Sequence[float], c: float,
     if panels is None:
         panels = max(40, int(np.ceil(2.0 * X)))
     quad = build_quadrature(X, panels, order)
-    K0 = assemble_kernel(make_phi(PhiSpec.exp_decay(c)), quad, KernelKind("dirichlet"))
+    model0 = make_phi(PhiSpec.exp_decay(c))
     rows = []
     for a in alpha_list:
         prof = inv_power_profile(c, a)
         model = make_phi(PhiSpec.scattering_profile(c, prof.zeta))
-        K = assemble_kernel(model, quad, KernelKind("dirichlet"))
-        numeric = numeric_trace_norm(K, K0)
+        numeric = trace_norm_difference(model, model0, quad)
         bound_nu = analytic_trace_bound(prof)
         bound_deriv = derivative_route_bound(a, c)
         rows.append({

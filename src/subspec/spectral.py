@@ -5,7 +5,9 @@ are the eigenvalues of the differential operator itself, and of the
 tridiagonal inverse (JacobiMatrix) that spectra are computed from.  Values of mu below
 1e3 * machine epsilon * ||G|| are discretization noise and never produce a
 lambda.  "Converged" is operational: relative movement below CONVERGED_REL
-under the final (X, N) doubling.
+under the final (X, N) doubling.  The identity checks apply G through banded
+solves on the same JacobiMatrix, and the factorization check uses prefix and
+suffix sums, so everything here runs in O(N) memory.
 """
 
 from __future__ import annotations
@@ -16,20 +18,12 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .discretization import (
-    CONVERGED_REL,
-    JacobiMatrix,
-    KernelMatrix,
-    Quadrature,
-    assemble_jacobi,
-    assemble_kernel,
-)
+from .discretization import CONVERGED_REL, JacobiMatrix, Quadrature, assemble_jacobi
 from .errors import (
     ComplexGammaError,
     InsufficientDataError,
     InvalidParameterError,
     MismatchedLengthsError,
-    NonHermitianError,
     NonPositiveMuError,
     NonSmoothModelError,
     ZeroGammaError,
@@ -69,11 +63,19 @@ def _lam_from_mu(mu: np.ndarray, norm_estimate: float) -> np.ndarray:
 _BISECT_LOW_END = 1e-3
 
 
-def _bisect(T_diag, T_off, hi: int) -> np.ndarray:
-    """Lowest hi + 1 eigenvalues of a tridiagonal matrix by bisection to full
-    precision."""
-    return eigvalsh_tridiagonal(T_diag, T_off, select="i", select_range=(0, hi),
+def _bisect(T_diag, T_off, lo: int, hi: int) -> np.ndarray:
+    """Eigenvalues lo..hi (ascending order) of a tridiagonal matrix by
+    bisection to full precision."""
+    return eigvalsh_tridiagonal(T_diag, T_off, select="i", select_range=(lo, hi),
                                 lapack_driver="stebz", tol=np.finfo(float).tiny)
+
+
+def _extreme_eigenvalues(T_diag, T_off) -> tuple:
+    """(lowest, highest) eigenvalue of a symmetric tridiagonal matrix: the
+    definiteness certificate of the scattering trace norm and of validate's
+    positivity check."""
+    n = T_diag.size
+    return float(_bisect(T_diag, T_off, 0, 0)[0]), float(_bisect(T_diag, T_off, n - 1, n - 1)[0])
 
 
 def _jacobi_lambdas(T: JacobiMatrix, n_keep: int) -> np.ndarray:
@@ -88,35 +90,24 @@ def _jacobi_lambdas(T: JacobiMatrix, n_keep: int) -> np.ndarray:
         mag = np.abs(lam)
         low = np.nonzero(mag < _BISECT_LOW_END * np.max(mag))[0]
         if low.size:
-            lam[:low[-1] + 1] = _bisect(d, e, int(low[-1]))
+            lam[:low[-1] + 1] = _bisect(d, e, 0, int(low[-1]))
     else:
-        lam = _bisect(d, e, min(n_keep, d.size - 1))
+        lam = _bisect(d, e, 0, min(n_keep, d.size - 1))
     return np.append(lam, np.inf) if d.size < T.n else lam
 
 
-def eigen_mu(K: JacobiMatrix | KernelMatrix,
-             n_keep: Optional[int] = None) -> SpectralResult:
-    """Top n_keep eigenvalues mu (descending) of a hermitian Green matrix;
+def eigen_mu(T: JacobiMatrix, n_keep: Optional[int] = None) -> SpectralResult:
+    """Top n_keep eigenvalues mu (descending) of a hermitian Green matrix,
+    as mu = 1/lambda from the tridiagonal eigenproblem of its inverse T;
     n_keep=None keeps the whole spectrum (negative Robin values included).
-
-    A JacobiMatrix gives lambda from its tridiagonal eigenproblem and
-    mu = 1/lambda; a dense KernelMatrix (kept as a test oracle) goes through
-    a full symmetric eigensolve.
     """
-    n_keep = K.n if n_keep is None else min(int(n_keep), K.n)
-    if isinstance(K, JacobiMatrix):
-        all_mu = np.sort(1.0 / _jacobi_lambdas(K, n_keep))[::-1]
-    else:
-        if not K.hermitian:
-            raise NonHermitianError(
-                "eigen-analysis needs a hermitian matrix (complex gamma is refused)")
-        A = K.entries.real if np.iscomplexobj(K.entries) else K.entries
-        all_mu = np.sort(np.linalg.eigvalsh(A))[::-1]
+    n_keep = T.n if n_keep is None else min(int(n_keep), T.n)
+    all_mu = np.sort(1.0 / _jacobi_lambdas(T, n_keep))[::-1]
     norm = float(np.max(np.abs(all_mu))) if all_mu.size else 0.0
     mu = all_mu[:n_keep]
     return SpectralResult(
-        mu=mu, lam=_lam_from_mu(mu, norm), norm_estimate=norm, kind=K.kind,
-        provenance={"model": K.model_label, "X": K.quad.X, "N": K.quad.n})
+        mu=mu, lam=_lam_from_mu(mu, norm), norm_estimate=norm, kind=T.kind,
+        provenance={"model": T.model_label, "X": T.quad.X, "N": T.quad.n})
 
 
 def lambdas(res: SpectralResult) -> np.ndarray:
@@ -222,8 +213,7 @@ def quadratic_form_residual(model: PhiModel, quad: Quadrature, f,
         kind = robin_kind(float(gamma))
     else:
         kind = KernelKind("dirichlet")
-    K = assemble_kernel(model, quad, kind, cache=cache)
-    g = K.apply_to_function(f).real
+    g = assemble_jacobi(model, quad, kind, cache=cache).apply_to_function(f)
     w = quad.weights
     fg = float(np.sum(w * f * g))
     if fg == 0.0:
@@ -237,6 +227,36 @@ def quadratic_form_residual(model: PhiModel, quad: Quadrature, f,
         phi0 = float(np.exp(model.log_phi(np.asarray(0.0))))
         Q += g0**2 / (float(gamma) * phi0**2)
     return abs(fg - Q) / abs(fg)
+
+
+def factorization_forms(model: PhiModel, quad: Quadrature, f) -> tuple:
+    """(f^T G_h f, ||M_h f||^2) for node samples f, stacked along the first
+    axis when f is 2-D, in O(N) memory.
+
+    G_h is the Green matrix with the grid's own psi_h = phi P, where
+    P_i = sum_{k<=i} w_k phi_k^-2, and M_h_ij = sqrt(w_i) phi_j / phi_i
+    sqrt(w_j) [j >= i] the factor matrix; G_h = M_h^T M_h exactly, so the
+    forms agree to roundoff.  With the suffix sums
+    u_i = sum_{j>=i} sqrt(w_j) f_j phi_j / phi_i, so (M_h f)_i = sqrt(w_i) u_i,
+    summation by parts gives
+
+        ||M_h f||^2 = sum_i w_i u_i^2
+        f^T G_h f   = sum_i sqrt(w_i) f_i phi_i^2 P_i (2 u_i - sqrt(w_i) f_i)
+
+    Both sums run in log space, one sign of f at a time, so phi^-2 is never
+    formed.
+    """
+    lp = model.log_phi(quad.nodes)
+    sw = np.sqrt(quad.weights)
+    a = sw * np.asarray(f, dtype=float)
+    D_h = np.exp(2.0 * lp + np.logaddexp.accumulate(np.log(quad.weights) - 2.0 * lp))
+    u = np.zeros(a.shape)
+    with np.errstate(divide="ignore"):
+        for sign in (1.0, -1.0):
+            log_terms = np.log(np.maximum(sign * a, 0.0)) + lp
+            suffix = np.logaddexp.accumulate(log_terms[..., ::-1], axis=-1)[..., ::-1]
+            u += sign * np.exp(suffix - lp)
+    return np.sum(a * D_h * (2.0 * u - a), axis=-1), np.sum(quad.weights * u**2, axis=-1)
 
 
 def smoothstep_quintic(x, x0: float):
@@ -264,8 +284,7 @@ def weighted_identity_residual(model: PhiModel, quad: Quadrature, x0: float,
     phi = np.exp(model.log_phi(nodes))
     tau = model.dlog_phi(nodes)
     v = -phi * (hpp + 2.0 * tau * hp)
-    K = assemble_kernel(model, quad, KernelKind("dirichlet"), cache=cache)
-    lhs = K.apply_to_function(v)
+    lhs = assemble_jacobi(model, quad, KernelKind("dirichlet"), cache=cache).apply_to_function(v)
     target = phi * h
     scale = float(np.max(np.abs(target)))
     if scale == 0.0:

@@ -9,26 +9,21 @@ import math
 import numpy as np
 import pytest
 
-from subspec.discretization import (
-    assemble_jacobi,
-    assemble_kernel,
-    build_quadrature,
-    convergence_sweep,
-    operator_norm,
-)
-from subspec.green_kernel import KernelKind, exp_bound_margin, factor
+import dense_oracle
+from subspec.discretization import assemble_jacobi, build_quadrature, convergence_sweep
+from subspec.green_kernel import KernelKind, exp_bound_margin
 from subspec.oracle_fd import FDProblem, RobinBC, cross_validate, fd_eigenvalues
 from subspec.scattering import (
     elementary_bound_margin,
     example_scatt_sweep,
     inv_power_profile,
-    numeric_trace_norm,
     trace_report,
     xi_norm_bound,
     xi_norms,
 )
 from subspec.spectral import (
     eigen_mu,
+    factorization_forms,
     growth_exponent,
     quadratic_form_residual,
     robin_sigma,
@@ -85,13 +80,13 @@ def test_criterion_04_norm_and_bound_audit(phi1, phi4):
                               X_list=[60.0, 120.0], N_list=[1200, 2000], n_keep=3)
     tops = [row.mu[0] for row in sweep.rows]
     assert all(a < b for a, b in zip(tops, tops[1:])) or tops[-1] > tops[0]
-    norm1 = operator_norm(assemble_kernel(phi1, build_quadrature(120.0, 240, 10),
-                                          KernelKind("dirichlet")))
+    norm1 = eigen_mu(assemble_jacobi(phi1, build_quadrature(120.0, 240, 10),
+                                     KernelKind("dirichlet")), 1).norm_estimate
     assert abs(norm1 - 1.0) <= 1e-3
     assert norm1 <= 1.0 + 1e-9  # bound c2^3/(c^2 c1^3) = 1
 
     quad4 = build_quadrature(6.0, 240, 10)
-    norm4 = operator_norm(assemble_kernel(phi4, quad4, KernelKind("dirichlet")))
+    norm4 = eigen_mu(assemble_jacobi(phi4, quad4, KernelKind("dirichlet")), 1).norm_estimate
     assert norm4 <= math.e**6
     g = np.linspace(0.0, 10.0, 200)
     margins = exp_bound_margin(phi4, g[:, None], g[None, :])
@@ -108,12 +103,10 @@ def test_criterion_05_factorization(phi1, phi3, phi4):
     cases = ((phi1, 13.8155, 56), (phi3, 4.0, 40), (phi4, 6.0, 60))
     for m, X, panels in cases:
         quad = build_quadrature(X, panels, 10)
-        Gq = assemble_kernel(m, quad, KernelKind("dirichlet"), psi_source="quadrature")
-        Mh = assemble_kernel(m, quad, factor("M"))
         for _ in range(50):
             f = rng.standard_normal(quad.n)
-            gap = abs(f @ Gq.entries @ f - float(np.sum((Mh.entries @ f) ** 2)))
-            worst = max(worst, gap / float(f @ f))
+            fGf, Mf2 = factorization_forms(m, quad, f)
+            worst = max(worst, abs(fGf - Mf2) / float(f @ f))
     assert worst <= 1e-8
     _ok(5, f"<Gf,f> = ||Mf||^2 on 3 models x 50 random f: worst {worst:.2e} <= 1e-8")
 
@@ -122,8 +115,7 @@ def test_criterion_06_positivity(phi1, phi2, phi3, phi4):
     worst = 0.0
     for m, X in ((phi1, 13.8155), (phi2, 30.0), (phi3, 4.0), (phi4, 6.0)):
         quad = build_quadrature(X, max(40, int(np.ceil(4 * X))), 10)
-        K = assemble_kernel(m, quad, KernelKind("dirichlet"))
-        mu = np.linalg.eigvalsh(K.entries)
+        mu = eigen_mu(assemble_jacobi(m, quad, KernelKind("dirichlet"))).mu
         ratio = mu.min() / mu.max()
         worst = min(worst, ratio)
         assert mu.min() >= -1e-10 * mu.max()
@@ -187,7 +179,7 @@ def test_criterion_11_robin_bound_state(phi1, quad_phi1):
 
 def test_criterion_12_growth_exponent(phi3):
     quad = build_quadrature(8.0, 320, 10)
-    res = eigen_mu(assemble_kernel(phi3, quad, KernelKind("dirichlet")), 30)
+    res = eigen_mu(assemble_jacobi(phi3, quad, KernelKind("dirichlet")), 30)
     slope_green = growth_exponent(res, (5, 25))
     from subspec.oracle_fd import potential_from_phi, turning_point
     X_fd = turning_point(phi3, 300.0) + 2.0
@@ -235,11 +227,11 @@ def test_criterion_14_alpha_sweep_boundary():
 
 
 def test_criterion_15_rank_one_trace(phi1, quad_phi1):
-    Kd = assemble_kernel(phi1, quad_phi1, KernelKind("dirichlet"))
-    Kg = assemble_kernel(phi1, quad_phi1, KernelKind("robin", gamma=1.0))
-    diff = float(np.trace(Kg.entries) - np.trace(Kd.entries))
+    Kd = dense_oracle.green_matrix(phi1, quad_phi1)
+    Kg = dense_oracle.green_matrix(phi1, quad_phi1, 1.0)
+    diff = float(np.trace(Kg) - np.trace(Kd))
     assert abs(diff - 0.5) <= 1e-3
-    tn = numeric_trace_norm(Kg, Kd)
+    tn = dense_oracle.trace_norm(Kg - Kd)
     assert abs(tn - 0.5) <= 1e-3
     _ok(15, f"trace(G_gamma) - trace(G) = {diff:.6f} -> gamma ||phi||^2 = 0.5 "
             f"(rank-one trace norm {tn:.6f})")

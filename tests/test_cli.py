@@ -139,6 +139,22 @@ spectrum.n_keep = 10
     assert first_mu == pytest.approx(1.0 / 13.6956, rel=1e-3)
 
 
+def test_spectrum_convergence_counts_written_rows(tmp_path):
+    cfgfile = _write(tmp_path, "run.cfg", """
+task = spectrum
+phi.kind = stretched-exp
+phi.c = 2
+resolution.X = 3
+resolution.panels = 4
+spectrum.n_keep = 100
+""")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    assert len((out / "spectrum.csv").read_text().splitlines()) == 41  # header + N = 40
+    assert re.search(r"converged top eigenvalues = \d+ / 40\n",
+                     (out / "report.txt").read_text())
+
+
 def test_validate_task_exp_decay(tmp_path):
     cfgfile = _write(tmp_path, "val.cfg", """
 task = validate
@@ -215,8 +231,8 @@ spectrum.n_keep = 5
 
 
 def test_robin_trace_difference_matches_dense(tmp_path):
-    from subspec.discretization import assemble_kernel, build_quadrature
-    from subspec.green_kernel import KernelKind
+    import dense_oracle
+    from subspec.discretization import build_quadrature
     from subspec.phi_models import PhiSpec, make_phi
     cfgfile = _write(tmp_path, "robin.cfg", """
 task = robin
@@ -232,8 +248,8 @@ resolution.panels = 12
                                (out / "report.txt").read_text()).group(1))
     model = make_phi(PhiSpec.stretched_exp(2.0))
     quad = build_quadrature(4.0, 12, 10)
-    dense = (np.trace(assemble_kernel(model, quad, KernelKind("robin", gamma=-0.5)).entries)
-             - np.trace(assemble_kernel(model, quad, KernelKind("dirichlet")).entries))
+    dense = (np.trace(dense_oracle.green_matrix(model, quad, -0.5))
+             - np.trace(dense_oracle.green_matrix(model, quad)))
     assert reported == pytest.approx(dense, rel=1e-5)
 
 
@@ -347,6 +363,15 @@ def test_startup_imports_no_interpolate_or_optimize():
     assert proc.stdout.strip() == "[]"
 
 
+def _run_module(cfgfile, out, threads=1):
+    """`python -m subspec.cli run` in a fresh interpreter; the BLAS thread
+    variables come only from --threads."""
+    env = {k: v for k, v in _subprocess_env().items() if k not in THREAD_VARS}
+    return subprocess.run([sys.executable, "-m", "subspec.cli", "run", str(cfgfile),
+                           "--out", str(out), "--threads", str(threads)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_module_entry_point(tmp_path):
     cfgfile = _write(tmp_path, "run.cfg", """
 task = spectrum
@@ -357,9 +382,24 @@ resolution.panels = 12
 spectrum.n_keep = 3
 """)
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-m", "subspec.cli", "run", str(cfgfile),
-                           "--out", str(out), "--threads", "1"],
-                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    proc = _run_module(cfgfile, out)
     assert proc.returncode == 0, proc.stderr
     assert (out / "spectrum.csv").is_file()
     assert (out / "report.txt").read_text().startswith("task = spectrum\n")
+
+
+@pytest.mark.parametrize("task, body, csv", [
+    ("spectrum", "phi.kind = stretched-exp\nphi.c = 2\nresolution.X = 3\n"
+                 "resolution.panels = 40\n", "spectrum.csv"),
+    ("scatter", "scatter.alpha_list = 0.5, 4\nresolution.X = 30\nresolution.panels = 45\n",
+     "scatter.csv"),
+])
+def test_csv_identical_across_thread_counts(tmp_path, task, body, csv):
+    cfgfile = _write(tmp_path, "run.cfg", f"task = {task}\n{body}")
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        proc = _run_module(cfgfile, out, threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / csv).read_bytes())
+    assert outputs[0] == outputs[1]

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from subspec.discretization import (
-    assemble_kernel,
+    assemble_jacobi,
     auto_truncation,
     build_quadrature,
     convergence_sweep,
     kink_bias_estimate,
-    matrix_to_csv,
-    operator_norm,
 )
 from subspec.errors import (
     InvalidParameterError,
@@ -18,7 +17,8 @@ from subspec.errors import (
     NonHermitianError,
     SlowDecayWarning,
 )
-from subspec.green_kernel import KernelKind, factor, robin
+from subspec.green_kernel import KernelKind, robin
+from subspec.spectral import eigen_mu, factorization_forms
 from subspec.subordinate import SubordinateCache
 
 
@@ -73,32 +73,33 @@ def test_auto_truncation_power_slow_decay(phi2):
 
 def test_assembly_symmetric_nonnegative(phi1):
     quad = build_quadrature(30.0, 60, 10)
-    K = assemble_kernel(phi1, quad, KernelKind("dirichlet"))
-    assert K.hermitian
-    assert np.array_equal(K.entries, K.entries.T)
-    assert np.all(K.entries >= 0.0)
-    assert operator_norm(K) <= 1.0 + 1e-9  # ||G|| = 1 for the free profile
+    T = assemble_jacobi(phi1, quad, KernelKind("dirichlet"))
+    # positive diagonal and negative off-diagonal: T is an M-matrix, G >= 0
+    assert np.all(T.diag > 0.0) and np.all(T.off < 0.0)
+    G = dense_oracle.green_matrix(phi1, quad)
+    assert np.array_equal(G, G.T)
+    assert np.all(G >= 0.0)
+    assert eigen_mu(T, 1).norm_estimate <= 1.0 + 1e-9  # ||G|| = 1 for the free profile
 
 
 def test_robin_assembly_is_rank_one_shift(phi1):
     quad = build_quadrature(10.0, 20, 6)
-    Kd = assemble_kernel(phi1, quad, KernelKind("dirichlet"))
-    Kg = assemble_kernel(phi1, quad, robin(-1.0))
+    Td = assemble_jacobi(phi1, quad, KernelKind("dirichlet"))
+    Tg = assemble_jacobi(phi1, quad, robin(-1.0))
     phi = np.exp(phi1.log_phi(quad.nodes))
-    sw = np.sqrt(quad.weights)
-    shift = -np.outer(sw * phi, sw * phi)
-    assert np.allclose(Kg.entries, Kd.entries + shift, atol=1e-15)
-    Kc = assemble_kernel(phi1, quad, robin(1.0 + 0.5j))
-    assert not Kc.hermitian
-    assert np.iscomplexobj(Kc.entries)
+    f = np.random.default_rng(4).standard_normal(quad.n)
+    shift = -phi * float(np.sum(quad.weights * phi * f))  # -phi <phi, f>_w
+    assert np.allclose(Tg.apply_to_function(f), Td.apply_to_function(f) + shift,
+                       rtol=1e-12, atol=1e-12)
+    with pytest.raises(NonHermitianError):
+        assemble_jacobi(phi1, quad, robin(1.0 + 0.5j))
 
 
 def test_nystrom_similarity_preserves_spectrum(phi1):
-    # eigenvalues of W^{1/2} K W^{1/2} equal those of K W on a 6x6 instance
+    # eigenvalues of the tridiagonal route equal those of K W on a 6x6 instance
     quad = build_quadrature(3.0, 3, 2)
-    K = assemble_kernel(phi1, quad, KernelKind("dirichlet"))
-    raw = K.unweighted()
-    sym = np.sort(np.linalg.eigvalsh(K.entries))
+    raw = dense_oracle.green_matrix(phi1, quad) / np.sqrt(np.outer(quad.weights, quad.weights))
+    sym = np.sort(eigen_mu(assemble_jacobi(phi1, quad, KernelKind("dirichlet"))).mu)
     plain = np.sort(np.linalg.eigvals(raw @ np.diag(quad.weights)).real)
     assert np.allclose(sym, plain, atol=1e-12)
 
@@ -107,19 +108,17 @@ def test_factorization_grid_consistency(phi1, phi3):
     rng = np.random.default_rng(3)
     for m, X in ((phi1, 13.8155), (phi3, 4.0)):
         quad = build_quadrature(X, max(40, int(4 * X)), 10)
-        Gq = assemble_kernel(m, quad, KernelKind("dirichlet"), psi_source="quadrature")
-        Mh = assemble_kernel(m, quad, factor("M"))
+        Mh = dense_oracle.factor_matrix(m, quad)
         for _ in range(10):
             f = rng.standard_normal(quad.n)
-            lhs = f @ Gq.entries @ f
-            rhs = float(np.sum((Mh.entries @ f) ** 2))
+            lhs, rhs = factorization_forms(m, quad, f)
             assert abs(lhs - rhs) <= 1e-8 * float(f @ f)
+            assert rhs == pytest.approx(float(np.sum((Mh @ f) ** 2)), rel=1e-12)
 
 
 def test_positivity_sampled_gram(phi2):
     quad = build_quadrature(30.0, 60, 10)
-    K = assemble_kernel(phi2, quad, KernelKind("dirichlet"))
-    mu = np.linalg.eigvalsh(K.entries)
+    mu = dense_oracle.mu(dense_oracle.green_matrix(phi2, quad))
     assert mu.min() >= -1e-10 * mu.max()
 
 
@@ -127,21 +126,26 @@ def test_bounded_map_property(phi1):
     # |(G f)(x)| / psi(x) <= ||phi|| ||f|| pointwise
     quad = build_quadrature(13.8155, 56, 10)
     cache = SubordinateCache(phi1, quad.nodes)
-    K = assemble_kernel(phi1, quad, KernelKind("dirichlet"), cache=cache)
+    T = assemble_jacobi(phi1, quad, KernelKind("dirichlet"), cache=cache)
     rng = np.random.default_rng(5)
     psi = np.exp(cache.log_psi_nodes)
     for _ in range(10):
         f = rng.standard_normal(quad.n)
-        g = K.apply_to_function(f)
+        g = T.apply_to_function(f)
         fnorm = math.sqrt(float(np.sum(quad.weights * f * f)))
         assert np.max(np.abs(g) / psi) <= phi1.l2_norm_phi * fnorm + 1e-6
 
 
-def test_operator_norm_requires_hermitian(phi1):
-    quad = build_quadrature(5.0, 10, 4)
-    M = assemble_kernel(phi1, quad, factor("M"))
-    with pytest.raises(NonHermitianError):
-        operator_norm(M)
+def test_apply_to_function_matches_dense(phi3):
+    quad = build_quadrature(4.0, 12, 10)
+    f = np.random.default_rng(6).standard_normal(quad.n)
+    sw = np.sqrt(quad.weights)
+    singular = -float(np.exp(SubordinateCache(phi3, quad.nodes).log_I_nodes[0]))
+    for gamma in (None, -0.5, singular):  # singular: row and column 1 of G vanish
+        kind = KernelKind("dirichlet") if gamma is None else robin(gamma)
+        dense = dense_oracle.green_matrix(phi3, quad, gamma) @ (sw * f) / sw
+        g = assemble_jacobi(phi3, quad, kind).apply_to_function(f)
+        assert np.max(np.abs(g - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 def test_convergence_sweep_degenerate(phi3):
@@ -162,18 +166,7 @@ def test_kink_bias_matches_measurement(phi1):
     mus = {}
     for panels in (60, 120):
         quad = build_quadrature(15.0, panels, 10)
-        K = assemble_kernel(phi1, quad, KernelKind("dirichlet"))
-        mus[panels] = np.linalg.eigvalsh(K.entries)[-1]
-        bias = kink_bias_estimate(quad)
+        mus[panels] = eigen_mu(assemble_jacobi(phi1, quad, KernelKind("dirichlet")), 1).mu[0]
     measured = (mus[60] - mus[120]) / (1.0 - 0.25)  # Richardson at h/2
     assert measured == pytest.approx(kink_bias_estimate(build_quadrature(15.0, 60, 10)),
                                      rel=0.1)
-
-
-def test_matrix_csv_roundtrip(tmp_path, phi1):
-    quad = build_quadrature(2.0, 2, 3)
-    K = assemble_kernel(phi1, quad, KernelKind("dirichlet"))
-    path = tmp_path / "K.csv"
-    matrix_to_csv(K, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, K.entries)  # %.17g round-trips doubles

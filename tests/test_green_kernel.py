@@ -107,4 +107,5 @@ def test_kernel_kind_validation():
         KernelKind("weird")
     assert robin(1.0).hermitian
     assert not robin(1.0 + 1.0j).hermitian
-    assert KernelKind("factor-M").hermitian is False
+    with pytest.raises(InvalidParameterError):
+        KernelKind("factor-M")  # the factor kernels exist pointwise only

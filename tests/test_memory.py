@@ -1,0 +1,37 @@
+"""Peak traced memory of scatter and validate at N = 4000-5000.
+
+Both run in O(N) memory: a single dense N x N matrix of doubles would be
+122 MiB at N = 4000, so a peak below 32 MiB shows that none is formed.
+"""
+
+import tracemalloc
+
+from subspec.cli import parse_config, run
+from subspec.scattering import example_scatt_sweep
+
+PEAK_LIMIT = 32 * 2**20
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scatter_sweep_peak_memory():
+    rows, peak = _peak_bytes(lambda: example_scatt_sweep([1.5], 1.0, X=50.0, panels=500))
+    assert rows[0]["trace_numeric"] > 0.0
+    assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"
+
+
+def test_validate_peak_memory(tmp_path):
+    cfg = parse_config("task = validate\nphi.kind = stretched-exp\nphi.c = 2\n"
+                       "resolution.X = 3\nresolution.panels = 400\n")
+    cfg.output_dir = tmp_path
+    status, peak = _peak_bytes(lambda: run(cfg))
+    assert status == 0
+    assert "all checks passed" in (tmp_path / "report.txt").read_text()
+    assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"

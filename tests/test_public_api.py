@@ -1,4 +1,5 @@
-"""Guards on the public surface: one quadrature tolerance, no unused knobs."""
+"""Guards on the public surface: one quadrature tolerance, no unused knobs,
+one matrix representation."""
 
 import importlib
 import inspect
@@ -64,3 +65,18 @@ def test_one_spelling_per_kernel_and_thread_setting():
     assert "c0" not in inspect.signature(KernelKind).parameters
     cli_source = Path(subspec.cli.__file__).read_text()
     assert "SUBSPEC_THREADS" not in cli_source
+
+
+def test_one_matrix_representation():
+    names = {attr for _, attr, _ in _public_callables()}
+    gone = {"assemble_kernel", "KernelMatrix", "operator_norm", "matrix_to_csv",
+            "numeric_trace_norm", "factor"}
+    assert not gone & names
+    assert [q for q, _, sig in _public_callables() if "psi_source" in sig.parameters] == []
+    assert KERNEL_VARIANTS == ("dirichlet", "robin")
+    src = Path(subspec.__file__).parent
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        # no dense eigensolve, SVD or solve: scipy.linalg's banded and
+        # tridiagonal routines only
+        assert "np.linalg." not in text and "svd" not in text, path.name

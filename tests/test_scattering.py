@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from subspec.discretization import assemble_kernel, build_quadrature
-from subspec.errors import GridMismatchError, InvalidParameterError, MissingNuError
-from subspec.green_kernel import KernelKind, factor, robin
-from subspec.phi_models import zero_zeta
+import dense_oracle
+from subspec.discretization import build_quadrature
+from subspec.errors import IndefiniteDifferenceError, InvalidParameterError, MissingNuError
+from subspec.phi_models import PhiSpec, Zeta, inv_power_zeta, make_phi, zero_zeta
 from subspec.scattering import (
     ScatteringProfile,
     analytic_trace_bound,
     elementary_bound_margin,
     example_scatt_sweep,
     inv_power_profile,
-    numeric_trace_norm,
     nu_is_valid,
     power_nu,
+    trace_norm_difference,
     trace_report,
     write_sweep_csv,
     xi_norm_bound,
     xi_norms,
 )
+from subspec.spectral import factorization_forms
 
 
 def test_xi_norms_zero_zeta():
@@ -90,36 +91,54 @@ def test_analytic_trace_bound_values():
     assert analytic_trace_bound(zero) == 0.0
 
 
-def test_numeric_trace_norm_basics(phi1):
+def test_trace_norm_difference_basics(phi1):
     quad = build_quadrature(13.8155, 56, 10)
-    K = assemble_kernel(phi1, quad, KernelKind("dirichlet"))
-    assert numeric_trace_norm(K, K) == 0.0
-    other = build_quadrature(13.8155, 55, 10)
-    K2 = assemble_kernel(phi1, other, KernelKind("dirichlet"))
-    with pytest.raises(GridMismatchError):
-        numeric_trace_norm(K, K2)
+    assert trace_norm_difference(phi1, phi1, quad) == 0.0
+
+
+@pytest.mark.parametrize("k", [1.0, -1.0])
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0])
+def test_trace_norm_difference_matches_dense(phi1, k, alpha):
+    quad = build_quadrature(30.0, 30, 10)
+    model = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(k, alpha)))
+    dense = dense_oracle.trace_norm(dense_oracle.green_matrix(model, quad)
+                                    - dense_oracle.green_matrix(phi1, quad))
+    assert trace_norm_difference(model, phi1, quad) == pytest.approx(dense, rel=1e-10)
+
+
+def test_indefinite_difference_is_an_error():
+    wavy = Zeta(fn=lambda x: 0.5 * np.sin(np.asarray(x, dtype=float)), sup=0.5,
+                label="0.5 sin x")
+    with pytest.raises(IndefiniteDifferenceError):
+        trace_report(ScatteringProfile(c=1.0, zeta=wavy), X=50.0, panels=100)
+    # the CLI's family +-(1+x)^-alpha stays definite on that grid
+    quad = build_quadrature(50.0, 100, 10)
+    model0 = make_phi(PhiSpec.exp_decay(1.0))
+    for k in (1.0, -1.0):
+        for alpha in (0.5, 1.0, 1.5, 2.0, 4.0):
+            model = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(k, alpha)))
+            assert trace_norm_difference(model, model0, quad) > 0.0
 
 
 def test_rank_one_trace_norm(phi1):
     # robin minus dirichlet is gamma |phi><phi|: one singular value gamma||phi||^2
     quad = build_quadrature(13.8155, 56, 10)
-    Kd = assemble_kernel(phi1, quad, KernelKind("dirichlet"))
-    Kg = assemble_kernel(phi1, quad, robin(1.0))
-    assert numeric_trace_norm(Kg, Kd) == pytest.approx(0.5, abs=1e-6)
+    diff = dense_oracle.green_matrix(phi1, quad, 1.0) - dense_oracle.green_matrix(phi1, quad)
+    assert dense_oracle.trace_norm(diff) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_xi_outer_products_reconstruct_green(phi1):
     # sum_i w_i |xi_{x_i}><xi_{x_i}| sampled on the grid is exactly M^T M,
-    # the grid-consistent Green matrix; the exact-psi matrix differs by the
-    # partial-panel defect only
+    # the grid-consistent Green matrix G_h; the exact-psi matrix differs by
+    # the partial-panel defect only
     quad = build_quadrature(13.8155, 56, 10)
-    Mh = assemble_kernel(phi1, quad, factor("M")).entries
+    Mh = dense_oracle.factor_matrix(phi1, quad)
     recon = Mh.T @ Mh
-    Gq = assemble_kernel(phi1, quad, KernelKind("dirichlet"),
-                         psi_source="quadrature").entries
-    Ge = assemble_kernel(phi1, quad, KernelKind("dirichlet")).entries
-    rel = np.linalg.norm(recon - Gq) / np.linalg.norm(Gq)
-    assert rel <= 1e-6
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        f = rng.standard_normal(quad.n)
+        assert factorization_forms(phi1, quad, f)[0] == pytest.approx(f @ recon @ f, rel=1e-10)
+    Ge = dense_oracle.green_matrix(phi1, quad)
     assert np.linalg.norm(recon - Ge) / np.linalg.norm(Ge) <= 0.05
 
 
