@@ -233,6 +233,14 @@ def _check_log_expr(cfg: RunConfig, prefix: str, model, nodes) -> None:
                           f"finite at x = {nodes[bad][0]:.6g} on the task grid")
 
 
+def _note_unresolved(notes: list, cache) -> None:
+    """Say where the psi cache accepted quadrature panels only at the depth limit."""
+    if cache.unresolved_segments:
+        notes.append(f"psi quadrature unresolved in {cache.unresolved_segments} of "
+                     f"{cache.grid.size} segments (accepted at the depth limit), "
+                     f"the first from x = {cache.first_unresolved_x:.6g}")
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -249,6 +257,7 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     from .green_kernel import KernelKind
     from .phi_models import make_phi
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
+    from .subordinate import SubordinateCache
 
     model = make_phi(build_phi_spec(cfg))
     X, panels, order = _resolution(cfg, [model], notes)
@@ -256,7 +265,9 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     fine = build_quadrature(X, panels, order)
     coarse = build_quadrature(X, max(1, panels // 2), order)
     _check_log_expr(cfg, "phi", model, fine.nodes)
-    res_f = eigen_mu(assemble_jacobi(model, fine, KernelKind("dirichlet")), n_keep)
+    cache = SubordinateCache(model, fine.nodes)
+    _note_unresolved(notes, cache)
+    res_f = eigen_mu(assemble_jacobi(model, fine, KernelKind("dirichlet"), cache=cache), n_keep)
     res_c = eigen_mu(assemble_jacobi(model, coarse, KernelKind("dirichlet")), n_keep)
     res = replace(res_f, converged=converged_mask(res_f.mu, res_c.mu))
     write_spectrum_csv(res, outdir / "spectrum.csv")
@@ -383,6 +394,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     checks.append((f"wronskian residual <= {tol_w:g}", wr <= tol_w, wr))
 
     cache = SubordinateCache(model, quad.nodes)
+    _note_unresolved(notes, cache)
     ratio = np.exp(cache.log_I_nodes)  # psi/phi at the nodes
     growth = np.all(quad.nodes**2 <= model.l2_norm_phi**2 * ratio * (1 + 1e-9))
     checks.append(("growth bound x^2 <= ||phi||^2 psi/phi", bool(growth),
@@ -476,7 +488,7 @@ def run_cli(argv=None) -> int:
             print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
             return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
 
     try:
         config = parse_config(args.config.read_text())

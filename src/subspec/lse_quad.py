@@ -3,8 +3,8 @@
 Every exponential-type integrand in this package (phi^2, phi^-2, the
 scattering profiles) is integrated through one engine: the integrand is
 supplied as its logarithm, each panel is max-shifted before summation, and
-panels combine through logsumexp.  Integrands spanning hundreds of orders of
-magnitude (phi^-2 for stretched-exponential profiles exceeds 1e400 well
+panels combine through logaddexp.  Integrands spanning hundreds of orders
+of magnitude (phi^-2 for stretched-exponential profiles exceeds 1e400 well
 inside the working window) therefore never leave log space.
 
 One splitting rule holds for every interval: it is cut into equal pieces at
@@ -15,9 +15,18 @@ number of pieces is thus bounded whatever the interval's length.
 Refinement is level-batched: all panels pending at a bisection depth, over
 all intervals, are evaluated together in vectorized calls of at most CHUNK
 panels, which keeps rapidly oscillating profiles (panel counts in the
-thousands) cheap and bounds the temporaries.  Because the integrand is
-positive, the per-panel relative tolerance RTOL gives global relative
-control; it is the package's one quadrature tolerance.  A NaN sample of the log integrand raises InvalidParameterError.
+thousands) cheap and bounds the temporaries.
+
+Acceptance is relative to the whole interval, not to the panel alone
+(Gander & Gautschi, BIT 40, 2000).  A panel is accepted when its unsplit
+value differs from the sum of its halves by at most RTOL * max(split,
+share), where share is the panel's width fraction of its interval's running
+total (accepted values plus every pending split).  Summed over an interval
+these differences are at most 2 * RTOL times its integral, and no samples
+are spent on panels whose mass cannot change it.  RTOL is the package's one
+quadrature tolerance.  A panel accepted only because it reached the depth
+limit is unresolved; segment_log_integrals reports which segments hold one.
+A NaN sample of the log integrand raises InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -25,11 +34,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidParameterError
 
-RTOL = 1e-12  # relative agreement of a panel with its bisection
+RTOL = 1e-12  # agreement of a panel with its bisection, relative to its share
 ORDER = 10  # Gauss-Legendre nodes per panel
 MAX_DEPTH = 12  # bisection levels below width MAX_SEG; panels are accepted there
 MAX_SEG = 1.0  # longest piece an interval is cut into before bisection ...
@@ -46,41 +54,73 @@ def gauss_legendre(order: int):
 
 def _batch_panel_logs(log_f, a, b):
     """log of the one-panel Gauss-Legendre integral over each [a_i, b_i],
-    evaluated CHUNK panels at a time."""
+    evaluated CHUNK panels at a time.
+
+    Each row of samples is shifted by its finite maximum before the weighted
+    sum, so rows of -inf give -inf and rows with a +inf sample give +inf.
+    """
     if a.size > CHUNK:
         return np.concatenate([_batch_panel_logs(log_f, a[i:i + CHUNK], b[i:i + CHUNK])
                                for i in range(0, a.size, CHUNK)])
     x, w = gauss_legendre(ORDER)
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    pts = mid + half * x[None, :]
+    half = 0.5 * (b - a)
+    pts = (0.5 * (a + b))[:, None] + half[:, None] * x[None, :]
     vals = np.asarray(log_f(pts.ravel()), dtype=float).reshape(pts.shape)
-    bad = np.isnan(vals)
-    if np.any(bad):
+    peak = vals.max(axis=1)  # NaN in a row whose samples hold one
+    if np.isnan(peak).any():
         raise InvalidParameterError(
-            f"log integrand is not finite (NaN) at s = {pts[bad][0]:.6g}")
-    return logsumexp(vals, axis=1, b=w[None, :] * half)
+            f"log integrand is not finite (NaN) at s = {pts[np.isnan(vals)][0]:.6g}")
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = np.einsum("ij,j->i", np.exp(vals - peak[:, None]), w)
+        return np.log(total) + peak + np.log(half)
 
 
-def _adaptive_many(log_f, lo, hi, owner, limit, n_out):
-    """Adaptive log integrals of the pieces [lo_j, hi_j], refinement batched.
+def _interval_totals(out, split, owner):
+    """log of each interval's accepted mass `out` plus its pending `split`s."""
+    peak = out.copy()
+    np.maximum.at(peak, owner, split)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = np.exp(out - peak) + np.bincount(owner, np.exp(split - peak[owner]),
+                                                minlength=out.size)
+        return np.log(mass) + peak
 
-    A panel is accepted when its bisected value agrees with the unsplit one
-    to RTOL relatively (always at bisection depth limit_j); accepted pieces
-    accumulate into out[owner_j] through logaddexp.
+
+def _log_integrals(log_f, a, b):
+    """(log integrals, depth-limited flags) over the intervals [a_i, b_i],
+    cut into pieces as log_integral_exp describes and refined level-batched.
+
+    A panel at bisection depth d of an interval cut into n pieces spans
+    1 / (n 2^d) of it, and its share is that fraction of the interval's
+    running total.  Accepted panels accumulate into out[owner] through
+    logaddexp; an interval is depth-limited when it accepted a panel only
+    because the panel reached the depth limit.
     """
-    out = np.full(n_out, -np.inf)
-    cur_lo, cur_hi = lo, hi
-    whole = _batch_panel_logs(log_f, cur_lo, cur_hi)
+    full = np.ceil(np.maximum(b - a, 0.0) / MAX_SEG)
+    n = np.minimum(full, MAX_PIECES).astype(np.intp)
+    limit = MAX_DEPTH + np.ceil(np.log2(np.maximum(full / MAX_PIECES, 1.0))).astype(np.intp)
+    owner = np.repeat(np.arange(a.size), n)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)  # piece index
+    step = ((b - a) / np.maximum(n, 1))[owner]
+    lo = k * step + a[owner]
+    hi = np.where(k + 1 == n[owner], b[owner], (k + 1) * step + a[owner])
+    log_n = np.log(np.maximum(n, 1))
+    out = np.full(a.size, -np.inf)
+    depth_limited = np.zeros(a.size, dtype=bool)
+    whole = _batch_panel_logs(log_f, lo, hi)
     for depth in range(int(limit.max(initial=0)) + 1):
-        mid = 0.5 * (cur_lo + cur_hi)
-        left = _batch_panel_logs(log_f, cur_lo, mid)
-        right = _batch_panel_logs(log_f, mid, cur_hi)
+        mid = 0.5 * (lo + hi)
+        left = _batch_panel_logs(log_f, lo, mid)
+        right = _batch_panel_logs(log_f, mid, hi)
         split = np.logaddexp(left, right)
+        share = (_interval_totals(out, split, owner) - log_n - depth * np.log(2.0))[owner]
         with np.errstate(invalid="ignore"):
-            accept = np.abs(np.expm1(whole - split)) <= RTOL
-        accept |= (whole == -np.inf) & (split == -np.inf)
-        accept |= limit == depth
+            gap = np.exp(split - np.maximum(split, share)) * np.abs(np.expm1(whole - split))
+        accept = (gap <= RTOL) | ((whole == -np.inf) & (split == -np.inf))
+        at_limit = limit[owner] == depth
+        depth_limited[owner[at_limit & ~accept]] = True
+        accept |= at_limit
         if np.any(accept):
             vals = split[accept]
             keep = vals > -np.inf
@@ -88,12 +128,10 @@ def _adaptive_many(log_f, lo, hi, owner, limit, n_out):
         refine = ~accept
         if not np.any(refine):
             break
-        cur_lo = np.concatenate([cur_lo[refine], mid[refine]])
-        cur_hi = np.concatenate([mid[refine], cur_hi[refine]])
+        lo, hi = np.concatenate([lo[refine], mid[refine]]), np.concatenate([mid[refine], hi[refine]])
         owner = np.concatenate([owner[refine], owner[refine]])
-        limit = np.concatenate([limit[refine], limit[refine]])
         whole = np.concatenate([left[refine], right[refine]])
-    return out
+    return out, depth_limited
 
 
 def log_integral_exp(log_f, a, b):
@@ -107,24 +145,16 @@ def log_integral_exp(log_f, a, b):
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a.shape
-    a, b = a.ravel(), b.ravel()
-    full = np.ceil(np.maximum(b - a, 0.0) / MAX_SEG)
-    n = np.minimum(full, MAX_PIECES).astype(np.intp)
-    extra = np.ceil(np.log2(np.maximum(full / MAX_PIECES, 1.0))).astype(np.intp)
-    owner = np.repeat(np.arange(a.size), n)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)  # piece index
-    step = ((b - a) / np.maximum(n, 1))[owner]
-    lo = k * step + a[owner]
-    hi = np.where(k + 1 == n[owner], b[owner], (k + 1) * step + a[owner])
-    out = _adaptive_many(log_f, lo, hi, owner, MAX_DEPTH + extra[owner], a.size)
+    out, _ = _log_integrals(log_f, a.ravel(), b.ravel())
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def segment_log_integrals(log_f, edges):
-    """log of int over each consecutive interval of `edges`.
+    """(log of int over each consecutive interval of `edges`, whether each
+    accepted a panel only at the depth limit).
 
     All segments share the level-batched refinement, so thousands of short
     segments (cache construction) cost a few vectorized calls.
     """
     edges = np.asarray(edges, dtype=float)
-    return log_integral_exp(log_f, edges[:-1], edges[1:])
+    return _log_integrals(log_f, edges[:-1], edges[1:])

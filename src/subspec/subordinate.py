@@ -69,6 +69,11 @@ class SubordinateCache:
     last node at or below it (or from 0), to that node's value; the bridges
     of one call share one batched integration.  Instances are immutable
     after construction and safe for concurrent reads.
+
+    unresolved_segments counts the segments (0 to the first node, then
+    between consecutive nodes) in which the quadrature accepted a panel only
+    at its depth limit; first_unresolved_x is the left end of the first such
+    segment (nan when there is none).
     """
 
     def __init__(self, model: PhiModel, nodes):
@@ -78,7 +83,10 @@ class SubordinateCache:
         self.model = model
         self.grid = nodes
         edges = np.concatenate(([0.0], nodes))
-        self.panel_logsums = segment_log_integrals(_neg2_log_phi(model), edges)
+        self.panel_logsums, depth_limited = segment_log_integrals(_neg2_log_phi(model), edges)
+        self.unresolved_segments = int(np.count_nonzero(depth_limited))
+        self.first_unresolved_x = (float(edges[np.argmax(depth_limited)])
+                                   if self.unresolved_segments else float("nan"))
         self.log_I_nodes = np.logaddexp.accumulate(self.panel_logsums)
         if not np.all(np.isfinite(self.log_I_nodes)):
             raise InvalidParameterError(

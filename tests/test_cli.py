@@ -344,6 +344,55 @@ resolution.panels = 32
     assert all(os.environ[var] == "2" for var in THREAD_VARS)
 
 
+def test_threads_flag_overrides_the_environment(tmp_path, monkeypatch):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "3")
+    cfgfile = _write(tmp_path, "run.cfg", """
+task = spectrum
+phi.kind = exp-decay
+phi.c = 1
+resolution.X = 6
+resolution.panels = 12
+""")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o"),
+                    "--threads", "1"]) == 0
+    assert [os.environ[var] for var in THREAD_VARS] == ["1", "1", "1"]
+
+
+UNRESOLVED = re.compile(r"psi quadrature unresolved in (\d+) of (\d+) segments "
+                        r"\(accepted at the depth limit\), the first from x = (\S+)")
+
+
+def test_spectrum_notes_unresolved_quadrature(tmp_path):
+    # sin(e^x) is evaluated with an absolute error of about e^x * x * eps,
+    # which passes RTOL near x = 8: from there panels stop at the depth limit
+    cfgfile = _write(tmp_path, "run.cfg", """
+task = spectrum
+phi.kind = oscillating
+resolution.X = 15
+resolution.panels = 60
+""")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    found = UNRESOLVED.findall((tmp_path / "o" / "report.txt").read_text())
+    assert len(found) == 1
+    count, segments, first = found[0]
+    assert 0 < int(count) < int(segments) == 600
+    assert 7.5 <= float(first) <= 12.0
+
+
+@pytest.mark.parametrize("task", ["spectrum", "validate"])
+def test_resolved_quadrature_adds_no_note(tmp_path, task):
+    cfgfile = _write(tmp_path, "run.cfg", f"""
+task = {task}
+phi.kind = stretched-exp
+phi.c = 2
+resolution.X = 3
+resolution.panels = 40
+""")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    assert "unresolved" not in (tmp_path / "o" / "report.txt").read_text()
+
+
 def _subprocess_env():
     src = str(Path(subspec.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(

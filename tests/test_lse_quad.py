@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import exprel, logsumexp, ndtr
 
 from subspec.discretization import build_quadrature
 from subspec.errors import InvalidParameterError
-from subspec.lse_quad import MAX_PIECES, ORDER, log_integral_exp, segment_log_integrals
+from subspec.lse_quad import (
+    MAX_PIECES, ORDER, RTOL, _batch_panel_logs, gauss_legendre, log_integral_exp,
+    segment_log_integrals)
 from subspec.phi_models import PhiSpec, make_phi
 from subspec.subordinate import SubordinateCache, log_int_phi_inv2
 
@@ -36,7 +38,7 @@ def test_nan_sample_raises_segments():
     with pytest.raises(InvalidParameterError, match="not finite"):
         segment_log_integrals(_nan_below_one, [0.0, 0.5, 2.0, 3.0])
     # NaN-free segments are unaffected
-    assert np.all(np.isfinite(segment_log_integrals(_nan_below_one, [1.0, 2.0, 4.5])))
+    assert np.all(np.isfinite(segment_log_integrals(_nan_below_one, [1.0, 2.0, 4.5])[0]))
 
 
 @PROPERTY
@@ -63,9 +65,52 @@ def test_additivity_over_a_split_point(log_f, ab, frac):
 def test_scalar_integral_matches_segments(log_f, ab, fracs):
     a, b = ab
     edges = np.concatenate(([a], np.sort(a + np.asarray(fracs) * (b - a)), [b]))
-    segs = segment_log_integrals(log_f, edges)
+    segs, _ = segment_log_integrals(log_f, edges)
     assert segs.shape == (edges.size - 1,)
     assert float(logsumexp(segs)) == pytest.approx(log_integral_exp(log_f, a, b), abs=1e-11)
+
+
+def test_panel_reduction_matches_logsumexp():
+    """The lean max-shifted panel sum gives what scipy's logsumexp gives,
+    including its -inf, +inf and zero-width cases."""
+    rng = np.random.default_rng(7)
+    vals = rng.normal(0.0, 5.0, (64, ORDER))
+    vals[3] = -np.inf  # no mass
+    vals[[5, 7], 2] = np.inf  # unbounded samples
+    vals[6, ::2] = -np.inf  # mass on half the nodes
+    vals[9], vals[10] = 800.0, -800.0  # exp over- and underflows without the shift
+    a = rng.uniform(0.0, 5.0, 64)
+    b = a + rng.uniform(0.01, 2.0, 64)
+    b[[5, 8, 12]] = a[[5, 8, 12]]  # zero-width panels, one with a +inf sample
+    got = _batch_panel_logs(lambda s: vals.ravel(), a, b)
+    w = gauss_legendre(ORDER)[1]
+    ref = logsumexp(vals, axis=1, b=w[None, :] * (0.5 * (b - a))[:, None])
+    assert got[3] == got[8] == got[12] == -np.inf and got[7] == np.inf
+    assert np.all(np.isfinite(got[[9, 10]]))
+    # 1e-14 in log, widened by two ulps where the log itself is large
+    np.testing.assert_allclose(got, ref, rtol=4.5e-16, atol=1e-14)
+
+
+@PROPERTY
+@given(ab=intervals, a=st.floats(-60.0, 60.0))
+def test_exponential_matches_its_closed_form(ab, a):
+    lo, hi = ab
+    got = log_integral_exp(lambda s: a * np.asarray(s), lo, hi)
+    exact = a * lo + np.log((hi - lo) * exprel(a * (hi - lo)))
+    assert abs(np.expm1(got - exact)) <= 4 * RTOL
+
+
+@PROPERTY
+@given(lo=st.floats(0.0, 5.0), length=st.floats(20.0, 60.0), frac=st.floats(0.0, 1.0),
+       sigma=st.floats(0.01, 0.3))
+def test_narrow_gaussian_on_a_long_interval(lo, length, frac, sigma):
+    # the interval-relative acceptance must still find the one place with mass
+    hi = lo + length
+    c = lo + frac * length
+    got = log_integral_exp(lambda s: -0.5 * ((np.asarray(s) - c) / sigma) ** 2, lo, hi)
+    mass = ndtr((hi - c) / sigma) - ndtr((lo - c) / sigma)
+    exact = np.log(sigma * np.sqrt(2.0 * np.pi) * mass)
+    assert abs(np.expm1(got - exact)) <= 4 * RTOL
 
 
 def test_array_bounds_give_an_array():
@@ -73,7 +118,7 @@ def test_array_bounds_give_an_array():
     edges = np.array([0.0, 0.5, 2.0, 70.0])
     got = log_integral_exp(log_f, edges[:-1], edges[1:])
     assert got.shape == (3,)
-    assert np.array_equal(got, segment_log_integrals(log_f, edges))
+    assert np.array_equal(got, segment_log_integrals(log_f, edges)[0])
     assert isinstance(log_integral_exp(log_f, 0.0, 2.0), float)
     assert log_integral_exp(log_f, 2.0, 2.0) == -np.inf
 
@@ -89,7 +134,7 @@ def test_wide_intervals_cost_is_independent_of_their_length():
             seen.append(np.size(s))
             return 2.0 * np.log1p(s)
 
-        total = logsumexp(segment_log_integrals(log_f, np.linspace(0.0, X, 1001)))
+        total = logsumexp(segment_log_integrals(log_f, np.linspace(0.0, X, 1001))[0])
         assert total == pytest.approx(np.log(((1.0 + X) ** 3 - 1.0) / 3.0), rel=1e-13)
         samples[X] = sum(seen)
     assert samples[1e5] == samples[4e5] == 3 * ORDER * MAX_PIECES * 1000

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import i0
 
 from subspec.errors import (
     InvalidParameterError,
@@ -10,6 +11,7 @@ from subspec.errors import (
     NegativeArgumentError,
     NonPositiveSampleError,
 )
+from subspec.lse_quad import log_integral_exp
 from subspec.phi_models import (
     DecayInfo,
     PhiSpec,
@@ -69,6 +71,36 @@ def test_l2_norm_oscillating_against_substitution(phi4):
     val, _ = quad(lambda t: t ** (-3) * math.exp(-2.0 * math.sin(t)), 1.0, np.inf,
                   limit=2000)
     assert phi4.l2_norm_phi == pytest.approx(math.sqrt(val), rel=1e-7)
+
+
+def _oscillating_l2sq_in_t():
+    """||phi||^2 = int_1^inf t^-3 e^{-2 sin t} dt (t = e^x): composite
+    40-node Gauss-Legendre on panels of width pi up to T = e^15, and the
+    tail I0(2) / (2 T^2) (e^{-2 sin t} averages to I0(2) over a period)."""
+    T = math.exp(15.0)
+    x, w = np.polynomial.legendre.leggauss(40)
+    lo_all = 1.0 + math.pi * np.arange(math.ceil((T - 1.0) / math.pi))
+    parts = []
+    for i in range(0, lo_all.size, 1 << 14):
+        lo = lo_all[i:i + (1 << 14)]
+        half = 0.5 * (np.minimum(lo + math.pi, T) - lo)
+        t = (lo + half)[:, None] + half[:, None] * x
+        parts.append(np.sum(half * ((t ** -3.0 * np.exp(-2.0 * np.sin(t))) @ w)))
+    return math.fsum(parts) + i0(2.0) / (2.0 * T * T)
+
+
+def test_l2_norm_oscillating_budget_and_oracle(monkeypatch):
+    from subspec import phi_models
+
+    samples = []
+
+    def counted(log_f, a, b):
+        return log_integral_exp(lambda s: samples.append(np.size(s)) or log_f(s), a, b)
+
+    monkeypatch.setattr(phi_models, "log_integral_exp", counted)
+    norm = make_phi(PhiSpec.oscillating()).l2_norm_phi
+    assert 0 < sum(samples) <= 1_500_000
+    assert norm ** 2 == pytest.approx(_oscillating_l2sq_in_t(), rel=1e-12)
 
 
 def test_fd_fallback_matches_analytic(phi2, phi3):
