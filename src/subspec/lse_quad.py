@@ -128,7 +128,8 @@ def _log_integrals(log_f, a, b):
         refine = ~accept
         if not np.any(refine):
             break
-        lo, hi = np.concatenate([lo[refine], mid[refine]]), np.concatenate([mid[refine], hi[refine]])
+        lo, hi = (np.concatenate([lo[refine], mid[refine]]),
+                  np.concatenate([mid[refine], hi[refine]]))
         owner = np.concatenate([owner[refine], owner[refine]])
         whole = np.concatenate([left[refine], right[refine]])
     return out, depth_limited

@@ -1,5 +1,7 @@
 """The one integration engine (lse_quad) and the exact off-node cache."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -121,6 +123,18 @@ def test_array_bounds_give_an_array():
     assert np.array_equal(got, segment_log_integrals(log_f, edges)[0])
     assert isinstance(log_integral_exp(log_f, 0.0, 2.0), float)
     assert log_integral_exp(log_f, 2.0, 2.0) == -np.inf
+
+
+def test_zero_width_intervals_do_not_warn():
+    log_f = lambda s: -np.asarray(s)
+    tiny = np.nextafter(1.0, 2.0)  # its bisections have zero width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_integral_exp(log_f, [0.0, 1.0, 1.0], [1.0, 1.0, tiny])
+        logs, limited = segment_log_integrals(log_f, [0.0, 1.0, 1.0, tiny])
+    assert got[1] == logs[1] == -np.inf
+    assert got[2] == logs[2] == pytest.approx(np.log(tiny - 1.0) - 1.0, rel=1e-15)
+    assert not limited.any()
 
 
 def test_wide_intervals_cost_is_independent_of_their_length():
