@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,6 +137,9 @@ def _compile_expr(expr: str, what: str):
         code = compile(expr, f"<{what}>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"{what}: bad expression {expr!r}: {exc}") from None
+    unknown = sorted(set(code.co_names) - set(ns) - {"x"})
+    if unknown:
+        raise ConfigError(f"config key '{what}' uses unknown name {unknown[0]!r} in {expr!r}")
 
     def fn(x, _code=code, _ns=ns):
         out = eval(_code, {"__builtins__": {}}, {**_ns, "x": np.asarray(x, dtype=float)})
@@ -162,7 +166,10 @@ def build_phi_spec(cfg: RunConfig, prefix: str = "phi"):
                               cfg.get_float(f"{prefix}.zeta.alpha", 1.0))
         return PhiSpec.scattering_profile(cfg.get_float(f"{prefix}.c", 1.0), zeta)
     if kind == "tabulated":
-        return PhiSpec.from_csv(cfg.require(f"{prefix}.csv"))
+        try:
+            return PhiSpec.from_csv(cfg.require(f"{prefix}.csv"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config key '{prefix}.csv': {exc}") from None
     if kind == "custom-log-profile":
         log_fn = _compile_expr(cfg.require(f"{prefix}.log_expr"), f"{prefix}.log_expr")
         dlog = cfg.get(f"{prefix}.dlog_expr")
@@ -205,6 +212,8 @@ def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     panels = cfg.get_int("resolution.panels")
     if X is None:
         eps = cfg.get_float("resolution.eps", 1e-6)
+        if not 0.0 < eps < 1.0:
+            raise ConfigError(f"config key 'resolution.eps' must lie in (0, 1), got {eps:g}")
         X = max(auto_truncation(m, eps) for m in models)
         notes.append(f"auto truncation X = {X:.6g}")
         if cap is not None and X > cap:
@@ -254,7 +263,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     from dataclasses import replace
     from .discretization import assemble_jacobi, build_quadrature
-    from .green_kernel import KernelKind
     from .phi_models import make_phi
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
     from .subordinate import SubordinateCache
@@ -267,8 +275,8 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     _check_log_expr(cfg, "phi", model, fine.nodes)
     cache = SubordinateCache(model, fine.nodes)
     _note_unresolved(notes, cache)
-    res_f = eigen_mu(assemble_jacobi(model, fine, KernelKind("dirichlet"), cache=cache), n_keep)
-    res_c = eigen_mu(assemble_jacobi(model, coarse, KernelKind("dirichlet")), n_keep)
+    res_f = eigen_mu(assemble_jacobi(model, fine, cache=cache), n_keep)
+    res_c = eigen_mu(assemble_jacobi(model, coarse), n_keep)
     res = replace(res_f, converged=converged_mask(res_f.mu, res_c.mu))
     write_spectrum_csv(res, outdir / "spectrum.csv")
     return 0, [f"model = {model.label}",
@@ -280,7 +288,6 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
 def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
     from .discretization import assemble_jacobi, build_quadrature
-    from .green_kernel import KernelKind
     from .phi_models import make_phi
     from .spectral import compare_spectra, eigen_mu
 
@@ -292,8 +299,8 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     quad = build_quadrature(X, panels, order)
     _check_log_expr(cfg, "phi", model1, quad.nodes)
     _check_log_expr(cfg, "compare.phi2", model2, quad.nodes)
-    res1 = eigen_mu(assemble_jacobi(model1, quad, KernelKind("dirichlet")), n_keep)
-    res2 = eigen_mu(assemble_jacobi(model2, quad, KernelKind("dirichlet")), n_keep)
+    res1 = eigen_mu(assemble_jacobi(model1, quad), n_keep)
+    res2 = eigen_mu(assemble_jacobi(model2, quad), n_keep)
     if c is None:
         grid = np.linspace(0.0, X, 2001)
         diff = model2.log_phi(grid) - model1.log_phi(grid)
@@ -360,16 +367,22 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     return 0, lines
 
 
+# a custom log phi that calls sin or cos gets the oscillating profile's
+# validation window, panel density and Wronskian tolerance
+_OSCILLATING_CALL = re.compile(r"\b(sin|cos)\s*\(")
+
+
 def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
     from .discretization import assemble_jacobi, build_quadrature
-    from .green_kernel import KernelKind, exp_bound_margin
+    from .green_kernel import exp_bound_margin
     from .phi_models import make_phi, verify_decay_hypothesis
     from .spectral import _extreme_eigenvalues, factorization_forms, weighted_identity_residual
     from .subordinate import SubordinateCache, wronskian_residual
 
     model = make_phi(build_phi_spec(cfg))
-    oscillatory = model.kind == "oscillating" or "sin" in model.label
+    oscillatory = model.kind == "oscillating" or (
+        model.kind == "custom-log-profile" and _OSCILLATING_CALL.search(cfg.get("phi.log_expr")))
     # the identities under test are local; keep auto windows sane for
     # sub-exponential profiles and oscillation-capped for phi4-like ones
     cap = 6.0 if oscillatory else (50.0 if model.decay is None else None)
@@ -412,7 +425,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
 
     # G = T^-1 is positive iff T is, and then min mu = 1/lambda_max(T);
     # otherwise 1/lambda_min(T) <= 0 is an eigenvalue of G and the check fails
-    T = assemble_jacobi(model, quad, KernelKind("dirichlet"), cache=cache)
+    T = assemble_jacobi(model, quad, cache=cache)
     lam = np.array(_extreme_eigenvalues(T.diag, T.off))
     with np.errstate(divide="ignore"):
         mu_min = float(np.min(1.0 / lam))

@@ -20,12 +20,11 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import (
+    ComplexGammaError,
     InvalidParameterError,
     NoDecayDetectedError,
-    NonHermitianError,
     SlowDecayWarning,
 )
-from .green_kernel import KernelKind
 from .lse_quad import gauss_legendre
 from .phi_models import PhiModel
 from .subordinate import SubordinateCache
@@ -103,21 +102,21 @@ def auto_truncation(model: PhiModel, eps: float) -> float:
 
 @dataclass(frozen=True)
 class JacobiMatrix:
-    """Symmetric tridiagonal T = (W^1/2 G W^1/2)^-1 of a hermitian Green kernel.
+    """Symmetric tridiagonal T = (W^1/2 G_gamma W^1/2)^-1 of the Green kernel
+    with real Robin parameter gamma (gamma = 0: the Dirichlet kernel G).
 
-    G(x, y) = u(min) v(max) with v = phi and u = phi (I + gamma) is
+    G_gamma(x, y) = u(min) v(max) with v = phi and u = phi (I + gamma) is
     semiseparable, so the inverse of its Nystrom matrix is exactly
     tridiagonal; the eigenvalues of T are lambda = 1/mu.  diag[0] = +inf
     encodes the singular Robin case I(x_1) + gamma = 0, where row and column
-    1 of G vanish (mu = 0 exactly) and T decouples into that node and the
+    1 of G_gamma vanish (mu = 0 exactly) and T decouples into that node and the
     Jacobi matrix diag[1:], off[1:] of nodes 2..N.
     """
 
     diag: np.ndarray
     off: np.ndarray
-    kind: KernelKind
+    gamma: float
     quad: Quadrature
-    model_label: str
 
     @property
     def n(self) -> int:
@@ -136,13 +135,14 @@ class JacobiMatrix:
         return out
 
 
-def assemble_jacobi(model: PhiModel, quad: Quadrature, kind: KernelKind,
+def assemble_jacobi(model: PhiModel, quad: Quadrature, gamma: float = 0.0,
                     cache: Optional[SubordinateCache] = None) -> JacobiMatrix:
-    """Tridiagonal inverse of the Nystrom Green matrix for dirichlet and
-    real-gamma robin kernels, in O(N) memory.
+    """Tridiagonal inverse of the Nystrom matrix of G_gamma = G + gamma phi phi
+    for real gamma (gamma = 0 is the Dirichlet kernel), in O(N) memory;
+    complex gamma raises ComplexGammaError.
 
     With Delta I_i = int_{x_i}^{x_i+1} phi^-2 (the cache's panel sums) and
-    r_1 = I(x_1) + gamma (gamma = 0 unless robin):
+    r_1 = I(x_1) + gamma:
 
         T_i,i+1 = -1 / (phi_i phi_i+1 Delta I_i sqrt(w_i w_i+1))
         T_ii    = (1/Delta I_i-1 + 1/Delta I_i) / (phi_i^2 w_i)    interior
@@ -152,10 +152,9 @@ def assemble_jacobi(model: PhiModel, quad: Quadrature, kind: KernelKind,
     Every entry is exp of one log sum, so phi^-2 and I (which overflow for
     stretched-exponential profiles) are never formed.
     """
-    if kind.variant not in ("dirichlet", "robin"):
-        raise InvalidParameterError(f"no Jacobi form for kernel kind '{kind.variant}'")
-    if not kind.hermitian:
-        raise NonHermitianError("no hermitian Jacobi form for complex gamma")
+    if complex(gamma).imag != 0.0:
+        raise ComplexGammaError(f"no hermitian Jacobi form for complex gamma = {gamma}")
+    gamma = complex(gamma).real
     if cache is None:
         cache = SubordinateCache(model, quad.nodes)
     lp = model.log_phi(quad.nodes)
@@ -166,7 +165,6 @@ def assemble_jacobi(model: PhiModel, quad: Quadrature, kind: KernelKind,
     inv_dI = np.full(quad.n + 1, -np.inf)  # log of 1/Delta I around each node
     inv_dI[1:-1] = -ls
     diag = np.exp(np.logaddexp(inv_dI[:-1], inv_dI[1:]) - 2.0 * lp - lw)
-    gamma = complex(kind.gamma).real if kind.variant == "robin" else 0.0
     if gamma == 0.0:
         diag[0] += np.exp(-log_I1 - 2.0 * lp[0] - lw[0])
     else:
@@ -175,7 +173,7 @@ def assemble_jacobi(model: PhiModel, quad: Quadrature, kind: KernelKind,
             diag[0] = np.inf
         else:
             diag[0] += np.sign(r1) * np.exp(-np.log(abs(r1)) - 2.0 * lp[0] - lw[0])
-    return JacobiMatrix(diag=diag, off=off, kind=kind, quad=quad, model_label=model.label)
+    return JacobiMatrix(diag=diag, off=off, gamma=gamma, quad=quad)
 
 
 def kink_bias_estimate(quad: Quadrature) -> float:
@@ -209,9 +207,6 @@ class SweepResult:
     converged: bool
     final_rel_change: float
 
-    def table(self):
-        return [(r.X, r.N, r.mu, r.rel_change) for r in self.rows]
-
 
 def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     m = min(a.size, b.size)
@@ -221,11 +216,10 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a[:m] - b[:m]) / denom))
 
 
-def convergence_sweep(model: PhiModel, kind: KernelKind,
-                      X_list: Sequence[float], N_list: Sequence[int],
+def convergence_sweep(model: PhiModel, X_list: Sequence[float], N_list: Sequence[int],
                       n_keep: int = 10) -> SweepResult:
-    """Top-k eigenvalues over the (X, N) grid with successive differences,
-    on order-SWEEP_ORDER grids with ceil(N / SWEEP_ORDER) panels.
+    """Top-k Dirichlet eigenvalues over the (X, N) grid with successive
+    differences, on order-SWEEP_ORDER grids with ceil(N / SWEEP_ORDER) panels.
 
     Convergence is declared when the final cell moves less than CONVERGED_REL
     relatively against both the (X_last, N_prev) and (X_prev, N_last) cells.
@@ -244,7 +238,7 @@ def convergence_sweep(model: PhiModel, kind: KernelKind,
         for N in N_list:
             panels = max(1, int(np.ceil(N / SWEEP_ORDER)))
             quad = build_quadrature(X, panels, SWEEP_ORDER)
-            mu = eigen_mu(assemble_jacobi(model, quad, kind), n_keep).mu
+            mu = eigen_mu(assemble_jacobi(model, quad), n_keep).mu
             rel = np.nan if prev_mu is None else _rel_diff(mu, prev_mu)
             rows.append(SweepRow(X=float(X), N=quad.n, mu=mu, rel_change=rel))
             cells[(X, N)] = mu

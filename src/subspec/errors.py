@@ -26,11 +26,7 @@ class ZeroGammaError(SubspecError):
 
 
 class ComplexGammaError(SubspecError):
-    """Eigen-analysis is restricted to real gamma."""
-
-
-class NonHermitianError(SubspecError):
-    """A symmetric eigensolve was requested for a non-hermitian matrix."""
+    """The Robin parameter gamma must be real."""
 
 
 class NonSmoothModelError(SubspecError):
@@ -54,7 +50,7 @@ class InsufficientDataError(SubspecError):
 
 
 class NonPositiveMuError(SubspecError):
-    """A significantly negative eigenvalue appeared for a positive kernel kind."""
+    """The positive Dirichlet Green matrix came out with an eigenvalue mu <= 0."""
 
 
 class MismatchedLengthsError(SubspecError):

@@ -7,50 +7,19 @@
 
 Everything is evaluated through logs of phi and psi; x ^ y = 0 short-circuits
 to exactly 0 so that -inf + inf never forms.  psi comes from a
-SubordinateCache built on the unique positive minima.  KernelKind names the
-two kernels the discretization module assembles, as the tridiagonal inverse
-of their Nystrom matrix; the factor kernels exist pointwise only.
+SubordinateCache built on the unique positive minima.  The discretization
+module assembles G and G_gamma (real gamma; gamma = 0 is G) as the
+tridiagonal inverse of their Nystrom matrix; the factor kernels exist
+pointwise only.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidParameterError, MissingDecayError, NegativeArgumentError, ZeroGammaError
 from .phi_models import PhiModel
 from .subordinate import SubordinateCache
-
-KERNEL_VARIANTS = ("dirichlet", "robin")
-
-
-@dataclass(frozen=True)
-class KernelKind:
-    """Which Green kernel to assemble; robin carries gamma != 0."""
-
-    variant: str
-    gamma: Optional[complex] = None
-
-    def __post_init__(self):
-        if self.variant not in KERNEL_VARIANTS:
-            raise InvalidParameterError(f"unknown kernel variant '{self.variant}'")
-        if self.variant == "robin":
-            if self.gamma is None or self.gamma == 0:
-                raise ZeroGammaError("robin kernel needs gamma != 0")
-
-    @property
-    def gamma_is_real(self) -> bool:
-        return self.gamma is not None and complex(self.gamma).imag == 0.0
-
-    @property
-    def hermitian(self) -> bool:
-        return self.variant == "dirichlet" or self.gamma_is_real
-
-
-def robin(gamma: complex) -> KernelKind:
-    return KernelKind("robin", gamma=gamma)
 
 
 def _pair_arrays(x, y):

@@ -121,8 +121,7 @@ def cross_validate(model: PhiModel, k: int) -> CrossValidation:
     """
     from .discretization import (assemble_jacobi, auto_truncation, build_quadrature,
                                  default_panels)
-    from .green_kernel import KernelKind
-    from .spectral import eigen_mu, lambdas
+    from .spectral import eigen_mu
 
     _require_compact(model)
     # provisional FD pass to locate lambda_k, then a resolved one
@@ -136,9 +135,7 @@ def cross_validate(model: PhiModel, k: int) -> CrossValidation:
     X_green = max(auto_truncation(model, 1e-6),
                   turning_point(model, float(lam_fd[-1])) + 2.0)
     quad = build_quadrature(X_green, default_panels(X_green), GREEN_ORDER)
-    res = eigen_mu(assemble_jacobi(model, quad, KernelKind("dirichlet")),
-                   n_keep=max(2 * k, k + 8))
-    lam_green = lambdas(res)[:k]
+    lam_green = eigen_mu(assemble_jacobi(model, quad), n_keep=max(2 * k, k + 8)).lam[:k]
     if lam_green.size < k:
         raise InvalidParameterError("Green route produced too few eigenvalues")
     rel = np.abs(lam_green - lam_fd) / np.abs(lam_fd)

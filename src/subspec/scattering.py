@@ -24,14 +24,13 @@ never a silent fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .discretization import Quadrature, assemble_jacobi, build_quadrature
 from .errors import IndefiniteDifferenceError, InvalidParameterError, MissingNuError
-from .green_kernel import KernelKind
 from .lse_quad import log_integral_exp
 from .phi_models import PhiModel, PhiSpec, Zeta, inv_power_zeta, make_phi
 from .spectral import _extreme_eigenvalues
@@ -171,11 +170,10 @@ def trace_norm_difference(model: PhiModel, model0: PhiModel, quad: Quadrature) -
     result is |sum_i w_i (D(x_i) - D0(x_i))|.  Otherwise
     IndefiniteDifferenceError is raised.
     """
-    kind = KernelKind("dirichlet")
     T, D = [], []
     for m in (model, model0):
         cache = SubordinateCache(m, quad.nodes)
-        T.append(assemble_jacobi(m, quad, kind, cache=cache))
+        T.append(assemble_jacobi(m, quad, cache=cache))
         D.append(np.exp(m.log_phi(quad.nodes) + cache.log_psi_nodes))
     lo, hi = _extreme_eigenvalues(T[1].diag - T[0].diag, T[1].off - T[0].off)
     floor = DEFINITE_NOISE_FACTOR * np.finfo(float).eps * max(np.max(t.diag) for t in T)
@@ -192,7 +190,6 @@ class ScatteringReport:
     trace_bound_analytic: float
     xi_profile: np.ndarray  # rows (x, ||xi_x||, ||xi_0x||, ||diff||)
     criterion_met: bool
-    provenance: dict = field(default_factory=dict)
 
 
 def trace_report(profile: ScatteringProfile, X: float, panels: int) -> ScatteringReport:
@@ -211,9 +208,7 @@ def trace_report(profile: ScatteringProfile, X: float, panels: int) -> Scatterin
         trace_norm_numeric=numeric,
         trace_bound_analytic=bound,
         xi_profile=np.asarray(rows, dtype=float),
-        criterion_met=bool(math.isfinite(bound)),
-        provenance={"c": profile.c, "zeta": profile.zeta.label,
-                    "X": X, "N": quad.n})
+        criterion_met=bool(math.isfinite(bound)))
 
 
 def example_scatt_sweep(alpha_list: Sequence[float], c: float,

@@ -2,17 +2,17 @@
 
 mu denotes eigenvalues of a Green matrix in decreasing order; lambda = 1/mu
 are the eigenvalues of the differential operator itself, and of the
-tridiagonal inverse (JacobiMatrix) that spectra are computed from.  Values of mu below
-1e3 * machine epsilon * ||G|| are discretization noise and never produce a
-lambda.  "Converged" is operational: relative movement below CONVERGED_REL
-under the final (X, N) doubling.  The identity checks apply G through banded
-solves on the same JacobiMatrix, and the factorization check uses prefix and
-suffix sums, so everything here runs in O(N) memory.
+tridiagonal inverse (JacobiMatrix) that spectra are computed from.  Every
+positive mu gives a lambda; the mu <= 0 of a Robin matrix give none.
+"Converged" is operational: relative movement below CONVERGED_REL under the
+final (X, N) doubling.  The identity checks apply G through banded solves on
+the same JacobiMatrix, and the factorization check uses prefix and suffix
+sums, so everything here runs in O(N) memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .discretization import CONVERGED_REL, JacobiMatrix, Quadrature, assemble_jacobi
 from .errors import (
-    ComplexGammaError,
     InsufficientDataError,
     InvalidParameterError,
     MismatchedLengthsError,
@@ -28,33 +27,18 @@ from .errors import (
     NonSmoothModelError,
     ZeroGammaError,
 )
-from .green_kernel import KernelKind, robin as robin_kind
 from .phi_models import PhiModel, eval_dlog_phi
 from .subordinate import SubordinateCache
-
-MU_NOISE_FACTOR = 1e3  # mu below this many eps * ||G|| carry no lambda
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Descending mu of a Green matrix with the lambda = 1/mu view."""
+    """Descending mu of a Green matrix with lam = 1/mu ascending over mu > 0."""
 
     mu: np.ndarray
     lam: np.ndarray
     norm_estimate: float
-    kind: Optional[KernelKind]
-    provenance: dict = field(default_factory=dict)
     converged: Optional[np.ndarray] = None
-
-    @property
-    def mu_floor(self) -> float:
-        return MU_NOISE_FACTOR * np.finfo(float).eps * self.norm_estimate
-
-
-def _lam_from_mu(mu: np.ndarray, norm_estimate: float) -> np.ndarray:
-    floor = MU_NOISE_FACTOR * np.finfo(float).eps * max(norm_estimate, 1e-300)
-    keep = mu > floor
-    return np.sort(1.0 / mu[keep])
 
 
 # Below this fraction of max|lambda| the values of a full spectrum are
@@ -100,27 +84,20 @@ def eigen_mu(T: JacobiMatrix, n_keep: Optional[int] = None) -> SpectralResult:
     """Top n_keep eigenvalues mu (descending) of a hermitian Green matrix,
     as mu = 1/lambda from the tridiagonal eigenproblem of its inverse T;
     n_keep=None keeps the whole spectrum (negative Robin values included).
+
+    The Dirichlet T (gamma = 0) is positive definite: with D = diag(phi
+    sqrt(w)), D T D is a path Laplacian with edge weights 1/Delta I plus
+    1/I(x_1) at node 1.  A mu <= 0 there is a failed eigensolve and raises
+    NonPositiveMuError.
     """
     n_keep = T.n if n_keep is None else min(int(n_keep), T.n)
     all_mu = np.sort(1.0 / _jacobi_lambdas(T, n_keep))[::-1]
+    if T.gamma == 0.0 and np.any(all_mu <= 0.0):
+        raise NonPositiveMuError(
+            f"mu = {float(np.min(all_mu)):.3e} <= 0 for the positive Dirichlet kernel")
     norm = float(np.max(np.abs(all_mu))) if all_mu.size else 0.0
     mu = all_mu[:n_keep]
-    return SpectralResult(
-        mu=mu, lam=_lam_from_mu(mu, norm), norm_estimate=norm, kind=T.kind,
-        provenance={"model": T.model_label, "X": T.quad.X, "N": T.quad.n})
-
-
-def lambdas(res: SpectralResult) -> np.ndarray:
-    """lambda_n = 1/mu_n ascending; all >= 1/norm_estimate.
-
-    For a positive kernel kind a significantly negative mu flags a failed
-    discretization and raises.
-    """
-    if res.kind is not None and res.kind.variant == "dirichlet":
-        if np.any(res.mu < -res.mu_floor):
-            raise NonPositiveMuError(
-                f"negative mu = {float(np.min(res.mu)):.3e} for a positive kernel")
-    return res.lam
+    return SpectralResult(mu=mu, lam=np.sort(1.0 / mu[mu > 0]), norm_estimate=norm)
 
 
 @dataclass(frozen=True)
@@ -142,7 +119,7 @@ def compare_spectra(res1: SpectralResult, res2: SpectralResult, c: float) -> Com
         raise InvalidParameterError(f"the ratio bound c must be positive, got {c}")
     if c < 1.0:
         c = 1.0 / c
-    usable = (res1.mu > res1.mu_floor) & (res2.mu > res2.mu_floor)
+    usable = (res1.mu > 0) & (res2.mu > 0)
     ratios = np.full(res1.mu.size, np.nan)
     ratios[usable] = res2.mu[usable] / res1.mu[usable]
     lo, hi = c**-4, c**4
@@ -190,12 +167,11 @@ def _extrapolate_to_zero(nodes: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyval(coef, 0.0))
 
 
-def quadratic_form_residual(model: PhiModel, quad: Quadrature, f,
-                            gamma: Optional[float] = None,
+def quadratic_form_residual(model: PhiModel, quad: Quadrature, f, gamma: float = 0.0,
                             cache: Optional[SubordinateCache] = None) -> float:
-    """Relative defect of <f, G f> against the first-order form of H.
+    """Relative defect of <f, G_gamma f> against the first-order form of H.
 
-    With g = G f (or G_gamma f), compares f^T g to
+    With g = G_gamma f (gamma = 0: the Dirichlet G), compares f^T g to
     Q(g) = sum_i w_i ((g/phi)'(x_i))^2 phi(x_i)^2, the derivative taken by
     second-order differences on the grid, plus g(0)^2 / (gamma phi(0)^2) in
     the Robin case with g(0) extrapolated quadratically to the boundary.
@@ -205,15 +181,7 @@ def quadratic_form_residual(model: PhiModel, quad: Quadrature, f,
         raise MismatchedLengthsError("f must be sampled on the quadrature nodes")
     if not np.any(f):
         return 0.0
-    if gamma is not None:
-        if gamma == 0:
-            raise ZeroGammaError("gamma must be nonzero")
-        if complex(gamma).imag != 0.0:
-            raise ComplexGammaError("the quadratic form check needs real gamma")
-        kind = robin_kind(float(gamma))
-    else:
-        kind = KernelKind("dirichlet")
-    g = assemble_jacobi(model, quad, kind, cache=cache).apply_to_function(f)
+    g = assemble_jacobi(model, quad, gamma, cache=cache).apply_to_function(f)
     w = quad.weights
     fg = float(np.sum(w * f * g))
     if fg == 0.0:
@@ -222,7 +190,7 @@ def quadratic_form_residual(model: PhiModel, quad: Quadrature, f,
     r = g / phi
     rp = np.gradient(r, quad.nodes)
     Q = float(np.sum(w * (phi * rp) ** 2))
-    if gamma is not None:
+    if gamma != 0:
         g0 = _extrapolate_to_zero(quad.nodes, g)
         phi0 = float(np.exp(model.log_phi(np.asarray(0.0))))
         Q += g0**2 / (float(gamma) * phi0**2)
@@ -272,8 +240,11 @@ def weighted_identity_residual(model: PhiModel, quad: Quadrature, x0: float,
                                cache: Optional[SubordinateCache] = None) -> float:
     """Defect of G(-phi h'' - 2 phi' h') = phi h for the quintic smoothstep.
 
-    Relative max-norm error; the identity is exact, so the residual is pure
-    discretization error.  x0 <= 0 means h == 0 and returns 0 (guarded 0/0).
+    Relative max-norm error.  The identity is exact, so the residual is
+    discretization error plus the roundoff of the psi cache's panel sums,
+    which it amplifies: on oscillating phi (X = 6, 240 panels of order 10)
+    equally exact panel reductions move its sixth digit: 8.388560 to 8.388612e-06.
+    x0 <= 0 means h == 0 and returns 0 (guarded 0/0).
     """
     if model.dlog_phi is None:
         raise NonSmoothModelError("weighted identity needs analytic phi'")
@@ -284,7 +255,7 @@ def weighted_identity_residual(model: PhiModel, quad: Quadrature, x0: float,
     phi = np.exp(model.log_phi(nodes))
     tau = model.dlog_phi(nodes)
     v = -phi * (hpp + 2.0 * tau * hp)
-    lhs = assemble_jacobi(model, quad, KernelKind("dirichlet"), cache=cache).apply_to_function(v)
+    lhs = assemble_jacobi(model, quad, cache=cache).apply_to_function(v)
     target = phi * h
     scale = float(np.max(np.abs(target)))
     if scale == 0.0:
@@ -309,16 +280,13 @@ def robin_spectrum(model: PhiModel, gamma: float, quad: Quadrature,
     """Eigenvalues of the Robin kernel matrix; mu may be negative here."""
     if gamma == 0:
         raise ZeroGammaError("gamma must be nonzero")
-    if complex(gamma).imag != 0.0:
-        raise ComplexGammaError("spectral analysis is restricted to real gamma")
-    T = assemble_jacobi(model, quad, robin_kind(float(gamma)), cache=cache)
-    return eigen_mu(T, n_keep)
+    return eigen_mu(assemble_jacobi(model, quad, gamma, cache=cache), n_keep)
 
 
 def write_spectrum_csv(res: SpectralResult, path) -> None:
     """Columns n, mu, lambda, converged — full round-trip precision."""
     lam_desc = np.full(res.mu.size, np.nan)
-    pos = res.mu > res.mu_floor
+    pos = res.mu > 0
     lam_desc[pos] = 1.0 / res.mu[pos]
     conv = res.converged if res.converged is not None else np.zeros(res.mu.size, bool)
     with open(path, "w") as fh:

@@ -15,10 +15,10 @@ def _nystrom(quad, K):
     return K * np.outer(sw, sw)
 
 
-def green_matrix(model, quad, gamma=None):
-    """sqrt(w_i) G(x_i, x_j) sqrt(w_j), or G_gamma for a real gamma."""
+def green_matrix(model, quad, gamma=0.0):
+    """sqrt(w_i) G_gamma(x_i, x_j) sqrt(w_j) for a real gamma (0: Dirichlet G)."""
     x, y = quad.nodes[:, None], quad.nodes[None, :]
-    K = green_eval(model, x, y) if gamma is None else green_gamma_eval(model, gamma, x, y)
+    K = green_eval(model, x, y) if gamma == 0 else green_gamma_eval(model, gamma, x, y)
     return _nystrom(quad, K)
 
 

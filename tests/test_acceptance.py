@@ -11,7 +11,7 @@ import pytest
 
 import dense_oracle
 from subspec.discretization import assemble_jacobi, build_quadrature, convergence_sweep
-from subspec.green_kernel import KernelKind, exp_bound_margin
+from subspec.green_kernel import exp_bound_margin
 from subspec.oracle_fd import FDProblem, RobinBC, cross_validate, fd_eigenvalues
 from subspec.scattering import (
     elementary_bound_margin,
@@ -76,17 +76,16 @@ def test_criterion_03_growth_bound(phi1, phi2, phi3, phi4):
 
 
 def test_criterion_04_norm_and_bound_audit(phi1, phi4):
-    sweep = convergence_sweep(phi1, KernelKind("dirichlet"),
-                              X_list=[60.0, 120.0], N_list=[1200, 2000], n_keep=3)
+    sweep = convergence_sweep(phi1, X_list=[60.0, 120.0], N_list=[1200, 2000], n_keep=3)
     tops = [row.mu[0] for row in sweep.rows]
     assert all(a < b for a, b in zip(tops, tops[1:])) or tops[-1] > tops[0]
-    norm1 = eigen_mu(assemble_jacobi(phi1, build_quadrature(120.0, 240, 10),
-                                     KernelKind("dirichlet")), 1).norm_estimate
+    norm1 = eigen_mu(assemble_jacobi(phi1, build_quadrature(120.0, 240, 10)),
+                     1).norm_estimate
     assert abs(norm1 - 1.0) <= 1e-3
     assert norm1 <= 1.0 + 1e-9  # bound c2^3/(c^2 c1^3) = 1
 
     quad4 = build_quadrature(6.0, 240, 10)
-    norm4 = eigen_mu(assemble_jacobi(phi4, quad4, KernelKind("dirichlet")), 1).norm_estimate
+    norm4 = eigen_mu(assemble_jacobi(phi4, quad4), 1).norm_estimate
     assert norm4 <= math.e**6
     g = np.linspace(0.0, 10.0, 200)
     margins = exp_bound_margin(phi4, g[:, None], g[None, :])
@@ -115,7 +114,7 @@ def test_criterion_06_positivity(phi1, phi2, phi3, phi4):
     worst = 0.0
     for m, X in ((phi1, 13.8155), (phi2, 30.0), (phi3, 4.0), (phi4, 6.0)):
         quad = build_quadrature(X, max(40, int(np.ceil(4 * X))), 10)
-        mu = eigen_mu(assemble_jacobi(m, quad, KernelKind("dirichlet"))).mu
+        mu = eigen_mu(assemble_jacobi(m, quad)).mu
         ratio = mu.min() / mu.max()
         worst = min(worst, ratio)
         assert mu.min() >= -1e-10 * mu.max()
@@ -154,8 +153,8 @@ def test_criterion_10_sandwich(model_a, model_b):
     bands = {}
     for N in (2400, 4800):
         quad = build_quadrature(6.0, N // 10, 10)
-        mu_a = eigen_mu(assemble_jacobi(model_a, quad, KernelKind("dirichlet")), 20).mu
-        mu_b = eigen_mu(assemble_jacobi(model_b, quad, KernelKind("dirichlet")), 20).mu
+        mu_a = eigen_mu(assemble_jacobi(model_a, quad), 20).mu
+        mu_b = eigen_mu(assemble_jacobi(model_b, quad), 20).mu
         ratios = mu_b / mu_a
         assert np.all(ratios >= band[0]) and np.all(ratios <= band[1])
         bands[N] = (float(ratios.min()), float(ratios.max()), ratios)
@@ -179,7 +178,7 @@ def test_criterion_11_robin_bound_state(phi1, quad_phi1):
 
 def test_criterion_12_growth_exponent(phi3):
     quad = build_quadrature(8.0, 320, 10)
-    res = eigen_mu(assemble_jacobi(phi3, quad, KernelKind("dirichlet")), 30)
+    res = eigen_mu(assemble_jacobi(phi3, quad), 30)
     slope_green = growth_exponent(res, (5, 25))
     from subspec.oracle_fd import potential_from_phi, turning_point
     X_fd = turning_point(phi3, 300.0) + 2.0

@@ -62,13 +62,23 @@ SPECTRUM = "task = spectrum\nphi.kind = exp-decay\n"
     (SPECTRUM + "phi.c = two\n", "phi.c"),
     ("task = oracle\nphi.kind = stretched-exp\nphi.c = 2\noracle.k = 0\n", "oracle.k"),
     ("task = scatter\nscatter.alpha_list = 1, nan\n", "scatter.alpha_list"),
+    (SPECTRUM + "resolution.eps = 2\n", "resolution.eps"),
+    # bad input other than numbers: {tmp} is the test's directory
+    ("task = spectrum\nphi.kind = tabulated\nphi.csv = {tmp}/missing.csv\n", "phi.csv"),
+    ("task = spectrum\nphi.kind = tabulated\nphi.csv = {tmp}/header.csv\n", "phi.csv"),
+    ("task = spectrum\nphi.kind = custom-log-profile\nphi.log_expr = -x - foo(x)\n",
+     "phi.log_expr"),
+    ("task = validate\nphi.kind = custom-log-profile\nphi.log_expr = -x\n"
+     "phi.dlog_expr = -1 + x.real\n", "phi.dlog_expr"),
 ])
 def test_bad_config_numbers_name_the_key(tmp_path, capsys, text, key):
-    cfgfile = _write(tmp_path, "bad.cfg", text)
+    (tmp_path / "header.csv").write_text("x,phi\n0,1\n1,0.5\n")
+    cfgfile = _write(tmp_path, "bad.cfg", text.format(tmp=tmp_path))
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
     task = text.split("\n", 1)[0].removeprefix("task = ")
     err = capsys.readouterr().err
     assert err.startswith(f"error: {task}: ConfigError: config key '{key}'")
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 def test_threads_below_one_is_an_error(tmp_path, capsys):
@@ -182,6 +192,27 @@ def test_validate_task_power_slow_decay(tmp_path):
     assert "X = 50, panels = 200, order = 10" in report
     assert "resolution clamped" not in report  # the cap comes before the N bound
     assert "[FAIL]" not in report
+
+
+def _validate_report(tmp_path, name, body):
+    cfgfile = _write(tmp_path, f"{name}.cfg", "task = validate\nphi.kind = custom-log-profile\n"
+                     + body + "resolution.X = 4\n")
+    run_cli(["run", str(cfgfile), "--out", str(tmp_path / name)])
+    return (tmp_path / name / "report.txt").read_text().splitlines()
+
+
+def test_validate_oscillation_follows_the_expression_not_the_label(tmp_path):
+    wiggly = "phi.log_expr = -x - sin(exp(x))\n"
+    plain = _validate_report(tmp_path, "plain", wiggly)
+    labelled = _validate_report(tmp_path, "labelled", wiggly + "phi.label = wiggly\n")
+    assert [line for line in labelled if not line.startswith("model = ")] == \
+        [line for line in plain if not line.startswith("model = ")]
+    assert "X = 4, panels = 160, order = 10" in plain
+    # sinh is monotone: no oscillatory panels or Wronskian tolerance
+    sinh = _validate_report(tmp_path, "sinh", "phi.log_expr = -2*x - 0.1*sinh(x)\n"
+                            "phi.dlog_expr = -2 - 0.1*cosh(x)\n")
+    assert "X = 4, panels = 40, order = 10" in sinh
+    assert any(line.startswith("[PASS] wronskian residual <= 1e-06") for line in sinh)
 
 
 def test_compare_task_pass_and_fail(tmp_path):

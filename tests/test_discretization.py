@@ -12,12 +12,11 @@ from subspec.discretization import (
     kink_bias_estimate,
 )
 from subspec.errors import (
+    ComplexGammaError,
     InvalidParameterError,
     NoDecayDetectedError,
-    NonHermitianError,
     SlowDecayWarning,
 )
-from subspec.green_kernel import KernelKind, robin
 from subspec.spectral import eigen_mu, factorization_forms
 from subspec.subordinate import SubordinateCache
 
@@ -73,7 +72,7 @@ def test_auto_truncation_power_slow_decay(phi2):
 
 def test_assembly_symmetric_nonnegative(phi1):
     quad = build_quadrature(30.0, 60, 10)
-    T = assemble_jacobi(phi1, quad, KernelKind("dirichlet"))
+    T = assemble_jacobi(phi1, quad)
     # positive diagonal and negative off-diagonal: T is an M-matrix, G >= 0
     assert np.all(T.diag > 0.0) and np.all(T.off < 0.0)
     G = dense_oracle.green_matrix(phi1, quad)
@@ -84,22 +83,22 @@ def test_assembly_symmetric_nonnegative(phi1):
 
 def test_robin_assembly_is_rank_one_shift(phi1):
     quad = build_quadrature(10.0, 20, 6)
-    Td = assemble_jacobi(phi1, quad, KernelKind("dirichlet"))
-    Tg = assemble_jacobi(phi1, quad, robin(-1.0))
+    Td = assemble_jacobi(phi1, quad)
+    Tg = assemble_jacobi(phi1, quad, -1.0)
     phi = np.exp(phi1.log_phi(quad.nodes))
     f = np.random.default_rng(4).standard_normal(quad.n)
     shift = -phi * float(np.sum(quad.weights * phi * f))  # -phi <phi, f>_w
     assert np.allclose(Tg.apply_to_function(f), Td.apply_to_function(f) + shift,
                        rtol=1e-12, atol=1e-12)
-    with pytest.raises(NonHermitianError):
-        assemble_jacobi(phi1, quad, robin(1.0 + 0.5j))
+    with pytest.raises(ComplexGammaError):
+        assemble_jacobi(phi1, quad, 1.0 + 0.5j)
 
 
 def test_nystrom_similarity_preserves_spectrum(phi1):
     # eigenvalues of the tridiagonal route equal those of K W on a 6x6 instance
     quad = build_quadrature(3.0, 3, 2)
     raw = dense_oracle.green_matrix(phi1, quad) / np.sqrt(np.outer(quad.weights, quad.weights))
-    sym = np.sort(eigen_mu(assemble_jacobi(phi1, quad, KernelKind("dirichlet"))).mu)
+    sym = np.sort(eigen_mu(assemble_jacobi(phi1, quad)).mu)
     plain = np.sort(np.linalg.eigvals(raw @ np.diag(quad.weights)).real)
     assert np.allclose(sym, plain, atol=1e-12)
 
@@ -126,7 +125,7 @@ def test_bounded_map_property(phi1):
     # |(G f)(x)| / psi(x) <= ||phi|| ||f|| pointwise
     quad = build_quadrature(13.8155, 56, 10)
     cache = SubordinateCache(phi1, quad.nodes)
-    T = assemble_jacobi(phi1, quad, KernelKind("dirichlet"), cache=cache)
+    T = assemble_jacobi(phi1, quad, cache=cache)
     rng = np.random.default_rng(5)
     psi = np.exp(cache.log_psi_nodes)
     for _ in range(10):
@@ -141,22 +140,20 @@ def test_apply_to_function_matches_dense(phi3):
     f = np.random.default_rng(6).standard_normal(quad.n)
     sw = np.sqrt(quad.weights)
     singular = -float(np.exp(SubordinateCache(phi3, quad.nodes).log_I_nodes[0]))
-    for gamma in (None, -0.5, singular):  # singular: row and column 1 of G vanish
-        kind = KernelKind("dirichlet") if gamma is None else robin(gamma)
+    for gamma in (0.0, -0.5, singular):  # singular: row and column 1 of G vanish
         dense = dense_oracle.green_matrix(phi3, quad, gamma) @ (sw * f) / sw
-        g = assemble_jacobi(phi3, quad, kind).apply_to_function(f)
+        g = assemble_jacobi(phi3, quad, gamma).apply_to_function(f)
         assert np.max(np.abs(g - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 def test_convergence_sweep_degenerate(phi3):
-    res = convergence_sweep(phi3, KernelKind("dirichlet"), [4.0], [200], n_keep=5)
+    res = convergence_sweep(phi3, [4.0], [200], n_keep=5)
     assert len(res.rows) == 1
     assert not res.converged  # single cell: no refinement, no claim
 
 
 def test_convergence_sweep_monotone_in_X(phi1):
-    res = convergence_sweep(phi1, KernelKind("dirichlet"), [10.0, 20.0, 30.0], [400],
-                            n_keep=3)
+    res = convergence_sweep(phi1, [10.0, 20.0, 30.0], [400], n_keep=3)
     tops = [row.mu[0] for row in res.rows]
     assert tops[0] < tops[1] < tops[2] <= 1.0 + 1e-9  # domain monotonicity toward 1
 
@@ -166,7 +163,7 @@ def test_kink_bias_matches_measurement(phi1):
     mus = {}
     for panels in (60, 120):
         quad = build_quadrature(15.0, panels, 10)
-        mus[panels] = eigen_mu(assemble_jacobi(phi1, quad, KernelKind("dirichlet")), 1).mu[0]
+        mus[panels] = eigen_mu(assemble_jacobi(phi1, quad), 1).mu[0]
     measured = (mus[60] - mus[120]) / (1.0 - 0.25)  # Richardson at h/2
     assert measured == pytest.approx(kink_bias_estimate(build_quadrature(15.0, 60, 10)),
                                      rel=0.1)

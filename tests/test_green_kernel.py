@@ -10,12 +10,10 @@ from subspec.errors import (
     ZeroGammaError,
 )
 from subspec.green_kernel import (
-    KernelKind,
     exp_bound_margin,
     factor_kernel_eval,
     green_eval,
     green_gamma_eval,
-    robin,
 )
 from subspec.subordinate import diagonal_D
 
@@ -98,14 +96,3 @@ def test_exp_bound_sweep_oscillating(phi4):
 def test_exp_bound_missing_decay(phi2):
     with pytest.raises(MissingDecayError):
         exp_bound_margin(phi2, 1.0, 2.0)
-
-
-def test_kernel_kind_validation():
-    with pytest.raises(ZeroGammaError):
-        robin(0.0)
-    with pytest.raises(InvalidParameterError):
-        KernelKind("weird")
-    assert robin(1.0).hermitian
-    assert not robin(1.0 + 1.0j).hermitian
-    with pytest.raises(InvalidParameterError):
-        KernelKind("factor-M")  # the factor kernels exist pointwise only

@@ -1,20 +1,18 @@
 """Guards on the public surface: one quadrature tolerance, no unused knobs,
-one matrix representation."""
+one matrix representation, one kernel parameter."""
 
 import importlib
 import inspect
 from pathlib import Path
 
 import subspec
-from subspec import lse_quad
-from subspec.green_kernel import KERNEL_VARIANTS, KernelKind
+from subspec import discretization, errors, green_kernel, lse_quad, scattering, spectral
 
 # parameters no caller ever set; they are module constants now
 RETIRED = {
     "convergence_sweep": {"order"},
     "cross_validate": {"fd_N", "order"},
     "trace_report": {"order", "profile_points"},
-    "lambdas": {"tol"},
     "converged_mask": {"tol"},
     "turning_point": {"x_max"},
     "wronskian_residual": {"h"},
@@ -61,8 +59,8 @@ def test_retired_parameters_stay_constants():
 
 
 def test_one_spelling_per_kernel_and_thread_setting():
-    assert "free" not in KERNEL_VARIANTS
-    assert "c0" not in inspect.signature(KernelKind).parameters
+    for gone in ("KernelKind", "KERNEL_VARIANTS", "robin"):
+        assert not hasattr(green_kernel, gone)
     cli_source = Path(subspec.cli.__file__).read_text()
     assert "SUBSPEC_THREADS" not in cli_source
 
@@ -73,10 +71,28 @@ def test_one_matrix_representation():
             "numeric_trace_norm", "factor"}
     assert not gone & names
     assert [q for q, _, sig in _public_callables() if "psi_source" in sig.parameters] == []
-    assert KERNEL_VARIANTS == ("dirichlet", "robin")
     src = Path(subspec.__file__).parent
     for path in src.glob("*.py"):
         text = path.read_text()
         # no dense eigensolve, SVD or solve: scipy.linalg's banded and
         # tridiagonal routines only
         assert "np.linalg." not in text and "svd" not in text, path.name
+
+
+def test_gamma_is_one_real_number():
+    """gamma = 0 is the Dirichlet kernel; no kernel object, no mu floor, no
+    second spelling of lambda, no unread fields."""
+    names = {attr for _, attr, _ in _public_callables()}
+    assert not {"KernelKind", "lambdas", "table"} & names
+    assert not hasattr(errors, "NonHermitianError")
+    assert not hasattr(spectral, "MU_NOISE_FACTOR")
+
+    def fields(cls):
+        return list(inspect.signature(cls).parameters)
+    assert fields(spectral.SpectralResult) == ["mu", "lam", "norm_estimate", "converged"]
+    assert not hasattr(spectral.SpectralResult, "mu_floor")
+    assert fields(discretization.JacobiMatrix) == ["diag", "off", "gamma", "quad"]
+    assert "provenance" not in fields(scattering.ScatteringReport)
+    assert "kind" not in inspect.signature(discretization.convergence_sweep).parameters
+    gamma = inspect.signature(discretization.assemble_jacobi).parameters["gamma"]
+    assert gamma.default == 0.0

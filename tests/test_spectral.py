@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subspec.discretization import assemble_jacobi, build_quadrature
+from subspec.discretization import JacobiMatrix, assemble_jacobi, build_quadrature
 from subspec.errors import (
     ComplexGammaError,
     InsufficientDataError,
@@ -10,14 +10,12 @@ from subspec.errors import (
     NonPositiveMuError,
     ZeroGammaError,
 )
-from subspec.green_kernel import KernelKind
 from subspec.spectral import (
     SpectralResult,
     compare_spectra,
     converged_mask,
     eigen_mu,
     growth_exponent,
-    lambdas,
     quadratic_form_residual,
     robin_sigma,
     robin_spectrum,
@@ -26,17 +24,15 @@ from subspec.spectral import (
 )
 
 
-def _result_from_mu(mu, kind=None, norm=None):
-    from subspec.spectral import _lam_from_mu
+def _result_from_mu(mu):
     mu = np.asarray(mu, dtype=float)
-    norm = float(np.max(np.abs(mu))) if norm is None else norm
-    return SpectralResult(mu=mu, lam=_lam_from_mu(mu, norm), norm_estimate=norm,
-                          kind=kind)
+    return SpectralResult(mu=mu, lam=np.sort(1.0 / mu[mu > 0]),
+                          norm_estimate=float(np.max(np.abs(mu))))
 
 
 def test_eigen_mu_exp_decay_cluster(phi1):
     quad = build_quadrature(60.0, 120, 10)
-    res = eigen_mu(assemble_jacobi(phi1, quad, KernelKind("dirichlet")), 10)
+    res = eigen_mu(assemble_jacobi(phi1, quad), 10)
     assert res.mu[0] == pytest.approx(1.0, abs=5e-3)
     assert res.mu[0] <= 1.0 + 1e-9
     # continuous spectrum: no isolated top eigenvalue, the cluster densifies
@@ -45,22 +41,27 @@ def test_eigen_mu_exp_decay_cluster(phi1):
 
 def test_lambda_reciprocals():
     res = _result_from_mu([0.5, 0.25])
-    assert np.allclose(lambdas(res), [2.0, 4.0])
+    assert np.allclose(res.lam, [2.0, 4.0])
 
 
-def test_lambda_floor_and_negative_guard(phi1):
-    res = _result_from_mu([0.5, 1e-20], kind=KernelKind("dirichlet"), norm=0.5)
-    assert np.allclose(lambdas(res), [2.0])  # noise-floor mu carries no lambda
-    bad = _result_from_mu([0.5, -1e-3], kind=KernelKind("dirichlet"), norm=0.5)
-    with pytest.raises(NonPositiveMuError):
-        lambdas(bad)
+def test_dirichlet_eigen_mu_refuses_nonpositive_mu():
+    # T with eigenvalues 1 - sqrt(2) < 0, 1 and 1 + sqrt(2): a Dirichlet T is
+    # positive definite, so this one can only come from a failed assembly
+    quad = build_quadrature(1.0, 1, 3)
+    diag, off = np.ones(3), np.array([-1.0, -1.0])
+    for n_keep in (None, 1):
+        with pytest.raises(NonPositiveMuError):
+            eigen_mu(JacobiMatrix(diag, off, 0.0, quad), n_keep)
+    res = eigen_mu(JacobiMatrix(diag, off, -0.5, quad))  # Robin: one mu < 0 is allowed
+    assert np.sum(res.mu < 0) == 1
+    assert np.allclose(res.lam, np.sort(1.0 / res.mu[:2]))
 
 
 def test_lambda_min_vs_norm(phi1):
     quad = build_quadrature(60.0, 120, 10)
-    T = assemble_jacobi(phi1, quad, KernelKind("dirichlet"))
+    T = assemble_jacobi(phi1, quad)
     res = eigen_mu(T, 10)
-    lam = lambdas(res)
+    lam = res.lam
     assert lam[0] >= 1.0 / eigen_mu(T, 1).norm_estimate - 1e-8
     assert lam[0] >= 1.0 - 1e-3  # ||G|| = 1
 
@@ -106,8 +107,8 @@ def test_quadratic_form_robin_bound_state(phi1):
     quad = build_quadrature(13.8155, 200, 10)
     f = -3.0 * np.exp(-2.0 * quad.nodes)
     assert quadratic_form_residual(phi1, quad, f, gamma=-1.0) <= 1e-2
-    with pytest.raises(ZeroGammaError):
-        quadratic_form_residual(phi1, quad, f, gamma=0.0)
+    assert quadratic_form_residual(phi1, quad, f, gamma=0.0) == \
+        quadratic_form_residual(phi1, quad, f)  # gamma = 0 is the Dirichlet form
     with pytest.raises(ComplexGammaError):
         quadratic_form_residual(phi1, quad, f, gamma=1.0 + 1.0j)
 
@@ -159,7 +160,7 @@ def test_robin_spectrum_neumann_window(phi1):
 def test_robin_interlacing(phi3):
     # rank-one discrete perturbation: exact Weyl interlacing
     quad = build_quadrature(6.0, 60, 10)
-    mu = eigen_mu(assemble_jacobi(phi3, quad, KernelKind("dirichlet"))).mu
+    mu = eigen_mu(assemble_jacobi(phi3, quad)).mu
     for gamma in (0.7, -0.7):
         mug = robin_spectrum(phi3, gamma, quad).mu
         if gamma > 0:
@@ -173,7 +174,7 @@ def test_robin_interlacing(phi3):
 def test_robin_tail_invariance(phi3):
     # essential-spectrum invariance, measured: relative mu shifts decay in n
     quad = build_quadrature(8.0, 160, 10)
-    mu = eigen_mu(assemble_jacobi(phi3, quad, KernelKind("dirichlet")), 25).mu
+    mu = eigen_mu(assemble_jacobi(phi3, quad), 25).mu
     mug = robin_spectrum(phi3, -1.0, quad, n_keep=25).mu
     rel = np.abs(mug - mu) / mu
     spacing = mu[:-1] - mu[1:]

@@ -11,6 +11,7 @@ from subspec.errors import (
     NonPositiveFError,
     ZeroGammaError,
 )
+from subspec.phi_models import PhiSpec, make_phi
 from subspec.subordinate import (
     SubordinateCache,
     compute_log_psi,
@@ -55,6 +56,27 @@ def test_psi_oscillating_vs_substitution_oracle(phi4):
         psi = compute_psi(phi4, x)
         target = math.exp(float(phi4.log_phi(np.asarray(x)))) * ref
         assert psi == pytest.approx(target, rel=1e-9)
+
+
+@pytest.mark.parametrize("family, c", [("exp_decay", 0.05), ("exp_decay", 20.0),
+                                       ("power", 0.55), ("power", 8.0),
+                                       ("stretched_exp", 0.5), ("stretched_exp", 3.0)])
+def test_log_psi_vs_mpmath_at_extreme_c(family, c):
+    # log psi = log phi(x) + log int_0^x phi^-2 at 40 digits; phi^-2 peaks at
+    # the right end (width 1/486 for stretched-exp(3) at x = 8), so the
+    # quadrature is split at x (1 - 2^-k)
+    mp = pytest.importorskip("mpmath")
+    model = make_phi(getattr(PhiSpec, family)(c))
+    C = mp.mpf(c)
+    log_phi = {"exp_decay": lambda t: -C * t,
+               "power": lambda t: -C * mp.log1p(t),
+               "stretched_exp": lambda t: -((1 + t) ** C)}[family]
+    with mp.workdps(40):
+        for x in (0.5, 4.0, 8.0):
+            X = mp.mpf(x)
+            points = [0] + [X * (1 - mp.mpf(2) ** -k) for k in range(1, 20)] + [X]
+            ref = log_phi(X) + mp.log(mp.quad(lambda t: mp.exp(-2 * log_phi(t)), points))
+            assert abs(compute_log_psi(model, x) - float(ref)) <= 1e-12
 
 
 def test_psi_domain_errors(phi1):
