@@ -207,7 +207,7 @@ def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     discretization.default_panels(X) (at least that many on a capped
     window); N = panels * order is then clamped to _MAX_N.
     """
-    from .discretization import auto_truncation, default_panels
+    from .discretization import ORDER, auto_truncation, default_panels
     X = cfg.get_float("resolution.X")
     panels = cfg.get_int("resolution.panels")
     if X is None:
@@ -220,7 +220,7 @@ def _resolution(cfg: RunConfig, models, notes: list, cap=None):
             X = cap
             notes.append(f"validation window capped at X = {cap:g}")
             panels = max(default_panels(X), panels or 0)
-    order = cfg.get_int("resolution.order", 10)
+    order = cfg.get_int("resolution.order", ORDER)
     if panels is None:
         panels = default_panels(X)
     if panels * order > _MAX_N:
@@ -242,10 +242,11 @@ def _check_log_expr(cfg: RunConfig, prefix: str, model, nodes) -> None:
                           f"finite at x = {nodes[bad][0]:.6g} on the task grid")
 
 
-def _note_unresolved(notes: list, cache) -> None:
-    """Say where the psi cache accepted quadrature panels only at the depth limit."""
+def _note_unresolved(notes: list, cache, of: str = "") -> None:
+    """Say where the psi cache (of the profile named by `of`, when a task
+    has two) accepted quadrature panels only at the depth limit."""
     if cache.unresolved_segments:
-        notes.append(f"psi quadrature unresolved in {cache.unresolved_segments} of "
+        notes.append(f"psi quadrature{of} unresolved in {cache.unresolved_segments} of "
                      f"{cache.grid.size} segments (accepted at the depth limit), "
                      f"the first from x = {cache.first_unresolved_x:.6g}")
 
@@ -290,6 +291,7 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     from .discretization import assemble_jacobi, build_quadrature
     from .phi_models import make_phi
     from .spectral import compare_spectra, eigen_mu
+    from .subordinate import SubordinateCache
 
     model1 = make_phi(build_phi_spec(cfg, "phi"))
     model2 = make_phi(build_phi_spec(cfg, "compare.phi2"))
@@ -299,8 +301,12 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     quad = build_quadrature(X, panels, order)
     _check_log_expr(cfg, "phi", model1, quad.nodes)
     _check_log_expr(cfg, "compare.phi2", model2, quad.nodes)
-    res1 = eigen_mu(assemble_jacobi(model1, quad), n_keep)
-    res2 = eigen_mu(assemble_jacobi(model2, quad), n_keep)
+    spectra = []
+    for model in (model1, model2):
+        cache = SubordinateCache(model, quad.nodes)
+        _note_unresolved(notes, cache, f" of {model.label}")
+        spectra.append(eigen_mu(assemble_jacobi(model, quad, cache=cache), n_keep))
+    res1, res2 = spectra
     if c is None:
         grid = np.linspace(0.0, X, 2001)
         diff = model2.log_phi(grid) - model1.log_phi(grid)
@@ -325,6 +331,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     from .discretization import build_quadrature
     from .phi_models import make_phi
     from .spectral import robin_sigma, robin_spectrum, write_spectrum_csv
+    from .subordinate import SubordinateCache
 
     model = make_phi(build_phi_spec(cfg))
     gamma = cfg.get_float("robin.gamma")
@@ -333,7 +340,9 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     X, panels, order = _resolution(cfg, [model], notes)
     quad = build_quadrature(X, panels, order)
     _check_log_expr(cfg, "phi", model, quad.nodes)
-    res = robin_spectrum(model, gamma, quad)
+    cache = SubordinateCache(model, quad.nodes)
+    _note_unresolved(notes, cache)
+    res = robin_spectrum(model, gamma, quad, cache=cache)
     write_spectrum_csv(res, outdir / "robin_spectrum.csv")
     # G_gamma - G = gamma phi(x) phi(y), so the weighted diagonals differ by
     # gamma w_i phi(x_i)^2
@@ -347,6 +356,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
 
 
 def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
+    from .discretization import ORDER
     from .scattering import example_scatt_sweep, write_sweep_csv
 
     raw = cfg.get("scatter.alpha_list", "0.5,1,1.5,2,4")
@@ -356,7 +366,7 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     X = cfg.get_float("resolution.X", 50.0)
     panels = cfg.get_int("resolution.panels")
     rows = example_scatt_sweep(alphas, c, X=X, panels=panels,
-                               order=cfg.get_int("resolution.order", 10))
+                               order=cfg.get_int("resolution.order", ORDER))
     write_sweep_csv(rows, outdir / "scatter.csv")
     lines = [f"c = {c:.6g}", f"X = {X:.6g}"]
     for r in rows:
@@ -429,7 +439,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     lam = np.array(_extreme_eigenvalues(T.diag, T.off))
     with np.errstate(divide="ignore"):
         mu_min = float(np.min(1.0 / lam))
-    checks.append(("positivity min mu >= -1e-10 ||G||", bool(lam[0] > 0.0), mu_min))
+    checks.append(("positivity min mu > 0", bool(lam[0] > 0.0), mu_min))
 
     if model.dlog_phi is not None:
         wi = weighted_identity_residual(model, quad, x0=min(3.0, 0.5 * X), cache=cache)

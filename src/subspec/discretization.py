@@ -30,7 +30,7 @@ from .phi_models import PhiModel
 from .subordinate import SubordinateCache
 
 CONVERGED_REL = 1e-6  # operational convergence threshold for sweeps
-SWEEP_ORDER = 10  # Gauss-Legendre nodes per panel in convergence_sweep
+ORDER = 10  # Gauss-Legendre nodes per panel of every Nystrom grid not set by a config
 
 
 @dataclass(frozen=True)
@@ -198,14 +198,12 @@ class SweepRow:
     X: float
     N: int
     mu: np.ndarray
-    rel_change: float  # vs the previous row, nan for the first
 
 
 @dataclass(frozen=True)
 class SweepResult:
     rows: list
     converged: bool
-    final_rel_change: float
 
 
 def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -218,8 +216,8 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def convergence_sweep(model: PhiModel, X_list: Sequence[float], N_list: Sequence[int],
                       n_keep: int = 10) -> SweepResult:
-    """Top-k Dirichlet eigenvalues over the (X, N) grid with successive
-    differences, on order-SWEEP_ORDER grids with ceil(N / SWEEP_ORDER) panels.
+    """Top-k Dirichlet eigenvalues over the (X, N) grid, on order-ORDER grids
+    with ceil(N / ORDER) panels.
 
     Convergence is declared when the final cell moves less than CONVERGED_REL
     relatively against both the (X_last, N_prev) and (X_prev, N_last) cells.
@@ -233,22 +231,17 @@ def convergence_sweep(model: PhiModel, X_list: Sequence[float], N_list: Sequence
         raise InvalidParameterError("X_list and N_list must be nonempty")
     rows = []
     cells = {}
-    prev_mu = None
     for X in X_list:
         for N in N_list:
-            panels = max(1, int(np.ceil(N / SWEEP_ORDER)))
-            quad = build_quadrature(X, panels, SWEEP_ORDER)
+            panels = max(1, int(np.ceil(N / ORDER)))
+            quad = build_quadrature(X, panels, ORDER)
             mu = eigen_mu(assemble_jacobi(model, quad), n_keep).mu
-            rel = np.nan if prev_mu is None else _rel_diff(mu, prev_mu)
-            rows.append(SweepRow(X=float(X), N=quad.n, mu=mu, rel_change=rel))
+            rows.append(SweepRow(X=float(X), N=quad.n, mu=mu))
             cells[(X, N)] = mu
-            prev_mu = mu
     final = cells[(X_list[-1], N_list[-1])]
     checks = []
     if len(N_list) > 1:
         checks.append(_rel_diff(final, cells[(X_list[-1], N_list[-2])]))
     if len(X_list) > 1:
         checks.append(_rel_diff(final, cells[(X_list[-2], N_list[-1])]))
-    final_rel = max(checks) if checks else np.nan
-    converged = bool(checks) and final_rel < CONVERGED_REL
-    return SweepResult(rows=rows, converged=converged, final_rel_change=final_rel)
+    return SweepResult(rows=rows, converged=bool(checks) and max(checks) < CONVERGED_REL)

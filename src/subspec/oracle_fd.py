@@ -23,7 +23,6 @@ from .phi_models import PhiModel
 
 TURNING_X_MAX = 200.0  # right end of turning_point's scan
 FD_N = 4000  # nodes of the resolved FD pass in cross_validate
-GREEN_ORDER = 10  # Gauss-Legendre nodes per panel of cross_validate's Green grid
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def cross_validate(model: PhiModel, k: int) -> CrossValidation:
     smooth, since then V = (sigma')^2 - sigma'' identically.  The domains are
     chosen so V(X) exceeds lambda_k by a wide classically forbidden margin.
     """
-    from .discretization import (assemble_jacobi, auto_truncation, build_quadrature,
+    from .discretization import (ORDER, assemble_jacobi, auto_truncation, build_quadrature,
                                  default_panels)
     from .spectral import eigen_mu
 
@@ -134,7 +133,7 @@ def cross_validate(model: PhiModel, k: int) -> CrossValidation:
 
     X_green = max(auto_truncation(model, 1e-6),
                   turning_point(model, float(lam_fd[-1])) + 2.0)
-    quad = build_quadrature(X_green, default_panels(X_green), GREEN_ORDER)
+    quad = build_quadrature(X_green, default_panels(X_green), ORDER)
     lam_green = eigen_mu(assemble_jacobi(model, quad), n_keep=max(2 * k, k + 8)).lam[:k]
     if lam_green.size < k:
         raise InvalidParameterError("Green route produced too few eigenvalues")

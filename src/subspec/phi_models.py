@@ -139,10 +139,6 @@ class DecayInfo:
         """Prefactor c2^3 / (2 c c1^3) of the off-diagonal kernel bound."""
         return self.c_upper**3 / (2.0 * self.rate * self.c_lower**3)
 
-    def norm_bound(self) -> float:
-        """Operator-norm bound c2^3 / (c^2 c1^3)."""
-        return self.c_upper**3 / (self.rate**2 * self.c_lower**3)
-
     def tail_l2sq(self, X: float) -> float:
         """Upper estimate of int_X^inf phi^2 from the sandwich."""
         return self.c_upper**2 * math.exp(-2.0 * float(self.sigma(X))) / (2.0 * self.rate)
@@ -159,15 +155,12 @@ class PhiModel:
     d2log_phi: Optional[Callable[[np.ndarray], np.ndarray]]
     decay: Optional[DecayInfo]
     l2_norm_phi: float
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class DecayReport:
     holds: bool
     worst_margin: float
-    worst_node: float
-    n_checked: int
 
 
 def _as_nonneg(x):
@@ -226,7 +219,7 @@ def make_phi(spec: PhiSpec) -> PhiModel:
             log_phi=lambda x, c=c: -c * _as_nonneg(x),
             dlog_phi=lambda x, c=c: np.full_like(_as_nonneg(x), -c),
             d2log_phi=lambda x: np.zeros_like(_as_nonneg(x)),
-            decay=decay, l2_norm_phi=1.0 / math.sqrt(2.0 * c), params=dict(p))
+            decay=decay, l2_norm_phi=1.0 / math.sqrt(2.0 * c))
 
     if kind == "power":
         c = p["c"]
@@ -237,7 +230,7 @@ def make_phi(spec: PhiSpec) -> PhiModel:
             log_phi=lambda x, c=c: -c * np.log1p(_as_nonneg(x)),
             dlog_phi=lambda x, c=c: -c / (1.0 + _as_nonneg(x)),
             d2log_phi=lambda x, c=c: c / (1.0 + _as_nonneg(x)) ** 2,
-            decay=None, l2_norm_phi=1.0 / math.sqrt(2.0 * c - 1.0), params=dict(p))
+            decay=None, l2_norm_phi=1.0 / math.sqrt(2.0 * c - 1.0))
 
     if kind == "stretched-exp":
         c = p["c"]
@@ -257,7 +250,7 @@ def make_phi(spec: PhiSpec) -> PhiModel:
             dlog_phi=lambda x, c=c: -c * (1.0 + _as_nonneg(x)) ** (c - 1.0),
             d2log_phi=lambda x, c=c: -c * (c - 1.0) * (1.0 + _as_nonneg(x)) ** (c - 2.0),
             decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label), params=dict(p))
+            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
 
     if kind == "oscillating":
         log_phi = lambda x: -_as_nonneg(x) - np.sin(np.exp(_as_nonneg(x)))
@@ -273,8 +266,7 @@ def make_phi(spec: PhiSpec) -> PhiModel:
             d2log_phi=lambda x: (np.exp(2.0 * _as_nonneg(x)) * np.sin(np.exp(_as_nonneg(x)))
                                  - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x)))),
             decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, "oscillating"),
-            params=dict(p))
+            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, "oscillating"))
 
     if kind == "scattering-profile":
         c, zeta = p["c"], p["zeta"]
@@ -294,7 +286,7 @@ def make_phi(spec: PhiSpec) -> PhiModel:
         label = f"scattering(c={c:g}, zeta={zeta.label})"
         return PhiModel(
             kind, label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log, decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label), params=dict(p))
+            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
 
     if kind == "tabulated":
         xs, vals = p["x"], p["values"]
@@ -323,7 +315,7 @@ def make_phi(spec: PhiSpec) -> PhiModel:
         return PhiModel(
             kind, f"tabulated({xs.size} samples)",
             log_phi=log_phi, dlog_phi=None, d2log_phi=None, decay=None,
-            l2_norm_phi=math.sqrt(head + tail), params=dict(p))
+            l2_norm_phi=math.sqrt(head + tail))
 
     if kind == "custom-log-profile":
         raw = p["log_phi"]
@@ -338,18 +330,9 @@ def make_phi(spec: PhiSpec) -> PhiModel:
         label = p.get("label", "custom")
         return PhiModel(
             kind, label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log, decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label), params={})
+            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
 
     raise InvalidParameterError(f"unknown profile kind '{kind}'")
-
-
-def eval_log_phi(model: PhiModel, x) -> np.ndarray:
-    """log phi(x) for x >= 0; phi itself is exp of this by definition."""
-    return model.log_phi(_as_nonneg(x))
-
-
-def eval_phi(model: PhiModel, x) -> np.ndarray:
-    return np.exp(eval_log_phi(model, x))
 
 
 def eval_dlog_phi(model: PhiModel, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -385,9 +368,5 @@ def verify_decay_hypothesis(model: PhiModel, audit_nodes) -> DecayReport:
     lower = lp - (math.log(d.c_lower) - sig)          # phi >= c1 e^-sigma
     upper = (math.log(d.c_upper) - sig) - lp          # phi <= c2 e^-sigma
     slope = np.asarray(d.dsigma(nodes), dtype=float) - d.rate
-    margins = np.stack([lower, upper, slope])
-    flat = int(np.argmin(margins))
-    worst = float(margins.ravel()[flat])
-    worst_node = float(nodes[flat % nodes.size])
-    return DecayReport(holds=bool(worst >= -1e-12), worst_margin=worst,
-                       worst_node=worst_node, n_checked=int(nodes.size))
+    worst = float(np.min([lower, upper, slope]))
+    return DecayReport(holds=bool(worst >= -1e-12), worst_margin=worst)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .discretization import Quadrature, assemble_jacobi, build_quadrature
+from .discretization import ORDER, Quadrature, assemble_jacobi, build_quadrature
 from .errors import IndefiniteDifferenceError, InvalidParameterError, MissingNuError
 from .lse_quad import log_integral_exp
 from .phi_models import PhiModel, PhiSpec, Zeta, inv_power_zeta, make_phi
@@ -37,7 +37,6 @@ from .spectral import _extreme_eigenvalues
 from .subordinate import SubordinateCache
 
 DEFINITE_NOISE_FACTOR = 1e4  # |eigenvalues| of T0 - T below this many eps * max T_ii are rounding
-TRACE_ORDER = 10  # Gauss-Legendre nodes per panel of trace_report
 XI_PROFILE_POINTS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)  # x of trace_report's xi rows
 
 
@@ -47,7 +46,6 @@ class Nu:
 
     fn: object
     integral: float  # int_0^inf nu, may be inf
-    label: str = "nu"
 
 
 def power_nu(k: float = 1.0, alpha: float = 1.0) -> Nu:
@@ -55,7 +53,7 @@ def power_nu(k: float = 1.0, alpha: float = 1.0) -> Nu:
         raise InvalidParameterError(f"power nu needs alpha > 0, got {alpha}")
     integral = k / (alpha - 1.0) if alpha > 1.0 else math.inf
     return Nu(fn=lambda x: k * (1.0 + np.asarray(x, dtype=float)) ** (-alpha),
-              integral=integral, label=f"{k:g}*(1+x)^-{alpha:g}")
+              integral=integral)
 
 
 @dataclass(frozen=True)
@@ -193,10 +191,10 @@ class ScatteringReport:
 
 
 def trace_report(profile: ScatteringProfile, X: float, panels: int) -> ScatteringReport:
-    """Trace norm of G - G0 on one order-TRACE_ORDER grid against the
+    """Trace norm of G - G0 on one order-ORDER grid against the
     nu-route bound (inf when nu is missing or not integrable); xi norms are
     tabulated at XI_PROFILE_POINTS."""
-    quad = build_quadrature(X, panels, TRACE_ORDER)
+    quad = build_quadrature(X, panels, ORDER)
     model = make_phi(PhiSpec.scattering_profile(profile.c, profile.zeta))
     numeric = trace_norm_difference(model, make_phi(PhiSpec.exp_decay(profile.c)), quad)
     try:
@@ -213,7 +211,7 @@ def trace_report(profile: ScatteringProfile, X: float, panels: int) -> Scatterin
 
 def example_scatt_sweep(alpha_list: Sequence[float], c: float,
                         X: float = 50.0, panels: Optional[int] = None,
-                        order: int = 10):
+                        order: int = ORDER):
     """Per-alpha table for zeta = (1+x)^-alpha: numeric trace norm, the
     nu-route bound (finite iff alpha > 1) and the derivative-route bound
     (finite for every alpha > 0)."""

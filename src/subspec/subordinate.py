@@ -6,16 +6,15 @@ entirely in log space (see lse_quad): for stretched-exponential profiles the
 integrand phi^-2 spans several hundred orders of magnitude over the working
 window, so direct summation is impossible.
 
-SubordinateCache is the one producer of I and psi: exact at its nodes and,
-through one bridging integral from the nearest node below, at any x >= 0.
-The pointwise functions here are one-node caches.
+SubordinateCache is the one producer of I and psi, at its nodes; a value at
+any other x comes from a cache whose grid contains x.
 
 Writing I(x) = int_0^x phi(s)^-2 ds, the identities used below are
 
-    log psi = log phi + log I
-    psi'    = phi' * (psi/phi) + 1/phi        (exact, keeps the Wronskian)
-    D(x)    = G(x,x) = phi(x) psi(x)
-    xi(x)   = psi(x) + gamma phi(x)
+    log psi                = log phi + log I
+    D(x)                   = G(x,x) = phi(x) psi(x)
+    psi' phi - phi' psi    = D(x) (log I)'(x)
+    xi(x)                  = psi(x) + gamma phi(x)
 """
 
 from __future__ import annotations
@@ -28,47 +27,19 @@ from .errors import (
     NonPositiveFError,
     ZeroGammaError,
 )
-from .lse_quad import log_integral_exp, segment_log_integrals
+from .lse_quad import segment_log_integrals
 from .phi_models import PhiModel, eval_dlog_phi
 
 WRONSKIAN_H = 1e-5  # central-difference step of wronskian_residual
 
 
-def _neg2_log_phi(model):
-    return lambda s: -2.0 * model.log_phi(s)
-
-
-def log_int_phi_inv2(model: PhiModel, x: float) -> float:
-    """log I(x) = log int_0^x phi(s)^-2 ds."""
-    if x < 0:
-        raise NegativeArgumentError("x must be >= 0")
-    if x == 0:
-        return -np.inf
-    return float(SubordinateCache(model, [x]).log_I_nodes[0])
-
-
-def compute_log_psi(model: PhiModel, x: float) -> float:
-    """log psi(x) for x > 0."""
-    if x <= 0:
-        raise NegativeArgumentError("psi is defined by its integral only for x > 0")
-    return float(SubordinateCache(model, [x]).log_psi_nodes[0])
-
-
-def compute_psi(model: PhiModel, x: float) -> float:
-    if x == 0:
-        return 0.0
-    return float(np.exp(compute_log_psi(model, x)))
-
-
 class SubordinateCache:
-    """I(x) = int_0^x phi^-2 and psi = phi I on a grid, exact at any x >= 0.
+    """I(x) = int_0^x phi^-2 and psi = phi I at the nodes of a grid.
 
     Node values are prefix accumulations of adaptive segment integrals, so I
     is strictly increasing over the nodes by construction (every panel sum
-    is positive).  An off-node query adds one bridging integral, from the
-    last node at or below it (or from 0), to that node's value; the bridges
-    of one call share one batched integration.  Instances are immutable
-    after construction and safe for concurrent reads.
+    is positive).  Instances are immutable after construction and safe for
+    concurrent reads.
 
     unresolved_segments counts the segments (0 to the first node, then
     between consecutive nodes) in which the quadrature accepted a panel only
@@ -80,10 +51,10 @@ class SubordinateCache:
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size == 0 or nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
             raise NegativeArgumentError("cache grid must be strictly increasing in (0, inf)")
-        self.model = model
         self.grid = nodes
         edges = np.concatenate(([0.0], nodes))
-        self.panel_logsums, depth_limited = segment_log_integrals(_neg2_log_phi(model), edges)
+        self.panel_logsums, depth_limited = segment_log_integrals(
+            lambda s: -2.0 * model.log_phi(s), edges)
         self.unresolved_segments = int(np.count_nonzero(depth_limited))
         self.first_unresolved_x = (float(edges[np.argmax(depth_limited)])
                                    if self.unresolved_segments else float("nan"))
@@ -94,54 +65,22 @@ class SubordinateCache:
                 "not finite there)")
         self.log_psi_nodes = model.log_phi(nodes) + self.log_I_nodes
 
-    def log_I(self, x) -> np.ndarray:
-        """log I(x) for x >= 0 (-inf at 0)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise NegativeArgumentError("I is defined for x >= 0")
-        k = np.searchsorted(self.grid, x, side="right")  # nodes at or below x
-        start = np.concatenate(([0.0], self.grid))[k]
-        base = np.concatenate(([-np.inf], self.log_I_nodes))[k]
-        bridge = log_integral_exp(_neg2_log_phi(self.model), start, x)
-        return np.logaddexp(base, bridge)
 
-    def log_psi(self, x) -> np.ndarray:
-        return self.model.log_phi(np.asarray(x, dtype=float)) + self.log_I(x)
-
-    def psi(self, x) -> np.ndarray:
-        return np.exp(self.log_psi(x))
-
-
-def wronskian_residual(model: PhiModel, nodes, method: str = "fd") -> float:
+def wronskian_residual(model: PhiModel, nodes) -> float:
     """max over nodes of |psi' phi - phi' psi - 1|.
 
-    method="fd" differentiates the computed log I (an honest check of the
-    quadrature) with step h = WRONSKIAN_H; the three values I(x-h), I(x),
-    I(x+h) share one prefix integral, so quadrature noise cancels in the
-    difference.
-    method="analytic" uses psi' = phi'(psi/phi) + 1/phi, which satisfies the
-    identity structurally and only measures roundoff.
+    Differentiates the computed log I (an honest check of the quadrature)
+    with step h = WRONSKIAN_H; the three values I(x-h), I(x), I(x+h) share
+    one prefix integral, so quadrature noise cancels in the difference.
     """
-    if method not in ("fd", "analytic"):
-        raise InvalidParameterError(f"unknown method '{method}'")
     h = WRONSKIAN_H
     worst = 0.0
     for x in np.atleast_1d(np.asarray(nodes, dtype=float)):
         if x <= h:
             raise NegativeArgumentError(f"nodes must satisfy x > {h:g}")
         lo, mid, hi = SubordinateCache(model, [x - h, x, x + h]).log_I_nodes
-        lphi = float(model.log_phi(np.asarray(x)))
-        if method == "analytic":
-            phi = np.exp(lphi)
-            psi = np.exp(lphi + mid)
-            tau = float(eval_dlog_phi(model, x, h))
-            psi_p = tau * psi + 1.0 / phi
-            resid = abs(psi_p * phi - tau * phi * psi - 1.0)
-        else:
-            # psi'phi - phi'psi - 1 = D(x) * (log I)'(x) - 1 exactly
-            D = np.exp(2.0 * lphi + mid)
-            resid = abs(D * (hi - lo) / (2.0 * h) - 1.0)
-        worst = max(worst, float(resid))
+        D = np.exp(2.0 * float(model.log_phi(np.asarray(x))) + mid)
+        worst = max(worst, float(abs(D * (hi - lo) / (2.0 * h) - 1.0)))
     return worst
 
 
@@ -152,18 +91,8 @@ def compute_xi(model: PhiModel, gamma: complex, x: float) -> complex:
     if x < 0:
         raise NegativeArgumentError("x must be >= 0")
     phi = float(np.exp(model.log_phi(np.asarray(x))))
-    psi = compute_psi(model, x)
+    psi = float(np.exp(SubordinateCache(model, [x]).log_psi_nodes[0])) if x > 0 else 0.0
     return psi + gamma * phi
-
-
-def diagonal_D(model: PhiModel, x: float) -> float:
-    """D(x) = G(x,x) = phi(x)^2 int_0^x phi^-2 = phi(x) psi(x); D(0) = 0."""
-    if x < 0:
-        raise NegativeArgumentError("x must be >= 0")
-    if x == 0:
-        return 0.0
-    return float(np.exp(2.0 * float(model.log_phi(np.asarray(x)))
-                        + log_int_phi_inv2(model, x)))
 
 
 def regularized_potential(model: PhiModel, f_coeffs, x: float) -> float:
@@ -186,16 +115,17 @@ def regularized_potential(model: PhiModel, f_coeffs, x: float) -> float:
     integral = 0.0
     log_I_x = -np.inf
     if x > 0:
-        from .discretization import build_quadrature  # local import avoids a cycle
-        quad = build_quadrature(x, max(8, int(np.ceil(4.0 * x))), 10)
+        from .discretization import ORDER, build_quadrature  # local import avoids a cycle
+        quad = build_quadrature(x, max(8, int(np.ceil(4.0 * x))), ORDER)
         fpf = model.dlog_phi(quad.nodes)
         if b != 0.0:
-            cache = SubordinateCache(model, quad.nodes)
-            denom = a + b * np.exp(cache.log_I_nodes)  # psi/phi
+            # the grid ends at x itself, so the last node value is I(x)
+            cache = SubordinateCache(model, np.append(quad.nodes, x))
+            denom = a + b * np.exp(cache.log_I_nodes[:-1])  # psi/phi
             if np.any(denom <= 0.0):
                 raise NonPositiveFError("a*phi + b*psi vanishes inside [0, x]")
             fpf = fpf + b / (np.exp(2.0 * model.log_phi(quad.nodes)) * denom)
-            log_I_x = float(cache.log_I(x))
+            log_I_x = float(cache.log_I_nodes[-1])
         integral = float(np.sum(quad.weights * fpf**2))
 
     if b != 0.0:

@@ -30,7 +30,7 @@ from subspec.spectral import (
     robin_spectrum,
     weighted_identity_residual,
 )
-from subspec.subordinate import SubordinateCache, compute_psi, wronskian_residual
+from subspec.subordinate import SubordinateCache, wronskian_residual
 
 
 def _ok(n, msg):
@@ -44,11 +44,13 @@ def quad_phi1():
 
 def test_criterion_01_subordinate_closed_forms(phi1, phi2):
     worst = 0.0
-    for x in (0.5, 1.0, 2.0, 4.0, 8.0):
-        rel = abs(compute_psi(phi1, x) - math.sinh(x)) / math.sinh(x)
+    xs = (0.5, 1.0, 2.0, 4.0, 8.0)
+    for x, log_psi in zip(xs, SubordinateCache(phi1, xs).log_psi_nodes):
+        rel = abs(math.exp(log_psi) - math.sinh(x)) / math.sinh(x)
         worst = max(worst, rel)
         assert rel <= 1e-8
-    rel2 = abs(compute_psi(phi2, 1.0) - 7.0 / 6.0) / (7.0 / 6.0)
+    psi2 = math.exp(SubordinateCache(phi2, [1.0]).log_psi_nodes[0])
+    rel2 = abs(psi2 - 7.0 / 6.0) / (7.0 / 6.0)
     assert rel2 <= 1e-8
     _ok(1, f"psi closed forms: worst rel err {max(worst, rel2):.2e} <= 1e-8")
 

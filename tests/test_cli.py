@@ -177,6 +177,8 @@ resolution.X = 12
     report = (out / "report.txt").read_text()
     assert "[PASS]" in report and "[FAIL]" not in report
     assert "all checks passed" in report
+    # the label states the criterion that is tested: lambda_min(T) > 0
+    assert re.search(r"^\[PASS\] positivity min mu > 0 \(value = \S+\)$", report, re.M)
 
 
 def test_validate_task_power_slow_decay(tmp_path):
@@ -422,6 +424,30 @@ resolution.panels = 40
 """)
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
     assert "unresolved" not in (tmp_path / "o" / "report.txt").read_text()
+
+
+# X = 12 with 48 panels: the oscillating cache stops resolving from x ~ 8 on
+NOTE_CONFIGS = {
+    "compare": ("phi.kind = exp-decay\ncompare.phi2.kind = {kind}\ncompare.c = 3\n",
+                r"psi quadrature of oscillating unresolved in (\d+) of 480 segments"),
+    "robin": ("phi.kind = {kind}\nrobin.gamma = -0.5\n",
+              r"psi quadrature unresolved in (\d+) of 480 segments"),
+}
+
+
+@pytest.mark.parametrize("task", sorted(NOTE_CONFIGS))
+@pytest.mark.parametrize("kind, noted", [("oscillating", True), ("exp-decay", False)])
+def test_compare_and_robin_note_unresolved_quadrature(tmp_path, task, kind, noted):
+    body, pattern = NOTE_CONFIGS[task]
+    cfgfile = _write(tmp_path, "run.cfg", f"task = {task}\n" + body.format(kind=kind)
+                     + "resolution.X = 12\nresolution.panels = 48\n")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) in (0, 2)
+    report = (tmp_path / "o" / "report.txt").read_text()
+    if noted:
+        found = re.findall(pattern, report)
+        assert len(found) == 1 and 0 < int(found[0]) < 480
+    else:
+        assert "unresolved" not in report
 
 
 def _subprocess_env():

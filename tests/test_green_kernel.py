@@ -15,7 +15,7 @@ from subspec.green_kernel import (
     green_eval,
     green_gamma_eval,
 )
-from subspec.subordinate import diagonal_D
+from subspec.subordinate import SubordinateCache
 
 
 def test_green_closed_forms(phi1):
@@ -38,9 +38,12 @@ def test_green_symmetry_and_sign(phi3, phi4):
 
 
 def test_green_diagonal_matches_D(phi1, phi2):
+    # D = phi psi from one cache over all three points
+    xs = np.array([0.5, 1.0, 3.0])
     for m in (phi1, phi2):
-        for x in (0.5, 1.0, 3.0):
-            assert green_eval(m, x, x) == pytest.approx(diagonal_D(m, x), rel=1e-12)
+        D = np.exp(m.log_phi(xs) + SubordinateCache(m, xs).log_psi_nodes)
+        for x, d in zip(xs, D):
+            assert green_eval(m, x, x) == pytest.approx(d, rel=1e-12)
 
 
 def test_green_negative_argument(phi1):

@@ -16,8 +16,7 @@ from subspec.phi_models import (
     DecayInfo,
     PhiSpec,
     eval_dlog_phi,
-    eval_log_phi,
-    eval_phi,
+    inv_power_zeta,
     make_phi,
     verify_decay_hypothesis,
 )
@@ -25,16 +24,16 @@ from subspec.phi_models import (
 
 def test_exp_decay_definition(phi1):
     assert phi1.decay.triple == (1.0, 1.0, 1.0)
-    assert eval_log_phi(phi1, 0.0) == 0.0
-    assert eval_log_phi(phi1, 3.5) == -3.5
+    assert phi1.log_phi(0.0) == 0.0
+    assert phi1.log_phi(3.5) == -3.5
     assert eval_dlog_phi(phi1, 2.0) == -1.0
 
 
 def test_builtin_log_values(phi3, phi4):
     # stretched-exp c=2 at x=1: -(1+1)^2
-    assert eval_log_phi(phi3, 1.0) == pytest.approx(-4.0, abs=0)
+    assert phi3.log_phi(1.0) == pytest.approx(-4.0, abs=0)
     # oscillating at 0: -sin(1)
-    assert eval_log_phi(phi4, 0.0) == pytest.approx(-math.sin(1.0), rel=1e-15)
+    assert phi4.log_phi(0.0) == pytest.approx(-math.sin(1.0), rel=1e-15)
     assert eval_dlog_phi(phi4, 0.0) == pytest.approx(-1.0 - math.cos(1.0), rel=1e-14)
 
 
@@ -47,15 +46,20 @@ def test_parameter_validation():
         make_phi(PhiSpec.stretched_exp(-1.0))
 
 
-def test_negative_argument_rejected(phi1):
-    with pytest.raises(NegativeArgumentError):
-        eval_log_phi(phi1, -0.1)
+def test_negative_argument_rejected(phi1, phi2, phi3, phi4):
+    # every family's log_phi guards its domain itself
+    tab = make_phi(PhiSpec.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.2]))
+    custom = make_phi(PhiSpec.custom(log_phi=lambda x: -x))
+    scat = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(1.0, 1.5)))
+    for m in (phi1, phi2, phi3, phi4, tab, custom, scat):
+        with pytest.raises(NegativeArgumentError):
+            m.log_phi(-0.1)
 
 
 def test_positivity_on_audit_grid(phi1, phi2, phi3, phi4):
     grid = np.linspace(0.0, 20.0, 401)
     for m in (phi1, phi2, phi3, phi4):
-        assert np.all(eval_phi(m, grid) > 0.0)
+        assert np.all(np.exp(m.log_phi(grid)) > 0.0)
 
 
 def test_l2_norm_closed_forms(phi1, phi2, phi3):
@@ -119,9 +123,9 @@ def test_tabulated_model_from_phi1_samples(phi1):
     spec = PhiSpec.tabulated(xs, np.exp(-xs))
     m = make_phi(spec)
     # log interpolation is exact for an exponential profile
-    assert eval_log_phi(m, 3.333) == pytest.approx(-3.333, abs=1e-12)
+    assert m.log_phi(3.333) == pytest.approx(-3.333, abs=1e-12)
     # extrapolation continues the last slope
-    assert eval_log_phi(m, 12.0) == pytest.approx(-12.0, abs=1e-9)
+    assert m.log_phi(12.0) == pytest.approx(-12.0, abs=1e-9)
     fd = eval_dlog_phi(m, 1.0, h=1e-4)
     assert abs(fd - (-1.0)) <= 1e-7
     assert m.l2_norm_phi == pytest.approx(phi1.l2_norm_phi, rel=1e-8)
@@ -141,7 +145,7 @@ def test_tabulated_csv_roundtrip(tmp_path, phi1):
     path = tmp_path / "phi.csv"
     np.savetxt(path, np.column_stack([xs, np.exp(-xs)]), delimiter=",")
     m = make_phi(PhiSpec.from_csv(path))
-    assert eval_log_phi(m, 2.5) == pytest.approx(-2.5, abs=1e-12)
+    assert m.log_phi(2.5) == pytest.approx(-2.5, abs=1e-12)
 
 
 def test_decay_verification_exp(phi1):
@@ -175,7 +179,7 @@ def test_missing_decay_raises(phi2):
 def test_scattering_profile_kind():
     from subspec.phi_models import inv_power_zeta
     m = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(1.0, 1.5)))
-    assert eval_log_phi(m, 0.0) == pytest.approx(-1.0)
+    assert m.log_phi(0.0) == pytest.approx(-1.0)
     assert m.decay.rate == 1.0
     assert m.decay.c_upper == pytest.approx(math.e)
     rep = verify_decay_hypothesis(m, np.linspace(0.0, 30.0, 301))

@@ -1,12 +1,14 @@
 """Guards on the public surface: one quadrature tolerance, no unused knobs,
-one matrix representation, one kernel parameter."""
+one matrix representation, one kernel parameter, one way to read I, psi and
+phi."""
 
 import importlib
 import inspect
 from pathlib import Path
 
 import subspec
-from subspec import discretization, errors, green_kernel, lse_quad, scattering, spectral
+from subspec import (discretization, errors, green_kernel, lse_quad, oracle_fd, phi_models,
+                     scattering, spectral, subordinate)
 
 # parameters no caller ever set; they are module constants now
 RETIRED = {
@@ -41,9 +43,15 @@ def _public_callables():
     return out
 
 
+def _fields(cls):
+    return list(inspect.signature(cls).parameters)
+
+
 def test_no_public_callable_takes_rtol():
     found = _public_callables()
-    assert len(found) > 80
+    # the walker reaches functions, classes and methods alike
+    assert {"spectral.eigen_mu", "subordinate.SubordinateCache",
+            "discretization.assemble_jacobi"} <= {q for q, _, _ in found}
     assert [q for q, _, sig in found if "rtol" in sig.parameters] == []
     assert lse_quad.RTOL == 1e-12
     assert not hasattr(lse_quad, "DEFAULT_RTOL")
@@ -86,13 +94,37 @@ def test_gamma_is_one_real_number():
     assert not {"KernelKind", "lambdas", "table"} & names
     assert not hasattr(errors, "NonHermitianError")
     assert not hasattr(spectral, "MU_NOISE_FACTOR")
-
-    def fields(cls):
-        return list(inspect.signature(cls).parameters)
-    assert fields(spectral.SpectralResult) == ["mu", "lam", "norm_estimate", "converged"]
+    assert _fields(spectral.SpectralResult) == ["mu", "lam", "norm_estimate", "converged"]
     assert not hasattr(spectral.SpectralResult, "mu_floor")
-    assert fields(discretization.JacobiMatrix) == ["diag", "off", "gamma", "quad"]
-    assert "provenance" not in fields(scattering.ScatteringReport)
+    assert _fields(discretization.JacobiMatrix) == ["diag", "off", "gamma", "quad"]
+    assert "provenance" not in _fields(scattering.ScatteringReport)
     assert "kind" not in inspect.signature(discretization.convergence_sweep).parameters
     gamma = inspect.signature(discretization.assemble_jacobi).parameters["gamma"]
     assert gamma.default == 0.0
+
+
+def test_one_way_to_read_I_psi_and_phi():
+    """I and psi are read at the nodes of a SubordinateCache, log phi through
+    model.log_phi; no off-node bridge, pointwise wrapper or unread field."""
+    names = {attr for _, attr, _ in _public_callables()}
+    assert not {"log_int_phi_inv2", "compute_log_psi", "compute_psi", "diagonal_D",
+                "eval_log_phi", "eval_phi", "log_I", "log_psi", "psi", "norm_bound"} & names
+    assert not hasattr(subordinate, "_neg2_log_phi")
+    assert list(inspect.signature(subordinate.wronskian_residual).parameters) == ["model", "nodes"]
+    cache = subordinate.SubordinateCache(
+        phi_models.make_phi(phi_models.PhiSpec.exp_decay(1.0)), [1.0])
+    assert not hasattr(cache, "model")
+    assert _fields(phi_models.DecayReport) == ["holds", "worst_margin"]
+    assert "params" not in _fields(phi_models.PhiModel)
+    assert _fields(discretization.SweepRow) == ["X", "N", "mu"]
+    assert _fields(discretization.SweepResult) == ["rows", "converged"]
+    assert _fields(scattering.Nu) == ["fn", "integral"]
+
+
+def test_one_nystrom_order():
+    assert discretization.ORDER == 10
+    for mod, gone in ((discretization, "SWEEP_ORDER"), (scattering, "TRACE_ORDER"),
+                      (oracle_fd, "GREEN_ORDER")):
+        assert not hasattr(mod, gone)
+    order = inspect.signature(scattering.example_scatt_sweep).parameters["order"]
+    assert order.default == discretization.ORDER

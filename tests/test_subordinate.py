@@ -5,19 +5,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfi
 
-from subspec.errors import (
-    InvalidParameterError,
-    NegativeArgumentError,
-    NonPositiveFError,
-    ZeroGammaError,
-)
+from subspec.errors import NegativeArgumentError, NonPositiveFError, ZeroGammaError
 from subspec.phi_models import PhiSpec, make_phi
 from subspec.subordinate import (
     SubordinateCache,
-    compute_log_psi,
-    compute_psi,
     compute_xi,
-    diagonal_D,
     regularized_potential,
     riccati_residual,
     wronskian_residual,
@@ -30,30 +22,41 @@ def psi3_closed(x):
             * (erfi(math.sqrt(2.0) * (1.0 + x)) - erfi(math.sqrt(2.0))))
 
 
+def psi_at(model, xs):
+    """psi at the nodes xs of one cache."""
+    return np.exp(SubordinateCache(model, xs).log_psi_nodes)
+
+
+def diagonal_at(model, xs):
+    """D = phi psi = G(x, x) at the nodes xs of one cache."""
+    xs = np.asarray(xs, dtype=float)
+    return np.exp(model.log_phi(xs) + SubordinateCache(model, xs).log_psi_nodes)
+
+
 def test_psi_exp_decay_is_sinh(phi1):
-    for x in (0.5, 1.0, 2.0, 4.0, 8.0):
-        assert compute_psi(phi1, x) == pytest.approx(math.sinh(x), rel=1e-10)
+    xs = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+    assert psi_at(phi1, xs) == pytest.approx(np.sinh(xs), rel=1e-10)
 
 
 def test_psi_power_closed_form(phi2):
     # psi = ((1+x)^3 - 1) / (3 (1+x))
-    assert compute_psi(phi2, 1.0) == pytest.approx(7.0 / 6.0, rel=1e-12)
-    for x in (0.25, 2.0, 5.0):
-        closed = ((1.0 + x) ** 3 - 1.0) / (3.0 * (1.0 + x))
-        assert compute_psi(phi2, x) == pytest.approx(closed, rel=1e-11)
+    assert psi_at(phi2, [1.0])[0] == pytest.approx(7.0 / 6.0, rel=1e-12)
+    xs = np.array([0.25, 2.0, 5.0])
+    closed = ((1.0 + xs) ** 3 - 1.0) / (3.0 * (1.0 + xs))
+    assert psi_at(phi2, xs) == pytest.approx(closed, rel=1e-11)
 
 
 def test_psi_stretched_exp_vs_erfi(phi3):
-    for x in (0.5, 1.0, 2.5, 4.0):
-        assert compute_psi(phi3, x) == pytest.approx(psi3_closed(x), rel=1e-10)
+    xs = [0.5, 1.0, 2.5, 4.0]
+    assert psi_at(phi3, xs) == pytest.approx([psi3_closed(x) for x in xs], rel=1e-10)
 
 
 def test_psi_oscillating_vs_substitution_oracle(phi4):
     # int_0^x e^{2s + 2 sin e^s} ds = int_1^{e^x} t e^{2 sin t} dt
-    for x in (0.5, 1.5, 3.0):
+    xs = (0.5, 1.5, 3.0)
+    for x, psi in zip(xs, psi_at(phi4, xs)):
         ref, _ = quad(lambda t: t * math.exp(2.0 * math.sin(t)), 1.0, math.exp(x),
                       limit=500)
-        psi = compute_psi(phi4, x)
         target = math.exp(float(phi4.log_phi(np.asarray(x)))) * ref
         assert psi == pytest.approx(target, rel=1e-9)
 
@@ -71,40 +74,39 @@ def test_log_psi_vs_mpmath_at_extreme_c(family, c):
     log_phi = {"exp_decay": lambda t: -C * t,
                "power": lambda t: -C * mp.log1p(t),
                "stretched_exp": lambda t: -((1 + t) ** C)}[family]
+    xs = (0.5, 4.0, 8.0)
     with mp.workdps(40):
-        for x in (0.5, 4.0, 8.0):
+        for x, log_psi in zip(xs, SubordinateCache(model, xs).log_psi_nodes):
             X = mp.mpf(x)
             points = [0] + [X * (1 - mp.mpf(2) ** -k) for k in range(1, 20)] + [X]
             ref = log_phi(X) + mp.log(mp.quad(lambda t: mp.exp(-2 * log_phi(t)), points))
-            assert abs(compute_log_psi(model, x) - float(ref)) <= 1e-12
+            assert abs(log_psi - float(ref)) <= 1e-12
 
 
 def test_psi_domain_errors(phi1):
-    with pytest.raises(NegativeArgumentError):
-        compute_log_psi(phi1, 0.0)
-    with pytest.raises(NegativeArgumentError):
-        compute_log_psi(phi1, -1.0)
-    assert compute_psi(phi1, 0.0) == 0.0
+    # psi(0) = 0 needs no cache; I and psi are read at nodes x > 0 only
+    for nodes in ([0.0, 1.0], [-1.0], [1.0, 1.0], [2.0, 1.0], []):
+        with pytest.raises(NegativeArgumentError):
+            SubordinateCache(phi1, nodes)
 
 
 def test_cache_log_psi_nodes_match_pointwise(phi3):
+    # grid nodes against one-node caches
     xs = np.linspace(0.2, 4.0, 25)
     grid_vals = SubordinateCache(phi3, xs).log_psi_nodes
     for i in (0, 7, 24):
-        assert grid_vals[i] == pytest.approx(compute_log_psi(phi3, xs[i]), abs=1e-11)
+        one = SubordinateCache(phi3, [xs[i]]).log_psi_nodes[0]
+        assert grid_vals[i] == pytest.approx(one, abs=1e-11)
 
 
-def test_cache_exact_at_nodes_and_interpolates(phi1):
+def test_cache_exact_at_nodes(phi1):
     nodes = np.linspace(0.05, 10.0, 300)
     cache = SubordinateCache(phi1, nodes)
     assert np.allclose(cache.log_psi_nodes, np.log(np.sinh(nodes)), atol=1e-11)
-    # off-node queries: node value plus one bridging integral
-    for x in (1.2345, 7.77):
-        assert float(cache.log_psi(x)) == pytest.approx(math.log(math.sinh(x)), abs=1e-10)
-    # near the first node, and below it where the bridge starts at 0
-    for x in (0.0731, 0.01):
-        assert float(cache.log_psi(x)) == pytest.approx(math.log(math.sinh(x)), abs=1e-10)
-    assert float(cache.psi(0.0)) == 0.0
+    # a sparse grid with nodes near 0 is exact at its nodes too
+    sparse = np.array([0.01, 0.0731, 1.2345, 7.77])
+    assert np.allclose(SubordinateCache(phi1, sparse).log_psi_nodes, np.log(np.sinh(sparse)),
+                       atol=1e-10)
 
 
 def test_cache_refuses_non_finite_log_phi():
@@ -135,16 +137,10 @@ def test_growth_bound_all_builtins(phi1, phi2, phi3, phi4):
 
 
 def test_wronskian_residuals(phi1, phi3, phi4):
-    assert wronskian_residual(phi1, [0.5, 1.0, 2.0, 4.0], method="analytic") <= 1e-8
     assert wronskian_residual(phi1, [0.5, 1.0, 2.0, 4.0, 8.0]) <= 1e-6
     assert wronskian_residual(phi3, np.linspace(0.25, 5.0, 20)) <= 1e-6
     # oscillatory derivative: looser tolerance, FD path
     assert wronskian_residual(phi4, np.linspace(0.25, 4.5, 18)) <= 1e-3
-
-
-def test_wronskian_unknown_method(phi1):
-    with pytest.raises(InvalidParameterError, match="unknown method"):
-        wronskian_residual(phi1, [1.0], method="spline")
 
 
 def test_xi_values(phi1):
@@ -159,10 +155,9 @@ def test_xi_values(phi1):
 
 
 def test_diagonal_values(phi1, phi2):
-    assert diagonal_D(phi1, 1.0) == pytest.approx(math.sinh(1.0) * math.exp(-1.0),
-                                                  rel=1e-12)
-    assert diagonal_D(phi2, 1.0) == pytest.approx(7.0 / 12.0, rel=1e-12)
-    assert diagonal_D(phi1, 0.0) == 0.0
+    assert diagonal_at(phi1, [1.0])[0] == pytest.approx(math.sinh(1.0) * math.exp(-1.0),
+                                                        rel=1e-12)
+    assert diagonal_at(phi2, [1.0])[0] == pytest.approx(7.0 / 12.0, rel=1e-12)
 
 
 def test_diagonal_derivative_identity(phi1, phi3):
@@ -170,8 +165,8 @@ def test_diagonal_derivative_identity(phi1, phi3):
     h = 1e-5
     for m, xs in ((phi1, [0.5, 1.5, 3.0]), (phi3, [0.5, 1.0, 2.0])):
         for x in xs:
-            D = diagonal_D(m, x)
-            Dp = (diagonal_D(m, x + h) - diagonal_D(m, x - h)) / (2.0 * h)
+            lo, D, hi = diagonal_at(m, [x - h, x, x + h])
+            Dp = (hi - lo) / (2.0 * h)
             lhs = Dp / D - 1.0 / D
             rhs = 2.0 * float(m.dlog_phi(np.asarray(x)))
             assert lhs == pytest.approx(rhs, abs=5e-6)
