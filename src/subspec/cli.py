@@ -210,10 +210,10 @@ def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     from .discretization import ORDER, auto_truncation, default_panels
     X = cfg.get_float("resolution.X")
     panels = cfg.get_int("resolution.panels")
+    eps = cfg.get_float("resolution.eps", 1e-6)
+    if not 0.0 < eps < 1.0:
+        raise ConfigError(f"config key 'resolution.eps' must lie in (0, 1), got {eps:g}")
     if X is None:
-        eps = cfg.get_float("resolution.eps", 1e-6)
-        if not 0.0 < eps < 1.0:
-            raise ConfigError(f"config key 'resolution.eps' must lie in (0, 1), got {eps:g}")
         X = max(auto_truncation(m, eps) for m in models)
         notes.append(f"auto truncation X = {X:.6g}")
         if cap is not None and X > cap:
@@ -230,25 +230,28 @@ def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     return X, panels, order
 
 
-def _check_log_expr(cfg: RunConfig, prefix: str, model, nodes) -> None:
-    """A custom-log-profile must give a finite log phi on the task grid."""
+def _jacobi(cfg: RunConfig, prefix: str, model, quad, notes: list, gamma=0.0, of=""):
+    """The matrix T of the profile block `prefix` on the task grid `quad`.
+
+    A custom-log-profile must give a finite log phi on the grid.  A note
+    says where T's psi cache (of the profile named by `of`, when a task has
+    two) accepted quadrature panels only at the depth limit.
+    """
     import numpy as np
-    if cfg.get(f"{prefix}.kind") != "custom-log-profile":
-        return
-    with np.errstate(all="ignore"):
-        bad = ~np.isfinite(model.log_phi(nodes))
-    if np.any(bad):
-        raise ConfigError(f"{prefix}.log_expr = {cfg.get(f'{prefix}.log_expr')} is not "
-                          f"finite at x = {nodes[bad][0]:.6g} on the task grid")
-
-
-def _note_unresolved(notes: list, cache, of: str = "") -> None:
-    """Say where the psi cache (of the profile named by `of`, when a task
-    has two) accepted quadrature panels only at the depth limit."""
+    from .discretization import assemble_jacobi
+    if cfg.get(f"{prefix}.kind") == "custom-log-profile":
+        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(model.log_phi(quad.nodes))
+        if np.any(bad):
+            raise ConfigError(f"{prefix}.log_expr = {cfg.get(f'{prefix}.log_expr')} is not "
+                              f"finite at x = {quad.nodes[bad][0]:.6g} on the task grid")
+    T = assemble_jacobi(model, quad, gamma)
+    cache = T.cache
     if cache.unresolved_segments:
         notes.append(f"psi quadrature{of} unresolved in {cache.unresolved_segments} of "
                      f"{cache.grid.size} segments (accepted at the depth limit), "
                      f"the first from x = {cache.first_unresolved_x:.6g}")
+    return T
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -263,22 +266,23 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     from dataclasses import replace
+    import numpy as np
     from .discretization import assemble_jacobi, build_quadrature
     from .phi_models import make_phi
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
-    from .subordinate import SubordinateCache
 
     model = make_phi(build_phi_spec(cfg))
     X, panels, order = _resolution(cfg, [model], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 25)
     fine = build_quadrature(X, panels, order)
-    coarse = build_quadrature(X, max(1, panels // 2), order)
-    _check_log_expr(cfg, "phi", model, fine.nodes)
-    cache = SubordinateCache(model, fine.nodes)
-    _note_unresolved(notes, cache)
-    res_f = eigen_mu(assemble_jacobi(model, fine, cache=cache), n_keep)
-    res_c = eigen_mu(assemble_jacobi(model, coarse), n_keep)
-    res = replace(res_f, converged=converged_mask(res_f.mu, res_c.mu))
+    res = eigen_mu(_jacobi(cfg, "phi", model, fine, notes), n_keep)
+    if panels > 1:  # converged: unmoved on the grid with half the panels
+        coarse = build_quadrature(X, panels // 2, order)
+        converged = converged_mask(res.mu, eigen_mu(assemble_jacobi(model, coarse), n_keep).mu)
+    else:
+        converged = np.zeros(res.mu.size, dtype=bool)
+        notes.append("one panel has no coarser grid: no eigenvalue is claimed converged")
+    res = replace(res, converged=converged)
     write_spectrum_csv(res, outdir / "spectrum.csv")
     return 0, [f"model = {model.label}",
                f"X = {X:.6g}, panels = {panels}, order = {order}",
@@ -288,10 +292,9 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import assemble_jacobi, build_quadrature
+    from .discretization import build_quadrature
     from .phi_models import make_phi
     from .spectral import compare_spectra, eigen_mu
-    from .subordinate import SubordinateCache
 
     model1 = make_phi(build_phi_spec(cfg, "phi"))
     model2 = make_phi(build_phi_spec(cfg, "compare.phi2"))
@@ -299,14 +302,8 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     X, panels, order = _resolution(cfg, [model1, model2], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 20)
     quad = build_quadrature(X, panels, order)
-    _check_log_expr(cfg, "phi", model1, quad.nodes)
-    _check_log_expr(cfg, "compare.phi2", model2, quad.nodes)
-    spectra = []
-    for model in (model1, model2):
-        cache = SubordinateCache(model, quad.nodes)
-        _note_unresolved(notes, cache, f" of {model.label}")
-        spectra.append(eigen_mu(assemble_jacobi(model, quad, cache=cache), n_keep))
-    res1, res2 = spectra
+    res1, res2 = [eigen_mu(_jacobi(cfg, prefix, m, quad, notes, of=f" of {m.label}"), n_keep)
+                  for prefix, m in (("phi", model1), ("compare.phi2", model2))]
     if c is None:
         grid = np.linspace(0.0, X, 2001)
         diff = model2.log_phi(grid) - model1.log_phi(grid)
@@ -330,19 +327,16 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
     from .discretization import build_quadrature
     from .phi_models import make_phi
-    from .spectral import robin_sigma, robin_spectrum, write_spectrum_csv
-    from .subordinate import SubordinateCache
+    from .spectral import eigen_mu, robin_sigma, write_spectrum_csv
 
     model = make_phi(build_phi_spec(cfg))
-    gamma = cfg.get_float("robin.gamma")
-    if gamma is None:
-        raise ConfigError("robin task needs robin.gamma")
+    gamma = _number("robin.gamma", cfg.require("robin.gamma"))
+    if gamma == 0.0:
+        raise ConfigError("config key 'robin.gamma' must be nonzero (gamma = 0 is the "
+                          "Dirichlet kernel of task spectrum)")
     X, panels, order = _resolution(cfg, [model], notes)
     quad = build_quadrature(X, panels, order)
-    _check_log_expr(cfg, "phi", model, quad.nodes)
-    cache = SubordinateCache(model, quad.nodes)
-    _note_unresolved(notes, cache)
-    res = robin_spectrum(model, gamma, quad, cache=cache)
+    res = eigen_mu(_jacobi(cfg, "phi", model, quad, notes, gamma))
     write_spectrum_csv(res, outdir / "robin_spectrum.csv")
     # G_gamma - G = gamma phi(x) phi(y), so the weighted diagonals differ by
     # gamma w_i phi(x_i)^2
@@ -384,11 +378,11 @@ _OSCILLATING_CALL = re.compile(r"\b(sin|cos)\s*\(")
 
 def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import assemble_jacobi, build_quadrature
+    from .discretization import build_quadrature
     from .green_kernel import exp_bound_margin
     from .phi_models import make_phi, verify_decay_hypothesis
     from .spectral import _extreme_eigenvalues, factorization_forms, weighted_identity_residual
-    from .subordinate import SubordinateCache, wronskian_residual
+    from .subordinate import wronskian_residual
 
     model = make_phi(build_phi_spec(cfg))
     oscillatory = model.kind == "oscillating" or (
@@ -400,7 +394,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     if oscillatory:
         panels = max(panels, int(np.ceil(40.0 * X)))
     quad = build_quadrature(X, panels, order)
-    _check_log_expr(cfg, "phi", model, quad.nodes)
+    T = _jacobi(cfg, "phi", model, quad, notes)
     checks = []
 
     if model.decay is not None:
@@ -416,9 +410,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     wr = wronskian_residual(model, nodes)
     checks.append((f"wronskian residual <= {tol_w:g}", wr <= tol_w, wr))
 
-    cache = SubordinateCache(model, quad.nodes)
-    _note_unresolved(notes, cache)
-    ratio = np.exp(cache.log_I_nodes)  # psi/phi at the nodes
+    ratio = np.exp(T.cache.log_I_nodes)  # psi/phi at the nodes
     growth = np.all(quad.nodes**2 <= model.l2_norm_phi**2 * ratio * (1 + 1e-9))
     checks.append(("growth bound x^2 <= ||phi||^2 psi/phi", bool(growth),
                    float(np.max(quad.nodes**2 / (model.l2_norm_phi**2 * ratio)))))
@@ -429,20 +421,19 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     # scale guard: entries of order s push float roundoff to ~s * eps; the
     # largest entry of the Gram matrix G is on its diagonal w phi psi
     scale = max(1.0, float(np.max(quad.weights
-                                  * np.exp(model.log_phi(quad.nodes) + cache.log_psi_nodes))))
+                                  * np.exp(model.log_phi(quad.nodes) + T.cache.log_psi_nodes))))
     checks.append(("factorization |f^T G f - ||M f||^2| <= 1e-8 scale ||f||^2",
                    worst <= 1e-8 * scale, worst))
 
     # G = T^-1 is positive iff T is, and then min mu = 1/lambda_max(T);
     # otherwise 1/lambda_min(T) <= 0 is an eigenvalue of G and the check fails
-    T = assemble_jacobi(model, quad, cache=cache)
     lam = np.array(_extreme_eigenvalues(T.diag, T.off))
     with np.errstate(divide="ignore"):
         mu_min = float(np.min(1.0 / lam))
     checks.append(("positivity min mu > 0", bool(lam[0] > 0.0), mu_min))
 
     if model.dlog_phi is not None:
-        wi = weighted_identity_residual(model, quad, x0=min(3.0, 0.5 * X), cache=cache)
+        wi = weighted_identity_residual(model, T, x0=min(3.0, 0.5 * X))
         checks.append(("weighted identity residual <= 1e-3", wi <= 1e-3, wi))
 
     lines = [f"model = {model.label}", f"X = {X:.6g}, panels = {panels}, order = {order}"]

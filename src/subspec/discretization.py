@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -29,7 +28,6 @@ from .lse_quad import gauss_legendre
 from .phi_models import PhiModel
 from .subordinate import SubordinateCache
 
-CONVERGED_REL = 1e-6  # operational convergence threshold for sweeps
 ORDER = 10  # Gauss-Legendre nodes per panel of every Nystrom grid not set by a config
 
 
@@ -110,13 +108,15 @@ class JacobiMatrix:
     tridiagonal; the eigenvalues of T are lambda = 1/mu.  diag[0] = +inf
     encodes the singular Robin case I(x_1) + gamma = 0, where row and column
     1 of G_gamma vanish (mu = 0 exactly) and T decouples into that node and the
-    Jacobi matrix diag[1:], off[1:] of nodes 2..N.
+    Jacobi matrix diag[1:], off[1:] of nodes 2..N.  cache is the psi cache on
+    quad.nodes that T was built from.
     """
 
     diag: np.ndarray
     off: np.ndarray
     gamma: float
     quad: Quadrature
+    cache: SubordinateCache
 
     @property
     def n(self) -> int:
@@ -135,11 +135,11 @@ class JacobiMatrix:
         return out
 
 
-def assemble_jacobi(model: PhiModel, quad: Quadrature, gamma: float = 0.0,
-                    cache: Optional[SubordinateCache] = None) -> JacobiMatrix:
+def assemble_jacobi(model: PhiModel, quad: Quadrature, gamma: float = 0.0) -> JacobiMatrix:
     """Tridiagonal inverse of the Nystrom matrix of G_gamma = G + gamma phi phi
     for real gamma (gamma = 0 is the Dirichlet kernel), in O(N) memory;
-    complex gamma raises ComplexGammaError.
+    complex gamma raises ComplexGammaError.  The psi cache on quad.nodes is
+    built here and kept as T.cache.
 
     With Delta I_i = int_{x_i}^{x_i+1} phi^-2 (the cache's panel sums) and
     r_1 = I(x_1) + gamma:
@@ -155,8 +155,7 @@ def assemble_jacobi(model: PhiModel, quad: Quadrature, gamma: float = 0.0,
     if complex(gamma).imag != 0.0:
         raise ComplexGammaError(f"no hermitian Jacobi form for complex gamma = {gamma}")
     gamma = complex(gamma).real
-    if cache is None:
-        cache = SubordinateCache(model, quad.nodes)
+    cache = SubordinateCache(model, quad.nodes)
     lp = model.log_phi(quad.nodes)
     lw = np.log(quad.weights)
     ls = cache.panel_logsums[1:]  # log Delta I_i between consecutive nodes
@@ -173,7 +172,7 @@ def assemble_jacobi(model: PhiModel, quad: Quadrature, gamma: float = 0.0,
             diag[0] = np.inf
         else:
             diag[0] += np.sign(r1) * np.exp(-np.log(abs(r1)) - 2.0 * lp[0] - lw[0])
-    return JacobiMatrix(diag=diag, off=off, gamma=gamma, quad=quad)
+    return JacobiMatrix(diag=diag, off=off, gamma=gamma, quad=quad, cache=cache)
 
 
 def kink_bias_estimate(quad: Quadrature) -> float:
@@ -191,57 +190,3 @@ def kink_bias_estimate(quad: Quadrature) -> float:
     cell_err = float(np.einsum("i,j,ij->", wu, wu, np.abs(u[:, None] - u[None, :]))) - 1.0 / 3.0
     h = quad.X / quad.panels
     return -0.5 * cell_err * h * h
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    X: float
-    N: int
-    mu: np.ndarray
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: list
-    converged: bool
-
-
-def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
-    m = min(a.size, b.size)
-    if m == 0:
-        return np.nan
-    denom = np.maximum(np.abs(b[:m]), 1e-300)
-    return float(np.max(np.abs(a[:m] - b[:m]) / denom))
-
-
-def convergence_sweep(model: PhiModel, X_list: Sequence[float], N_list: Sequence[int],
-                      n_keep: int = 10) -> SweepResult:
-    """Top-k Dirichlet eigenvalues over the (X, N) grid, on order-ORDER grids
-    with ceil(N / ORDER) panels.
-
-    Convergence is declared when the final cell moves less than CONVERGED_REL
-    relatively against both the (X_last, N_prev) and (X_prev, N_last) cells.
-    A single cell yields converged=False (no refinement to compare).
-    """
-    from .spectral import eigen_mu  # deferred: spectral depends on this module
-
-    X_list = list(X_list)
-    N_list = list(N_list)
-    if not X_list or not N_list:
-        raise InvalidParameterError("X_list and N_list must be nonempty")
-    rows = []
-    cells = {}
-    for X in X_list:
-        for N in N_list:
-            panels = max(1, int(np.ceil(N / ORDER)))
-            quad = build_quadrature(X, panels, ORDER)
-            mu = eigen_mu(assemble_jacobi(model, quad), n_keep).mu
-            rows.append(SweepRow(X=float(X), N=quad.n, mu=mu))
-            cells[(X, N)] = mu
-    final = cells[(X_list[-1], N_list[-1])]
-    checks = []
-    if len(N_list) > 1:
-        checks.append(_rel_diff(final, cells[(X_list[-1], N_list[-2])]))
-    if len(X_list) > 1:
-        checks.append(_rel_diff(final, cells[(X_list[-2], N_list[-1])]))
-    return SweepResult(rows=rows, converged=bool(checks) and max(checks) < CONVERGED_REL)

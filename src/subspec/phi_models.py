@@ -36,8 +36,6 @@ from .errors import (
 )
 from .lse_quad import log_integral_exp
 
-DEFAULT_FD_STEP = 1e-4  # truncation vs roundoff balance at double precision
-
 _L2_LOG_DROP = 46.0  # integrate phi^2 until log phi fell this far below its max
 
 
@@ -333,26 +331,6 @@ def make_phi(spec: PhiSpec) -> PhiModel:
             l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
 
     raise InvalidParameterError(f"unknown profile kind '{kind}'")
-
-
-def eval_dlog_phi(model: PhiModel, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """tau(x) = phi'(x)/phi(x): analytic when the kind has one, else a
-    central difference of log phi with step h (one-sided near 0)."""
-    arr = _as_nonneg(x)
-    if model.dlog_phi is not None:
-        return model.dlog_phi(arr)
-    scalar = arr.ndim == 0
-    pts = np.atleast_1d(arr)
-    out = np.empty_like(pts)
-    central = pts >= h
-    if np.any(central):
-        xc = pts[central]
-        out[central] = (model.log_phi(xc + h) - model.log_phi(xc - h)) / (2.0 * h)
-    if np.any(~central):
-        x0 = pts[~central]
-        out[~central] = (-3.0 * model.log_phi(x0) + 4.0 * model.log_phi(x0 + h)
-                         - model.log_phi(x0 + 2.0 * h)) / (2.0 * h)
-    return out[0] if scalar else out
 
 
 def verify_decay_hypothesis(model: PhiModel, audit_nodes) -> DecayReport:

@@ -34,10 +34,8 @@ from .errors import IndefiniteDifferenceError, InvalidParameterError, MissingNuE
 from .lse_quad import log_integral_exp
 from .phi_models import PhiModel, PhiSpec, Zeta, inv_power_zeta, make_phi
 from .spectral import _extreme_eigenvalues
-from .subordinate import SubordinateCache
 
 DEFINITE_NOISE_FACTOR = 1e4  # |eigenvalues| of T0 - T below this many eps * max T_ii are rounding
-XI_PROFILE_POINTS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)  # x of trace_report's xi rows
 
 
 @dataclass(frozen=True)
@@ -168,11 +166,9 @@ def trace_norm_difference(model: PhiModel, model0: PhiModel, quad: Quadrature) -
     result is |sum_i w_i (D(x_i) - D0(x_i))|.  Otherwise
     IndefiniteDifferenceError is raised.
     """
-    T, D = [], []
-    for m in (model, model0):
-        cache = SubordinateCache(m, quad.nodes)
-        T.append(assemble_jacobi(m, quad, cache=cache))
-        D.append(np.exp(m.log_phi(quad.nodes) + cache.log_psi_nodes))
+    models = (model, model0)
+    T = [assemble_jacobi(m, quad) for m in models]
+    D = [np.exp(m.log_phi(quad.nodes) + t.cache.log_psi_nodes) for m, t in zip(models, T)]
     lo, hi = _extreme_eigenvalues(T[1].diag - T[0].diag, T[1].off - T[0].off)
     floor = DEFINITE_NOISE_FACTOR * np.finfo(float).eps * max(np.max(t.diag) for t in T)
     if lo < -floor and hi > floor:
@@ -180,33 +176,6 @@ def trace_norm_difference(model: PhiModel, model0: PhiModel, quad: Quadrature) -
             f"T0 - T has eigenvalues in [{lo:.3g}, {hi:.3g}] for {model.label} "
             f"against {model0.label}: ||G - G0||_tr is not a trace")
     return abs(float(np.sum(quad.weights * (D[0] - D[1]))))
-
-
-@dataclass(frozen=True)
-class ScatteringReport:
-    trace_norm_numeric: float
-    trace_bound_analytic: float
-    xi_profile: np.ndarray  # rows (x, ||xi_x||, ||xi_0x||, ||diff||)
-    criterion_met: bool
-
-
-def trace_report(profile: ScatteringProfile, X: float, panels: int) -> ScatteringReport:
-    """Trace norm of G - G0 on one order-ORDER grid against the
-    nu-route bound (inf when nu is missing or not integrable); xi norms are
-    tabulated at XI_PROFILE_POINTS."""
-    quad = build_quadrature(X, panels, ORDER)
-    model = make_phi(PhiSpec.scattering_profile(profile.c, profile.zeta))
-    numeric = trace_norm_difference(model, make_phi(PhiSpec.exp_decay(profile.c)), quad)
-    try:
-        bound = analytic_trace_bound(profile)
-    except MissingNuError:
-        bound = math.inf
-    rows = [(x, *xi_norms(profile, x)) for x in XI_PROFILE_POINTS]
-    return ScatteringReport(
-        trace_norm_numeric=numeric,
-        trace_bound_analytic=bound,
-        xi_profile=np.asarray(rows, dtype=float),
-        criterion_met=bool(math.isfinite(bound)))
 
 
 def example_scatt_sweep(alpha_list: Sequence[float], c: float,

@@ -4,10 +4,10 @@ mu denotes eigenvalues of a Green matrix in decreasing order; lambda = 1/mu
 are the eigenvalues of the differential operator itself, and of the
 tridiagonal inverse (JacobiMatrix) that spectra are computed from.  Every
 positive mu gives a lambda; the mu <= 0 of a Robin matrix give none.
-"Converged" is operational: relative movement below CONVERGED_REL under the
-final (X, N) doubling.  The identity checks apply G through banded solves on
-the same JacobiMatrix, and the factorization check uses prefix and suffix
-sums, so everything here runs in O(N) memory.
+"Converged" is operational: relative movement below CONVERGED_REL between
+two refinements of the grid.  The identity checks apply G through banded
+solves on the same JacobiMatrix, and the factorization check uses prefix
+and suffix sums, so everything here runs in O(N) memory.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .discretization import CONVERGED_REL, JacobiMatrix, Quadrature, assemble_jacobi
+from .discretization import JacobiMatrix, Quadrature
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -27,8 +27,9 @@ from .errors import (
     NonSmoothModelError,
     ZeroGammaError,
 )
-from .phi_models import PhiModel, eval_dlog_phi
-from .subordinate import SubordinateCache
+from .phi_models import PhiModel
+
+CONVERGED_REL = 1e-6  # operational convergence threshold of converged_mask
 
 
 @dataclass(frozen=True)
@@ -167,21 +168,22 @@ def _extrapolate_to_zero(nodes: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyval(coef, 0.0))
 
 
-def quadratic_form_residual(model: PhiModel, quad: Quadrature, f, gamma: float = 0.0,
-                            cache: Optional[SubordinateCache] = None) -> float:
+def quadratic_form_residual(model: PhiModel, T: JacobiMatrix, f) -> float:
     """Relative defect of <f, G_gamma f> against the first-order form of H.
 
-    With g = G_gamma f (gamma = 0: the Dirichlet G), compares f^T g to
+    With g = G_gamma f for the matrix T of model (gamma = T.gamma; 0 is the
+    Dirichlet G), compares f^T g to
     Q(g) = sum_i w_i ((g/phi)'(x_i))^2 phi(x_i)^2, the derivative taken by
     second-order differences on the grid, plus g(0)^2 / (gamma phi(0)^2) in
     the Robin case with g(0) extrapolated quadratically to the boundary.
     """
+    quad, gamma = T.quad, T.gamma
     f = np.asarray(f, dtype=float)
     if f.shape != quad.nodes.shape:
         raise MismatchedLengthsError("f must be sampled on the quadrature nodes")
     if not np.any(f):
         return 0.0
-    g = assemble_jacobi(model, quad, gamma, cache=cache).apply_to_function(f)
+    g = T.apply_to_function(f)
     w = quad.weights
     fg = float(np.sum(w * f * g))
     if fg == 0.0:
@@ -193,7 +195,7 @@ def quadratic_form_residual(model: PhiModel, quad: Quadrature, f, gamma: float =
     if gamma != 0:
         g0 = _extrapolate_to_zero(quad.nodes, g)
         phi0 = float(np.exp(model.log_phi(np.asarray(0.0))))
-        Q += g0**2 / (float(gamma) * phi0**2)
+        Q += g0**2 / (gamma * phi0**2)
     return abs(fg - Q) / abs(fg)
 
 
@@ -236,9 +238,9 @@ def smoothstep_quintic(x, x0: float):
     return h, hp, hpp
 
 
-def weighted_identity_residual(model: PhiModel, quad: Quadrature, x0: float,
-                               cache: Optional[SubordinateCache] = None) -> float:
-    """Defect of G(-phi h'' - 2 phi' h') = phi h for the quintic smoothstep.
+def weighted_identity_residual(model: PhiModel, T: JacobiMatrix, x0: float) -> float:
+    """Defect of G(-phi h'' - 2 phi' h') = phi h for the quintic smoothstep,
+    with G applied through the Dirichlet matrix T of model.
 
     Relative max-norm error.  The identity is exact, so the residual is
     discretization error plus the roundoff of the psi cache's panel sums,
@@ -250,12 +252,12 @@ def weighted_identity_residual(model: PhiModel, quad: Quadrature, x0: float,
         raise NonSmoothModelError("weighted identity needs analytic phi'")
     if x0 is None or x0 <= 0.0:
         return 0.0
-    nodes = quad.nodes
+    nodes = T.quad.nodes
     h, hp, hpp = smoothstep_quintic(nodes, x0)
     phi = np.exp(model.log_phi(nodes))
     tau = model.dlog_phi(nodes)
     v = -phi * (hpp + 2.0 * tau * hp)
-    lhs = assemble_jacobi(model, quad, cache=cache).apply_to_function(v)
+    lhs = T.apply_to_function(v)
     target = phi * h
     scale = float(np.max(np.abs(target)))
     if scale == 0.0:
@@ -271,16 +273,7 @@ def robin_sigma(model: PhiModel, gamma: float) -> float:
     if model.dlog_phi is None:
         raise NonSmoothModelError("robin_sigma needs phi' continuous near 0")
     phi0 = float(np.exp(model.log_phi(np.asarray(0.0))))
-    return float(eval_dlog_phi(model, 0.0)) + 1.0 / (float(gamma) * phi0**2)
-
-
-def robin_spectrum(model: PhiModel, gamma: float, quad: Quadrature,
-                   n_keep: Optional[int] = None,
-                   cache: Optional[SubordinateCache] = None) -> SpectralResult:
-    """Eigenvalues of the Robin kernel matrix; mu may be negative here."""
-    if gamma == 0:
-        raise ZeroGammaError("gamma must be nonzero")
-    return eigen_mu(assemble_jacobi(model, quad, gamma, cache=cache), n_keep)
+    return float(model.dlog_phi(0.0)) + 1.0 / (float(gamma) * phi0**2)
 
 
 def write_spectrum_csv(res: SpectralResult, path) -> None:

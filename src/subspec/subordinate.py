@@ -28,7 +28,7 @@ from .errors import (
     ZeroGammaError,
 )
 from .lse_quad import segment_log_integrals
-from .phi_models import PhiModel, eval_dlog_phi
+from .phi_models import PhiModel
 
 WRONSKIAN_H = 1e-5  # central-difference step of wronskian_residual
 
@@ -111,7 +111,7 @@ def regularized_potential(model: PhiModel, f_coeffs, x: float) -> float:
         # psi(0) = 0, so f(0) = a phi(0) must already be positive
         raise NonPositiveFError("f(0) = a*phi(0) <= 0 violates positivity on [0, x]")
 
-    head = float(eval_dlog_phi(model, x))
+    head = float(model.dlog_phi(x))
     integral = 0.0
     log_I_x = -np.inf
     if x > 0:
@@ -150,7 +150,7 @@ def riccati_residual(model: PhiModel, x: float, h: float = 1e-5) -> float:
         raise NonSmoothModelError("Riccati residual needs an analytic phi'/phi")
     if x <= h:
         raise NegativeArgumentError("x must exceed the FD step")
-    tau = float(eval_dlog_phi(model, x))
-    tau_p = (float(eval_dlog_phi(model, x + h)) - float(eval_dlog_phi(model, x - h))) / (2.0 * h)
+    tau = float(model.dlog_phi(x))
+    tau_p = (float(model.dlog_phi(x + h)) - float(model.dlog_phi(x - h))) / (2.0 * h)
     V = potential_from_phi(model, x)
     return abs(tau_p + tau * tau - V)

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from subspec.discretization import assemble_jacobi, build_quadrature, convergence_sweep
+from subspec.discretization import ORDER, assemble_jacobi, build_quadrature
 from subspec.green_kernel import exp_bound_margin
 from subspec.oracle_fd import FDProblem, RobinBC, cross_validate, fd_eigenvalues
 from subspec.scattering import (
     elementary_bound_margin,
     example_scatt_sweep,
     inv_power_profile,
-    trace_report,
     xi_norm_bound,
     xi_norms,
 )
@@ -27,7 +26,6 @@ from subspec.spectral import (
     growth_exponent,
     quadratic_form_residual,
     robin_sigma,
-    robin_spectrum,
     weighted_identity_residual,
 )
 from subspec.subordinate import SubordinateCache, wronskian_residual
@@ -78,8 +76,8 @@ def test_criterion_03_growth_bound(phi1, phi2, phi3, phi4):
 
 
 def test_criterion_04_norm_and_bound_audit(phi1, phi4):
-    sweep = convergence_sweep(phi1, X_list=[60.0, 120.0], N_list=[1200, 2000], n_keep=3)
-    tops = [row.mu[0] for row in sweep.rows]
+    tops = [eigen_mu(assemble_jacobi(phi1, build_quadrature(X, N // ORDER, ORDER)), 3).mu[0]
+            for X in (60.0, 120.0) for N in (1200, 2000)]
     assert all(a < b for a, b in zip(tops, tops[1:])) or tops[-1] > tops[0]
     norm1 = eigen_mu(assemble_jacobi(phi1, build_quadrature(120.0, 240, 10)),
                      1).norm_estimate
@@ -125,18 +123,19 @@ def test_criterion_06_positivity(phi1, phi2, phi3, phi4):
 
 def test_criterion_07_quadratic_form(phi1, quad_phi1):
     f = np.exp(-((quad_phi1.nodes - 3.0) ** 2))
-    r = quadratic_form_residual(phi1, quad_phi1, f)
+    r = quadratic_form_residual(phi1, assemble_jacobi(phi1, quad_phi1), f)
     assert r <= 1e-3
     fr = -3.0 * np.exp(-2.0 * quad_phi1.nodes)
-    rr = quadratic_form_residual(phi1, quad_phi1, fr, gamma=-1.0)
+    rr = quadratic_form_residual(phi1, assemble_jacobi(phi1, quad_phi1, -1.0), fr)
     assert rr <= 1e-2
     _ok(7, f"first-order form: dirichlet residual {r:.1e} <= 1e-3, "
            f"robin(gamma=-1) residual {rr:.1e} <= 1e-2")
 
 
 def test_criterion_08_weighted_identity(phi1, phi3, quad_phi1):
-    r1 = weighted_identity_residual(phi1, quad_phi1, 3.0)
-    r3 = weighted_identity_residual(phi3, build_quadrature(4.0, 100, 10), 1.5)
+    r1 = weighted_identity_residual(phi1, assemble_jacobi(phi1, quad_phi1), 3.0)
+    r3 = weighted_identity_residual(
+        phi3, assemble_jacobi(phi3, build_quadrature(4.0, 100, 10)), 1.5)
     assert r1 <= 1e-3 and r3 <= 1e-3
     _ok(8, f"G(-phi h'' - 2 phi' h') = phi h: residuals {r1:.1e}, {r3:.1e} <= 1e-3")
 
@@ -168,7 +167,7 @@ def test_criterion_10_sandwich(model_a, model_b):
 
 def test_criterion_11_robin_bound_state(phi1, quad_phi1):
     assert robin_sigma(phi1, -1.0) == -2.0
-    res = robin_spectrum(phi1, -1.0, quad_phi1)
+    res = eigen_mu(assemble_jacobi(phi1, quad_phi1, -1.0))
     lam = 1.0 / res.mu[-1]
     assert abs(lam - (-3.0)) <= 1e-2
     lam_fd = fd_eigenvalues(FDProblem(lambda x: np.ones_like(x), 20.0, 4000,
@@ -205,15 +204,15 @@ def test_criterion_13_scattering_norms():
                                       rng.uniform(0, 30, 1000))
     assert np.all(margins >= -1e-14)
 
-    rep1 = trace_report(prof, X=100.0, panels=150)
-    rep2 = trace_report(prof, X=140.0, panels=210)
-    rel = abs(rep1.trace_norm_numeric / rep2.trace_norm_numeric - 1.0)
-    assert math.isfinite(rep1.trace_norm_numeric)
+    (rep1,) = example_scatt_sweep([1.5], 1.0, X=100.0, panels=150)
+    (rep2,) = example_scatt_sweep([1.5], 1.0, X=140.0, panels=210)
+    rel = abs(rep1["trace_numeric"] / rep2["trace_numeric"] - 1.0)
+    assert math.isfinite(rep1["trace_numeric"])
     assert rel <= 1e-3
-    assert rep1.trace_norm_numeric <= rep1.trace_bound_analytic
+    assert rep1["trace_numeric"] <= rep1["bound_nu_route"]
     _ok(13, f"||xi_0x|| exact, ||xi_x|| bounded, exp bound at 1e3 pairs; trace norm "
-            f"{rep1.trace_norm_numeric:.5f} stable to {rel:.1e} and <= bound "
-            f"{rep1.trace_bound_analytic:.2f}")
+            f"{rep1['trace_numeric']:.5f} stable to {rel:.1e} and <= bound "
+            f"{rep1['bound_nu_route']:.2f}")
 
 
 def test_criterion_14_alpha_sweep_boundary():

@@ -63,6 +63,8 @@ SPECTRUM = "task = spectrum\nphi.kind = exp-decay\n"
     ("task = oracle\nphi.kind = stretched-exp\nphi.c = 2\noracle.k = 0\n", "oracle.k"),
     ("task = scatter\nscatter.alpha_list = 1, nan\n", "scatter.alpha_list"),
     (SPECTRUM + "resolution.eps = 2\n", "resolution.eps"),
+    (SPECTRUM + "resolution.X = 5\nresolution.eps = 7\n", "resolution.eps"),
+    ("task = robin\nphi.kind = exp-decay\nrobin.gamma = 0\n", "robin.gamma"),
     # bad input other than numbers: {tmp} is the test's directory
     ("task = spectrum\nphi.kind = tabulated\nphi.csv = {tmp}/missing.csv\n", "phi.csv"),
     ("task = spectrum\nphi.kind = tabulated\nphi.csv = {tmp}/header.csv\n", "phi.csv"),
@@ -163,6 +165,25 @@ spectrum.n_keep = 100
     assert len((out / "spectrum.csv").read_text().splitlines()) == 41  # header + N = 40
     assert re.search(r"converged top eigenvalues = \d+ / 40\n",
                      (out / "report.txt").read_text())
+
+
+def test_one_panel_spectrum_claims_no_convergence(tmp_path):
+    # there is no coarser grid than one panel to compare against
+    cfgfile = _write(tmp_path, "run.cfg", """
+task = spectrum
+phi.kind = stretched-exp
+phi.c = 2
+resolution.X = 3
+resolution.panels = 1
+spectrum.n_keep = 5
+""")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",False") for row in rows)
+    report = (out / "report.txt").read_text()
+    assert "converged top eigenvalues = 0 / 5\n" in report
+    assert "one panel has no coarser grid: no eigenvalue is claimed converged" in report
 
 
 def test_validate_task_exp_decay(tmp_path):

@@ -8,7 +8,6 @@ from subspec.discretization import (
     assemble_jacobi,
     auto_truncation,
     build_quadrature,
-    convergence_sweep,
     kink_bias_estimate,
 )
 from subspec.errors import (
@@ -18,7 +17,6 @@ from subspec.errors import (
     SlowDecayWarning,
 )
 from subspec.spectral import eigen_mu, factorization_forms
-from subspec.subordinate import SubordinateCache
 
 
 def test_two_point_gauss_legendre():
@@ -124,10 +122,9 @@ def test_positivity_sampled_gram(phi2):
 def test_bounded_map_property(phi1):
     # |(G f)(x)| / psi(x) <= ||phi|| ||f|| pointwise
     quad = build_quadrature(13.8155, 56, 10)
-    cache = SubordinateCache(phi1, quad.nodes)
-    T = assemble_jacobi(phi1, quad, cache=cache)
+    T = assemble_jacobi(phi1, quad)
     rng = np.random.default_rng(5)
-    psi = np.exp(cache.log_psi_nodes)
+    psi = np.exp(T.cache.log_psi_nodes)
     for _ in range(10):
         f = rng.standard_normal(quad.n)
         g = T.apply_to_function(f)
@@ -139,22 +136,16 @@ def test_apply_to_function_matches_dense(phi3):
     quad = build_quadrature(4.0, 12, 10)
     f = np.random.default_rng(6).standard_normal(quad.n)
     sw = np.sqrt(quad.weights)
-    singular = -float(np.exp(SubordinateCache(phi3, quad.nodes).log_I_nodes[0]))
+    singular = -float(np.exp(assemble_jacobi(phi3, quad).cache.log_I_nodes[0]))
     for gamma in (0.0, -0.5, singular):  # singular: row and column 1 of G vanish
         dense = dense_oracle.green_matrix(phi3, quad, gamma) @ (sw * f) / sw
         g = assemble_jacobi(phi3, quad, gamma).apply_to_function(f)
         assert np.max(np.abs(g - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
-def test_convergence_sweep_degenerate(phi3):
-    res = convergence_sweep(phi3, [4.0], [200], n_keep=5)
-    assert len(res.rows) == 1
-    assert not res.converged  # single cell: no refinement, no claim
-
-
-def test_convergence_sweep_monotone_in_X(phi1):
-    res = convergence_sweep(phi1, [10.0, 20.0, 30.0], [400], n_keep=3)
-    tops = [row.mu[0] for row in res.rows]
+def test_top_mu_monotone_in_X(phi1):
+    tops = [eigen_mu(assemble_jacobi(phi1, build_quadrature(X, 40, 10)), 3).mu[0]
+            for X in (10.0, 20.0, 30.0)]
     assert tops[0] < tops[1] < tops[2] <= 1.0 + 1e-9  # domain monotonicity toward 1
 
 

@@ -9,8 +9,7 @@ import dense_oracle
 from subspec.discretization import assemble_jacobi, build_quadrature
 from subspec.errors import ComplexGammaError
 from subspec.phi_models import PhiSpec, inv_power_zeta, make_phi
-from subspec.spectral import eigen_mu, robin_spectrum
-from subspec.subordinate import SubordinateCache
+from subspec.spectral import eigen_mu
 
 GAMMAS = [0.0, 0.5, -0.05, -2.0]
 GAMMA_IDS = ["dirichlet", "robin+0.5", "robin-0.05", "robin-2"]
@@ -18,7 +17,7 @@ GAMMA_IDS = ["dirichlet", "robin+0.5", "robin-0.05", "robin-2"]
 
 @pytest.fixture(scope="module")
 def grids(phi1, phi2, phi3, phi4):
-    """(model, quadrature, shared cache) per built-in family.
+    """(model, quadrature) per built-in family.
 
     power and oscillating run at N = 2000, where a tridiagonal solver at its
     default tolerance (absolute, eps * max lambda) misses 1e-9 on the top mu.
@@ -30,8 +29,7 @@ def grids(phi1, phi2, phi3, phi4):
                                    ("stretched-exp", phi3, 8.0, 100),
                                    ("oscillating", phi4, 6.0, 200),
                                    ("scattering-profile", scattering, 30.0, 100)):
-        quad = build_quadrature(X, panels, 10)
-        out[name] = (model, quad, SubordinateCache(model, quad.nodes))
+        out[name] = (model, build_quadrature(X, panels, 10))
     return out
 
 
@@ -43,10 +41,10 @@ def _dense_T(T):
                                     "oscillating", "scattering-profile"])
 @pytest.mark.parametrize("gamma", GAMMAS, ids=GAMMA_IDS)
 def test_jacobi_spectrum_matches_dense(grids, family, gamma):
-    model, quad, cache = grids[family]
+    model, quad = grids[family]
     dense = dense_oracle.mu(dense_oracle.green_matrix(model, quad, gamma))
     norm = np.max(np.abs(dense))
-    T = assemble_jacobi(model, quad, gamma, cache=cache)
+    T = assemble_jacobi(model, quad, gamma)
     full = eigen_mu(T)
     top = np.argsort(-np.abs(dense))[:25]
     assert np.max(np.abs(full.mu[top] - dense[top]) / np.abs(dense[top])) <= 1e-9
@@ -82,8 +80,7 @@ def _profiles(draw):
        order=st.integers(2, 10), gamma=st.sampled_from([0.0, 0.7, -0.3, -5.0]))
 def test_jacobi_is_inverse_of_nystrom_matrix(model, X, panels, order, gamma):
     quad = build_quadrature(X, panels, order)
-    cache = SubordinateCache(model, quad.nodes)
-    T = assemble_jacobi(model, quad, gamma, cache=cache)
+    T = assemble_jacobi(model, quad, gamma)
     if np.isinf(T.diag[0]):  # gamma hit -I(x_1) exactly
         return
     Td = _dense_T(T)
@@ -94,14 +91,14 @@ def test_jacobi_is_inverse_of_nystrom_matrix(model, X, panels, order, gamma):
 
 def test_singular_robin_has_one_exact_zero_mu(phi3):
     quad = build_quadrature(4.0, 20, 10)
-    cache = SubordinateCache(phi3, quad.nodes)
-    gamma = -float(np.exp(cache.log_I_nodes[0]))  # xi(x_1) = 0
-    res = robin_spectrum(phi3, gamma, quad, cache=cache)
+    gamma = -float(np.exp(assemble_jacobi(phi3, quad).cache.log_I_nodes[0]))  # xi(x_1) = 0
+    T = assemble_jacobi(phi3, quad, gamma)
+    res = eigen_mu(T)
     assert np.sum(res.mu == 0.0) == 1
     assert np.all(res.mu >= 0.0)
     dense = dense_oracle.mu(dense_oracle.green_matrix(phi3, quad, gamma))
     assert np.max(np.abs(res.mu - dense)) <= 1e-9 * np.max(np.abs(dense))
-    top = robin_spectrum(phi3, gamma, quad, n_keep=10, cache=cache)
+    top = eigen_mu(T, 10)
     assert np.allclose(top.mu, res.mu[:10], rtol=1e-12, atol=0.0)
 
 

@@ -15,7 +15,6 @@ from subspec.lse_quad import log_integral_exp
 from subspec.phi_models import (
     DecayInfo,
     PhiSpec,
-    eval_dlog_phi,
     inv_power_zeta,
     make_phi,
     verify_decay_hypothesis,
@@ -26,7 +25,7 @@ def test_exp_decay_definition(phi1):
     assert phi1.decay.triple == (1.0, 1.0, 1.0)
     assert phi1.log_phi(0.0) == 0.0
     assert phi1.log_phi(3.5) == -3.5
-    assert eval_dlog_phi(phi1, 2.0) == -1.0
+    assert phi1.dlog_phi(2.0) == -1.0
 
 
 def test_builtin_log_values(phi3, phi4):
@@ -34,7 +33,7 @@ def test_builtin_log_values(phi3, phi4):
     assert phi3.log_phi(1.0) == pytest.approx(-4.0, abs=0)
     # oscillating at 0: -sin(1)
     assert phi4.log_phi(0.0) == pytest.approx(-math.sin(1.0), rel=1e-15)
-    assert eval_dlog_phi(phi4, 0.0) == pytest.approx(-1.0 - math.cos(1.0), rel=1e-14)
+    assert phi4.dlog_phi(0.0) == pytest.approx(-1.0 - math.cos(1.0), rel=1e-14)
 
 
 def test_parameter_validation():
@@ -107,17 +106,6 @@ def test_l2_norm_oscillating_budget_and_oracle(monkeypatch):
     assert norm ** 2 == pytest.approx(_oscillating_l2sq_in_t(), rel=1e-12)
 
 
-def test_fd_fallback_matches_analytic(phi2, phi3):
-    h = 1e-4
-    for m, xs in ((phi2, [0.3, 1.0, 4.0]), (phi3, [0.5, 2.0])):
-        stripped = type(m)(kind=m.kind, label=m.label, log_phi=m.log_phi,
-                           dlog_phi=None, d2log_phi=None, decay=m.decay,
-                           l2_norm_phi=m.l2_norm_phi)
-        for x in xs:
-            fd = eval_dlog_phi(stripped, x, h=h)
-            assert abs(fd - eval_dlog_phi(m, x)) <= 10.0 * h * h
-
-
 def test_tabulated_model_from_phi1_samples(phi1):
     xs = np.linspace(0.0, 10.0, 201)
     spec = PhiSpec.tabulated(xs, np.exp(-xs))
@@ -126,8 +114,6 @@ def test_tabulated_model_from_phi1_samples(phi1):
     assert m.log_phi(3.333) == pytest.approx(-3.333, abs=1e-12)
     # extrapolation continues the last slope
     assert m.log_phi(12.0) == pytest.approx(-12.0, abs=1e-9)
-    fd = eval_dlog_phi(m, 1.0, h=1e-4)
-    assert abs(fd - (-1.0)) <= 1e-7
     assert m.l2_norm_phi == pytest.approx(phi1.l2_norm_phi, rel=1e-8)
 
 

@@ -1,6 +1,6 @@
 """Guards on the public surface: one quadrature tolerance, no unused knobs,
 one matrix representation, one kernel parameter, one way to read I, psi and
-phi."""
+phi, one route from a grid to its operator."""
 
 import importlib
 import inspect
@@ -12,9 +12,7 @@ from subspec import (discretization, errors, green_kernel, lse_quad, oracle_fd, 
 
 # parameters no caller ever set; they are module constants now
 RETIRED = {
-    "convergence_sweep": {"order"},
     "cross_validate": {"fd_N", "order"},
-    "trace_report": {"order", "profile_points"},
     "converged_mask": {"tol"},
     "turning_point": {"x_max"},
     "wronskian_residual": {"h"},
@@ -57,6 +55,13 @@ def test_no_public_callable_takes_rtol():
     assert not hasattr(lse_quad, "DEFAULT_RTOL")
 
 
+def test_no_public_callable_takes_cache():
+    # assemble_jacobi builds the psi cache of its grid; the only constructor
+    # that names one is that of the JacobiMatrix it returns (field T.cache)
+    takes = [q for q, _, sig in _public_callables() if "cache" in sig.parameters]
+    assert takes == ["discretization.JacobiMatrix"]
+
+
 def test_retired_parameters_stay_constants():
     seen = set()
     for qual, attr, sig in _public_callables():
@@ -96,9 +101,7 @@ def test_gamma_is_one_real_number():
     assert not hasattr(spectral, "MU_NOISE_FACTOR")
     assert _fields(spectral.SpectralResult) == ["mu", "lam", "norm_estimate", "converged"]
     assert not hasattr(spectral.SpectralResult, "mu_floor")
-    assert _fields(discretization.JacobiMatrix) == ["diag", "off", "gamma", "quad"]
-    assert "provenance" not in _fields(scattering.ScatteringReport)
-    assert "kind" not in inspect.signature(discretization.convergence_sweep).parameters
+    assert _fields(discretization.JacobiMatrix) == ["diag", "off", "gamma", "quad", "cache"]
     gamma = inspect.signature(discretization.assemble_jacobi).parameters["gamma"]
     assert gamma.default == 0.0
 
@@ -116,9 +119,22 @@ def test_one_way_to_read_I_psi_and_phi():
     assert not hasattr(cache, "model")
     assert _fields(phi_models.DecayReport) == ["holds", "worst_margin"]
     assert "params" not in _fields(phi_models.PhiModel)
-    assert _fields(discretization.SweepRow) == ["X", "N", "mu"]
-    assert _fields(discretization.SweepResult) == ["rows", "converged"]
     assert _fields(scattering.Nu) == ["fn", "integral"]
+
+
+def test_one_route_from_a_grid_to_its_operator():
+    """No driver re-walks grid -> matrix -> result for a task that computes it,
+    no second convergence rule, and tau is read only through model.dlog_phi."""
+    names = {attr for _, attr, _ in _public_callables()}
+    assert not {"robin_spectrum", "convergence_sweep", "SweepRow", "SweepResult",
+                "trace_report", "ScatteringReport", "eval_dlog_phi"} & names
+    assert not hasattr(discretization, "CONVERGED_REL")
+    assert spectral.CONVERGED_REL == 1e-6
+    for mod, gone in ((discretization, "_rel_diff"), (scattering, "XI_PROFILE_POINTS"),
+                      (phi_models, "DEFAULT_FD_STEP")):
+        assert not hasattr(mod, gone)
+    for fn in (spectral.quadratic_form_residual, spectral.weighted_identity_residual):
+        assert not {"quad", "gamma"} & set(inspect.signature(fn).parameters)
 
 
 def test_one_nystrom_order():

@@ -17,7 +17,6 @@ from subspec.scattering import (
     nu_is_valid,
     power_nu,
     trace_norm_difference,
-    trace_report,
     write_sweep_csv,
     xi_norm_bound,
     xi_norms,
@@ -109,11 +108,11 @@ def test_trace_norm_difference_matches_dense(phi1, k, alpha):
 def test_indefinite_difference_is_an_error():
     wavy = Zeta(fn=lambda x: 0.5 * np.sin(np.asarray(x, dtype=float)), sup=0.5,
                 label="0.5 sin x")
-    with pytest.raises(IndefiniteDifferenceError):
-        trace_report(ScatteringProfile(c=1.0, zeta=wavy), X=50.0, panels=100)
-    # the CLI's family +-(1+x)^-alpha stays definite on that grid
     quad = build_quadrature(50.0, 100, 10)
     model0 = make_phi(PhiSpec.exp_decay(1.0))
+    with pytest.raises(IndefiniteDifferenceError):
+        trace_norm_difference(make_phi(PhiSpec.scattering_profile(1.0, wavy)), model0, quad)
+    # the CLI's family +-(1+x)^-alpha stays definite on that grid
     for k in (1.0, -1.0):
         for alpha in (0.5, 1.0, 1.5, 2.0, 4.0):
             model = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(k, alpha)))
@@ -140,14 +139,6 @@ def test_xi_outer_products_reconstruct_green(phi1):
         assert factorization_forms(phi1, quad, f)[0] == pytest.approx(f @ recon @ f, rel=1e-10)
     Ge = dense_oracle.green_matrix(phi1, quad)
     assert np.linalg.norm(recon - Ge) / np.linalg.norm(Ge) <= 0.05
-
-
-def test_trace_report_alpha_15():
-    rep = trace_report(inv_power_profile(1.0, 1.5), X=60.0, panels=90)
-    assert math.isfinite(rep.trace_norm_numeric)
-    assert rep.criterion_met
-    assert rep.trace_norm_numeric <= rep.trace_bound_analytic
-    assert rep.xi_profile.shape[1] == 4
 
 
 def test_sweep_finiteness_pattern():

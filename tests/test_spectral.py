@@ -3,7 +3,6 @@ import pytest
 
 from subspec.discretization import JacobiMatrix, assemble_jacobi, build_quadrature
 from subspec.errors import (
-    ComplexGammaError,
     InsufficientDataError,
     InvalidParameterError,
     MismatchedLengthsError,
@@ -18,7 +17,6 @@ from subspec.spectral import (
     growth_exponent,
     quadratic_form_residual,
     robin_sigma,
-    robin_spectrum,
     weighted_identity_residual,
     write_spectrum_csv,
 )
@@ -51,8 +49,9 @@ def test_dirichlet_eigen_mu_refuses_nonpositive_mu():
     diag, off = np.ones(3), np.array([-1.0, -1.0])
     for n_keep in (None, 1):
         with pytest.raises(NonPositiveMuError):
-            eigen_mu(JacobiMatrix(diag, off, 0.0, quad), n_keep)
-    res = eigen_mu(JacobiMatrix(diag, off, -0.5, quad))  # Robin: one mu < 0 is allowed
+            eigen_mu(JacobiMatrix(diag, off, 0.0, quad, cache=None), n_keep)
+    # Robin: one mu < 0 is allowed
+    res = eigen_mu(JacobiMatrix(diag, off, -0.5, quad, cache=None))
     assert np.sum(res.mu < 0) == 1
     assert np.allclose(res.lam, np.sort(1.0 / res.mu[:2]))
 
@@ -92,13 +91,13 @@ def test_growth_exponent_synthetic():
 
 def test_quadratic_form_zero_vector(phi1):
     quad = build_quadrature(10.0, 40, 10)
-    assert quadratic_form_residual(phi1, quad, np.zeros(quad.n)) == 0.0
+    assert quadratic_form_residual(phi1, assemble_jacobi(phi1, quad), np.zeros(quad.n)) == 0.0
 
 
 def test_quadratic_form_smooth_bump(phi1):
     quad = build_quadrature(13.8155, 200, 10)
     f = np.exp(-((quad.nodes - 3.0) ** 2))
-    assert quadratic_form_residual(phi1, quad, f) <= 1e-3
+    assert quadratic_form_residual(phi1, assemble_jacobi(phi1, quad), f) <= 1e-3
 
 
 def test_quadratic_form_robin_bound_state(phi1):
@@ -106,19 +105,16 @@ def test_quadratic_form_robin_bound_state(phi1):
     # g(0)^2/(gamma phi(0)^2) = -1
     quad = build_quadrature(13.8155, 200, 10)
     f = -3.0 * np.exp(-2.0 * quad.nodes)
-    assert quadratic_form_residual(phi1, quad, f, gamma=-1.0) <= 1e-2
-    assert quadratic_form_residual(phi1, quad, f, gamma=0.0) == \
-        quadratic_form_residual(phi1, quad, f)  # gamma = 0 is the Dirichlet form
-    with pytest.raises(ComplexGammaError):
-        quadratic_form_residual(phi1, quad, f, gamma=1.0 + 1.0j)
+    assert quadratic_form_residual(phi1, assemble_jacobi(phi1, quad, -1.0), f) <= 1e-2
 
 
 def test_weighted_identity(phi1, phi3):
     assert weighted_identity_residual(
-        phi1, build_quadrature(13.8155, 120, 10), 3.0) <= 1e-3
+        phi1, assemble_jacobi(phi1, build_quadrature(13.8155, 120, 10)), 3.0) <= 1e-3
     assert weighted_identity_residual(
-        phi3, build_quadrature(4.0, 100, 10), 1.5) <= 1e-3
-    assert weighted_identity_residual(phi1, build_quadrature(5.0, 20, 10), 0.0) == 0.0
+        phi3, assemble_jacobi(phi3, build_quadrature(4.0, 100, 10)), 1.5) <= 1e-3
+    assert weighted_identity_residual(
+        phi1, assemble_jacobi(phi1, build_quadrature(5.0, 20, 10)), 0.0) == 0.0
 
 
 def test_weighted_identity_needs_smooth_model():
@@ -127,7 +123,7 @@ def test_weighted_identity_needs_smooth_model():
     xs = np.linspace(0.0, 10.0, 101)
     tab = make_phi(PhiSpec.tabulated(xs, np.exp(-xs)))
     with pytest.raises(NonSmoothModelError):
-        weighted_identity_residual(tab, build_quadrature(5.0, 20, 10), 2.0)
+        weighted_identity_residual(tab, assemble_jacobi(tab, build_quadrature(5.0, 20, 10)), 2.0)
 
 
 def test_robin_sigma_values(phi1):
@@ -140,21 +136,17 @@ def test_robin_sigma_values(phi1):
 
 def test_robin_spectrum_bound_state(phi1):
     quad = build_quadrature(13.8155, 120, 10)
-    res = robin_spectrum(phi1, -1.0, quad)
+    res = eigen_mu(assemble_jacobi(phi1, quad, -1.0))
     assert res.mu[-1] == pytest.approx(-1.0 / 3.0, abs=1e-3)
     assert 1.0 / res.mu[-1] == pytest.approx(-3.0, abs=1e-2)
 
 
 def test_robin_spectrum_neumann_window(phi1):
     quad = build_quadrature(13.8155, 56, 10)
-    res = robin_spectrum(phi1, 1.0, quad)
+    res = eigen_mu(assemble_jacobi(phi1, quad, 1.0))
     assert res.mu[0] <= 1.0 + 1e-9
     assert res.mu[-1] >= -1e-10
     assert res.mu[0] >= 0.95  # cluster toward mu = 1
-    with pytest.raises(ComplexGammaError):
-        robin_spectrum(phi1, 1.0 + 1.0j, quad)
-    with pytest.raises(ZeroGammaError):
-        robin_spectrum(phi1, 0.0, quad)
 
 
 def test_robin_interlacing(phi3):
@@ -162,7 +154,7 @@ def test_robin_interlacing(phi3):
     quad = build_quadrature(6.0, 60, 10)
     mu = eigen_mu(assemble_jacobi(phi3, quad)).mu
     for gamma in (0.7, -0.7):
-        mug = robin_spectrum(phi3, gamma, quad).mu
+        mug = eigen_mu(assemble_jacobi(phi3, quad, gamma)).mu
         if gamma > 0:
             assert np.all(mug[1:] <= mu[:-1] + 1e-12)
             assert np.all(mug >= mu - 1e-12)
@@ -175,7 +167,7 @@ def test_robin_tail_invariance(phi3):
     # essential-spectrum invariance, measured: relative mu shifts decay in n
     quad = build_quadrature(8.0, 160, 10)
     mu = eigen_mu(assemble_jacobi(phi3, quad), 25).mu
-    mug = robin_spectrum(phi3, -1.0, quad, n_keep=25).mu
+    mug = eigen_mu(assemble_jacobi(phi3, quad, -1.0), 25).mu
     rel = np.abs(mug - mu) / mu
     spacing = mu[:-1] - mu[1:]
     assert np.all(np.abs(mug[9:20] - mu[9:20]) <= spacing[8:19])  # within one gap
