@@ -2,13 +2,14 @@
 
 The submodules follow the pipeline:
 
+    lse_quad        adaptive log-space quadrature, the one integrator
     phi_models      profiles phi, decay metadata, L2 norms
-    subordinate     the companion solution psi, xi, D, regularized potential
-    green_kernel    pointwise Dirichlet/Robin/factor kernels and bounds
-    discretization  quadrature grids and symmetrized Nystrom matrices
-    spectral        eigenvalues, comparisons, growth fits, form residuals
+    subordinate     the psi cache (I and psi at grid nodes), Wronskian check
+    green_kernel    the pointwise Dirichlet kernel G and its exponential bound
+    discretization  quadrature grids and the tridiagonal Nystrom inverse T
+    spectral        eigenvalues, comparisons, factorization and identity checks
     scattering      trace-norm criteria for phi = exp(-c x - zeta)
-    oracle_fd       independent finite-difference reference solver
+    oracle_fd       independent finite-difference Dirichlet solver
     cli             config-driven command line front end
 
 Imports here are lazy so the CLI can pin BLAS thread counts before numpy

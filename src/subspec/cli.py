@@ -230,12 +230,13 @@ def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     return X, panels, order
 
 
-def _jacobi(cfg: RunConfig, prefix: str, model, quad, notes: list, gamma=0.0, of=""):
+def _jacobi(cfg: RunConfig, prefix: str, model, quad, notes: list, gamma=0.0, which=""):
     """The matrix T of the profile block `prefix` on the task grid `quad`.
 
     A custom-log-profile must give a finite log phi on the grid.  A note
-    says where T's psi cache (of the profile named by `of`, when a task has
-    two) accepted quadrature panels only at the depth limit.
+    says where T's psi cache accepted quadrature panels only at the depth
+    limit; `which` tells the cache apart when a task builds two (two
+    profiles, or two grids).
     """
     import numpy as np
     from .discretization import assemble_jacobi
@@ -248,7 +249,7 @@ def _jacobi(cfg: RunConfig, prefix: str, model, quad, notes: list, gamma=0.0, of
     T = assemble_jacobi(model, quad, gamma)
     cache = T.cache
     if cache.unresolved_segments:
-        notes.append(f"psi quadrature{of} unresolved in {cache.unresolved_segments} of "
+        notes.append(f"psi quadrature{which} unresolved in {cache.unresolved_segments} of "
                      f"{cache.grid.size} segments (accepted at the depth limit), "
                      f"the first from x = {cache.first_unresolved_x:.6g}")
     return T
@@ -267,7 +268,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     from dataclasses import replace
     import numpy as np
-    from .discretization import assemble_jacobi, build_quadrature
+    from .discretization import build_quadrature
     from .phi_models import make_phi
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
 
@@ -277,8 +278,9 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     fine = build_quadrature(X, panels, order)
     res = eigen_mu(_jacobi(cfg, "phi", model, fine, notes), n_keep)
     if panels > 1:  # converged: unmoved on the grid with half the panels
-        coarse = build_quadrature(X, panels // 2, order)
-        converged = converged_mask(res.mu, eigen_mu(assemble_jacobi(model, coarse), n_keep).mu)
+        coarse = _jacobi(cfg, "phi", model, build_quadrature(X, panels // 2, order), notes,
+                         which=" on the half-panel grid")
+        converged = converged_mask(res.mu, eigen_mu(coarse, n_keep).mu)
     else:
         converged = np.zeros(res.mu.size, dtype=bool)
         notes.append("one panel has no coarser grid: no eigenvalue is claimed converged")
@@ -302,7 +304,7 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     X, panels, order = _resolution(cfg, [model1, model2], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 20)
     quad = build_quadrature(X, panels, order)
-    res1, res2 = [eigen_mu(_jacobi(cfg, prefix, m, quad, notes, of=f" of {m.label}"), n_keep)
+    res1, res2 = [eigen_mu(_jacobi(cfg, prefix, m, quad, notes, which=f" of {m.label}"), n_keep)
                   for prefix, m in (("phi", model1), ("compare.phi2", model2))]
     if c is None:
         grid = np.linspace(0.0, X, 2001)
@@ -350,7 +352,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
 
 
 def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
-    from .discretization import ORDER
+    from .discretization import ORDER, build_quadrature, default_panels
     from .scattering import example_scatt_sweep, write_sweep_csv
 
     raw = cfg.get("scatter.alpha_list", "0.5,1,1.5,2,4")
@@ -358,9 +360,9 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
               for tok in raw.replace(";", ",").split(",") if tok.strip()]
     c = cfg.get_float("scatter.c", 1.0)
     X = cfg.get_float("resolution.X", 50.0)
-    panels = cfg.get_int("resolution.panels")
-    rows = example_scatt_sweep(alphas, c, X=X, panels=panels,
-                               order=cfg.get_int("resolution.order", ORDER))
+    quad = build_quadrature(X, cfg.get_int("resolution.panels", default_panels(X)),
+                            cfg.get_int("resolution.order", ORDER))
+    rows = example_scatt_sweep(alphas, c, quad)
     write_sweep_csv(rows, outdir / "scatter.csv")
     lines = [f"c = {c:.6g}", f"X = {X:.6g}"]
     for r in rows:

@@ -173,20 +173,3 @@ def assemble_jacobi(model: PhiModel, quad: Quadrature, gamma: float = 0.0) -> Ja
         else:
             diag[0] += np.sign(r1) * np.exp(-np.log(abs(r1)) - 2.0 * lp[0] - lw[0])
     return JacobiMatrix(diag=diag, off=off, gamma=gamma, quad=quad, cache=cache)
-
-
-def kink_bias_estimate(quad: Quadrature) -> float:
-    """Leading uniform eigenvalue bias of Green-kernel Nystrom on this grid.
-
-    The kernel has slope jump 1 across the diagonal (Wronskian), so every
-    diagonal panel cell mis-integrates -|x - y|/2 by the same reference
-    constant; top eigenvalues shift together by about this amount.  Purely a
-    diagnostic: matrices are never corrected (that would break the exact
-    Gram positivity of the sampled kernel).
-    """
-    gx, gw = gauss_legendre(quad.order)
-    u = 0.5 * (gx + 1.0)
-    wu = 0.5 * gw
-    cell_err = float(np.einsum("i,j,ij->", wu, wu, np.abs(u[:, None] - u[None, :]))) - 1.0 / 3.0
-    h = quad.X / quad.panels
-    return -0.5 * cell_err * h * h

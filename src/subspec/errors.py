@@ -30,11 +30,7 @@ class ComplexGammaError(SubspecError):
 
 
 class NonSmoothModelError(SubspecError):
-    """The operation needs second-derivative data the model does not have."""
-
-
-class NonPositiveFError(SubspecError):
-    """The combination a*phi + b*psi is not strictly positive on [0, x]."""
+    """The operation needs phi'/phi or phi''/phi, which the model does not have."""
 
 
 class NoDecayDetectedError(SubspecError):
@@ -45,20 +41,12 @@ class IndefiniteDifferenceError(SubspecError):
     """T0 - T is indefinite, so the trace norm of G - G0 is not its trace."""
 
 
-class InsufficientDataError(SubspecError):
-    """Not enough converged eigenvalues for the requested fit."""
-
-
 class NonPositiveMuError(SubspecError):
     """The positive Dirichlet Green matrix came out with an eigenvalue mu <= 0."""
 
 
 class MismatchedLengthsError(SubspecError):
     """Two spectral results with different lengths cannot be compared."""
-
-
-class MissingNuError(SubspecError):
-    """The analytic trace bound needs a dominating nu but none was supplied."""
 
 
 class NotCompactError(SubspecError):

@@ -1,23 +1,19 @@
-"""Pointwise kernels: Dirichlet G, Robin G_gamma, the factors M and L.
+"""Pointwise Dirichlet kernel G and its exponential bound.
 
-    G(x, y)       = psi(x ^ y) phi(x v y)            (symmetric, >= 0)
-    G_gamma(x, y) = G(x, y) + gamma phi(x) phi(y)    (rank-one shift)
-    M(x, y)       = phi(y)/phi(x) [y >= x]           (G = M* M)
-    L(x, y)       = phi(x)/phi(y) [y <= x]           (adjoint factor)
+    G(x, y) = psi(x ^ y) phi(x v y)            (symmetric, >= 0)
 
 Everything is evaluated through logs of phi and psi; x ^ y = 0 short-circuits
 to exactly 0 so that -inf + inf never forms.  psi comes from a
 SubordinateCache built on the unique positive minima.  The discretization
-module assembles G and G_gamma (real gamma; gamma = 0 is G) as the
-tridiagonal inverse of their Nystrom matrix; the factor kernels exist
-pointwise only.
+module assembles G and its Robin shift G + gamma phi(x) phi(y) (real gamma;
+gamma = 0 is G) as the tridiagonal inverse of their Nystrom matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError, MissingDecayError, NegativeArgumentError, ZeroGammaError
+from .errors import MissingDecayError, NegativeArgumentError
 from .phi_models import PhiModel
 from .subordinate import SubordinateCache
 
@@ -43,29 +39,6 @@ def green_eval(model: PhiModel, x, y) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         vals = np.exp(log_psi_mn + model.log_phi(mx))
     vals = np.where(mn == 0.0, 0.0, vals)
-    return vals if vals.ndim else float(vals)
-
-
-def green_gamma_eval(model: PhiModel, gamma: complex, x, y):
-    """G_gamma(x, y) = G(x, y) + gamma phi(x) phi(y)."""
-    if gamma == 0:
-        raise ZeroGammaError("gamma must be nonzero")
-    x, y = _pair_arrays(x, y)
-    g = green_eval(model, x, y)
-    shift = gamma * np.exp(model.log_phi(x) + model.log_phi(y))
-    out = g + shift
-    return out if np.ndim(out) else complex(out) if np.iscomplexobj(shift) else float(out)
-
-
-def factor_kernel_eval(model: PhiModel, which: str, x, y) -> np.ndarray:
-    """M(x,y) = phi(y)/phi(x) for y >= x; L(x,y) = phi(x)/phi(y) for y <= x."""
-    x, y = _pair_arrays(x, y)
-    if which == "M":
-        vals = np.where(y >= x, np.exp(model.log_phi(y) - model.log_phi(x)), 0.0)
-    elif which == "L":
-        vals = np.where(y <= x, np.exp(model.log_phi(x) - model.log_phi(y)), 0.0)
-    else:
-        raise InvalidParameterError(f"unknown factor '{which}'")
     return vals if vals.ndim else float(vals)
 
 

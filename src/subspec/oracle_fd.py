@@ -11,9 +11,8 @@ regime where only the Green route works is out of its scope by design.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -26,18 +25,12 @@ FD_N = 4000  # nodes of the resolved FD pass in cross_validate
 
 
 @dataclass(frozen=True)
-class RobinBC:
-    """g'(0) = sigma g(0), discretized by ghost-point elimination."""
-
-    sigma: float
-
-
-@dataclass(frozen=True)
 class FDProblem:
+    """-g'' + V g on [0, X] with g(0) = g(X) = 0, on N interior nodes."""
+
     potential: Callable[[np.ndarray], np.ndarray]
     X: float
     N: int
-    bc0: Union[str, RobinBC] = "dirichlet"  # bcX is always Dirichlet
 
     def __post_init__(self):
         if self.N < 16 or self.X <= 0:
@@ -55,27 +48,12 @@ def potential_from_phi(model: PhiModel, x) -> np.ndarray:
 
 
 def fd_eigenvalues(p: FDProblem, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the 3-point discretization.
-
-    Dirichlet at both ends uses interior nodes i*dx, i = 1..N with
-    dx = X/(N+1).  A Robin condition at 0 keeps the boundary node, eliminates
-    the ghost value through (g_1 - g_-1)/(2 dx) = sigma g_0 and restores
-    symmetry by the sqrt(2) similarity scaling of the first component;
-    both variants are second-order accurate.
-    """
+    """Lowest k eigenvalues of the 3-point discretization on the interior
+    nodes i*dx, i = 1..N, with dx = X/(N+1); second-order accurate."""
     dx = p.X / (p.N + 1)
-    if isinstance(p.bc0, RobinBC):
-        x = dx * np.arange(0, p.N + 1)
-        diag = 2.0 / dx**2 + np.asarray(p.potential(x), dtype=float)
-        diag[0] += 2.0 * p.bc0.sigma / dx
-        off = np.full(p.N, -1.0 / dx**2)
-        off[0] *= math.sqrt(2.0)
-    else:
-        if p.bc0 != "dirichlet":
-            raise InvalidParameterError(f"unknown boundary condition {p.bc0!r}")
-        x = dx * np.arange(1, p.N + 1)
-        diag = 2.0 / dx**2 + np.asarray(p.potential(x), dtype=float)
-        off = np.full(p.N - 1, -1.0 / dx**2)
+    x = dx * np.arange(1, p.N + 1)
+    diag = 2.0 / dx**2 + np.asarray(p.potential(x), dtype=float)
+    off = np.full(p.N - 1, -1.0 / dx**2)
     k = min(int(k), diag.size)
     vals = eigh_tridiagonal(diag, off, select="i",
                             select_range=(0, k - 1), eigvals_only=True)

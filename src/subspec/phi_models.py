@@ -64,13 +64,6 @@ def inv_power_zeta(k: float = 1.0, alpha: float = 1.0) -> Zeta:
     )
 
 
-def zero_zeta() -> Zeta:
-    return Zeta(fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                dfn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                d2fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                sup=0.0, label="0")
-
-
 @dataclass(frozen=True)
 class PhiSpec:
     """Declarative description of a profile; realized by make_phi."""
@@ -128,10 +121,6 @@ class DecayInfo:
     c_upper: float
     sigma: Callable[[np.ndarray], np.ndarray]
     dsigma: Callable[[np.ndarray], np.ndarray]
-
-    @property
-    def triple(self):
-        return (self.rate, self.c_lower, self.c_upper)
 
     def kernel_bound_const(self) -> float:
         """Prefactor c2^3 / (2 c c1^3) of the off-diagonal kernel bound."""

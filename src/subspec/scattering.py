@@ -6,9 +6,9 @@ xi_x(u) = phi(u)/phi(x) [u >= x], giving
     ||G - G0||_tr <= int_0^inf (||xi_x|| + ||xi_{0,x}||) ||xi_x - xi_{0,x}|| dx,
 
 finiteness of which triggers existence and completeness of the wave
-operators (Kuroda-Birman).  This module computes the xi norms, the analytic
-bound from a dominating decreasing nu, the numeric trace norm of the
-discretized difference, and the alpha sweep that contrasts the nu route
+operators (Kuroda-Birman).  This module computes two bounds on that
+integral, the numeric trace norm of the discretized difference, and the
+alpha sweep that contrasts the bound from a dominating decreasing nu
 (finite only for alpha > 1) with the sharper derivative route (finite for
 every alpha > 0).  The comparison kernel G0 is the Dirichlet kernel of the
 exp-decay(c) profile.
@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .discretization import ORDER, Quadrature, assemble_jacobi, build_quadrature
-from .errors import IndefiniteDifferenceError, InvalidParameterError, MissingNuError
-from .lse_quad import log_integral_exp
+from .discretization import Quadrature, assemble_jacobi
+from .errors import IndefiniteDifferenceError, InvalidParameterError
 from .phi_models import PhiModel, PhiSpec, Zeta, inv_power_zeta, make_phi
 from .spectral import _extreme_eigenvalues
 
@@ -58,7 +57,7 @@ def power_nu(k: float = 1.0, alpha: float = 1.0) -> Nu:
 class ScatteringProfile:
     c: float
     zeta: Zeta
-    nu: Optional[Nu] = None
+    nu: Nu
 
     def __post_init__(self):
         if self.c <= 0:
@@ -70,78 +69,11 @@ def inv_power_profile(c: float, alpha: float) -> ScatteringProfile:
     return ScatteringProfile(c=c, zeta=inv_power_zeta(1.0, alpha), nu=power_nu(1.0, alpha))
 
 
-def nu_is_valid(profile: ScatteringProfile, audit_nodes=None) -> bool:
-    """|zeta| <= nu and nu decreasing, checked on the audit grid only
-    (default 40 nodes per unit length on [0, 40]; zeta may move between)."""
-    if profile.nu is None:
-        return False
-    if audit_nodes is None:
-        audit_nodes = np.linspace(0.0, 40.0, 1601)
-    x = np.asarray(audit_nodes, dtype=float)
-    nu_vals = np.asarray(profile.nu.fn(x), dtype=float)
-    dominates = np.all(np.abs(profile.zeta.fn(x)) <= nu_vals + 1e-12)
-    decreasing = np.all(np.diff(nu_vals) <= 1e-12)
-    return bool(dominates and decreasing)
-
-
-def _tail_window(profile: ScatteringProfile) -> float:
-    # e^{-2cW} with the zeta oscillation absorbed stays below ~1e-13
-    return (30.0 + 4.0 * profile.zeta.sup) / (2.0 * profile.c)
-
-
-def xi_norms(profile: ScatteringProfile, x: float) -> tuple:
-    """(||xi_x||, ||xi_{0,x}||, ||xi_x - xi_{0,x}||).
-
-    The squared norms integrate adaptively over an exponential window
-    [x, x + W]; beyond W the zeta variation is frozen and the tail added in
-    closed form.  ||xi_{0,x}|| = 1/sqrt(2c) exactly.
-    """
-    if x < 0:
-        raise InvalidParameterError("x must be >= 0")
-    c, zeta = profile.c, profile.zeta
-    W = _tail_window(profile)
-    zx = float(zeta.fn(np.asarray(x, dtype=float)))
-
-    def log_f(u):
-        u = np.asarray(u, dtype=float)
-        return -2.0 * c * (u - x) - 2.0 * np.asarray(zeta.fn(u), dtype=float) + 2.0 * zx
-
-    head = math.exp(log_integral_exp(log_f, x, x + W))
-    z_far = float(zeta.fn(np.asarray(x + W, dtype=float)))
-    tail = math.exp(-2.0 * c * W + 2.0 * (zx - z_far)) / (2.0 * c)
-    norm_xi = math.sqrt(head + tail)
-    norm_xi0 = 1.0 / math.sqrt(2.0 * c)
-
-    def log_diff(u):
-        u = np.asarray(u, dtype=float)
-        dz = zx - np.asarray(zeta.fn(u), dtype=float)
-        with np.errstate(divide="ignore"):  # dz = 0 contributes exp(-inf) = 0
-            return -2.0 * c * (u - x) + 2.0 * np.log(np.abs(np.expm1(dz)))
-
-    norm_diff = math.exp(0.5 * log_integral_exp(log_diff, x, x + W))
-    return norm_xi, norm_xi0, norm_diff
-
-
-def xi_norm_bound(profile: ScatteringProfile) -> float:
-    """||xi_x|| <= e^{2 sup|zeta|} / sqrt(2c), uniform in x."""
-    return math.exp(2.0 * profile.zeta.sup) / math.sqrt(2.0 * profile.c)
-
-
-def elementary_bound_margin(profile: ScatteringProfile, x, u) -> np.ndarray:
-    """e^{2 sup}|zeta(x) - zeta(u)| - |e^{zeta(x)-zeta(u)} - 1| (>= 0)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    dz = np.asarray(profile.zeta.fn(x), dtype=float) - np.asarray(profile.zeta.fn(u), dtype=float)
-    return math.exp(2.0 * profile.zeta.sup) * np.abs(dz) - np.abs(np.expm1(dz))
-
-
 def analytic_trace_bound(profile: ScatteringProfile) -> float:
     """(e^{2s} + 1) e^{2s} / c * int_0^inf nu, with s = sup|zeta|.
 
-    Infinite (criterion fails) when int nu diverges; requires nu.
+    Infinite (criterion fails) when int nu diverges.
     """
-    if profile.nu is None:
-        raise MissingNuError("the nu-route bound needs a dominating nu")
     s = profile.zeta.sup
     if not math.isfinite(profile.nu.integral):
         return math.inf
@@ -178,18 +110,13 @@ def trace_norm_difference(model: PhiModel, model0: PhiModel, quad: Quadrature) -
     return abs(float(np.sum(quad.weights * (D[0] - D[1]))))
 
 
-def example_scatt_sweep(alpha_list: Sequence[float], c: float,
-                        X: float = 50.0, panels: Optional[int] = None,
-                        order: int = ORDER):
-    """Per-alpha table for zeta = (1+x)^-alpha: numeric trace norm, the
-    nu-route bound (finite iff alpha > 1) and the derivative-route bound
-    (finite for every alpha > 0)."""
+def example_scatt_sweep(alpha_list: Sequence[float], c: float, quad: Quadrature):
+    """Per-alpha table for zeta = (1+x)^-alpha on the grid quad: numeric trace
+    norm, the nu-route bound (finite iff alpha > 1) and the derivative-route
+    bound (finite for every alpha > 0)."""
     for a in alpha_list:
         if a <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {a}")
-    if panels is None:
-        panels = max(40, int(np.ceil(2.0 * X)))
-    quad = build_quadrature(X, panels, order)
     model0 = make_phi(PhiSpec.exp_decay(c))
     rows = []
     for a in alpha_list:

@@ -5,9 +5,9 @@ are the eigenvalues of the differential operator itself, and of the
 tridiagonal inverse (JacobiMatrix) that spectra are computed from.  Every
 positive mu gives a lambda; the mu <= 0 of a Robin matrix give none.
 "Converged" is operational: relative movement below CONVERGED_REL between
-two refinements of the grid.  The identity checks apply G through banded
-solves on the same JacobiMatrix, and the factorization check uses prefix
-and suffix sums, so everything here runs in O(N) memory.
+two refinements of the grid.  The weighted identity check applies G by a
+banded solve on the same JacobiMatrix, and the factorization check uses
+prefix and suffix sums, so everything here runs in O(N) memory.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .discretization import JacobiMatrix, Quadrature
 from .errors import (
-    InsufficientDataError,
     InvalidParameterError,
     MismatchedLengthsError,
     NonPositiveMuError,
@@ -135,23 +134,6 @@ def compare_spectra(res1: SpectralResult, res2: SpectralResult, c: float) -> Com
                             worst_n=worst + 1, band=(lo, hi), measured_band=measured)
 
 
-def growth_exponent(res, n_range: tuple) -> float:
-    """Least-squares slope of log lambda_n against log n over n in n_range."""
-    lam = res.lam if isinstance(res, SpectralResult) else np.asarray(res, dtype=float)
-    lo, hi = int(n_range[0]), int(n_range[1])
-    if lo < 1 or hi < lo:
-        raise InsufficientDataError(f"bad n_range {n_range}")
-    if lam.size < hi or hi - lo + 1 < 5:
-        raise InsufficientDataError(
-            f"need at least 5 lambdas covering n in [{lo}, {hi}], have {lam.size}")
-    n = np.arange(lo, hi + 1, dtype=float)
-    vals = lam[lo - 1: hi]
-    if np.any(vals <= 0):
-        raise InsufficientDataError("growth fit needs positive lambdas")
-    slope = np.polyfit(np.log(n), np.log(vals), 1)[0]
-    return float(slope)
-
-
 def converged_mask(mu_fine: np.ndarray, mu_coarse: np.ndarray) -> np.ndarray:
     """Entrywise operational convergence (relative change below
     CONVERGED_REL) between two refinements."""
@@ -160,43 +142,6 @@ def converged_mask(mu_fine: np.ndarray, mu_coarse: np.ndarray) -> np.ndarray:
     denom = np.maximum(np.abs(mu_fine[:m]), 1e-300)
     out[:m] = np.abs(mu_fine[:m] - mu_coarse[:m]) / denom < CONVERGED_REL
     return out
-
-
-def _extrapolate_to_zero(nodes: np.ndarray, values: np.ndarray) -> float:
-    # quadratic through the three smallest nodes; the grid has no node at 0
-    coef = np.polyfit(nodes[:3], values[:3], 2)
-    return float(np.polyval(coef, 0.0))
-
-
-def quadratic_form_residual(model: PhiModel, T: JacobiMatrix, f) -> float:
-    """Relative defect of <f, G_gamma f> against the first-order form of H.
-
-    With g = G_gamma f for the matrix T of model (gamma = T.gamma; 0 is the
-    Dirichlet G), compares f^T g to
-    Q(g) = sum_i w_i ((g/phi)'(x_i))^2 phi(x_i)^2, the derivative taken by
-    second-order differences on the grid, plus g(0)^2 / (gamma phi(0)^2) in
-    the Robin case with g(0) extrapolated quadratically to the boundary.
-    """
-    quad, gamma = T.quad, T.gamma
-    f = np.asarray(f, dtype=float)
-    if f.shape != quad.nodes.shape:
-        raise MismatchedLengthsError("f must be sampled on the quadrature nodes")
-    if not np.any(f):
-        return 0.0
-    g = T.apply_to_function(f)
-    w = quad.weights
-    fg = float(np.sum(w * f * g))
-    if fg == 0.0:
-        raise ZeroDivisionError("f^T G f vanished for a nonzero f")
-    phi = np.exp(model.log_phi(quad.nodes))
-    r = g / phi
-    rp = np.gradient(r, quad.nodes)
-    Q = float(np.sum(w * (phi * rp) ** 2))
-    if gamma != 0:
-        g0 = _extrapolate_to_zero(quad.nodes, g)
-        phi0 = float(np.exp(model.log_phi(np.asarray(0.0))))
-        Q += g0**2 / (gamma * phi0**2)
-    return abs(fg - Q) / abs(fg)
 
 
 def factorization_forms(model: PhiModel, quad: Quadrature, f) -> tuple:

@@ -10,24 +10,19 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from subspec.discretization import ORDER, assemble_jacobi, build_quadrature
-from subspec.green_kernel import exp_bound_margin
-from subspec.oracle_fd import FDProblem, RobinBC, cross_validate, fd_eigenvalues
-from subspec.scattering import (
+from paper_identities import (
     elementary_bound_margin,
-    example_scatt_sweep,
-    inv_power_profile,
+    growth_exponent,
+    quadratic_form_residual,
+    robin_fd_eigenvalues,
     xi_norm_bound,
     xi_norms,
 )
-from subspec.spectral import (
-    eigen_mu,
-    factorization_forms,
-    growth_exponent,
-    quadratic_form_residual,
-    robin_sigma,
-    weighted_identity_residual,
-)
+from subspec.discretization import ORDER, assemble_jacobi, build_quadrature
+from subspec.green_kernel import exp_bound_margin
+from subspec.oracle_fd import FDProblem, cross_validate, fd_eigenvalues
+from subspec.scattering import example_scatt_sweep, inv_power_profile
+from subspec.spectral import eigen_mu, factorization_forms, robin_sigma, weighted_identity_residual
 from subspec.subordinate import SubordinateCache, wronskian_residual
 
 
@@ -170,8 +165,7 @@ def test_criterion_11_robin_bound_state(phi1, quad_phi1):
     res = eigen_mu(assemble_jacobi(phi1, quad_phi1, -1.0))
     lam = 1.0 / res.mu[-1]
     assert abs(lam - (-3.0)) <= 1e-2
-    lam_fd = fd_eigenvalues(FDProblem(lambda x: np.ones_like(x), 20.0, 4000,
-                                      bc0=RobinBC(-2.0)), 1)[0]
+    lam_fd = robin_fd_eigenvalues(lambda x: np.ones_like(x), 20.0, 4000, -2.0, 1)[0]
     assert abs(lam_fd - (-3.0)) <= 1e-3
     _ok(11, f"robin gamma=-1: sigma = -2 exactly, lambda = {lam:.4f} (-3 +- 1e-2), "
             f"FD oracle {lam_fd:.5f}")
@@ -204,8 +198,8 @@ def test_criterion_13_scattering_norms():
                                       rng.uniform(0, 30, 1000))
     assert np.all(margins >= -1e-14)
 
-    (rep1,) = example_scatt_sweep([1.5], 1.0, X=100.0, panels=150)
-    (rep2,) = example_scatt_sweep([1.5], 1.0, X=140.0, panels=210)
+    (rep1,) = example_scatt_sweep([1.5], 1.0, build_quadrature(100.0, 150, ORDER))
+    (rep2,) = example_scatt_sweep([1.5], 1.0, build_quadrature(140.0, 210, ORDER))
     rel = abs(rep1["trace_numeric"] / rep2["trace_numeric"] - 1.0)
     assert math.isfinite(rep1["trace_numeric"])
     assert rel <= 1e-3
@@ -216,7 +210,7 @@ def test_criterion_13_scattering_norms():
 
 
 def test_criterion_14_alpha_sweep_boundary():
-    rows = example_scatt_sweep([0.5, 1.0, 1.5, 2.0, 4.0], 1.0, X=40.0, panels=60)
+    rows = example_scatt_sweep([0.5, 1.0, 1.5, 2.0, 4.0], 1.0, build_quadrature(40.0, 60, ORDER))
     for r in rows:
         nu_finite = math.isfinite(r["bound_nu_route"])
         assert nu_finite == (r["alpha"] > 1.0)

@@ -340,6 +340,19 @@ resolution.panels = 45
     assert len(lines) == 3
 
 
+def test_scatter_default_grid_is_default_panels(tmp_path):
+    # without resolution.panels, scatter builds its grid by the rule of the
+    # grid tasks
+    from subspec.discretization import ORDER, build_quadrature, default_panels
+    from subspec.scattering import example_scatt_sweep
+    cfgfile = _write(tmp_path, "sc.cfg", "task = scatter\nscatter.alpha_list = 0.5, 1.5\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    rows = (out / "scatter.csv").read_text().splitlines()[1:]
+    want = example_scatt_sweep([0.5, 1.5], 1.0, build_quadrature(50.0, default_panels(50.0), ORDER))
+    assert [float(row.split(",")[1]) for row in rows] == [r["trace_numeric"] for r in want]
+
+
 def test_oracle_task(tmp_path):
     cfgfile = _write(tmp_path, "oracle.cfg", """
 task = oracle
@@ -447,26 +460,31 @@ resolution.panels = 40
     assert "unresolved" not in (tmp_path / "o" / "report.txt").read_text()
 
 
-# X = 12 with 48 panels: the oscillating cache stops resolving from x ~ 8 on
+# X = 12 with 48 panels: the oscillating cache stops resolving from x ~ 8 on;
+# the note names the cache when a task builds two (compare: two profiles,
+# spectrum: the fine grid and the half-panel grid of its converged column)
 NOTE_CONFIGS = {
     "compare": ("phi.kind = exp-decay\ncompare.phi2.kind = {kind}\ncompare.c = 3\n",
-                r"psi quadrature of oscillating unresolved in (\d+) of 480 segments"),
+                r"psi quadrature of oscillating unresolved in (\d+) of 480 segments", 480),
     "robin": ("phi.kind = {kind}\nrobin.gamma = -0.5\n",
-              r"psi quadrature unresolved in (\d+) of 480 segments"),
+              r"psi quadrature unresolved in (\d+) of 480 segments", 480),
+    "spectrum": ("phi.kind = {kind}\n",
+                 r"psi quadrature on the half-panel grid unresolved in (\d+) of 240 segments",
+                 240),
 }
 
 
 @pytest.mark.parametrize("task", sorted(NOTE_CONFIGS))
 @pytest.mark.parametrize("kind, noted", [("oscillating", True), ("exp-decay", False)])
-def test_compare_and_robin_note_unresolved_quadrature(tmp_path, task, kind, noted):
-    body, pattern = NOTE_CONFIGS[task]
+def test_each_psi_cache_notes_unresolved_quadrature(tmp_path, task, kind, noted):
+    body, pattern, segments = NOTE_CONFIGS[task]
     cfgfile = _write(tmp_path, "run.cfg", f"task = {task}\n" + body.format(kind=kind)
                      + "resolution.X = 12\nresolution.panels = 48\n")
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) in (0, 2)
     report = (tmp_path / "o" / "report.txt").read_text()
     if noted:
         found = re.findall(pattern, report)
-        assert len(found) == 1 and 0 < int(found[0]) < 480
+        assert len(found) == 1 and 0 < int(found[0]) < segments
     else:
         assert "unresolved" not in report
 

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from subspec.discretization import (
-    assemble_jacobi,
-    auto_truncation,
-    build_quadrature,
-    kink_bias_estimate,
-)
+from subspec.discretization import assemble_jacobi, auto_truncation, build_quadrature
 from subspec.errors import (
     ComplexGammaError,
     InvalidParameterError,
     NoDecayDetectedError,
     SlowDecayWarning,
 )
+from subspec.lse_quad import gauss_legendre
 from subspec.spectral import eigen_mu, factorization_forms
 
 
@@ -150,11 +146,16 @@ def test_top_mu_monotone_in_X(phi1):
 
 
 def test_kink_bias_matches_measurement(phi1):
-    # the uniform Nystrom bias is the reference GL cell error on |x - y|/2
+    # the kernel has slope jump 1 across the diagonal (Wronskian), so every
+    # diagonal panel cell mis-integrates -|x - y|/2 by the same reference
+    # Gauss-Legendre cell error; top eigenvalues shift together by that bias
+    gx, gw = gauss_legendre(10)
+    u, wu = 0.5 * (gx + 1.0), 0.5 * gw
+    cell_err = float(np.einsum("i,j,ij->", wu, wu, np.abs(u[:, None] - u[None, :]))) - 1.0 / 3.0
+    expected = -0.5 * cell_err * (15.0 / 60) ** 2
     mus = {}
     for panels in (60, 120):
         quad = build_quadrature(15.0, panels, 10)
         mus[panels] = eigen_mu(assemble_jacobi(phi1, quad), 1).mu[0]
     measured = (mus[60] - mus[120]) / (1.0 - 0.25)  # Richardson at h/2
-    assert measured == pytest.approx(kink_bias_estimate(build_quadrature(15.0, 60, 10)),
-                                     rel=0.1)
+    assert measured == pytest.approx(expected, rel=0.1)

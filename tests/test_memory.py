@@ -7,6 +7,7 @@ Both run in O(N) memory: a single dense N x N matrix of doubles would be
 import tracemalloc
 
 from subspec.cli import parse_config, run
+from subspec.discretization import ORDER, build_quadrature
 from subspec.scattering import example_scatt_sweep
 
 PEAK_LIMIT = 32 * 2**20
@@ -22,7 +23,8 @@ def _peak_bytes(fn):
 
 
 def test_scatter_sweep_peak_memory():
-    rows, peak = _peak_bytes(lambda: example_scatt_sweep([1.5], 1.0, X=50.0, panels=500))
+    rows, peak = _peak_bytes(
+        lambda: example_scatt_sweep([1.5], 1.0, build_quadrature(50.0, 500, ORDER)))
     assert rows[0]["trace_numeric"] > 0.0
     assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"
 

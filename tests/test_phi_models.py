@@ -22,7 +22,7 @@ from subspec.phi_models import (
 
 
 def test_exp_decay_definition(phi1):
-    assert phi1.decay.triple == (1.0, 1.0, 1.0)
+    assert (phi1.decay.rate, phi1.decay.c_lower, phi1.decay.c_upper) == (1.0, 1.0, 1.0)
     assert phi1.log_phi(0.0) == 0.0
     assert phi1.log_phi(3.5) == -3.5
     assert phi1.dlog_phi(2.0) == -1.0

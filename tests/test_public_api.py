@@ -1,11 +1,15 @@
 """Guards on the public surface: one quadrature tolerance, no unused knobs,
 one matrix representation, one kernel parameter, one way to read I, psi and
-phi, one route from a grid to its operator."""
+phi, one route from a grid to its operator, and no public callable that
+only tests use."""
 
 import importlib
 import inspect
+import re
+from collections import Counter
 from pathlib import Path
 
+import paper_identities
 import subspec
 from subspec import (discretization, errors, green_kernel, lse_quad, oracle_fd, phi_models,
                      scattering, spectral, subordinate)
@@ -18,6 +22,15 @@ RETIRED = {
     "wronskian_residual": {"h"},
     "derivative_route_bound": {"k"},
     "inv_power_profile": {"k"},
+}
+
+# only tests need these: oracles in tests/dense_oracle.py and
+# tests/paper_identities.py (RobinBC as robin_fd_eigenvalues), the expected
+# value of one test (kink_bias_estimate), or deleted (compute_xi)
+LEFT_THE_PACKAGE = {
+    "green_gamma_eval", "factor_kernel_eval", "regularized_potential", "riccati_residual",
+    "xi_norms", "xi_norm_bound", "elementary_bound_margin", "nu_is_valid", "growth_exponent",
+    "quadratic_form_residual", "zero_zeta", "kink_bias_estimate", "compute_xi", "RobinBC",
 }
 
 
@@ -133,7 +146,7 @@ def test_one_route_from_a_grid_to_its_operator():
     for mod, gone in ((discretization, "_rel_diff"), (scattering, "XI_PROFILE_POINTS"),
                       (phi_models, "DEFAULT_FD_STEP")):
         assert not hasattr(mod, gone)
-    for fn in (spectral.quadratic_form_residual, spectral.weighted_identity_residual):
+    for fn in (paper_identities.quadratic_form_residual, spectral.weighted_identity_residual):
         assert not {"quad", "gamma"} & set(inspect.signature(fn).parameters)
 
 
@@ -142,5 +155,27 @@ def test_one_nystrom_order():
     for mod, gone in ((discretization, "SWEEP_ORDER"), (scattering, "TRACE_ORDER"),
                       (oracle_fd, "GREEN_ORDER")):
         assert not hasattr(mod, gone)
-    order = inspect.signature(scattering.example_scatt_sweep).parameters["order"]
-    assert order.default == discretization.ORDER
+
+
+def test_every_public_callable_serves_the_package():
+    """Each public name is used in src/subspec besides its own definition;
+    one that only tests call belongs in tests/ as an oracle."""
+    text = "\n".join(path.read_text() for path in Path(subspec.__file__).parent.glob("*.py"))
+    words = Counter(re.findall(r"\w+", text))
+    assert sorted({bare for _, bare, _ in _public_callables() if words[bare] < 2}) == []
+
+
+def test_test_only_code_and_options_left_the_package():
+    assert not LEFT_THE_PACKAGE & {attr for _, attr, _ in _public_callables()}
+    assert not hasattr(phi_models.DecayInfo, "triple")
+    for mod, gone in ((scattering, "_tail_window"), (spectral, "_extrapolate_to_zero"),
+                      (errors, "NonPositiveFError"), (errors, "InsufficientDataError"),
+                      (errors, "MissingNuError")):
+        assert not hasattr(mod, gone)
+    # the sweep runs on the grid its caller builds; FD problems are Dirichlet;
+    # every scattering profile carries its dominating nu
+    sweep = inspect.signature(scattering.example_scatt_sweep).parameters
+    assert list(sweep) == ["alpha_list", "c", "quad"]
+    assert _fields(oracle_fd.FDProblem) == ["potential", "X", "N"]
+    nu = inspect.signature(scattering.ScatteringProfile).parameters["nu"]
+    assert nu.default is inspect.Parameter.empty

@@ -5,21 +5,24 @@ import pytest
 from scipy.integrate import quad
 
 import dense_oracle
-from subspec.discretization import build_quadrature
-from subspec.errors import IndefiniteDifferenceError, InvalidParameterError, MissingNuError
-from subspec.phi_models import PhiSpec, Zeta, inv_power_zeta, make_phi, zero_zeta
+from paper_identities import (
+    elementary_bound_margin,
+    nu_is_valid,
+    xi_norm_bound,
+    xi_norms,
+    zero_zeta,
+)
+from subspec.discretization import ORDER, build_quadrature
+from subspec.errors import IndefiniteDifferenceError, InvalidParameterError
+from subspec.phi_models import PhiSpec, Zeta, inv_power_zeta, make_phi
 from subspec.scattering import (
     ScatteringProfile,
     analytic_trace_bound,
-    elementary_bound_margin,
     example_scatt_sweep,
     inv_power_profile,
-    nu_is_valid,
     power_nu,
     trace_norm_difference,
     write_sweep_csv,
-    xi_norm_bound,
-    xi_norms,
 )
 from subspec.spectral import factorization_forms
 
@@ -75,10 +78,6 @@ def test_elementary_exponential_bound():
 def test_nu_validation():
     prof = inv_power_profile(1.0, 1.5)
     assert nu_is_valid(prof, np.linspace(0.0, 40.0, 1601))
-    no_nu = ScatteringProfile(c=1.0, zeta=prof.zeta, nu=None)
-    assert not nu_is_valid(no_nu, [0.0, 1.0])
-    with pytest.raises(MissingNuError):
-        analytic_trace_bound(no_nu)
 
 
 def test_analytic_trace_bound_values():
@@ -142,7 +141,7 @@ def test_xi_outer_products_reconstruct_green(phi1):
 
 
 def test_sweep_finiteness_pattern():
-    rows = example_scatt_sweep([0.5, 1.0, 1.5, 2.0, 4.0], 1.0, X=40.0, panels=60)
+    rows = example_scatt_sweep([0.5, 1.0, 1.5, 2.0, 4.0], 1.0, build_quadrature(40.0, 60, ORDER))
     for r in rows:
         assert math.isfinite(r["trace_numeric"])
         assert math.isfinite(r["bound_derivative_route"])  # every alpha > 0
@@ -154,18 +153,18 @@ def test_sweep_finiteness_pattern():
 
 def test_sweep_monotone_for_faster_decay():
     # truncation-limited below alpha ~ 1; monotone decreasing from there on
-    rows = example_scatt_sweep([1.0, 2.0, 4.0, 8.0], 1.0, X=40.0, panels=60)
+    rows = example_scatt_sweep([1.0, 2.0, 4.0, 8.0], 1.0, build_quadrature(40.0, 60, ORDER))
     traces = [r["trace_numeric"] for r in rows]
     assert traces[0] > traces[1] > traces[2] > traces[3]
 
 
 def test_sweep_rejects_bad_alpha():
     with pytest.raises(InvalidParameterError):
-        example_scatt_sweep([0.5, -1.0], 1.0)
+        example_scatt_sweep([0.5, -1.0], 1.0, build_quadrature(20.0, 30, ORDER))
 
 
 def test_sweep_csv(tmp_path):
-    rows = example_scatt_sweep([1.5], 1.0, X=20.0, panels=30)
+    rows = example_scatt_sweep([1.5], 1.0, build_quadrature(20.0, 30, ORDER))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     lines = path.read_text().splitlines()

@@ -5,15 +5,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfi
 
-from subspec.errors import NegativeArgumentError, NonPositiveFError, ZeroGammaError
+from paper_identities import regularized_potential, riccati_residual
+from subspec.errors import NegativeArgumentError, NonSmoothModelError
 from subspec.phi_models import PhiSpec, make_phi
-from subspec.subordinate import (
-    SubordinateCache,
-    compute_xi,
-    regularized_potential,
-    riccati_residual,
-    wronskian_residual,
-)
+from subspec.spectral import robin_sigma
+from subspec.subordinate import SubordinateCache, wronskian_residual
 
 
 def psi3_closed(x):
@@ -143,17 +139,6 @@ def test_wronskian_residuals(phi1, phi3, phi4):
     assert wronskian_residual(phi4, np.linspace(0.25, 4.5, 18)) <= 1e-3
 
 
-def test_xi_values(phi1):
-    assert compute_xi(phi1, 1.0, 0.0) == pytest.approx(1.0)
-    assert compute_xi(phi1, 1.0, 1.0) == pytest.approx(math.cosh(1.0), rel=1e-12)
-    assert compute_xi(phi1, -1.0, 1.0) == pytest.approx(math.sinh(1.0) - math.exp(-1.0),
-                                                        rel=1e-12)
-    val = compute_xi(phi1, 1j, 1.0)
-    assert val == pytest.approx(math.sinh(1.0) + 1j * math.exp(-1.0))
-    with pytest.raises(ZeroGammaError):
-        compute_xi(phi1, 0.0, 1.0)
-
-
 def test_diagonal_values(phi1, phi2):
     assert diagonal_at(phi1, [1.0])[0] == pytest.approx(math.sinh(1.0) * math.exp(-1.0),
                                                         rel=1e-12)
@@ -189,10 +174,22 @@ def test_regularized_potential_constancy(phi1):
 
 
 def test_regularized_potential_positivity_guard(phi1):
-    with pytest.raises(NonPositiveFError):
+    with pytest.raises(ValueError):
         regularized_potential(phi1, (-1.0, 1.0), 1.0)
-    with pytest.raises(NonPositiveFError):
+    with pytest.raises(ValueError):
         regularized_potential(phi1, (0.0, 1.0), 1.0)  # f(0) = 0
+
+
+def test_missing_tau_is_one_error_class():
+    # a tabulated profile has no analytic phi'/phi: every check that needs
+    # it raises the same class
+    xs = np.linspace(0.0, 10.0, 101)
+    tab = make_phi(PhiSpec.tabulated(xs, np.exp(-xs)))
+    for check in (lambda: regularized_potential(tab, (1.0, 0.0), 1.0),
+                  lambda: robin_sigma(tab, -1.0),
+                  lambda: riccati_residual(tab, 1.0)):
+        with pytest.raises(NonSmoothModelError):
+            check()
 
 
 def test_riccati_residuals(phi1, phi3, phi4):
