@@ -9,13 +9,20 @@ inside the working window) therefore never leave log space.
 
 One splitting rule holds for every interval: it is cut into equal pieces at
 most MAX_SEG long, but into no more than MAX_PIECES, and each piece is
-bisected adaptively down to MAX_DEPTH levels below width MAX_SEG (a capped,
-wider piece gets the extra levels it needs to reach that width).  The
-number of pieces is thus bounded whatever the interval's length.
-Refinement is level-batched: all panels pending at a bisection depth, over
-all intervals, are evaluated together in vectorized calls of at most CHUNK
-panels, which keeps rapidly oscillating profiles (panel counts in the
-thousands) cheap and bounds the temporaries.
+bisected adaptively at most MAX_DEPTH times (a capped, wider piece first
+gets the extra levels that bring it to width MAX_SEG).  The depth limit
+counts from the piece's own width: a 0.025-wide cache segment is bisected
+down to panels 0.025 * 2^-12 = 6.1e-6 wide, not 2^-12.  The number of
+pieces is thus bounded whatever the interval's length.
+
+Refinement is level-batched: the panels pending at one bisection depth,
+over many intervals, are evaluated together in vectorized calls of at most
+CHUNK panels, both halves of every panel in one call, which keeps rapidly
+oscillating profiles (panel counts in the thousands) cheap.  The working
+set is bounded: when the panels pending for the next depth exceed BUDGET,
+the set splits by interval onto a stack and is refined depth-first, one
+part at a time.  An interval is never split, and each keeps its panels in
+their order, so the result does not depend on BUDGET to the last bit.
 
 Acceptance is relative to the whole interval, not to the panel alone
 (Gander & Gautschi, BIT 40, 2000).  A panel is accepted when its unsplit
@@ -39,10 +46,11 @@ from .errors import InvalidParameterError
 
 RTOL = 1e-12  # agreement of a panel with its bisection, relative to its share
 ORDER = 10  # Gauss-Legendre nodes per panel
-MAX_DEPTH = 12  # bisection levels below width MAX_SEG; panels are accepted there
+MAX_DEPTH = 12  # bisection levels below a piece's own width; panels are accepted there
 MAX_SEG = 1.0  # longest piece an interval is cut into before bisection ...
 MAX_PIECES = 64  # ... unless that needs more pieces than this
-CHUNK = 1 << 14  # panels per vectorized integrand call
+CHUNK = 1 << 12  # panels per vectorized integrand call
+BUDGET = 4 * CHUNK  # pending panels above which refinement splits by interval
 
 
 @lru_cache(maxsize=None)
@@ -58,21 +66,27 @@ def _batch_panel_logs(log_f, a, b):
 
     Each row of samples is shifted by its finite maximum before the weighted
     sum, so rows of -inf give -inf and rows with a +inf sample give +inf.
+    The array log_f returns is only read.
     """
     if a.size > CHUNK:
         return np.concatenate([_batch_panel_logs(log_f, a[i:i + CHUNK], b[i:i + CHUNK])
                                for i in range(0, a.size, CHUNK)])
     x, w = gauss_legendre(ORDER)
     half = 0.5 * (b - a)
-    pts = (0.5 * (a + b))[:, None] + half[:, None] * x[None, :]
+    pts = half[:, None] * x[None, :]
+    pts += (0.5 * (a + b))[:, None]
     vals = np.asarray(log_f(pts.ravel()), dtype=float).reshape(pts.shape)
-    peak = vals.max(axis=1)  # NaN in a row whose samples hold one
+    peak = vals[:, 0].copy()
+    for j in range(1, ORDER):  # column-wise: far cheaper than max(axis=1) on short rows
+        np.maximum(peak, vals[:, j], out=peak)  # NaN in a row whose samples hold one
     if np.isnan(peak).any():
         raise InvalidParameterError(
             f"log integrand is not finite (NaN) at s = {pts[np.isnan(vals)][0]:.6g}")
     peak[~np.isfinite(peak)] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = np.einsum("ij,j->i", np.exp(vals - peak[:, None]), w)
+        shifted = vals - peak[:, None]
+        np.exp(shifted, out=shifted)
+        total = np.einsum("ij,j->i", shifted, w)
         return np.log(total) + peak + np.log(half)
 
 
@@ -87,6 +101,19 @@ def _interval_totals(out, split, owner):
         return np.log(mass) + peak
 
 
+def _by_interval(depth, lo, hi, owner, whole):
+    """Stack entries (depth, lo, hi, owner, whole) for the panels pending at
+    one depth: one entry, or, above BUDGET panels, one per run of whole
+    intervals holding about BUDGET panels, the first on top.  Each interval
+    keeps its panels in their order."""
+    if owner.size <= BUDGET:
+        return [(depth, lo, hi, owner, whole)] if owner.size else []
+    count = np.bincount(owner)
+    part = ((np.cumsum(count) - count) // BUDGET)[owner]
+    return [(depth, lo[m], hi[m], owner[m], whole[m])
+            for m in (part == p for p in np.unique(part)[::-1])]
+
+
 def _log_integrals(log_f, a, b):
     """(log integrals, depth-limited flags) over the intervals [a_i, b_i],
     cut into pieces as log_integral_exp describes and refined level-batched.
@@ -95,7 +122,8 @@ def _log_integrals(log_f, a, b):
     1 / (n 2^d) of it, and its share is that fraction of the interval's
     running total.  Accepted panels accumulate into out[owner] through
     logaddexp; an interval is depth-limited when it accepted a panel only
-    because the panel reached the depth limit.
+    because the panel reached the depth limit.  Every interval sees the same
+    depths, shares and accumulation order however the stack splits the set.
     """
     full = np.ceil(np.maximum(b - a, 0.0) / MAX_SEG)
     n = np.minimum(full, MAX_PIECES).astype(np.intp)
@@ -108,11 +136,14 @@ def _log_integrals(log_f, a, b):
     log_n = np.log(np.maximum(n, 1))
     out = np.full(a.size, -np.inf)
     depth_limited = np.zeros(a.size, dtype=bool)
-    whole = _batch_panel_logs(log_f, lo, hi)
-    for depth in range(int(limit.max(initial=0)) + 1):
+
+    stack = _by_interval(0, lo, hi, owner, _batch_panel_logs(log_f, lo, hi))
+    while stack:
+        depth, lo, hi, owner, whole = stack.pop()
         mid = 0.5 * (lo + hi)
-        left = _batch_panel_logs(log_f, lo, mid)
-        right = _batch_panel_logs(log_f, mid, hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])  # left, right halves
+        halves = _batch_panel_logs(log_f, lo, hi)
+        left, right = np.split(halves, 2)
         split = np.logaddexp(left, right)
         share = (_interval_totals(out, split, owner) - log_n - depth * np.log(2.0))[owner]
         with np.errstate(invalid="ignore"):
@@ -125,13 +156,9 @@ def _log_integrals(log_f, a, b):
             vals = split[accept]
             keep = vals > -np.inf
             np.logaddexp.at(out, owner[accept][keep], vals[keep])
-        refine = ~accept
-        if not np.any(refine):
-            break
-        lo, hi = (np.concatenate([lo[refine], mid[refine]]),
-                  np.concatenate([mid[refine], hi[refine]]))
-        owner = np.concatenate([owner[refine], owner[refine]])
-        whole = np.concatenate([left[refine], right[refine]])
+        both = np.concatenate([~accept, ~accept])
+        stack += _by_interval(depth + 1, lo[both], hi[both], np.concatenate([owner, owner])[both],
+                              halves[both])
     return out, depth_limited
 
 

@@ -240,7 +240,13 @@ def make_phi(spec: PhiSpec) -> PhiModel:
             l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
 
     if kind == "oscillating":
-        log_phi = lambda x: -_as_nonneg(x) - np.sin(np.exp(_as_nonneg(x)))
+        def log_phi(x):
+            # the quadrature's hot integrand: one check of x, exp and sin in place
+            x = _as_nonneg(x)
+            s = np.exp(x, out=np.empty_like(x))
+            np.sin(s, out=s)
+            return np.subtract(-x, s, out=s)[()]  # a float for a 0-d x
+
         # tightest sandwich from |sin| <= 1: sigma(x) = x, e^-1 <= phi e^x <= e
         decay = DecayInfo(
             1.0, math.exp(-1.0), math.e,

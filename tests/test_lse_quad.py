@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import exprel, logsumexp, ndtr
 
+from subspec import lse_quad
 from subspec.discretization import build_quadrature
 from subspec.errors import InvalidParameterError
 from subspec.lse_quad import (
@@ -84,7 +85,9 @@ def test_panel_reduction_matches_logsumexp():
     a = rng.uniform(0.0, 5.0, 64)
     b = a + rng.uniform(0.01, 2.0, 64)
     b[[5, 8, 12]] = a[[5, 8, 12]]  # zero-width panels, one with a +inf sample
+    given = vals.copy()
     got = _batch_panel_logs(lambda s: vals.ravel(), a, b)
+    assert np.array_equal(vals, given)  # the integrand's array is only read
     w = gauss_legendre(ORDER)[1]
     ref = logsumexp(vals, axis=1, b=w[None, :] * (0.5 * (b - a))[:, None])
     assert got[3] == got[8] == got[12] == -np.inf and got[7] == np.inf
@@ -161,6 +164,22 @@ def test_cache_on_a_wide_power_grid_is_exact():
     cache = SubordinateCache(make_phi(PhiSpec.power(c)), nodes)
     exact = np.log(np.expm1((2 * c + 1) * np.log1p(nodes)) / (2 * c + 1))
     assert np.max(np.abs(np.expm1(cache.log_I_nodes - exact))) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, X, panels", [(PhiSpec.oscillating(), 12.0, 48),
+                                              (PhiSpec.stretched_exp(2.0), 20.0, 10)])
+def test_result_does_not_depend_on_the_budget(monkeypatch, spec, X, panels):
+    # 480 and 100 segments already exceed 64 panels, so the stack splits at
+    # every depth; on oscillating 158 segments bisect to the depth limit
+    model = make_phi(spec)
+    edges = np.concatenate(([0.0], build_quadrature(X, panels, 10).nodes))
+    log_f = lambda s: -2.0 * model.log_phi(s)
+    logs, limited = segment_log_integrals(log_f, edges)
+    monkeypatch.setattr(lse_quad, "BUDGET", 64)
+    split_logs, split_limited = segment_log_integrals(log_f, edges)
+    assert np.array_equal(split_logs, logs)
+    assert np.array_equal(split_limited, limited)
+    assert limited.any() == (spec.kind == "oscillating")
 
 
 # window per built-in family inside which adaptive panels resolve phi^-2

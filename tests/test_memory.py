@@ -1,7 +1,10 @@
-"""Peak traced memory of scatter and validate at N = 4000-5000.
+"""Peak traced memory of scatter and validate at N = 4000-5000, and of a
+psi cache whose quadrature bisects millions of panels.
 
-Both run in O(N) memory: a single dense N x N matrix of doubles would be
-122 MiB at N = 4000, so a peak below 32 MiB shows that none is formed.
+Both tasks run in O(N) memory: a single dense N x N matrix of doubles would
+be 122 MiB at N = 4000, so a peak below 32 MiB shows that none is formed.
+The cache holds its pending panels to a fixed budget, not one level of all
+segments at once (281 MiB on the grid below).
 """
 
 import tracemalloc
@@ -9,6 +12,7 @@ import tracemalloc
 from subspec.cli import parse_config, run
 from subspec.discretization import ORDER, build_quadrature
 from subspec.scattering import example_scatt_sweep
+from subspec.subordinate import SubordinateCache
 
 PEAK_LIMIT = 32 * 2**20
 
@@ -36,4 +40,12 @@ def test_validate_peak_memory(tmp_path):
     status, peak = _peak_bytes(lambda: run(cfg))
     assert status == 0
     assert "all checks passed" in (tmp_path / "report.txt").read_text()
+    assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"
+
+
+def test_oscillating_cache_peak_memory(phi4):
+    # 1107 of its 2400 segments bisect to the depth limit
+    nodes = build_quadrature(15.0, 240, ORDER).nodes
+    cache, peak = _peak_bytes(lambda: SubordinateCache(phi4, nodes))
+    assert cache.unresolved_segments > 1000
     assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"
