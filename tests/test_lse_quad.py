@@ -169,8 +169,8 @@ def test_cache_on_a_wide_power_grid_is_exact():
 @pytest.mark.parametrize("spec, X, panels", [(PhiSpec.oscillating(), 12.0, 48),
                                               (PhiSpec.stretched_exp(2.0), 20.0, 10)])
 def test_result_does_not_depend_on_the_budget(monkeypatch, spec, X, panels):
-    # 480 and 100 segments already exceed 64 panels, so the stack splits at
-    # every depth; on oscillating 158 segments bisect to the depth limit
+    # 480 and 100 segments already exceed 64 panels, so the stack splits
+    # from the first depth on; on oscillating 158 segments bisect to the limit
     model = make_phi(spec)
     edges = np.concatenate(([0.0], build_quadrature(X, panels, 10).nodes))
     log_f = lambda s: -2.0 * model.log_phi(s)

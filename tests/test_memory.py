@@ -3,8 +3,9 @@ psi cache whose quadrature bisects millions of panels.
 
 Both tasks run in O(N) memory: a single dense N x N matrix of doubles would
 be 122 MiB at N = 4000, so a peak below 32 MiB shows that none is formed.
-The cache holds its pending panels to a fixed budget, not one level of all
-segments at once (281 MiB on the grid below).
+The cache refines at most a fixed budget of pending panels at a time, so its
+peak does not grow with the number of segments that bisect to the depth
+limit.
 """
 
 import tracemalloc
