@@ -45,6 +45,10 @@ class NonPositiveMuError(SubspecError):
     """The positive Dirichlet Green matrix came out with an eigenvalue mu <= 0."""
 
 
+class EigensolveError(SubspecError):
+    """The tridiagonal eigensolver reported a failure (LAPACK info != 0)."""
+
+
 class MismatchedLengthsError(SubspecError):
     """Two spectral results with different lengths cannot be compared."""
 

@@ -19,10 +19,15 @@ Refinement is level-batched: the panels pending at one bisection depth,
 over many intervals, are evaluated together in vectorized calls of at most
 CHUNK panels, both halves of every panel in one call, which keeps rapidly
 oscillating profiles (panel counts in the thousands) cheap.  The working
-set is bounded: when the panels pending for the next depth exceed BUDGET,
-the set splits by interval onto a stack and is refined depth-first, one
-part at a time.  An interval is never split, and each keeps its panels in
-their order, so the result does not depend on BUDGET to the last bit.
+set is bounded by BUDGET, with one exception: when the panels pending for
+the next depth exceed BUDGET, the set splits by interval onto a stack and
+is refined depth-first, one part at a time, but an interval is never split.
+A single interval can therefore hold more than BUDGET pending panels: up
+to MAX_PIECES * 2^MAX_DEPTH = 262144 when it is no longer than
+MAX_PIECES * MAX_SEG = 64, and more on a longer one, whose pieces get extra
+levels.  make_phi of the oscillating profile pushes one interval of 24682
+panels.  Each interval keeps its panels in their order, so the result does
+not depend on BUDGET to the last bit.
 
 Acceptance is relative to the whole interval, not to the panel alone
 (Gander & Gautschi, BIT 40, 2000).  A panel is accepted when its unsplit
@@ -104,8 +109,9 @@ def _interval_totals(out, split, owner):
 def _by_interval(depth, lo, hi, owner, whole):
     """Stack entries (depth, lo, hi, owner, whole) for the panels pending at
     one depth: one entry, or, above BUDGET panels, one per run of whole
-    intervals holding about BUDGET panels, the first on top.  Each interval
-    keeps its panels in their order."""
+    intervals holding about BUDGET panels, the first on top.  An interval is
+    never split, so an entry exceeds BUDGET when one interval alone has more
+    pending panels.  Each interval keeps its panels in their order."""
     if owner.size <= BUDGET:
         return [(depth, lo, hi, owner, whole)] if owner.size else []
     count = np.bincount(owner)

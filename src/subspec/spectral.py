@@ -4,6 +4,9 @@ mu denotes eigenvalues of a Green matrix in decreasing order; lambda = 1/mu
 are the eigenvalues of the differential operator itself, and of the
 tridiagonal inverse (JacobiMatrix) that spectra are computed from.  Every
 positive mu gives a lambda; the mu <= 0 of a Robin matrix give none.
+A top-k request bisects for the lowest k + 1 lambda, O(N k); a full
+spectrum is one dqds pass (LAPACK dpteqr) on the Cholesky factor of the
+shifted T, O(N^2) time and O(N) memory (see _all_lambdas).
 "Converged" is operational: relative movement below CONVERGED_REL between
 two refinements of the grid.  The weighted identity check applies G by a
 banded solve on the same JacobiMatrix, and the factorization check uses
@@ -17,15 +20,18 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dpteqr
 
 from .discretization import JacobiMatrix, Quadrature
 from .errors import (
+    EigensolveError,
     InvalidParameterError,
     MismatchedLengthsError,
     NonPositiveMuError,
     NonSmoothModelError,
     ZeroGammaError,
 )
+from .lse_quad import RTOL
 from .phi_models import PhiModel
 
 CONVERGED_REL = 1e-6  # operational convergence threshold of converged_mask
@@ -39,12 +45,6 @@ class SpectralResult:
     lam: np.ndarray
     norm_estimate: float
     converged: Optional[np.ndarray] = None
-
-
-# Below this fraction of max|lambda| the values of a full spectrum are
-# re-solved by bisection, which keeps small lambda (the top mu) relatively
-# accurate instead of accurate to eps * max|lambda| only.
-_BISECT_LOW_END = 1e-3
 
 
 def _bisect(T_diag, T_off, lo: int, hi: int) -> np.ndarray:
@@ -62,6 +62,38 @@ def _extreme_eigenvalues(T_diag, T_off) -> tuple:
     return float(_bisect(T_diag, T_off, 0, 0)[0]), float(_bisect(T_diag, T_off, n - 1, n - 1)[0])
 
 
+def _all_lambdas(d, e, gamma: float) -> np.ndarray:
+    """Every eigenvalue (ascending) of the tridiagonal (d, e), each to high
+    relative accuracy, in O(N) memory.
+
+    A Robin T has at most one negative lambda, so with lambda_0 from
+    bisection the shift s = min(0, 2 lambda_0) makes T - s I positive
+    definite with margin |lambda_0|.  dpteqr factors it (Cholesky, dpttrf)
+    and runs dqds on the factor, which determines every eigenvalue of
+    T - s I to high relative accuracy (Demmel & Kahan 1990, Fernando &
+    Parlett 1994).  Undoing the shift turns the relative error of
+    lambda_k - s into an absolute error of at least eps |s| on lambda_k
+    (7.6e-10 relative on the top mu of power(1) with gamma = -0.05,
+    N = 2000).  Where eps |s| exceeds RTOL lambda_k, RTOL being the
+    quadrature tolerance that T's entries are computed to, lambda_k keeps
+    its bisected value: lambda_0 always, and never a value above the former
+    low end 1e-3 max|lambda|.
+    """
+    lam0 = float(_bisect(d, e, 0, 0)[0])
+    s = min(0.0, 2.0 * lam0)
+    w, _, _, info = dpteqr(d - s, e, np.zeros((1, 1)), compute_z=0)
+    if info != 0:
+        if gamma == 0.0:
+            raise NonPositiveMuError(
+                f"the Dirichlet T is not positive definite (dpteqr info = {info})")
+        raise EigensolveError(f"dpteqr failed on the Robin T, info = {info}")
+    lam = np.sort(w) + s
+    if s < 0.0:
+        low = int(np.searchsorted(lam, -s * np.finfo(float).eps / RTOL))
+        lam[:low] = _bisect(d, e, 0, low - 1)
+    return lam
+
+
 def _jacobi_lambdas(T: JacobiMatrix, n_keep: int) -> np.ndarray:
     """Ascending eigenvalues of T: all of them when n_keep == n, else the
     lowest n_keep + 1 (G_gamma has at most one negative mu, index 0)."""
@@ -69,12 +101,7 @@ def _jacobi_lambdas(T: JacobiMatrix, n_keep: int) -> np.ndarray:
     if np.isinf(d[0]):  # singular Robin: node 1 decouples with lambda = inf
         d, e = d[1:], e[1:]
     if n_keep >= T.n:
-        # sterf needs O(N) memory; stemr would allocate an N x N workspace
-        lam = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-        mag = np.abs(lam)
-        low = np.nonzero(mag < _BISECT_LOW_END * np.max(mag))[0]
-        if low.size:
-            lam[:low[-1] + 1] = _bisect(d, e, 0, int(low[-1]))
+        lam = _all_lambdas(d, e, T.gamma)
     else:
         lam = _bisect(d, e, 0, min(n_keep, d.size - 1))
     return np.append(lam, np.inf) if d.size < T.n else lam
@@ -84,11 +111,14 @@ def eigen_mu(T: JacobiMatrix, n_keep: Optional[int] = None) -> SpectralResult:
     """Top n_keep eigenvalues mu (descending) of a hermitian Green matrix,
     as mu = 1/lambda from the tridiagonal eigenproblem of its inverse T;
     n_keep=None keeps the whole spectrum (negative Robin values included).
+    A top-k request bisects for the lowest k + 1 lambda; the whole spectrum
+    comes from one dpteqr solve of the shifted T (see _all_lambdas).
 
     The Dirichlet T (gamma = 0) is positive definite: with D = diag(phi
     sqrt(w)), D T D is a path Laplacian with edge weights 1/Delta I plus
-    1/I(x_1) at node 1.  A mu <= 0 there is a failed eigensolve and raises
-    NonPositiveMuError.
+    1/I(x_1) at node 1.  A mu <= 0 there, or a Dirichlet T that dpteqr
+    cannot factor, is a failed eigensolve and raises NonPositiveMuError; a
+    Robin T that dpteqr fails on raises EigensolveError.
     """
     n_keep = T.n if n_keep is None else min(int(n_keep), T.n)
     all_mu = np.sort(1.0 / _jacobi_lambdas(T, n_keep))[::-1]

@@ -52,9 +52,58 @@ def test_jacobi_spectrum_matches_dense(grids, family, gamma):
     assert full.norm_estimate == pytest.approx(norm, rel=1e-9)
     top25 = eigen_mu(T, 25)
     assert np.max(np.abs(top25.mu - dense[:25]) / np.abs(dense[:25])) <= 1e-9
+    # the full (dpteqr) and partial (bisection) routes agree on the top mu;
+    # bisection alone is off by 1.6e-11 on the top power mu against mpmath
+    assert np.max(np.abs(full.mu[:25] - top25.mu) / np.abs(top25.mu)) <= 3e-11
     assert top25.norm_estimate == pytest.approx(norm, rel=1e-9)
     if gamma < 0:
         assert np.sum(full.mu < 0) == 1  # rank-one shift: one negative mu
+
+
+def _sturm_lambda(d, e2, k, guess):
+    """Eigenvalue k (ascending) of the tridiagonal with diagonal d and squared
+    off-diagonal e2 (mpf lists), by Sturm-count bisection in the working
+    precision, from a bracket around guess, to 1e-16 relative."""
+    import mpmath as mp
+
+    def below(x):  # eigenvalues < x
+        count, q = 0, mp.mpf(1)
+        for i in range(len(d)):
+            q = d[i] - x - (e2[i - 1] / q if i else 0)
+            if q == 0:
+                q = mp.mpf(10) ** (-2 * mp.mp.dps)
+            count += q < 0
+        return count
+
+    guess, width = mp.mpf(guess), mp.mpf(1e-9) * abs(guess)
+    lo, hi = guess - width, guess + width
+    while below(lo) > k:
+        lo -= 10 * (hi - lo)
+    while below(hi) <= k:
+        hi += 10 * (hi - lo)
+    while hi - lo > mp.mpf(1e-16) * abs(lo):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if below(mid) > k else (mid, hi)
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("family, X", [("power", 200.0), ("stretched-exp", 8.0)])
+@pytest.mark.parametrize("gamma", [0.0, -0.5], ids=["dirichlet", "robin-0.5"])
+def test_full_spectrum_matches_mpmath_sturm_bisection(phi2, phi3, family, X, gamma):
+    # the same rounded T in 32 digits: a check of the eigensolver alone.
+    # On power(1) with gamma = -0.5 sterf is off by 5.1e-12, and undoing
+    # the Robin shift on every lambda (no bisected low end) by 7.7e-12
+    mp = pytest.importorskip("mpmath")
+    model = {"power": phi2, "stretched-exp": phi3}[family]
+    T = assemble_jacobi(model, build_quadrature(X, 20, 10), gamma)
+    lam = np.sort(1.0 / eigen_mu(T).mu)
+    n = lam.size
+    with mp.workdps(32):
+        d = [mp.mpf(float(v)) for v in T.diag]
+        e2 = [mp.mpf(float(v)) ** 2 for v in T.off]
+        for k in (0, 1, 2, n // 4, n // 2, 3 * n // 4, n - 2, n - 1):
+            ref = _sturm_lambda(d, e2, k, lam[k])
+            assert abs(lam[k] - float(ref)) <= 1e-12 * abs(float(ref)), k
 
 
 @st.composite

@@ -1,5 +1,6 @@
-"""Peak traced memory of scatter and validate at N = 4000-5000, and of a
-psi cache whose quadrature bisects millions of panels.
+"""Peak traced memory of scatter and validate at N = 4000-5000, of a full
+Robin spectrum at N = 4000, and of a psi cache whose quadrature bisects
+millions of panels.
 
 Both tasks run in O(N) memory: a single dense N x N matrix of doubles would
 be 122 MiB at N = 4000, so a peak below 32 MiB shows that none is formed.
@@ -11,8 +12,9 @@ limit.
 import tracemalloc
 
 from subspec.cli import parse_config, run
-from subspec.discretization import ORDER, build_quadrature
+from subspec.discretization import ORDER, assemble_jacobi, build_quadrature
 from subspec.scattering import example_scatt_sweep
+from subspec.spectral import eigen_mu
 from subspec.subordinate import SubordinateCache
 
 PEAK_LIMIT = 32 * 2**20
@@ -41,6 +43,15 @@ def test_validate_peak_memory(tmp_path):
     status, peak = _peak_bytes(lambda: run(cfg))
     assert status == 0
     assert "all checks passed" in (tmp_path / "report.txt").read_text()
+    assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"
+
+
+def test_full_robin_spectrum_peak_memory(phi3):
+    # a tridiagonal driver with an N x N workspace (stemr allocates its
+    # eigenvector array even for values only) would need 122 MiB here
+    T = assemble_jacobi(phi3, build_quadrature(8.0, 400, ORDER), -0.5)
+    res, peak = _peak_bytes(lambda: eigen_mu(T))
+    assert res.mu.size == 4000 and res.mu[-1] < 0.0
     assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"
 
 

@@ -4,6 +4,7 @@ import pytest
 from subspec.discretization import JacobiMatrix, assemble_jacobi, build_quadrature
 from paper_identities import growth_exponent, quadratic_form_residual
 from subspec.errors import (
+    EigensolveError,
     InvalidParameterError,
     MismatchedLengthsError,
     NonPositiveMuError,
@@ -52,6 +53,17 @@ def test_dirichlet_eigen_mu_refuses_nonpositive_mu():
     res = eigen_mu(JacobiMatrix(diag, off, -0.5, quad, cache=None))
     assert np.sum(res.mu < 0) == 1
     assert np.allclose(res.lam, np.sort(1.0 / res.mu[:2]))
+
+
+def test_full_spectrum_refuses_a_singular_T():
+    # a path Laplacian has lambda_0 = 0, so its Cholesky factor breaks down;
+    # the full-spectrum solve has no fallback and names dpteqr's info
+    quad = build_quadrature(1.0, 1, 3)
+    diag, off = np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0])
+    with pytest.raises(NonPositiveMuError, match="info = 3"):
+        eigen_mu(JacobiMatrix(diag, off, 0.0, quad, cache=None))
+    with pytest.raises(EigensolveError, match="info = 3"):
+        eigen_mu(JacobiMatrix(diag, off, -0.5, quad, cache=None))
 
 
 def test_lambda_min_vs_norm(phi1):
