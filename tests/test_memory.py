@@ -47,7 +47,7 @@ def test_validate_peak_memory(tmp_path):
 
 
 def test_full_robin_spectrum_peak_memory(phi3):
-    # a tridiagonal driver with an N x N workspace (stemr allocates its
+    # a tridiagonal eigensolver with an N x N workspace (stemr allocates its
     # eigenvector array even for values only) would need 122 MiB here
     T = assemble_jacobi(phi3, build_quadrature(8.0, 400, ORDER), -0.5)
     res, peak = _peak_bytes(lambda: eigen_mu(T))
