@@ -34,15 +34,24 @@ from .errors import ConfigError, SubspecError
 
 _TASKS = ("spectrum", "compare", "robin", "scatter", "validate", "oracle")
 
-# keys of a profile block (phi.* or compare.phi2.*), as read by build_phi_spec
-_PHI_KEYS = ("kind", "c", "zeta.k", "zeta.alpha", "csv", "log_expr", "dlog_expr",
-             "d2log_expr", "label", "decay.rate", "decay.c1", "decay.c2",
-             "decay.sigma_expr", "decay.dsigma_expr")
+# the keys besides kind that build_phi reads from a profile block (phi.* or
+# compare.phi2.*) of each kind; a decay.* key is read only with decay.rate
+_KIND_KEYS = {
+    "exp-decay": ("c",),
+    "power": ("c",),
+    "stretched-exp": ("c",),
+    "oscillating": (),
+    "scattering-profile": ("c", "zeta.k", "zeta.alpha"),
+    "tabulated": ("csv",),
+    "custom-log-profile": ("log_expr", "dlog_expr", "d2log_expr", "label", "decay.rate",
+                           "decay.c1", "decay.c2", "decay.sigma_expr", "decay.dsigma_expr"),
+}
 _GRID_KEYS = ("resolution.X", "resolution.eps", "resolution.panels", "resolution.order")
 
 
 def _phi_keys(prefix: str) -> tuple:
-    return tuple(f"{prefix}.{key}" for key in _PHI_KEYS)
+    names = dict.fromkeys(name for kind_keys in _KIND_KEYS.values() for name in kind_keys)
+    return tuple(f"{prefix}.{name}" for name in ("kind", *names))
 
 
 # every key a task reads besides task and output_dir; anything else is a typo
@@ -142,55 +151,65 @@ def _compile_expr(expr: str, what: str):
         raise ConfigError(f"config key '{what}' uses unknown name {unknown[0]!r} in {expr!r}")
 
     def fn(x, _code=code, _ns=ns):
-        out = eval(_code, {"__builtins__": {}}, {**_ns, "x": np.asarray(x, dtype=float)})
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy() \
-            if np.ndim(out) == 0 else out
+        try:
+            out = eval(_code, {"__builtins__": {}}, {**_ns, "x": np.asarray(x, dtype=float)})
+            return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy() \
+                if np.ndim(out) == 0 else out
+        except Exception as exc:
+            raise ConfigError(f"config key '{what}' = {expr!r} fails when evaluated: "
+                              f"{type(exc).__name__}: {exc}") from None
     return fn
 
 
-def build_phi_spec(cfg: RunConfig, prefix: str = "phi"):
-    """Realize the phi.* (or compare.phi2.*) block into a PhiSpec."""
-    from .phi_models import DecayInfo, PhiSpec, inv_power_zeta
+def build_phi(cfg: RunConfig, prefix: str = "phi"):
+    """Realize the profile block `prefix` (phi or compare.phi2) into a
+    PhiModel; a key of the block that its kind does not read is an error."""
+    import numpy as np
+    from .phi_models import DecayInfo, inv_power_zeta, make_phi
 
-    kind = cfg.require(f"{prefix}.kind")
-    if kind == "exp-decay":
-        return PhiSpec.exp_decay(cfg.get_float(f"{prefix}.c", 1.0))
-    if kind == "power":
-        return PhiSpec.power(cfg.get_float(f"{prefix}.c", 1.0))
-    if kind == "stretched-exp":
-        return PhiSpec.stretched_exp(cfg.get_float(f"{prefix}.c", 1.0))
+    key = lambda name: f"{prefix}.{name}"
+    kind = cfg.require(key("kind"))
+    if kind not in _KIND_KEYS:
+        raise ConfigError(f"unknown {key('kind')} '{kind}'")
+    with_decay = cfg.get(key("decay.rate")) is not None
+    reads = {key(name) for name in ("kind", *_KIND_KEYS[kind])
+             if with_decay or not name.startswith("decay.")}
+    for given in cfg.options:
+        if given.startswith(f"{prefix}.") and given not in reads:
+            raise ConfigError(f"config key '{given}' is not read by {key('kind')} = {kind}")
+
+    if kind in ("exp-decay", "power", "stretched-exp"):
+        return make_phi(kind, c=cfg.get_float(key("c"), 1.0))
     if kind == "oscillating":
-        return PhiSpec.oscillating()
+        return make_phi(kind)
     if kind == "scattering-profile":
-        zeta = inv_power_zeta(cfg.get_float(f"{prefix}.zeta.k", 1.0),
-                              cfg.get_float(f"{prefix}.zeta.alpha", 1.0))
-        return PhiSpec.scattering_profile(cfg.get_float(f"{prefix}.c", 1.0), zeta)
+        zeta = inv_power_zeta(cfg.get_float(key("zeta.k"), 1.0),
+                              cfg.get_float(key("zeta.alpha"), 1.0))
+        return make_phi(kind, c=cfg.get_float(key("c"), 1.0), zeta=zeta)
     if kind == "tabulated":
+        path = cfg.require(key("csv"))
         try:
-            return PhiSpec.from_csv(cfg.require(f"{prefix}.csv"))
+            data = np.loadtxt(path, delimiter=",", dtype=float)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"config key '{prefix}.csv': {exc}") from None
-    if kind == "custom-log-profile":
-        log_fn = _compile_expr(cfg.require(f"{prefix}.log_expr"), f"{prefix}.log_expr")
-        dlog = cfg.get(f"{prefix}.dlog_expr")
-        d2log = cfg.get(f"{prefix}.d2log_expr")
-        decay = None
-        if cfg.get(f"{prefix}.decay.rate") is not None:
-            decay = DecayInfo(
-                rate=cfg.get_float(f"{prefix}.decay.rate"),
-                c_lower=cfg.get_float(f"{prefix}.decay.c1", 1.0),
-                c_upper=cfg.get_float(f"{prefix}.decay.c2", 1.0),
-                sigma=_compile_expr(cfg.require(f"{prefix}.decay.sigma_expr"),
-                                    f"{prefix}.decay.sigma_expr"),
-                dsigma=_compile_expr(cfg.require(f"{prefix}.decay.dsigma_expr"),
-                                     f"{prefix}.decay.dsigma_expr"))
-        return PhiSpec.custom(
-            log_phi=log_fn,
-            dlog_phi=_compile_expr(dlog, f"{prefix}.dlog_expr") if dlog else None,
-            d2log_phi=_compile_expr(d2log, f"{prefix}.d2log_expr") if d2log else None,
-            decay=decay,
-            label=cfg.get(f"{prefix}.label", f"custom[{cfg.get(f'{prefix}.log_expr')}]"))
-    raise ConfigError(f"unknown {prefix}.kind '{kind}'")
+            raise ConfigError(f"config key '{key('csv')}': {exc}") from None
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise ConfigError(f"config key '{key('csv')}': {path}: "
+                              "expected two columns (x, phi)")
+        return make_phi(kind, x=data[:, 0], values=data[:, 1])
+    # custom-log-profile
+    expr = lambda name: _compile_expr(cfg.require(key(name)), key(name))
+    log_phi = expr("log_expr")
+    decay = None
+    if with_decay:
+        decay = DecayInfo(rate=cfg.get_float(key("decay.rate")),
+                          c_lower=cfg.get_float(key("decay.c1"), 1.0),
+                          c_upper=cfg.get_float(key("decay.c2"), 1.0),
+                          sigma=expr("decay.sigma_expr"), dsigma=expr("decay.dsigma_expr"))
+    return make_phi(kind, log_phi=log_phi,
+                    dlog_phi=expr("dlog_expr") if cfg.get(key("dlog_expr")) else None,
+                    d2log_phi=expr("d2log_expr") if cfg.get(key("d2log_expr")) else None,
+                    decay=decay,
+                    label=cfg.get(key("label"), f"custom[{cfg.get(key('log_expr'))}]"))
 
 
 # Upper bound on N = panels * order of the grid tasks.  The spectra cost only
@@ -269,10 +288,9 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     from dataclasses import replace
     import numpy as np
     from .discretization import build_quadrature
-    from .phi_models import make_phi
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
 
-    model = make_phi(build_phi_spec(cfg))
+    model = build_phi(cfg)
     X, panels, order = _resolution(cfg, [model], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 25)
     fine = build_quadrature(X, panels, order)
@@ -295,11 +313,10 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
 def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
     from .discretization import build_quadrature
-    from .phi_models import make_phi
     from .spectral import compare_spectra, eigen_mu
 
-    model1 = make_phi(build_phi_spec(cfg, "phi"))
-    model2 = make_phi(build_phi_spec(cfg, "compare.phi2"))
+    model1 = build_phi(cfg, "phi")
+    model2 = build_phi(cfg, "compare.phi2")
     c = cfg.get_float("compare.c")
     X, panels, order = _resolution(cfg, [model1, model2], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 20)
@@ -328,10 +345,9 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
 def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
     from .discretization import build_quadrature
-    from .phi_models import make_phi
     from .spectral import eigen_mu, robin_sigma, write_spectrum_csv
 
-    model = make_phi(build_phi_spec(cfg))
+    model = build_phi(cfg)
     gamma = _number("robin.gamma", cfg.require("robin.gamma"))
     if gamma == 0.0:
         raise ConfigError("config key 'robin.gamma' must be nonzero (gamma = 0 is the "
@@ -353,7 +369,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     from .discretization import ORDER, build_quadrature, default_panels
-    from .scattering import example_scatt_sweep, write_sweep_csv
+    from .scattering import example_scatt_sweep
 
     raw = cfg.get("scatter.alpha_list", "0.5,1,1.5,2,4")
     alphas = [_number("scatter.alpha_list", tok.strip())
@@ -363,7 +379,9 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     quad = build_quadrature(X, cfg.get_int("resolution.panels", default_panels(X)),
                             cfg.get_int("resolution.order", ORDER))
     rows = example_scatt_sweep(alphas, c, quad)
-    write_sweep_csv(rows, outdir / "scatter.csv")
+    columns = ("alpha", "trace_numeric", "bound_nu_route", "bound_derivative_route")
+    _write_csv(outdir / "scatter.csv", ",".join(columns) + ",criterion_met",
+               ([G17(r[col]) for col in columns] + [str(r["criterion_met"])] for r in rows))
     lines = [f"c = {c:.6g}", f"X = {X:.6g}"]
     for r in rows:
         lines.append(f"alpha={r['alpha']:.6g}: trace={r['trace_numeric']:.6g} "
@@ -382,11 +400,11 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
     from .discretization import build_quadrature
     from .green_kernel import exp_bound_margin
-    from .phi_models import make_phi, verify_decay_hypothesis
+    from .phi_models import verify_decay_hypothesis
     from .spectral import _extreme_eigenvalues, factorization_forms, weighted_identity_residual
     from .subordinate import wronskian_residual
 
-    model = make_phi(build_phi_spec(cfg))
+    model = build_phi(cfg)
     oscillatory = model.kind == "oscillating" or (
         model.kind == "custom-log-profile" and _OSCILLATING_CALL.search(cfg.get("phi.log_expr")))
     # the identities under test are local; keep auto windows sane for
@@ -449,16 +467,16 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_oracle(cfg: RunConfig, outdir: Path, notes: list):
     from .oracle_fd import cross_validate
-    from .phi_models import make_phi
 
-    model = make_phi(build_phi_spec(cfg))
+    model = build_phi(cfg)
     k = cfg.get_int("oracle.k", 5)
-    cv = cross_validate(model, k)
+    lam_green, lam_fd = cross_validate(model, k)
+    rel_err = [abs(g - f) / abs(f) for g, f in zip(lam_green, lam_fd)]
     _write_csv(outdir / "oracle.csv", "n,lambda_green,lambda_fd,rel_err",
-               ((str(n), G17(g), G17(f), G17(abs(g - f) / abs(f)))
-                for n, (g, f) in enumerate(zip(cv.lam_green, cv.lam_fd), 1)))
+               ((str(n), G17(g), G17(f), G17(r))
+                for n, (g, f, r) in enumerate(zip(lam_green, lam_fd, rel_err), 1)))
     return 0, [f"model = {model.label}", f"k = {k}",
-               f"max relative error = {cv.max_rel_err:.6g}"]
+               f"max relative error = {max(rel_err):.6g}"]
 
 
 _RUNNERS = {

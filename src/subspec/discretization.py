@@ -83,9 +83,7 @@ def auto_truncation(model: PhiModel, eps: float) -> float:
         runmax = np.maximum.accumulate(np.maximum(lp, lp0))
         ok = (lp - runmax) <= np.log(eps)
         if model.decay is not None:
-            sig = np.asarray(model.decay.sigma(cands), dtype=float)
-            tail = model.decay.c_upper**2 * np.exp(-2.0 * sig) / (2.0 * model.decay.rate)
-            ok &= tail <= (eps * model.l2_norm_phi) ** 2
+            ok &= model.decay.tail_l2sq(cands) <= (eps * model.l2_norm_phi) ** 2
         hits = np.nonzero(ok)[0]
         if hits.size:
             X = float(cands[hits[0]])

@@ -11,7 +11,6 @@ regime where only the Green route works is out of its scope by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,19 +23,6 @@ TURNING_X_MAX = 200.0  # right end of turning_point's scan
 FD_N = 4000  # nodes of the resolved FD pass in cross_validate
 
 
-@dataclass(frozen=True)
-class FDProblem:
-    """-g'' + V g on [0, X] with g(0) = g(X) = 0, on N interior nodes."""
-
-    potential: Callable[[np.ndarray], np.ndarray]
-    X: float
-    N: int
-
-    def __post_init__(self):
-        if self.N < 16 or self.X <= 0:
-            raise InvalidParameterError("need N >= 16 and X > 0")
-
-
 def potential_from_phi(model: PhiModel, x) -> np.ndarray:
     """V(x) = (sigma')^2 - sigma'' for sigma = -log phi, i.e.
     (log phi')^2 + (log phi)''; analytic for the smooth built-ins."""
@@ -47,13 +33,17 @@ def potential_from_phi(model: PhiModel, x) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def fd_eigenvalues(p: FDProblem, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the 3-point discretization on the interior
-    nodes i*dx, i = 1..N, with dx = X/(N+1); second-order accurate."""
-    dx = p.X / (p.N + 1)
-    x = dx * np.arange(1, p.N + 1)
-    diag = 2.0 / dx**2 + np.asarray(p.potential(x), dtype=float)
-    off = np.full(p.N - 1, -1.0 / dx**2)
+def fd_eigenvalues(potential: Callable[[np.ndarray], np.ndarray], X: float, N: int,
+                   k: int) -> np.ndarray:
+    """Lowest k eigenvalues of -g'' + V g on [0, X], g(0) = g(X) = 0, by the
+    3-point discretization on the interior nodes i*dx, i = 1..N, with
+    dx = X/(N+1); second-order accurate.  Needs N >= 16 and X > 0."""
+    if N < 16 or X <= 0:
+        raise InvalidParameterError("need N >= 16 and X > 0")
+    dx = X / (N + 1)
+    x = dx * np.arange(1, N + 1)
+    diag = 2.0 / dx**2 + np.asarray(potential(x), dtype=float)
+    off = np.full(N - 1, -1.0 / dx**2)
     k = min(int(k), diag.size)
     vals = eigh_tridiagonal(diag, off, select="i",
                             select_range=(0, k - 1), eigvals_only=True)
@@ -82,15 +72,9 @@ def turning_point(model: PhiModel, level: float) -> float:
     return float(xs[below[-1] + 1])
 
 
-@dataclass(frozen=True)
-class CrossValidation:
-    max_rel_err: float
-    lam_green: np.ndarray
-    lam_fd: np.ndarray
-
-
-def cross_validate(model: PhiModel, k: int) -> CrossValidation:
-    """Lowest k eigenvalues from the Green route against the FD oracle.
+def cross_validate(model: PhiModel, k: int) -> tuple:
+    """(lam_green, lam_fd): the lowest k eigenvalues from the Green route and
+    from the FD oracle.
 
     Both routes solve the same operator exactly when phi = exp(-sigma) is
     smooth, since then V = (sigma')^2 - sigma'' identically.  The domains are
@@ -103,11 +87,10 @@ def cross_validate(model: PhiModel, k: int) -> CrossValidation:
     _require_compact(model)
     # provisional FD pass to locate lambda_k, then a resolved one
     X_fd = turning_point(model, 50.0) + 2.0
-    lam_fd = fd_eigenvalues(FDProblem(lambda x: potential_from_phi(model, x),
-                                      X_fd, 1500), k)
+    potential = lambda x: potential_from_phi(model, x)
+    lam_fd = fd_eigenvalues(potential, X_fd, 1500, k)
     X_fd = turning_point(model, float(lam_fd[-1]) + 50.0) + 2.0
-    lam_fd = fd_eigenvalues(FDProblem(lambda x: potential_from_phi(model, x),
-                                      X_fd, FD_N), k)
+    lam_fd = fd_eigenvalues(potential, X_fd, FD_N, k)
 
     X_green = max(auto_truncation(model, 1e-6),
                   turning_point(model, float(lam_fd[-1])) + 2.0)
@@ -115,6 +98,4 @@ def cross_validate(model: PhiModel, k: int) -> CrossValidation:
     lam_green = eigen_mu(assemble_jacobi(model, quad), n_keep=max(2 * k, k + 8)).lam[:k]
     if lam_green.size < k:
         raise InvalidParameterError("Green route produced too few eigenvalues")
-    rel = np.abs(lam_green - lam_fd) / np.abs(lam_fd)
-    return CrossValidation(max_rel_err=float(np.max(rel)),
-                           lam_green=lam_green, lam_fd=lam_fd)
+    return lam_green, lam_fd

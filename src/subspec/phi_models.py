@@ -1,15 +1,16 @@
 """Positive profiles phi on the half line and their regularity metadata.
 
 A model is always held through log phi; downstream kernels exponentiate sums
-and differences of logs only.  Built-in families:
+and differences of logs only.  make_phi(kind, **params) realizes one of the
+families below (kind string, parameters, phi):
 
-    exp-decay(c)            exp(-c x)                          c > 0
-    power(c)                (1+x)^(-c)                         c > 1/2
-    stretched-exp(c)        exp(-(1+x)^c)                      c > 0
-    oscillating             exp(-x - sin(e^x))
-    scattering-profile(c,z) exp(-c x - zeta(x))                c > 0
-    tabulated               piecewise-linear log phi from samples
-    custom-log-profile      user callables
+    "exp-decay"           c            exp(-c x), c > 0
+    "power"               c            (1+x)^(-c), c > 1/2
+    "stretched-exp"       c            exp(-(1+x)^c), c > 0
+    "oscillating"         -            exp(-x - sin(e^x))
+    "scattering-profile"  c, zeta      exp(-c x - zeta(x)), c > 0, zeta a Zeta
+    "tabulated"           x, values    piecewise-linear log phi through the samples
+    "custom-log-profile"  log_phi[, dlog_phi, d2log_phi, decay, label]  callables
 
 Decay metadata is the sandwich c1*exp(-sigma) <= phi <= c2*exp(-sigma) with
 sigma'(x) >= rate, attached automatically where the family admits a tight
@@ -23,7 +24,7 @@ regularity is a user obligation and is not (and cannot be) checked here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,54 +66,6 @@ def inv_power_zeta(k: float = 1.0, alpha: float = 1.0) -> Zeta:
 
 
 @dataclass(frozen=True)
-class PhiSpec:
-    """Declarative description of a profile; realized by make_phi."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    @classmethod
-    def exp_decay(cls, c: float) -> "PhiSpec":
-        return cls("exp-decay", {"c": float(c)})
-
-    @classmethod
-    def power(cls, c: float) -> "PhiSpec":
-        return cls("power", {"c": float(c)})
-
-    @classmethod
-    def stretched_exp(cls, c: float) -> "PhiSpec":
-        return cls("stretched-exp", {"c": float(c)})
-
-    @classmethod
-    def oscillating(cls) -> "PhiSpec":
-        return cls("oscillating", {})
-
-    @classmethod
-    def scattering_profile(cls, c: float, zeta: Zeta) -> "PhiSpec":
-        return cls("scattering-profile", {"c": float(c), "zeta": zeta})
-
-    @classmethod
-    def tabulated(cls, x, values) -> "PhiSpec":
-        return cls("tabulated", {"x": np.asarray(x, dtype=float),
-                                 "values": np.asarray(values, dtype=float)})
-
-    @classmethod
-    def from_csv(cls, path) -> "PhiSpec":
-        data = np.loadtxt(path, delimiter=",", dtype=float)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise InvalidParameterError(f"{path}: expected two columns (x, phi)")
-        return cls.tabulated(data[:, 0], data[:, 1])
-
-    @classmethod
-    def custom(cls, log_phi, dlog_phi=None, d2log_phi=None, decay=None,
-               label: str = "custom") -> "PhiSpec":
-        return cls("custom-log-profile", {
-            "log_phi": log_phi, "dlog_phi": dlog_phi, "d2log_phi": d2log_phi,
-            "decay": decay, "label": label,
-        })
-
-
-@dataclass(frozen=True)
 class DecayInfo:
     """Sandwich c1 e^{-sigma} <= phi <= c2 e^{-sigma}, sigma' >= rate > 0."""
 
@@ -126,9 +79,10 @@ class DecayInfo:
         """Prefactor c2^3 / (2 c c1^3) of the off-diagonal kernel bound."""
         return self.c_upper**3 / (2.0 * self.rate * self.c_lower**3)
 
-    def tail_l2sq(self, X: float) -> float:
-        """Upper estimate of int_X^inf phi^2 from the sandwich."""
-        return self.c_upper**2 * math.exp(-2.0 * float(self.sigma(X))) / (2.0 * self.rate)
+    def tail_l2sq(self, X):
+        """Upper estimate of int_X^inf phi^2 from the sandwich, elementwise in X."""
+        sig = np.asarray(self.sigma(X), dtype=float)
+        return self.c_upper**2 * np.exp(-2.0 * sig) / (2.0 * self.rate)
 
 
 @dataclass(frozen=True)
@@ -184,148 +138,163 @@ def _l2_norm_by_quadrature(log_phi, decay: Optional[DecayInfo], label: str) -> f
     return math.sqrt(head + tail)
 
 
-def make_phi(spec: PhiSpec) -> PhiModel:
-    """Realize a PhiSpec, filling derivatives and decay metadata per kind.
+def _exp_decay(c):
+    c = float(c)
+    if c <= 0:
+        raise InvalidParameterError(f"exp-decay needs c > 0, got {c}")
+    decay = DecayInfo(c, 1.0, 1.0,
+                      sigma=lambda x, c=c: c * np.asarray(x, dtype=float),
+                      dsigma=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c))
+    return PhiModel(
+        "exp-decay", f"exp-decay(c={c:g})",
+        log_phi=lambda x, c=c: -c * _as_nonneg(x),
+        dlog_phi=lambda x, c=c: np.full_like(_as_nonneg(x), -c),
+        d2log_phi=lambda x: np.zeros_like(_as_nonneg(x)),
+        decay=decay, l2_norm_phi=1.0 / math.sqrt(2.0 * c))
 
-    Raises InvalidParameterError when the kind-specific validity range is
-    violated (e.g. power needs c > 1/2 for phi in L2) and
-    NonPositiveSampleError for tabulated input that is not strictly positive.
+
+def _power(c):
+    c = float(c)
+    if c <= 0.5:
+        raise InvalidParameterError(f"power needs c > 1/2 for phi in L2, got {c}")
+    return PhiModel(
+        "power", f"power(c={c:g})",
+        log_phi=lambda x, c=c: -c * np.log1p(_as_nonneg(x)),
+        dlog_phi=lambda x, c=c: -c / (1.0 + _as_nonneg(x)),
+        d2log_phi=lambda x, c=c: c / (1.0 + _as_nonneg(x)) ** 2,
+        decay=None, l2_norm_phi=1.0 / math.sqrt(2.0 * c - 1.0))
+
+
+def _stretched_exp(c):
+    c = float(c)
+    if c <= 0:
+        raise InvalidParameterError(f"stretched-exp needs c > 0, got {c}")
+    log_phi = lambda x, c=c: -((1.0 + _as_nonneg(x)) ** c)
+    decay = None
+    if c >= 1.0:  # sigma' = c (1+x)^(c-1) >= c only from c >= 1 on
+        decay = DecayInfo(
+            c, 1.0, 1.0,
+            sigma=lambda x, c=c: (1.0 + np.asarray(x, dtype=float)) ** c,
+            dsigma=lambda x, c=c: c * (1.0 + np.asarray(x, dtype=float)) ** (c - 1.0))
+    label = f"stretched-exp(c={c:g})"
+    return PhiModel(
+        "stretched-exp", label,
+        log_phi=log_phi,
+        dlog_phi=lambda x, c=c: -c * (1.0 + _as_nonneg(x)) ** (c - 1.0),
+        d2log_phi=lambda x, c=c: -c * (c - 1.0) * (1.0 + _as_nonneg(x)) ** (c - 2.0),
+        decay=decay,
+        l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
+
+
+def _oscillating():
+    def log_phi(x):
+        # the quadrature's hot integrand: one check of x, exp and sin in place
+        x = _as_nonneg(x)
+        s = np.exp(x, out=np.empty_like(x))
+        np.sin(s, out=s)
+        return np.subtract(-x, s, out=s)[()]  # a float for a 0-d x
+
+    # tightest sandwich from |sin| <= 1: sigma(x) = x, e^-1 <= phi e^x <= e
+    decay = DecayInfo(
+        1.0, math.exp(-1.0), math.e,
+        sigma=lambda x: np.asarray(x, dtype=float),
+        dsigma=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    return PhiModel(
+        "oscillating", "oscillating",
+        log_phi=log_phi,
+        dlog_phi=lambda x: -1.0 - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x))),
+        d2log_phi=lambda x: (np.exp(2.0 * _as_nonneg(x)) * np.sin(np.exp(_as_nonneg(x)))
+                             - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x)))),
+        decay=decay,
+        l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, "oscillating"))
+
+
+def _scattering_profile(c, zeta: Zeta):
+    c = float(c)
+    if c <= 0:
+        raise InvalidParameterError(f"scattering-profile needs c > 0, got {c}")
+    log_phi = lambda x, c=c, z=zeta: -c * _as_nonneg(x) - z.fn(_as_nonneg(x))
+    dlog = None
+    if zeta.dfn is not None:
+        dlog = lambda x, c=c, z=zeta: -c - z.dfn(_as_nonneg(x))
+    d2log = None
+    if zeta.d2fn is not None:
+        d2log = lambda x, z=zeta: -z.d2fn(_as_nonneg(x))
+    decay = DecayInfo(
+        c, math.exp(-zeta.sup), math.exp(zeta.sup),
+        sigma=lambda x, c=c: c * np.asarray(x, dtype=float),
+        dsigma=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c))
+    label = f"scattering(c={c:g}, zeta={zeta.label})"
+    return PhiModel(
+        "scattering-profile", label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log,
+        decay=decay, l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
+
+
+def _tabulated(x, values):
+    xs, vals = np.asarray(x, dtype=float), np.asarray(values, dtype=float)
+    if xs.ndim != 1 or xs.shape != vals.shape or xs.size < 2:
+        raise InvalidParameterError("tabulated input needs matching 1-d arrays, >= 2 samples")
+    if xs[0] != 0.0 or np.any(np.diff(xs) <= 0):
+        raise InvalidParameterError("tabulated x must increase strictly, starting at 0")
+    if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+        raise NonPositiveSampleError("tabulated phi samples must be finite and > 0")
+    logs = np.log(vals)
+    slope_end = (logs[-1] - logs[-2]) / (xs[-1] - xs[-2])
+    if slope_end >= 0:
+        raise InvalidParameterError(
+            "tabulated profile must decay at its right end (phi in L2)")
+
+    def log_phi(x, xs=xs, logs=logs, s=slope_end):
+        arr = _as_nonneg(x)
+        out = np.interp(arr, xs, logs)
+        beyond = arr > xs[-1]
+        if np.any(beyond):
+            out = np.where(beyond, logs[-1] + s * (arr - xs[-1]), out)
+        return out
+
+    head = math.exp(log_integral_exp(lambda s: 2.0 * log_phi(s), 0.0, float(xs[-1])))
+    tail = float(vals[-1]) ** 2 / (-2.0 * slope_end)
+    return PhiModel(
+        "tabulated", f"tabulated({xs.size} samples)",
+        log_phi=log_phi, dlog_phi=None, d2log_phi=None, decay=None,
+        l2_norm_phi=math.sqrt(head + tail))
+
+
+def _custom(log_phi, dlog_phi=None, d2log_phi=None, decay: Optional[DecayInfo] = None,
+            label: str = "custom"):
+    def wrap(f):  # user callables see x >= 0 and answer with a float array
+        return None if f is None else lambda x: np.asarray(f(_as_nonneg(x)), dtype=float)
+    log_phi = wrap(log_phi)
+    return PhiModel(
+        "custom-log-profile", label, log_phi=log_phi, dlog_phi=wrap(dlog_phi),
+        d2log_phi=wrap(d2log_phi), decay=decay,
+        l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
+
+
+_BUILDERS = {
+    "exp-decay": _exp_decay,
+    "power": _power,
+    "stretched-exp": _stretched_exp,
+    "oscillating": _oscillating,
+    "scattering-profile": _scattering_profile,
+    "tabulated": _tabulated,
+    "custom-log-profile": _custom,
+}
+
+
+def make_phi(kind: str, **params) -> PhiModel:
+    """Realize the profile family `kind` from its parameters (see the module
+    docstring), filling derivatives and decay metadata.
+
+    Raises InvalidParameterError for an unknown kind or a parameter outside
+    the family's range (e.g. power needs c > 1/2 for phi in L2),
+    NonPositiveSampleError for tabulated input that is not strictly positive,
+    and TypeError for a parameter the family does not take.
     """
-    kind = spec.kind
-    p = spec.params
-
-    if kind == "exp-decay":
-        c = p["c"]
-        if c <= 0:
-            raise InvalidParameterError(f"exp-decay needs c > 0, got {c}")
-        decay = DecayInfo(c, 1.0, 1.0,
-                          sigma=lambda x, c=c: c * np.asarray(x, dtype=float),
-                          dsigma=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c))
-        return PhiModel(
-            kind, f"exp-decay(c={c:g})",
-            log_phi=lambda x, c=c: -c * _as_nonneg(x),
-            dlog_phi=lambda x, c=c: np.full_like(_as_nonneg(x), -c),
-            d2log_phi=lambda x: np.zeros_like(_as_nonneg(x)),
-            decay=decay, l2_norm_phi=1.0 / math.sqrt(2.0 * c))
-
-    if kind == "power":
-        c = p["c"]
-        if c <= 0.5:
-            raise InvalidParameterError(f"power needs c > 1/2 for phi in L2, got {c}")
-        return PhiModel(
-            kind, f"power(c={c:g})",
-            log_phi=lambda x, c=c: -c * np.log1p(_as_nonneg(x)),
-            dlog_phi=lambda x, c=c: -c / (1.0 + _as_nonneg(x)),
-            d2log_phi=lambda x, c=c: c / (1.0 + _as_nonneg(x)) ** 2,
-            decay=None, l2_norm_phi=1.0 / math.sqrt(2.0 * c - 1.0))
-
-    if kind == "stretched-exp":
-        c = p["c"]
-        if c <= 0:
-            raise InvalidParameterError(f"stretched-exp needs c > 0, got {c}")
-        log_phi = lambda x, c=c: -((1.0 + _as_nonneg(x)) ** c)
-        decay = None
-        if c >= 1.0:  # sigma' = c (1+x)^(c-1) >= c only from c >= 1 on
-            decay = DecayInfo(
-                c, 1.0, 1.0,
-                sigma=lambda x, c=c: (1.0 + np.asarray(x, dtype=float)) ** c,
-                dsigma=lambda x, c=c: c * (1.0 + np.asarray(x, dtype=float)) ** (c - 1.0))
-        label = f"stretched-exp(c={c:g})"
-        return PhiModel(
-            kind, label,
-            log_phi=log_phi,
-            dlog_phi=lambda x, c=c: -c * (1.0 + _as_nonneg(x)) ** (c - 1.0),
-            d2log_phi=lambda x, c=c: -c * (c - 1.0) * (1.0 + _as_nonneg(x)) ** (c - 2.0),
-            decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
-
-    if kind == "oscillating":
-        def log_phi(x):
-            # the quadrature's hot integrand: one check of x, exp and sin in place
-            x = _as_nonneg(x)
-            s = np.exp(x, out=np.empty_like(x))
-            np.sin(s, out=s)
-            return np.subtract(-x, s, out=s)[()]  # a float for a 0-d x
-
-        # tightest sandwich from |sin| <= 1: sigma(x) = x, e^-1 <= phi e^x <= e
-        decay = DecayInfo(
-            1.0, math.exp(-1.0), math.e,
-            sigma=lambda x: np.asarray(x, dtype=float),
-            dsigma=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        return PhiModel(
-            kind, "oscillating",
-            log_phi=log_phi,
-            dlog_phi=lambda x: -1.0 - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x))),
-            d2log_phi=lambda x: (np.exp(2.0 * _as_nonneg(x)) * np.sin(np.exp(_as_nonneg(x)))
-                                 - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x)))),
-            decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, "oscillating"))
-
-    if kind == "scattering-profile":
-        c, zeta = p["c"], p["zeta"]
-        if c <= 0:
-            raise InvalidParameterError(f"scattering-profile needs c > 0, got {c}")
-        log_phi = lambda x, c=c, z=zeta: -c * _as_nonneg(x) - z.fn(_as_nonneg(x))
-        dlog = None
-        if zeta.dfn is not None:
-            dlog = lambda x, c=c, z=zeta: -c - z.dfn(_as_nonneg(x))
-        d2log = None
-        if zeta.d2fn is not None:
-            d2log = lambda x, z=zeta: -z.d2fn(_as_nonneg(x))
-        decay = DecayInfo(
-            c, math.exp(-zeta.sup), math.exp(zeta.sup),
-            sigma=lambda x, c=c: c * np.asarray(x, dtype=float),
-            dsigma=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c))
-        label = f"scattering(c={c:g}, zeta={zeta.label})"
-        return PhiModel(
-            kind, label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log, decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
-
-    if kind == "tabulated":
-        xs, vals = p["x"], p["values"]
-        if xs.ndim != 1 or xs.shape != vals.shape or xs.size < 2:
-            raise InvalidParameterError("tabulated input needs matching 1-d arrays, >= 2 samples")
-        if xs[0] != 0.0 or np.any(np.diff(xs) <= 0):
-            raise InvalidParameterError("tabulated x must increase strictly, starting at 0")
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-            raise NonPositiveSampleError("tabulated phi samples must be finite and > 0")
-        logs = np.log(vals)
-        slope_end = (logs[-1] - logs[-2]) / (xs[-1] - xs[-2])
-        if slope_end >= 0:
-            raise InvalidParameterError(
-                "tabulated profile must decay at its right end (phi in L2)")
-
-        def log_phi(x, xs=xs, logs=logs, s=slope_end):
-            arr = _as_nonneg(x)
-            out = np.interp(arr, xs, logs)
-            beyond = arr > xs[-1]
-            if np.any(beyond):
-                out = np.where(beyond, logs[-1] + s * (arr - xs[-1]), out)
-            return out
-
-        head = math.exp(log_integral_exp(lambda s: 2.0 * log_phi(s), 0.0, float(xs[-1])))
-        tail = float(vals[-1]) ** 2 / (-2.0 * slope_end)
-        return PhiModel(
-            kind, f"tabulated({xs.size} samples)",
-            log_phi=log_phi, dlog_phi=None, d2log_phi=None, decay=None,
-            l2_norm_phi=math.sqrt(head + tail))
-
-    if kind == "custom-log-profile":
-        raw = p["log_phi"]
-        log_phi = lambda x, f=raw: np.asarray(f(_as_nonneg(x)), dtype=float)
-        dlog = p.get("dlog_phi")
-        if dlog is not None:
-            dlog = lambda x, f=p["dlog_phi"]: np.asarray(f(_as_nonneg(x)), dtype=float)
-        d2log = p.get("d2log_phi")
-        if d2log is not None:
-            d2log = lambda x, f=p["d2log_phi"]: np.asarray(f(_as_nonneg(x)), dtype=float)
-        decay = p.get("decay")
-        label = p.get("label", "custom")
-        return PhiModel(
-            kind, label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log, decay=decay,
-            l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
-
-    raise InvalidParameterError(f"unknown profile kind '{kind}'")
+    build = _BUILDERS.get(kind)
+    if build is None:
+        raise InvalidParameterError(f"unknown profile kind '{kind}'")
+    return build(**params)
 
 
 def verify_decay_hypothesis(model: PhiModel, audit_nodes) -> DecayReport:

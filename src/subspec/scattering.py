@@ -31,7 +31,7 @@ import numpy as np
 
 from .discretization import Quadrature, assemble_jacobi
 from .errors import IndefiniteDifferenceError, InvalidParameterError
-from .phi_models import PhiModel, PhiSpec, Zeta, inv_power_zeta, make_phi
+from .phi_models import PhiModel, Zeta, inv_power_zeta, make_phi
 from .spectral import _extreme_eigenvalues
 
 DEFINITE_NOISE_FACTOR = 1e4  # |eigenvalues| of T0 - T below this many eps * max T_ii are rounding
@@ -117,11 +117,11 @@ def example_scatt_sweep(alpha_list: Sequence[float], c: float, quad: Quadrature)
     for a in alpha_list:
         if a <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {a}")
-    model0 = make_phi(PhiSpec.exp_decay(c))
+    model0 = make_phi("exp-decay", c=c)
     rows = []
     for a in alpha_list:
         prof = inv_power_profile(c, a)
-        model = make_phi(PhiSpec.scattering_profile(c, prof.zeta))
+        model = make_phi("scattering-profile", c=c, zeta=prof.zeta)
         numeric = trace_norm_difference(model, model0, quad)
         bound_nu = analytic_trace_bound(prof)
         bound_deriv = derivative_route_bound(a, c)
@@ -133,16 +133,3 @@ def example_scatt_sweep(alpha_list: Sequence[float], c: float, quad: Quadrature)
             "criterion_met": bool(math.isfinite(bound_nu)),
         })
     return rows
-
-
-def write_sweep_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("alpha,trace_numeric,bound_nu_route,bound_derivative_route,criterion_met\n")
-        for r in rows:
-            fh.write(",".join([
-                format(r["alpha"], ".17g"),
-                format(r["trace_numeric"], ".17g"),
-                format(r["bound_nu_route"], ".17g"),
-                format(r["bound_derivative_route"], ".17g"),
-                str(r["criterion_met"]),
-            ]) + "\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import subspec
-from subspec.cli import build_phi_spec, parse_config, run, run_cli
+from subspec.cli import build_phi, parse_config, run, run_cli
 from subspec.errors import ConfigError
 
 
@@ -50,6 +50,7 @@ def test_parse_config_errors():
 
 
 SPECTRUM = "task = spectrum\nphi.kind = exp-decay\n"
+CUSTOM = "task = spectrum\nphi.kind = custom-log-profile\n"
 
 
 @pytest.mark.parametrize("text, key", [
@@ -72,6 +73,22 @@ SPECTRUM = "task = spectrum\nphi.kind = exp-decay\n"
      "phi.log_expr"),
     ("task = validate\nphi.kind = custom-log-profile\nphi.log_expr = -x\n"
      "phi.dlog_expr = -1 + x.real\n", "phi.dlog_expr"),
+    # an expression that compiles but raises when evaluated
+    (CUSTOM + "phi.log_expr = x(1)\n", "phi.log_expr"),
+    (CUSTOM + "phi.log_expr = -x + [1, 2, 3]\n", "phi.log_expr"),
+    (CUSTOM + "phi.log_expr = x[:3]\n", "phi.log_expr"),
+    # a key of the profile block that its kind does not read
+    ("task = spectrum\nphi.kind = oscillating\nphi.c = 3\nphi.log_expr = -x\n"
+     "phi.zeta.alpha = 7\n", "phi.c"),
+    ("task = spectrum\nphi.kind = oscillating\nphi.zeta.alpha = 7\n", "phi.zeta.alpha"),
+    (SPECTRUM + "phi.label = mine\n", "phi.label"),
+    (SPECTRUM + "phi.decay.rate = 1\n", "phi.decay.rate"),
+    ("task = validate\nphi.kind = tabulated\nphi.c = 1\nphi.csv = x.csv\n", "phi.c"),
+    (CUSTOM + "phi.log_expr = -x\nphi.decay.c1 = 0.5\n", "phi.decay.c1"),  # no decay.rate
+    (CUSTOM + "phi.log_expr = -x\nphi.decay.sigma_expr = x\nphi.decay.dsigma_expr = 1\n",
+     "phi.decay.sigma_expr"),
+    ("task = compare\nphi.kind = exp-decay\ncompare.phi2.kind = power\n"
+     "compare.phi2.zeta.k = 2\n", "compare.phi2.zeta.k"),
 ])
 def test_bad_config_numbers_name_the_key(tmp_path, capsys, text, key):
     (tmp_path / "header.csv").write_text("x,phi\n0,1\n1,0.5\n")
@@ -81,6 +98,45 @@ def test_bad_config_numbers_name_the_key(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {task}: ConfigError: config key '{key}'")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_unread_profile_key_and_failing_expression_messages(tmp_path, capsys):
+    # the first names the kind, the second the expression and what it raised
+    for text, want in [
+        ("task = spectrum\nphi.kind = oscillating\nphi.c = 3\n",
+         "error: spectrum: ConfigError: config key 'phi.c' is not read by "
+         "phi.kind = oscillating\n"),
+        ("task = spectrum\nphi.kind = custom-log-profile\nphi.log_expr = x(1)\n",
+         "error: spectrum: ConfigError: config key 'phi.log_expr' = 'x(1)' fails when "
+         "evaluated: TypeError: 'numpy.ndarray' object is not callable\n"),
+    ]:
+        assert run_cli(["run", str(_write(tmp_path, "bad.cfg", text)), "--out",
+                        str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == want
+
+
+def test_build_phi_realizes_a_profile_by_one_make_phi_call(tmp_path, monkeypatch):
+    from subspec import phi_models
+    calls = []
+    make_phi = phi_models.make_phi
+
+    def counted(kind, **params):
+        calls.append(kind)
+        return make_phi(kind, **params)
+
+    monkeypatch.setattr(phi_models, "make_phi", counted)
+    xs = np.linspace(0.0, 4.0, 41)
+    np.savetxt(tmp_path / "tab.csv", np.column_stack([xs, np.exp(-xs)]), delimiter=",")
+    blocks = {"exp-decay": "phi.c = 2", "power": "phi.c = 2", "stretched-exp": "phi.c = 2",
+              "oscillating": "", "scattering-profile": "phi.zeta.alpha = 2",
+              "tabulated": f"phi.csv = {tmp_path / 'tab.csv'}",
+              "custom-log-profile": "phi.log_expr = -x\nphi.decay.rate = 1\n"
+                                    "phi.decay.sigma_expr = x\nphi.decay.dsigma_expr = 1"}
+    for kind, block in blocks.items():
+        calls.clear()
+        model = build_phi(parse_config(f"task = spectrum\nphi.kind = {kind}\n{block}\n"))
+        assert model.kind == kind
+        assert calls == [kind]
 
 
 def test_threads_below_one_is_an_error(tmp_path, capsys):
@@ -113,11 +169,10 @@ def test_parse_config_accepts_every_documented_key():
         assert sorted(cfg.options) == sorted(keys)
 
 
-def test_build_phi_spec_kinds(tmp_path):
-    from subspec.phi_models import make_phi
+def test_build_phi_kinds(tmp_path):
     cfg = parse_config("task = spectrum\nphi.kind = custom-log-profile\n"
                        "phi.log_expr = -x - 0.5*x**2\nphi.dlog_expr = -1 - x\n")
-    m = make_phi(build_phi_spec(cfg))
+    m = build_phi(cfg)
     assert float(m.log_phi(np.asarray(2.0))) == pytest.approx(-4.0)
     assert float(m.dlog_phi(np.asarray(2.0))) == pytest.approx(-3.0)
 
@@ -125,7 +180,7 @@ def test_build_phi_spec_kinds(tmp_path):
     path = tmp_path / "tab.csv"
     np.savetxt(path, np.column_stack([xs, np.exp(-xs)]), delimiter=",")
     cfg2 = parse_config(f"task = spectrum\nphi.kind = tabulated\nphi.csv = {path}\n")
-    m2 = make_phi(build_phi_spec(cfg2))
+    m2 = build_phi(cfg2)
     assert float(m2.log_phi(np.asarray(1.0))) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -287,7 +342,7 @@ spectrum.n_keep = 5
 def test_robin_trace_difference_matches_dense(tmp_path):
     import dense_oracle
     from subspec.discretization import build_quadrature
-    from subspec.phi_models import PhiSpec, make_phi
+    from subspec.phi_models import make_phi
     cfgfile = _write(tmp_path, "robin.cfg", """
 task = robin
 phi.kind = stretched-exp
@@ -300,7 +355,7 @@ resolution.panels = 12
     assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
     reported = float(re.search(r"trace\(G_gamma\) - trace\(G\) = (\S+)",
                                (out / "report.txt").read_text()).group(1))
-    model = make_phi(PhiSpec.stretched_exp(2.0))
+    model = make_phi("stretched-exp", c=2.0)
     quad = build_quadrature(4.0, 12, 10)
     dense = (np.trace(dense_oracle.green_matrix(model, quad, -0.5))
              - np.trace(dense_oracle.green_matrix(model, quad)))

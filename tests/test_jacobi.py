@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import dense_oracle
 from subspec.discretization import assemble_jacobi, build_quadrature
 from subspec.errors import ComplexGammaError
-from subspec.phi_models import PhiSpec, inv_power_zeta, make_phi
+from subspec.phi_models import inv_power_zeta, make_phi
 from subspec.spectral import eigen_mu
 
 GAMMAS = [0.0, 0.5, -0.05, -2.0]
@@ -22,7 +22,7 @@ def grids(phi1, phi2, phi3, phi4):
     power and oscillating run at N = 2000, where a tridiagonal solver at its
     default tolerance (absolute, eps * max lambda) misses 1e-9 on the top mu.
     """
-    scattering = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(1.0, 1.0)))
+    scattering = make_phi("scattering-profile", c=1.0, zeta=inv_power_zeta(1.0, 1.0))
     out = {}
     for name, model, X, panels in (("exp-decay", phi1, 20.0, 100),
                                    ("power", phi2, 200.0, 200),
@@ -115,13 +115,13 @@ def _profiles(draw):
         slopes = np.asarray(draw(st.lists(st.floats(-3.0, 1.0), min_size=xs.size - 2,
                                           max_size=xs.size - 2)) + [-1.0])
         logs = np.concatenate(([draw(st.floats(-2.0, 2.0))], slopes * np.diff(xs)))
-        return make_phi(PhiSpec.tabulated(xs, np.exp(np.cumsum(logs))))
+        return make_phi("tabulated", x=xs, values=np.exp(np.cumsum(logs)))
     a = draw(st.floats(0.2, 3.0))
     b = draw(st.floats(0.0, 1.0))
     amp = draw(st.floats(0.0, 2.0))
     k = draw(st.floats(0.5, 20.0))
-    return make_phi(PhiSpec.custom(
-        log_phi=lambda x: -a * x - b * x**2 + amp * np.sin(k * x), label="random"))
+    return make_phi("custom-log-profile",
+                    log_phi=lambda x: -a * x - b * x**2 + amp * np.sin(k * x), label="random")
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -6,14 +6,12 @@ import pytest
 from paper_identities import robin_fd_eigenvalues
 from subspec.errors import InvalidParameterError, NonSmoothModelError, NotCompactError
 from subspec.oracle_fd import (
-    CrossValidation,
-    FDProblem,
     cross_validate,
     fd_eigenvalues,
     potential_from_phi,
     turning_point,
 )
-from subspec.phi_models import PhiSpec, make_phi
+from subspec.phi_models import make_phi
 
 
 def test_potential_exp_decay(phi1):
@@ -36,14 +34,14 @@ def test_potential_oscillating_at_zero(phi4):
 
 def test_potential_needs_smoothness():
     xs = np.linspace(0.0, 5.0, 51)
-    tab = make_phi(PhiSpec.tabulated(xs, np.exp(-xs)))
+    tab = make_phi("tabulated", x=xs, values=np.exp(-xs))
     with pytest.raises(NonSmoothModelError):
         potential_from_phi(tab, 1.0)
 
 
 def test_box_mode():
     # V = 1 on (0, pi), Dirichlet: lowest eigenvalue 1 + (pi/X)^2 = 2
-    lam = fd_eigenvalues(FDProblem(lambda x: np.ones_like(x), math.pi, 2000), 3)
+    lam = fd_eigenvalues(lambda x: np.ones_like(x), math.pi, 2000, 3)
     assert lam[0] == pytest.approx(2.0, abs=1e-5)
     assert lam[1] == pytest.approx(5.0, abs=1e-4)  # 1 + 4
 
@@ -51,7 +49,7 @@ def test_box_mode():
 def test_fd_second_order_convergence():
     errs = []
     for N in (250, 500, 1000):
-        lam = fd_eigenvalues(FDProblem(lambda x: np.ones_like(x), math.pi, N), 1)
+        lam = fd_eigenvalues(lambda x: np.ones_like(x), math.pi, N, 1)
         errs.append(abs(lam[0] - 2.0))
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
@@ -68,7 +66,9 @@ def test_robin_ghost_point_bound_state():
 
 def test_fd_problem_validation():
     with pytest.raises(InvalidParameterError):
-        FDProblem(lambda x: x, 1.0, 8)
+        fd_eigenvalues(lambda x: x, 1.0, 8, 1)
+    with pytest.raises(InvalidParameterError):
+        fd_eigenvalues(lambda x: x, 0.0, 16, 1)
 
 
 def test_turning_point(phi3):
@@ -78,16 +78,15 @@ def test_turning_point(phi3):
 
 
 def test_cross_validate_stretched(phi3):
-    cv = cross_validate(phi3, 5)
-    assert isinstance(cv, CrossValidation)
-    assert cv.max_rel_err <= 1e-2
-    assert cv.lam_green.size == 5
+    lam_green, lam_fd = cross_validate(phi3, 5)
+    assert np.max(np.abs(lam_green - lam_fd) / np.abs(lam_fd)) <= 1e-2
+    assert lam_green.size == lam_fd.size == 5
 
 
 def test_cross_validate_gaussian_profile(model_a):
     # V = (1+x)^2 - 1
-    cv = cross_validate(model_a, 8)
-    assert cv.max_rel_err <= 1e-2
+    lam_green, lam_fd = cross_validate(model_a, 8)
+    assert np.max(np.abs(lam_green - lam_fd) / np.abs(lam_fd)) <= 1e-2
 
 
 def test_cross_validate_refuses_non_compact(phi1, phi4):

@@ -14,7 +14,6 @@ from subspec.errors import (
 from subspec.lse_quad import log_integral_exp
 from subspec.phi_models import (
     DecayInfo,
-    PhiSpec,
     inv_power_zeta,
     make_phi,
     verify_decay_hypothesis,
@@ -38,18 +37,18 @@ def test_builtin_log_values(phi3, phi4):
 
 def test_parameter_validation():
     with pytest.raises(InvalidParameterError):
-        make_phi(PhiSpec.power(0.4))  # needs c > 1/2 for phi in L2
+        make_phi("power", c=0.4)  # needs c > 1/2 for phi in L2
     with pytest.raises(InvalidParameterError):
-        make_phi(PhiSpec.exp_decay(0.0))
+        make_phi("exp-decay", c=0.0)
     with pytest.raises(InvalidParameterError):
-        make_phi(PhiSpec.stretched_exp(-1.0))
+        make_phi("stretched-exp", c=-1.0)
 
 
 def test_negative_argument_rejected(phi1, phi2, phi3, phi4):
     # every family's log_phi guards its domain itself
-    tab = make_phi(PhiSpec.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.2]))
-    custom = make_phi(PhiSpec.custom(log_phi=lambda x: -x))
-    scat = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(1.0, 1.5)))
+    tab = make_phi("tabulated", x=[0.0, 1.0, 2.0], values=[1.0, 0.5, 0.2])
+    custom = make_phi("custom-log-profile", log_phi=lambda x: -x)
+    scat = make_phi("scattering-profile", c=1.0, zeta=inv_power_zeta(1.0, 1.5))
     for m in (phi1, phi2, phi3, phi4, tab, custom, scat):
         with pytest.raises(NegativeArgumentError):
             m.log_phi(-0.1)
@@ -101,15 +100,14 @@ def test_l2_norm_oscillating_budget_and_oracle(monkeypatch):
         return log_integral_exp(lambda s: samples.append(np.size(s)) or log_f(s), a, b)
 
     monkeypatch.setattr(phi_models, "log_integral_exp", counted)
-    norm = make_phi(PhiSpec.oscillating()).l2_norm_phi
+    norm = make_phi("oscillating").l2_norm_phi
     assert 0 < sum(samples) <= 1_500_000
     assert norm ** 2 == pytest.approx(_oscillating_l2sq_in_t(), rel=1e-12)
 
 
 def test_tabulated_model_from_phi1_samples(phi1):
     xs = np.linspace(0.0, 10.0, 201)
-    spec = PhiSpec.tabulated(xs, np.exp(-xs))
-    m = make_phi(spec)
+    m = make_phi("tabulated", x=xs, values=np.exp(-xs))
     # log interpolation is exact for an exponential profile
     assert m.log_phi(3.333) == pytest.approx(-3.333, abs=1e-12)
     # extrapolation continues the last slope
@@ -119,19 +117,11 @@ def test_tabulated_model_from_phi1_samples(phi1):
 
 def test_tabulated_validation():
     with pytest.raises(NonPositiveSampleError):
-        make_phi(PhiSpec.tabulated([0.0, 1.0, 2.0], [1.0, -0.5, 0.1]))
+        make_phi("tabulated", x=[0.0, 1.0, 2.0], values=[1.0, -0.5, 0.1])
     with pytest.raises(InvalidParameterError):
-        make_phi(PhiSpec.tabulated([0.5, 1.0], [1.0, 0.5]))  # must start at 0
+        make_phi("tabulated", x=[0.5, 1.0], values=[1.0, 0.5])  # must start at 0
     with pytest.raises(InvalidParameterError):
-        make_phi(PhiSpec.tabulated([0.0, 1.0], [1.0, 2.0]))  # must decay at the end
-
-
-def test_tabulated_csv_roundtrip(tmp_path, phi1):
-    xs = np.linspace(0.0, 8.0, 81)
-    path = tmp_path / "phi.csv"
-    np.savetxt(path, np.column_stack([xs, np.exp(-xs)]), delimiter=",")
-    m = make_phi(PhiSpec.from_csv(path))
-    assert m.log_phi(2.5) == pytest.approx(-2.5, abs=1e-12)
+        make_phi("tabulated", x=[0.0, 1.0], values=[1.0, 2.0])  # must decay at the end
 
 
 def test_decay_verification_exp(phi1):
@@ -164,7 +154,7 @@ def test_missing_decay_raises(phi2):
 
 def test_scattering_profile_kind():
     from subspec.phi_models import inv_power_zeta
-    m = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(1.0, 1.5)))
+    m = make_phi("scattering-profile", c=1.0, zeta=inv_power_zeta(1.0, 1.5))
     assert m.log_phi(0.0) == pytest.approx(-1.0)
     assert m.decay.rate == 1.0
     assert m.decay.c_upper == pytest.approx(math.e)
@@ -173,8 +163,27 @@ def test_scattering_profile_kind():
 
 
 def test_make_phi_names_the_profile_whose_log_is_nan():
-    spec = PhiSpec.custom(log_phi=lambda x: -x + np.log(np.asarray(x, float) - 1.0),
-                          label="shifted-log")
     with np.errstate(all="ignore"), pytest.raises(
             InvalidParameterError, match=r"shifted-log: log integrand is not finite"):
-        make_phi(spec)
+        make_phi("custom-log-profile",
+                 log_phi=lambda x: -x + np.log(np.asarray(x, float) - 1.0), label="shifted-log")
+
+
+def test_make_phi_takes_a_kind_and_its_parameters():
+    zeta = inv_power_zeta(1.0, 1.5)
+    params = {"exp-decay": {"c": 1}, "power": {"c": 1}, "stretched-exp": {"c": 2},
+              "oscillating": {}, "scattering-profile": {"c": 1, "zeta": zeta},
+              "tabulated": {"x": [0.0, 1.0], "values": [1.0, 0.5]},
+              "custom-log-profile": {"log_phi": lambda x: -x}}
+    for kind, p in params.items():
+        assert make_phi(kind, **p).kind == kind
+    # an integer c is the float c, as a config number would give it
+    assert make_phi("power", c=1).label == make_phi("power", c=1.0).label == "power(c=1)"
+    with pytest.raises(InvalidParameterError, match="unknown profile kind 'bogus'"):
+        make_phi("bogus")
+    with pytest.raises(TypeError):
+        make_phi("oscillating", c=1.0)  # oscillating takes no parameter
+    with pytest.raises(TypeError):
+        make_phi("exp-decay", rate=1.0)
+    with pytest.raises(TypeError):
+        make_phi("stretched-exp")  # c is required

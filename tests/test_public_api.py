@@ -128,7 +128,7 @@ def test_one_way_to_read_I_psi_and_phi():
     assert not hasattr(subordinate, "_neg2_log_phi")
     assert list(inspect.signature(subordinate.wronskian_residual).parameters) == ["model", "nodes"]
     cache = subordinate.SubordinateCache(
-        phi_models.make_phi(phi_models.PhiSpec.exp_decay(1.0)), [1.0])
+        phi_models.make_phi("exp-decay", c=1.0), [1.0])
     assert not hasattr(cache, "model")
     assert _fields(phi_models.DecayReport) == ["holds", "worst_margin"]
     assert "params" not in _fields(phi_models.PhiModel)
@@ -172,10 +172,28 @@ def test_test_only_code_and_options_left_the_package():
                       (errors, "NonPositiveFError"), (errors, "InsufficientDataError"),
                       (errors, "MissingNuError")):
         assert not hasattr(mod, gone)
-    # the sweep runs on the grid its caller builds; FD problems are Dirichlet;
-    # every scattering profile carries its dominating nu
+    # the sweep runs on the grid its caller builds; every scattering profile
+    # carries its dominating nu
     sweep = inspect.signature(scattering.example_scatt_sweep).parameters
     assert list(sweep) == ["alpha_list", "c", "quad"]
-    assert _fields(oracle_fd.FDProblem) == ["potential", "X", "N"]
     nu = inspect.signature(scattering.ScatteringProfile).parameters["nu"]
     assert nu.default is inspect.Parameter.empty
+
+
+def test_no_pass_through_types():
+    """A profile is make_phi(kind, **params), with one private builder per
+    kind; the FD oracle and the cross-check take and return plain values,
+    and scatter.csv goes through the CLI's CSV writer."""
+    names = {attr for _, attr, _ in _public_callables()}
+    assert not {"PhiSpec", "FDProblem", "CrossValidation", "write_sweep_csv",
+                "build_phi_spec"} & names
+    assert list(inspect.signature(phi_models.make_phi).parameters) == ["kind", "params"]
+    assert {q for q, _, _ in _public_callables() if q.startswith("phi_models.")} == {
+        "phi_models.Zeta", "phi_models.inv_power_zeta", "phi_models.DecayInfo",
+        "phi_models.DecayInfo.kernel_bound_const", "phi_models.DecayInfo.tail_l2sq",
+        "phi_models.PhiModel", "phi_models.DecayReport", "phi_models.make_phi",
+        "phi_models.verify_decay_hypothesis"}
+    assert list(inspect.signature(oracle_fd.fd_eigenvalues).parameters) == [
+        "potential", "X", "N", "k"]
+    assert list(inspect.signature(paper_identities.robin_fd_eigenvalues).parameters) == [
+        "potential", "X", "N", "sigma", "k"]

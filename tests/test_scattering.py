@@ -14,7 +14,7 @@ from paper_identities import (
 )
 from subspec.discretization import ORDER, build_quadrature
 from subspec.errors import IndefiniteDifferenceError, InvalidParameterError
-from subspec.phi_models import PhiSpec, Zeta, inv_power_zeta, make_phi
+from subspec.phi_models import Zeta, inv_power_zeta, make_phi
 from subspec.scattering import (
     ScatteringProfile,
     analytic_trace_bound,
@@ -22,7 +22,6 @@ from subspec.scattering import (
     inv_power_profile,
     power_nu,
     trace_norm_difference,
-    write_sweep_csv,
 )
 from subspec.spectral import factorization_forms
 
@@ -98,7 +97,7 @@ def test_trace_norm_difference_basics(phi1):
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0])
 def test_trace_norm_difference_matches_dense(phi1, k, alpha):
     quad = build_quadrature(30.0, 30, 10)
-    model = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(k, alpha)))
+    model = make_phi("scattering-profile", c=1.0, zeta=inv_power_zeta(k, alpha))
     dense = dense_oracle.trace_norm(dense_oracle.green_matrix(model, quad)
                                     - dense_oracle.green_matrix(phi1, quad))
     assert trace_norm_difference(model, phi1, quad) == pytest.approx(dense, rel=1e-10)
@@ -108,13 +107,13 @@ def test_indefinite_difference_is_an_error():
     wavy = Zeta(fn=lambda x: 0.5 * np.sin(np.asarray(x, dtype=float)), sup=0.5,
                 label="0.5 sin x")
     quad = build_quadrature(50.0, 100, 10)
-    model0 = make_phi(PhiSpec.exp_decay(1.0))
+    model0 = make_phi("exp-decay", c=1.0)
     with pytest.raises(IndefiniteDifferenceError):
-        trace_norm_difference(make_phi(PhiSpec.scattering_profile(1.0, wavy)), model0, quad)
+        trace_norm_difference(make_phi("scattering-profile", c=1.0, zeta=wavy), model0, quad)
     # the CLI's family +-(1+x)^-alpha stays definite on that grid
     for k in (1.0, -1.0):
         for alpha in (0.5, 1.0, 1.5, 2.0, 4.0):
-            model = make_phi(PhiSpec.scattering_profile(1.0, inv_power_zeta(k, alpha)))
+            model = make_phi("scattering-profile", c=1.0, zeta=inv_power_zeta(k, alpha))
             assert trace_norm_difference(model, model0, quad) > 0.0
 
 
@@ -164,9 +163,15 @@ def test_sweep_rejects_bad_alpha():
 
 
 def test_sweep_csv(tmp_path):
+    # the scatter task writes the sweep's rows in round-trip precision
+    from subspec.cli import run_cli
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("task = scatter\nscatter.alpha_list = 1.5\n"
+                   "resolution.X = 20\nresolution.panels = 30\n")
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path)]) == 0
     rows = example_scatt_sweep([1.5], 1.0, build_quadrature(20.0, 30, ORDER))
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
-    lines = path.read_text().splitlines()
+    lines = (tmp_path / "scatter.csv").read_text().splitlines()
     assert lines[0].startswith("alpha,trace_numeric")
     assert lines[1].endswith("True")
+    columns = ("alpha", "trace_numeric", "bound_nu_route", "bound_derivative_route")
+    assert [float(v) for v in lines[1].split(",")[:4]] == [rows[0][col] for col in columns]

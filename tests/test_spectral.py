@@ -129,9 +129,9 @@ def test_weighted_identity(phi1, phi3):
 
 def test_weighted_identity_needs_smooth_model():
     from subspec.errors import NonSmoothModelError
-    from subspec.phi_models import PhiSpec, make_phi
+    from subspec.phi_models import make_phi
     xs = np.linspace(0.0, 10.0, 101)
-    tab = make_phi(PhiSpec.tabulated(xs, np.exp(-xs)))
+    tab = make_phi("tabulated", x=xs, values=np.exp(-xs))
     with pytest.raises(NonSmoothModelError):
         weighted_identity_residual(tab, assemble_jacobi(tab, build_quadrature(5.0, 20, 10)), 2.0)
 

@@ -7,7 +7,7 @@ from scipy.special import erfi
 
 from paper_identities import regularized_potential, riccati_residual
 from subspec.errors import NegativeArgumentError, NonSmoothModelError
-from subspec.phi_models import PhiSpec, make_phi
+from subspec.phi_models import make_phi
 from subspec.spectral import robin_sigma
 from subspec.subordinate import SubordinateCache, wronskian_residual
 
@@ -57,19 +57,19 @@ def test_psi_oscillating_vs_substitution_oracle(phi4):
         assert psi == pytest.approx(target, rel=1e-9)
 
 
-@pytest.mark.parametrize("family, c", [("exp_decay", 0.05), ("exp_decay", 20.0),
+@pytest.mark.parametrize("family, c", [("exp-decay", 0.05), ("exp-decay", 20.0),
                                        ("power", 0.55), ("power", 8.0),
-                                       ("stretched_exp", 0.5), ("stretched_exp", 3.0)])
+                                       ("stretched-exp", 0.5), ("stretched-exp", 3.0)])
 def test_log_psi_vs_mpmath_at_extreme_c(family, c):
     # log psi = log phi(x) + log int_0^x phi^-2 at 40 digits; phi^-2 peaks at
     # the right end (width 1/486 for stretched-exp(3) at x = 8), so the
     # quadrature is split at x (1 - 2^-k)
     mp = pytest.importorskip("mpmath")
-    model = make_phi(getattr(PhiSpec, family)(c))
+    model = make_phi(family, c=c)
     C = mp.mpf(c)
-    log_phi = {"exp_decay": lambda t: -C * t,
+    log_phi = {"exp-decay": lambda t: -C * t,
                "power": lambda t: -C * mp.log1p(t),
-               "stretched_exp": lambda t: -((1 + t) ** C)}[family]
+               "stretched-exp": lambda t: -((1 + t) ** C)}[family]
     xs = (0.5, 4.0, 8.0)
     with mp.workdps(40):
         for x, log_psi in zip(xs, SubordinateCache(model, xs).log_psi_nodes):
@@ -184,7 +184,7 @@ def test_missing_tau_is_one_error_class():
     # a tabulated profile has no analytic phi'/phi: every check that needs
     # it raises the same class
     xs = np.linspace(0.0, 10.0, 101)
-    tab = make_phi(PhiSpec.tabulated(xs, np.exp(-xs)))
+    tab = make_phi("tabulated", x=xs, values=np.exp(-xs))
     for check in (lambda: regularized_potential(tab, (1.0, 0.0), 1.0),
                   lambda: robin_sigma(tab, -1.0),
                   lambda: riccati_residual(tab, 1.0)):
