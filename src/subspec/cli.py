@@ -285,7 +285,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # lines); run() owns the output directory, the notes and report.txt.
 
 def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
-    from dataclasses import replace
     import numpy as np
     from .discretization import build_quadrature
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
@@ -294,20 +293,19 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     X, panels, order = _resolution(cfg, [model], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 25)
     fine = build_quadrature(X, panels, order)
-    res = eigen_mu(_jacobi(cfg, "phi", model, fine, notes), n_keep)
+    mu = eigen_mu(_jacobi(cfg, "phi", model, fine, notes), n_keep)
     if panels > 1:  # converged: unmoved on the grid with half the panels
         coarse = _jacobi(cfg, "phi", model, build_quadrature(X, panels // 2, order), notes,
                          which=" on the half-panel grid")
-        converged = converged_mask(res.mu, eigen_mu(coarse, n_keep).mu)
+        converged = converged_mask(mu, eigen_mu(coarse, n_keep))
     else:
-        converged = np.zeros(res.mu.size, dtype=bool)
+        converged = np.zeros(mu.size, dtype=bool)
         notes.append("one panel has no coarser grid: no eigenvalue is claimed converged")
-    res = replace(res, converged=converged)
-    write_spectrum_csv(res, outdir / "spectrum.csv")
+    write_spectrum_csv(mu, converged, outdir / "spectrum.csv")
     return 0, [f"model = {model.label}",
                f"X = {X:.6g}, panels = {panels}, order = {order}",
-               f"norm estimate = {res.norm_estimate:.6g}",
-               f"converged top eigenvalues = {int(res.converged.sum())} / {res.mu.size}"]
+               f"norm estimate = {mu[0]:.6g}",
+               f"converged top eigenvalues = {int(converged.sum())} / {mu.size}"]
 
 
 def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
@@ -321,19 +319,19 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     X, panels, order = _resolution(cfg, [model1, model2], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 20)
     quad = build_quadrature(X, panels, order)
-    res1, res2 = [eigen_mu(_jacobi(cfg, prefix, m, quad, notes, which=f" of {m.label}"), n_keep)
-                  for prefix, m in (("phi", model1), ("compare.phi2", model2))]
+    mu1, mu2 = [eigen_mu(_jacobi(cfg, prefix, m, quad, notes, which=f" of {m.label}"), n_keep)
+                for prefix, m in (("phi", model1), ("compare.phi2", model2))]
     if c is None:
         grid = np.linspace(0.0, X, 2001)
         diff = model2.log_phi(grid) - model1.log_phi(grid)
         c = float(np.exp(np.max(np.abs(diff))))
         notes.append(f"measured ratio bound c = {c:.6g}")
-    report = compare_spectra(res1, res2, c)
+    report = compare_spectra(mu1, mu2, c)
     lo, hi = report.band
     _write_csv(outdir / "compare.csv", "n,mu1,mu2,ratio,in_band",
                ((str(n), G17(m1), G17(m2), "" if np.isnan(r) else G17(r),
                  str(bool(np.isfinite(r) and lo <= r <= hi)))
-                for n, (m1, m2, r) in enumerate(zip(res1.mu, res2.mu, report.ratios), 1)))
+                for n, (m1, m2, r) in enumerate(zip(mu1, mu2, report.ratios), 1)))
     return (0 if report.holds else 2), [
         f"model1 = {model1.label}", f"model2 = {model2.label}",
         f"c = {c:.6g}, band = [{lo:.6g}, {hi:.6g}]",
@@ -354,8 +352,8 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
                           "Dirichlet kernel of task spectrum)")
     X, panels, order = _resolution(cfg, [model], notes)
     quad = build_quadrature(X, panels, order)
-    res = eigen_mu(_jacobi(cfg, "phi", model, quad, notes, gamma))
-    write_spectrum_csv(res, outdir / "robin_spectrum.csv")
+    mu = eigen_mu(_jacobi(cfg, "phi", model, quad, notes, gamma))
+    write_spectrum_csv(mu, np.zeros(mu.size, dtype=bool), outdir / "robin_spectrum.csv")
     # G_gamma - G = gamma phi(x) phi(y), so the weighted diagonals differ by
     # gamma w_i phi(x_i)^2
     trace_diff = gamma * float(np.sum(quad.weights * np.exp(2.0 * model.log_phi(quad.nodes))))
@@ -364,7 +362,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
                f"boundary sigma = {sigma:.6g}",
                f"trace(G_gamma) - trace(G) = {trace_diff:.6g} "
                f"(gamma ||phi||^2 = {gamma * model.l2_norm_phi**2:.6g})",
-               f"most negative mu = {float(res.mu[-1]):.6g}"]
+               f"most negative mu = {float(mu[-1]):.6g}"]
 
 
 def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
@@ -374,6 +372,8 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     raw = cfg.get("scatter.alpha_list", "0.5,1,1.5,2,4")
     alphas = [_number("scatter.alpha_list", tok.strip())
               for tok in raw.replace(";", ",").split(",") if tok.strip()]
+    if not alphas:
+        raise ConfigError(f"config key 'scatter.alpha_list' lists no alpha: {raw!r}")
     c = cfg.get_float("scatter.c", 1.0)
     X = cfg.get_float("resolution.X", 50.0)
     quad = build_quadrature(X, cfg.get_int("resolution.panels", default_panels(X)),
@@ -418,8 +418,8 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     checks = []
 
     if model.decay is not None:
-        rep = verify_decay_hypothesis(model, np.linspace(0.0, X, 401))
-        checks.append(("decay sandwich", rep.holds, rep.worst_margin))
+        margin = verify_decay_hypothesis(model, np.linspace(0.0, X, 401))
+        checks.append(("decay sandwich", margin >= -1e-12, margin))
         gx = np.linspace(0.0, X, 81)
         margins = exp_bound_margin(model, gx[:, None], gx[None, :])
         checks.append(("kernel bound audit", bool(np.min(margins) >= -1e-12),

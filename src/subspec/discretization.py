@@ -35,9 +35,6 @@ ORDER = 10  # Gauss-Legendre nodes per panel of every Nystrom grid not set by a 
 class Quadrature:
     """Composite Gauss-Legendre grid with equal panels on [0, X]."""
 
-    X: float
-    panels: int
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -57,7 +54,7 @@ def build_quadrature(X: float, panels: int, order: int) -> Quadrature:
     half = 0.5 * (X / panels)
     nodes = (mid + half * gx[None, :]).ravel()
     weights = np.tile(gw * half, panels)
-    return Quadrature(float(X), int(panels), int(order), nodes, weights)
+    return Quadrature(nodes, weights)
 
 
 def default_panels(X: float) -> int:

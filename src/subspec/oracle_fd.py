@@ -95,7 +95,7 @@ def cross_validate(model: PhiModel, k: int) -> tuple:
     X_green = max(auto_truncation(model, 1e-6),
                   turning_point(model, float(lam_fd[-1])) + 2.0)
     quad = build_quadrature(X_green, default_panels(X_green), ORDER)
-    lam_green = eigen_mu(assemble_jacobi(model, quad), n_keep=max(2 * k, k + 8)).lam[:k]
+    lam_green = 1.0 / eigen_mu(assemble_jacobi(model, quad), n_keep=max(2 * k, k + 8))[:k]
     if lam_green.size < k:
         raise InvalidParameterError("Green route produced too few eigenvalues")
     return lam_green, lam_fd

@@ -98,12 +98,6 @@ class PhiModel:
     l2_norm_phi: float
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    holds: bool
-    worst_margin: float
-
-
 def _as_nonneg(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
@@ -297,9 +291,10 @@ def make_phi(kind: str, **params) -> PhiModel:
     return build(**params)
 
 
-def verify_decay_hypothesis(model: PhiModel, audit_nodes) -> DecayReport:
-    """Check c1 e^{-sigma} <= phi <= c2 e^{-sigma} and sigma' >= rate at every
-    audit node.  Margins are log-scale slacks; worst_margin is their minimum.
+def verify_decay_hypothesis(model: PhiModel, audit_nodes) -> float:
+    """Worst margin of c1 e^{-sigma} <= phi <= c2 e^{-sigma} (log-scale
+    slacks) and sigma' >= rate over the audit nodes; the hypothesis holds
+    where it is >= 0 up to rounding.
     """
     if model.decay is None:
         raise MissingDecayError(f"{model.label} carries no decay metadata")
@@ -310,5 +305,4 @@ def verify_decay_hypothesis(model: PhiModel, audit_nodes) -> DecayReport:
     lower = lp - (math.log(d.c_lower) - sig)          # phi >= c1 e^-sigma
     upper = (math.log(d.c_upper) - sig) - lp          # phi <= c2 e^-sigma
     slope = np.asarray(d.dsigma(nodes), dtype=float) - d.rate
-    worst = float(np.min([lower, upper, slope]))
-    return DecayReport(holds=bool(worst >= -1e-12), worst_margin=worst)
+    return float(np.min([lower, upper, slope]))

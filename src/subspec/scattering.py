@@ -6,11 +6,11 @@ xi_x(u) = phi(u)/phi(x) [u >= x], giving
     ||G - G0||_tr <= int_0^inf (||xi_x|| + ||xi_{0,x}||) ||xi_x - xi_{0,x}|| dx,
 
 finiteness of which triggers existence and completeness of the wave
-operators (Kuroda-Birman).  This module computes two bounds on that
-integral, the numeric trace norm of the discretized difference, and the
-alpha sweep that contrasts the bound from a dominating decreasing nu
-(finite only for alpha > 1) with the sharper derivative route (finite for
-every alpha > 0).  The comparison kernel G0 is the Dirichlet kernel of the
+operators (Kuroda-Birman).  This module computes the numeric trace norm
+of the discretized difference, and the alpha sweep that sets it beside two
+closed-form bounds on that integral: the one from a dominating decreasing
+nu (finite only for alpha > 1) and the sharper derivative route (finite
+for every alpha > 0).  The comparison kernel G0 is the Dirichlet kernel of the
 exp-decay(c) profile.
 
 The numeric trace norm needs no N x N matrix.  Inversion reverses order, so
@@ -24,69 +24,16 @@ never a silent fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .discretization import Quadrature, assemble_jacobi
 from .errors import IndefiniteDifferenceError, InvalidParameterError
-from .phi_models import PhiModel, Zeta, inv_power_zeta, make_phi
+from .phi_models import PhiModel, inv_power_zeta, make_phi
 from .spectral import _extreme_eigenvalues
 
 DEFINITE_NOISE_FACTOR = 1e4  # |eigenvalues| of T0 - T below this many eps * max T_ii are rounding
-
-
-@dataclass(frozen=True)
-class Nu:
-    """Monotone decreasing candidate dominating |zeta|."""
-
-    fn: object
-    integral: float  # int_0^inf nu, may be inf
-
-
-def power_nu(k: float = 1.0, alpha: float = 1.0) -> Nu:
-    if alpha <= 0:
-        raise InvalidParameterError(f"power nu needs alpha > 0, got {alpha}")
-    integral = k / (alpha - 1.0) if alpha > 1.0 else math.inf
-    return Nu(fn=lambda x: k * (1.0 + np.asarray(x, dtype=float)) ** (-alpha),
-              integral=integral)
-
-
-@dataclass(frozen=True)
-class ScatteringProfile:
-    c: float
-    zeta: Zeta
-    nu: Nu
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise InvalidParameterError(f"free decay rate must be positive, got {self.c}")
-
-
-def inv_power_profile(c: float, alpha: float) -> ScatteringProfile:
-    """zeta = (1+x)^-alpha with nu = zeta itself (decreasing, dominates)."""
-    return ScatteringProfile(c=c, zeta=inv_power_zeta(1.0, alpha), nu=power_nu(1.0, alpha))
-
-
-def analytic_trace_bound(profile: ScatteringProfile) -> float:
-    """(e^{2s} + 1) e^{2s} / c * int_0^inf nu, with s = sup|zeta|.
-
-    Infinite (criterion fails) when int nu diverges.
-    """
-    s = profile.zeta.sup
-    if not math.isfinite(profile.nu.integral):
-        return math.inf
-    return (math.exp(2.0 * s) + 1.0) * math.exp(2.0 * s) * profile.nu.integral / profile.c
-
-
-def derivative_route_bound(profile_alpha: float, c: float) -> float:
-    """Sharper bound for zeta = (1+x)^-alpha (sup|zeta| = 1) via the
-    mean-value estimate |zeta(u) - zeta(x)| <= (u - x) alpha (1+x)^{-alpha-1};
-    finite for all alpha > 0."""
-    if profile_alpha <= 0:
-        raise InvalidParameterError("alpha must be positive")
-    return (math.exp(2.0) + 1.0) * math.exp(2.0) / (2.0**1.5 * c**2)
 
 
 def trace_norm_difference(model: PhiModel, model0: PhiModel, quad: Quadrature) -> float:
@@ -111,25 +58,31 @@ def trace_norm_difference(model: PhiModel, model0: PhiModel, quad: Quadrature) -
 
 
 def example_scatt_sweep(alpha_list: Sequence[float], c: float, quad: Quadrature):
-    """Per-alpha table for zeta = (1+x)^-alpha on the grid quad: numeric trace
-    norm, the nu-route bound (finite iff alpha > 1) and the derivative-route
-    bound (finite for every alpha > 0)."""
+    """Per-alpha table for zeta = (1+x)^-alpha (s = sup|zeta| = 1) on the grid
+    quad: the numeric trace norm and two closed-form bounds on the xi integral.
+
+    ||xi_x|| + ||xi_{0,x}|| <= (e^{2s} + 1)/sqrt(2c), and |e^d - 1| <= e^{2s}|d|
+    bounds xi_x - xi_{0,x} = e^{-c(u-x)} (e^d - 1), d = zeta(x) - zeta(u).  The
+    nu route takes |d| <= 2 nu(x) for a decreasing nu >= |zeta| (here nu =
+    zeta): bound (e^{2s} + 1) e^{2s} int nu / c, int nu = 1/(alpha - 1), finite
+    iff alpha > 1 (criterion_met).  The derivative route takes the mean value
+    |d| <= (u-x) alpha (1+x)^{-alpha-1}: bound (e^{2s} + 1) e^{2s} / (2^1.5 c^2),
+    finite for every alpha > 0.
+    """
     for a in alpha_list:
         if a <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {a}")
     model0 = make_phi("exp-decay", c=c)
     rows = []
     for a in alpha_list:
-        prof = inv_power_profile(c, a)
-        model = make_phi("scattering-profile", c=c, zeta=prof.zeta)
-        numeric = trace_norm_difference(model, model0, quad)
-        bound_nu = analytic_trace_bound(prof)
-        bound_deriv = derivative_route_bound(a, c)
+        model = make_phi("scattering-profile", c=c, zeta=inv_power_zeta(1.0, a))
+        bound_nu = ((math.exp(2.0) + 1.0) * math.exp(2.0) * (1.0 / (a - 1.0)) / c
+                    if a > 1.0 else math.inf)
         rows.append({
             "alpha": float(a),
-            "trace_numeric": numeric,
+            "trace_numeric": trace_norm_difference(model, model0, quad),
             "bound_nu_route": bound_nu,
-            "bound_derivative_route": bound_deriv,
+            "bound_derivative_route": (math.exp(2.0) + 1.0) * math.exp(2.0) / (2.0**1.5 * c**2),
             "criterion_met": bool(math.isfinite(bound_nu)),
         })
     return rows

@@ -37,16 +37,6 @@ from .phi_models import PhiModel
 CONVERGED_REL = 1e-6  # operational convergence threshold of converged_mask
 
 
-@dataclass(frozen=True)
-class SpectralResult:
-    """Descending mu of a Green matrix with lam = 1/mu ascending over mu > 0."""
-
-    mu: np.ndarray
-    lam: np.ndarray
-    norm_estimate: float
-    converged: Optional[np.ndarray] = None
-
-
 def _bisect(T_diag, T_off, lo: int, hi: int) -> np.ndarray:
     """Eigenvalues lo..hi (ascending order) of a tridiagonal matrix by
     bisection to full precision."""
@@ -107,12 +97,13 @@ def _jacobi_lambdas(T: JacobiMatrix, n_keep: int) -> np.ndarray:
     return np.append(lam, np.inf) if d.size < T.n else lam
 
 
-def eigen_mu(T: JacobiMatrix, n_keep: Optional[int] = None) -> SpectralResult:
-    """Top n_keep eigenvalues mu (descending) of a hermitian Green matrix,
-    as mu = 1/lambda from the tridiagonal eigenproblem of its inverse T;
-    n_keep=None keeps the whole spectrum (negative Robin values included).
-    A top-k request bisects for the lowest k + 1 lambda; the whole spectrum
-    comes from one dpteqr solve of the shifted T (see _all_lambdas).
+def eigen_mu(T: JacobiMatrix, n_keep: Optional[int] = None) -> np.ndarray:
+    """Top n_keep eigenvalues mu (descending array) of a hermitian Green
+    matrix, as mu = 1/lambda from the tridiagonal eigenproblem of its inverse
+    T; n_keep=None keeps the whole spectrum (negative Robin values included).
+    A top-k request bisects for the lowest k + 1 lambda, so that a Robin T
+    with lambda_0 < 0 still gives k positive mu; the whole spectrum comes
+    from one dpteqr solve of the shifted T (see _all_lambdas).
 
     The Dirichlet T (gamma = 0) is positive definite: with D = diag(phi
     sqrt(w)), D T D is a path Laplacian with edge weights 1/Delta I plus
@@ -121,18 +112,15 @@ def eigen_mu(T: JacobiMatrix, n_keep: Optional[int] = None) -> SpectralResult:
     Robin T that dpteqr fails on raises EigensolveError.
     """
     n_keep = T.n if n_keep is None else min(int(n_keep), T.n)
-    all_mu = np.sort(1.0 / _jacobi_lambdas(T, n_keep))[::-1]
-    if T.gamma == 0.0 and np.any(all_mu <= 0.0):
+    mu = np.sort(1.0 / _jacobi_lambdas(T, n_keep))[::-1]
+    if T.gamma == 0.0 and np.any(mu <= 0.0):
         raise NonPositiveMuError(
-            f"mu = {float(np.min(all_mu)):.3e} <= 0 for the positive Dirichlet kernel")
-    norm = float(np.max(np.abs(all_mu))) if all_mu.size else 0.0
-    mu = all_mu[:n_keep]
-    return SpectralResult(mu=mu, lam=np.sort(1.0 / mu[mu > 0]), norm_estimate=norm)
+            f"mu = {float(np.min(mu)):.3e} <= 0 for the positive Dirichlet kernel")
+    return mu[:n_keep]
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    c: float
     ratios: np.ndarray
     holds: bool
     worst_n: int  # 1-based index of the most extreme ratio
@@ -140,18 +128,17 @@ class ComparisonReport:
     measured_band: tuple
 
 
-def compare_spectra(res1: SpectralResult, res2: SpectralResult, c: float) -> ComparisonReport:
-    """Check mu_{2,n} / mu_{1,n} in [c^-4, c^4] for two compact-case spectra."""
-    if res1.mu.size != res2.mu.size:
-        raise MismatchedLengthsError(
-            f"spectra have {res1.mu.size} vs {res2.mu.size} entries")
+def compare_spectra(mu1: np.ndarray, mu2: np.ndarray, c: float) -> ComparisonReport:
+    """Check mu2_n / mu1_n in [c^-4, c^4] for two compact-case spectra."""
+    if mu1.size != mu2.size:
+        raise MismatchedLengthsError(f"spectra have {mu1.size} vs {mu2.size} entries")
     if not c > 0.0:
         raise InvalidParameterError(f"the ratio bound c must be positive, got {c}")
     if c < 1.0:
         c = 1.0 / c
-    usable = (res1.mu > 0) & (res2.mu > 0)
-    ratios = np.full(res1.mu.size, np.nan)
-    ratios[usable] = res2.mu[usable] / res1.mu[usable]
+    usable = (mu1 > 0) & (mu2 > 0)
+    ratios = np.full(mu1.size, np.nan)
+    ratios[usable] = mu2[usable] / mu1[usable]
     lo, hi = c**-4, c**4
     vals = ratios[usable]
     holds = bool(np.all((vals >= lo) & (vals <= hi))) if vals.size else False
@@ -160,7 +147,7 @@ def compare_spectra(res1: SpectralResult, res2: SpectralResult, c: float) -> Com
     else:
         worst = 0
     measured = (float(np.min(vals)), float(np.max(vals))) if vals.size else (np.nan, np.nan)
-    return ComparisonReport(c=float(c), ratios=ratios, holds=holds,
+    return ComparisonReport(ratios=ratios, holds=holds,
                             worst_n=worst + 1, band=(lo, hi), measured_band=measured)
 
 
@@ -251,14 +238,13 @@ def robin_sigma(model: PhiModel, gamma: float) -> float:
     return float(model.dlog_phi(0.0)) + 1.0 / (float(gamma) * phi0**2)
 
 
-def write_spectrum_csv(res: SpectralResult, path) -> None:
-    """Columns n, mu, lambda, converged — full round-trip precision."""
-    lam_desc = np.full(res.mu.size, np.nan)
-    pos = res.mu > 0
-    lam_desc[pos] = 1.0 / res.mu[pos]
-    conv = res.converged if res.converged is not None else np.zeros(res.mu.size, bool)
+def write_spectrum_csv(mu: np.ndarray, converged: np.ndarray, path) -> None:
+    """Columns n, mu, lambda (empty for mu <= 0), converged — round-trip precision."""
+    lam_desc = np.full(mu.size, np.nan)
+    pos = mu > 0
+    lam_desc[pos] = 1.0 / mu[pos]
     with open(path, "w") as fh:
         fh.write("n,mu,lambda,converged\n")
-        for i, m in enumerate(res.mu):
+        for i, m in enumerate(mu):
             lam_s = "" if np.isnan(lam_desc[i]) else format(lam_desc[i], ".17g")
-            fh.write(f"{i + 1},{format(m, '.17g')},{lam_s},{bool(conv[i])}\n")
+            fh.write(f"{i + 1},{format(m, '.17g')},{lam_s},{bool(converged[i])}\n")

@@ -18,7 +18,6 @@ from subspec.errors import NonSmoothModelError
 from subspec.lse_quad import log_integral_exp
 from subspec.oracle_fd import potential_from_phi
 from subspec.phi_models import Zeta
-from subspec.spectral import SpectralResult
 from subspec.subordinate import SubordinateCache
 
 
@@ -79,9 +78,10 @@ def riccati_residual(model, x, h=1e-5):
     return abs(tau_p + tau * tau - V)
 
 
-def growth_exponent(res, n_range):
-    """Least-squares slope of log lambda_n against log n over n in n_range."""
-    lam = res.lam if isinstance(res, SpectralResult) else np.asarray(res, dtype=float)
+def growth_exponent(lam, n_range):
+    """Least-squares slope of log lambda_n against log n over n in n_range,
+    for ascending lambdas lam."""
+    lam = np.asarray(lam, dtype=float)
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo < 1 or hi < lo:
         raise ValueError(f"bad n_range {n_range}")
@@ -157,26 +157,28 @@ def zero_zeta():
                 sup=0.0, label="0")
 
 
-def nu_is_valid(profile, audit_nodes=None):
-    """|zeta| <= nu and nu decreasing, checked on the audit grid only
-    (default 40 nodes per unit length on [0, 40]; zeta may move between)."""
+def nu_is_valid(zeta, nu, audit_nodes=None):
+    """|zeta| <= nu and nu decreasing, for a Zeta and a callable nu, checked
+    on the audit grid only (default 40 nodes per unit length on [0, 40];
+    zeta may move between)."""
     if audit_nodes is None:
         audit_nodes = np.linspace(0.0, 40.0, 1601)
     x = np.asarray(audit_nodes, dtype=float)
-    nu_vals = np.asarray(profile.nu.fn(x), dtype=float)
-    dominates = np.all(np.abs(profile.zeta.fn(x)) <= nu_vals + 1e-12)
+    nu_vals = np.asarray(nu(x), dtype=float)
+    dominates = np.all(np.abs(zeta.fn(x)) <= nu_vals + 1e-12)
     decreasing = np.all(np.diff(nu_vals) <= 1e-12)
     return bool(dominates and decreasing)
 
 
-def _tail_window(profile):
+def _tail_window(c, zeta):
     # e^{-2cW} with the zeta oscillation absorbed stays below ~1e-13
-    return (30.0 + 4.0 * profile.zeta.sup) / (2.0 * profile.c)
+    return (30.0 + 4.0 * zeta.sup) / (2.0 * c)
 
 
-def xi_norms(profile, x):
+def xi_norms(c, zeta, x):
     """(||xi_x||, ||xi_{0,x}||, ||xi_x - xi_{0,x}||) for the rank-one family
-    xi_x(u) = phi(u)/phi(x) [u >= x] that the Green operator factors through.
+    xi_x(u) = phi(u)/phi(x) [u >= x] that the Green operator of
+    phi = exp(-c x - zeta(x)) factors through.
 
     The squared norms integrate adaptively over an exponential window
     [x, x + W]; beyond W the zeta variation is frozen and the tail added in
@@ -184,8 +186,7 @@ def xi_norms(profile, x):
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    c, zeta = profile.c, profile.zeta
-    W = _tail_window(profile)
+    W = _tail_window(c, zeta)
     zx = float(zeta.fn(np.asarray(x, dtype=float)))
 
     def log_f(u):
@@ -208,14 +209,14 @@ def xi_norms(profile, x):
     return norm_xi, norm_xi0, norm_diff
 
 
-def xi_norm_bound(profile):
+def xi_norm_bound(c, zeta):
     """||xi_x|| <= e^{2 sup|zeta|} / sqrt(2c), uniform in x."""
-    return math.exp(2.0 * profile.zeta.sup) / math.sqrt(2.0 * profile.c)
+    return math.exp(2.0 * zeta.sup) / math.sqrt(2.0 * c)
 
 
-def elementary_bound_margin(profile, x, u):
+def elementary_bound_margin(zeta, x, u):
     """e^{2 sup}|zeta(x) - zeta(u)| - |e^{zeta(x)-zeta(u)} - 1| (>= 0)."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    dz = np.asarray(profile.zeta.fn(x), dtype=float) - np.asarray(profile.zeta.fn(u), dtype=float)
-    return math.exp(2.0 * profile.zeta.sup) * np.abs(dz) - np.abs(np.expm1(dz))
+    dz = np.asarray(zeta.fn(x), dtype=float) - np.asarray(zeta.fn(u), dtype=float)
+    return math.exp(2.0 * zeta.sup) * np.abs(dz) - np.abs(np.expm1(dz))

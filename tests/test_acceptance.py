@@ -21,7 +21,8 @@ from paper_identities import (
 from subspec.discretization import ORDER, assemble_jacobi, build_quadrature
 from subspec.green_kernel import exp_bound_margin
 from subspec.oracle_fd import cross_validate, fd_eigenvalues
-from subspec.scattering import example_scatt_sweep, inv_power_profile
+from subspec.phi_models import inv_power_zeta
+from subspec.scattering import example_scatt_sweep
 from subspec.spectral import eigen_mu, factorization_forms, robin_sigma, weighted_identity_residual
 from subspec.subordinate import SubordinateCache, wronskian_residual
 
@@ -71,16 +72,15 @@ def test_criterion_03_growth_bound(phi1, phi2, phi3, phi4):
 
 
 def test_criterion_04_norm_and_bound_audit(phi1, phi4):
-    tops = [eigen_mu(assemble_jacobi(phi1, build_quadrature(X, N // ORDER, ORDER)), 3).mu[0]
+    tops = [eigen_mu(assemble_jacobi(phi1, build_quadrature(X, N // ORDER, ORDER)), 3)[0]
             for X in (60.0, 120.0) for N in (1200, 2000)]
     assert all(a < b for a, b in zip(tops, tops[1:])) or tops[-1] > tops[0]
-    norm1 = eigen_mu(assemble_jacobi(phi1, build_quadrature(120.0, 240, 10)),
-                     1).norm_estimate
+    norm1 = eigen_mu(assemble_jacobi(phi1, build_quadrature(120.0, 240, 10)), 1)[0]
     assert abs(norm1 - 1.0) <= 1e-3
     assert norm1 <= 1.0 + 1e-9  # bound c2^3/(c^2 c1^3) = 1
 
     quad4 = build_quadrature(6.0, 240, 10)
-    norm4 = eigen_mu(assemble_jacobi(phi4, quad4), 1).norm_estimate
+    norm4 = eigen_mu(assemble_jacobi(phi4, quad4), 1)[0]
     assert norm4 <= math.e**6
     g = np.linspace(0.0, 10.0, 200)
     margins = exp_bound_margin(phi4, g[:, None], g[None, :])
@@ -109,7 +109,7 @@ def test_criterion_06_positivity(phi1, phi2, phi3, phi4):
     worst = 0.0
     for m, X in ((phi1, 13.8155), (phi2, 30.0), (phi3, 4.0), (phi4, 6.0)):
         quad = build_quadrature(X, max(40, int(np.ceil(4 * X))), 10)
-        mu = eigen_mu(assemble_jacobi(m, quad)).mu
+        mu = eigen_mu(assemble_jacobi(m, quad))
         ratio = mu.min() / mu.max()
         worst = min(worst, ratio)
         assert mu.min() >= -1e-10 * mu.max()
@@ -149,8 +149,8 @@ def test_criterion_10_sandwich(model_a, model_b):
     bands = {}
     for N in (2400, 4800):
         quad = build_quadrature(6.0, N // 10, 10)
-        mu_a = eigen_mu(assemble_jacobi(model_a, quad), 20).mu
-        mu_b = eigen_mu(assemble_jacobi(model_b, quad), 20).mu
+        mu_a = eigen_mu(assemble_jacobi(model_a, quad), 20)
+        mu_b = eigen_mu(assemble_jacobi(model_b, quad), 20)
         ratios = mu_b / mu_a
         assert np.all(ratios >= band[0]) and np.all(ratios <= band[1])
         bands[N] = (float(ratios.min()), float(ratios.max()), ratios)
@@ -162,8 +162,7 @@ def test_criterion_10_sandwich(model_a, model_b):
 
 def test_criterion_11_robin_bound_state(phi1, quad_phi1):
     assert robin_sigma(phi1, -1.0) == -2.0
-    res = eigen_mu(assemble_jacobi(phi1, quad_phi1, -1.0))
-    lam = 1.0 / res.mu[-1]
+    lam = 1.0 / eigen_mu(assemble_jacobi(phi1, quad_phi1, -1.0))[-1]
     assert abs(lam - (-3.0)) <= 1e-2
     lam_fd = robin_fd_eigenvalues(lambda x: np.ones_like(x), 20.0, 4000, -2.0, 1)[0]
     assert abs(lam_fd - (-3.0)) <= 1e-3
@@ -173,8 +172,8 @@ def test_criterion_11_robin_bound_state(phi1, quad_phi1):
 
 def test_criterion_12_growth_exponent(phi3):
     quad = build_quadrature(8.0, 320, 10)
-    res = eigen_mu(assemble_jacobi(phi3, quad), 30)
-    slope_green = growth_exponent(res, (5, 25))
+    lam_green = 1.0 / eigen_mu(assemble_jacobi(phi3, quad), 30)
+    slope_green = growth_exponent(lam_green, (5, 25))
     from subspec.oracle_fd import potential_from_phi, turning_point
     X_fd = turning_point(phi3, 300.0) + 2.0
     lam_fd = fd_eigenvalues(lambda x: potential_from_phi(phi3, x), X_fd, 4000, 25)
@@ -187,13 +186,13 @@ def test_criterion_12_growth_exponent(phi3):
 
 
 def test_criterion_13_scattering_norms():
-    prof = inv_power_profile(1.0, 1.5)
+    zeta = inv_power_zeta(1.0, 1.5)
     for x in (0.0, 0.3, 1.0, 4.0, 9.0):
-        nx, n0, _ = xi_norms(prof, x)
+        nx, n0, _ = xi_norms(1.0, zeta, x)
         assert n0 == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
-        assert nx <= xi_norm_bound(prof) * (1.0 + 1e-12)
+        assert nx <= xi_norm_bound(1.0, zeta) * (1.0 + 1e-12)
     rng = np.random.default_rng(17)
-    margins = elementary_bound_margin(prof, rng.uniform(0, 30, 1000),
+    margins = elementary_bound_margin(zeta, rng.uniform(0, 30, 1000),
                                       rng.uniform(0, 30, 1000))
     assert np.all(margins >= -1e-14)
 

@@ -63,6 +63,7 @@ CUSTOM = "task = spectrum\nphi.kind = custom-log-profile\n"
     (SPECTRUM + "phi.c = two\n", "phi.c"),
     ("task = oracle\nphi.kind = stretched-exp\nphi.c = 2\noracle.k = 0\n", "oracle.k"),
     ("task = scatter\nscatter.alpha_list = 1, nan\n", "scatter.alpha_list"),
+    ("task = scatter\nscatter.alpha_list = ,\n", "scatter.alpha_list"),
     (SPECTRUM + "resolution.eps = 2\n", "resolution.eps"),
     (SPECTRUM + "resolution.X = 5\nresolution.eps = 7\n", "resolution.eps"),
     ("task = robin\nphi.kind = exp-decay\nrobin.gamma = 0\n", "robin.gamma"),
@@ -270,6 +271,25 @@ def test_validate_task_power_slow_decay(tmp_path):
     assert "X = 50, panels = 200, order = 10" in report
     assert "resolution clamped" not in report  # the cap comes before the N bound
     assert "[FAIL]" not in report
+
+
+def test_validate_task_fails_a_false_decay_sandwich(tmp_path):
+    # phi = e^-x under a declared sigma = 2x: phi <= e^-sigma fails by x,
+    # so the worst log margin on [0, 8] is -8
+    cfgfile = _write(tmp_path, "bad_decay.cfg", """
+task = validate
+phi.kind = custom-log-profile
+phi.log_expr = -x
+phi.decay.rate = 2
+phi.decay.sigma_expr = 2*x
+phi.decay.dsigma_expr = 2 + 0*x
+resolution.X = 8
+""")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 2
+    report = (out / "report.txt").read_text().splitlines()
+    assert "[FAIL] decay sandwich (value = -8)" in report
+    assert report[-1] == "VALIDATION FAILED"
 
 
 def _validate_report(tmp_path, name, body):

@@ -20,8 +20,6 @@ RETIRED = {
     "converged_mask": {"tol"},
     "turning_point": {"x_max"},
     "wronskian_residual": {"h"},
-    "derivative_route_bound": {"k"},
-    "inv_power_profile": {"k"},
 }
 
 # only tests need these: oracles in tests/dense_oracle.py and
@@ -112,8 +110,6 @@ def test_gamma_is_one_real_number():
     assert not {"KernelKind", "lambdas", "table"} & names
     assert not hasattr(errors, "NonHermitianError")
     assert not hasattr(spectral, "MU_NOISE_FACTOR")
-    assert _fields(spectral.SpectralResult) == ["mu", "lam", "norm_estimate", "converged"]
-    assert not hasattr(spectral.SpectralResult, "mu_floor")
     assert _fields(discretization.JacobiMatrix) == ["diag", "off", "gamma", "quad", "cache"]
     gamma = inspect.signature(discretization.assemble_jacobi).parameters["gamma"]
     assert gamma.default == 0.0
@@ -130,9 +126,7 @@ def test_one_way_to_read_I_psi_and_phi():
     cache = subordinate.SubordinateCache(
         phi_models.make_phi("exp-decay", c=1.0), [1.0])
     assert not hasattr(cache, "model")
-    assert _fields(phi_models.DecayReport) == ["holds", "worst_margin"]
     assert "params" not in _fields(phi_models.PhiModel)
-    assert _fields(scattering.Nu) == ["fn", "integral"]
 
 
 def test_one_route_from_a_grid_to_its_operator():
@@ -172,12 +166,9 @@ def test_test_only_code_and_options_left_the_package():
                       (errors, "NonPositiveFError"), (errors, "InsufficientDataError"),
                       (errors, "MissingNuError")):
         assert not hasattr(mod, gone)
-    # the sweep runs on the grid its caller builds; every scattering profile
-    # carries its dominating nu
+    # the sweep runs on the grid its caller builds
     sweep = inspect.signature(scattering.example_scatt_sweep).parameters
     assert list(sweep) == ["alpha_list", "c", "quad"]
-    nu = inspect.signature(scattering.ScatteringProfile).parameters["nu"]
-    assert nu.default is inspect.Parameter.empty
 
 
 def test_no_pass_through_types():
@@ -191,9 +182,24 @@ def test_no_pass_through_types():
     assert {q for q, _, _ in _public_callables() if q.startswith("phi_models.")} == {
         "phi_models.Zeta", "phi_models.inv_power_zeta", "phi_models.DecayInfo",
         "phi_models.DecayInfo.kernel_bound_const", "phi_models.DecayInfo.tail_l2sq",
-        "phi_models.PhiModel", "phi_models.DecayReport", "phi_models.make_phi",
+        "phi_models.PhiModel", "phi_models.make_phi",
         "phi_models.verify_decay_hypothesis"}
     assert list(inspect.signature(oracle_fd.fd_eigenvalues).parameters) == [
         "potential", "X", "N", "k"]
     assert list(inspect.signature(paper_identities.robin_fd_eigenvalues).parameters) == [
         "potential", "X", "N", "sigma", "k"]
+
+
+def test_results_are_plain_arrays_and_numbers():
+    """eigen_mu returns the mu array, the decay audit its worst margin, and
+    the scattering bounds are closed forms inside the sweep; a grid is its
+    nodes and weights."""
+    gone = {"SpectralResult", "Nu", "power_nu", "ScatteringProfile", "inv_power_profile",
+            "analytic_trace_bound", "derivative_route_bound", "DecayReport"}
+    assert not gone & {attr for _, attr, _ in _public_callables()}
+    for name in subspec._SUBMODULES:
+        assert not gone & set(vars(importlib.import_module(f"subspec.{name}"))), name
+    assert list(inspect.signature(spectral.write_spectrum_csv).parameters) == [
+        "mu", "converged", "path"]
+    assert _fields(discretization.Quadrature) == ["nodes", "weights"]
+    assert "c" not in _fields(spectral.ComparisonReport)

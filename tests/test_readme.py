@@ -15,5 +15,5 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block, "README.md quick start", "exec"), namespace)
     # the comments quote X ~ 2.86 and the eigenvalues ~[13.70, 24.89, ...]
     assert round(namespace["X"], 2) == 2.86
-    assert np.allclose(namespace["res"].lam[:2], [13.70, 24.89], atol=5e-3)
+    assert np.allclose(1.0 / namespace["mu"][:2], [13.70, 24.89], atol=5e-3)
     assert capsys.readouterr().out.startswith("[13.69")

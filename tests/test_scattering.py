@@ -15,77 +15,74 @@ from paper_identities import (
 from subspec.discretization import ORDER, build_quadrature
 from subspec.errors import IndefiniteDifferenceError, InvalidParameterError
 from subspec.phi_models import Zeta, inv_power_zeta, make_phi
-from subspec.scattering import (
-    ScatteringProfile,
-    analytic_trace_bound,
-    example_scatt_sweep,
-    inv_power_profile,
-    power_nu,
-    trace_norm_difference,
-)
+from subspec.scattering import example_scatt_sweep, trace_norm_difference
 from subspec.spectral import factorization_forms
 
 
 def test_xi_norms_zero_zeta():
-    prof = ScatteringProfile(c=1.0, zeta=zero_zeta(), nu=power_nu(0.0, 2.0))
     for x in (0.0, 1.0, 5.0):
-        nx, n0, nd = xi_norms(prof, x)
+        nx, n0, nd = xi_norms(1.0, zero_zeta(), x)
         assert n0 == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert nx == pytest.approx(n0, rel=1e-10)
         assert nd <= 1e-12
 
 
 def test_xi_free_norm_is_exact_for_any_zeta():
-    prof = inv_power_profile(1.0, 1.0)
+    zeta = inv_power_zeta(1.0, 1.0)
     for x in (0.0, 0.7, 3.0):
-        assert xi_norms(prof, x)[1] == pytest.approx(0.7071068, abs=1e-7)
+        assert xi_norms(1.0, zeta, x)[1] == pytest.approx(0.7071068, abs=1e-7)
 
 
 def test_xi_norms_obey_bounds():
     # zeta = (1+x)^-1, c = 1: ||xi_x|| <= e^2/sqrt(2), ||diff|| <= e^2 sqrt(2) nu(x)
-    prof = inv_power_profile(1.0, 1.0)
-    nx, n0, nd = xi_norms(prof, 0.0)
+    zeta = inv_power_zeta(1.0, 1.0)
+    nx, n0, nd = xi_norms(1.0, zeta, 0.0)
     assert nx <= math.e**2 / math.sqrt(2.0)
     assert nd <= math.e**2 * math.sqrt(2.0)
     for x in (0.0, 0.5, 2.0, 6.0):
-        assert xi_norms(prof, x)[0] <= xi_norm_bound(prof)
+        assert xi_norms(1.0, zeta, x)[0] <= xi_norm_bound(1.0, zeta)
 
 
 def test_xi_norm_against_direct_quadrature():
-    prof = inv_power_profile(1.0, 1.5)
-    zeta = prof.zeta.fn
+    zeta = inv_power_zeta(1.0, 1.5)
     for x in (0.0, 1.0):
-        direct, _ = quad(lambda u: math.exp(-2.0 * (u - x) - 2.0 * float(zeta(u))
-                                            + 2.0 * float(zeta(x))), x, x + 40.0,
+        direct, _ = quad(lambda u: math.exp(-2.0 * (u - x) - 2.0 * float(zeta.fn(u))
+                                            + 2.0 * float(zeta.fn(x))), x, x + 40.0,
                          limit=400)
         diff, _ = quad(lambda u: math.exp(-2.0 * (u - x))
-                       * math.expm1(float(zeta(x)) - float(zeta(u))) ** 2, x, x + 40.0,
+                       * math.expm1(float(zeta.fn(x)) - float(zeta.fn(u))) ** 2, x, x + 40.0,
                        limit=400, epsabs=0.0, epsrel=1e-12)
-        norms = xi_norms(prof, x)
+        norms = xi_norms(1.0, zeta, x)
         assert norms[0] == pytest.approx(math.sqrt(direct), rel=1e-8)
         assert norms[2] == pytest.approx(math.sqrt(diff), rel=1e-8)
 
 
 def test_elementary_exponential_bound():
-    prof = inv_power_profile(1.0, 1.0)
     rng = np.random.default_rng(13)
     x = rng.uniform(0.0, 20.0, 1000)
     u = rng.uniform(0.0, 20.0, 1000)
-    assert np.all(elementary_bound_margin(prof, x, u) >= -1e-14)
+    assert np.all(elementary_bound_margin(inv_power_zeta(1.0, 1.0), x, u) >= -1e-14)
 
 
 def test_nu_validation():
-    prof = inv_power_profile(1.0, 1.5)
-    assert nu_is_valid(prof, np.linspace(0.0, 40.0, 1601))
+    # the sweep's nu is zeta itself: decreasing, and it dominates |zeta|
+    zeta = inv_power_zeta(1.0, 1.5)
+    assert nu_is_valid(zeta, zeta.fn, np.linspace(0.0, 40.0, 1601))
+    assert not nu_is_valid(zeta, lambda x: 0.5 * zeta.fn(x))
 
 
-def test_analytic_trace_bound_values():
-    # alpha = 1.5, c = 1, ||zeta|| = 1: (e^2+1) e^2 * int (1+x)^{-3/2} = 2(e^4+e^2)
-    bound = analytic_trace_bound(inv_power_profile(1.0, 1.5))
-    assert bound == pytest.approx(2.0 * (math.e**4 + math.e**2), rel=1e-12)
-    assert math.isinf(analytic_trace_bound(inv_power_profile(1.0, 1.0)))
-    zero = ScatteringProfile(c=1.0, zeta=zero_zeta(), nu=power_nu(0.0, 2.0))
-    assert analytic_trace_bound(zero) == 0.0
+def test_sweep_bound_values():
+    # alpha = 1.5, c = 1, sup|zeta| = 1: (e^2+1) e^2 * int (1+x)^{-3/2} = 2(e^4+e^2);
+    # the derivative route is (e^2+1) e^2 / (2^1.5 c^2) for every alpha
+    quad = build_quadrature(20.0, 30, ORDER)
+    for c in (1.0, 2.0):
+        rows = example_scatt_sweep([0.5, 1.0, 1.5], c, quad)
+        assert [math.isinf(r["bound_nu_route"]) for r in rows] == [True, True, False]
+        assert rows[2]["bound_nu_route"] == pytest.approx(
+            2.0 * (math.e**4 + math.e**2) / c, rel=1e-12)
+        for r in rows:
+            assert r["bound_derivative_route"] == pytest.approx(
+                (math.e**2 + 1.0) * math.e**2 / (2.0**1.5 * c**2), rel=1e-12)
 
 
 def test_trace_norm_difference_basics(phi1):
@@ -148,6 +145,7 @@ def test_sweep_finiteness_pattern():
         assert math.isfinite(r["bound_nu_route"]) == (r["alpha"] > 1.0)
         if math.isfinite(r["bound_nu_route"]):
             assert r["trace_numeric"] <= r["bound_nu_route"]
+        assert r["trace_numeric"] <= r["bound_derivative_route"]
 
 
 def test_sweep_monotone_for_faster_decay():

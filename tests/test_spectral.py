@@ -11,7 +11,6 @@ from subspec.errors import (
     ZeroGammaError,
 )
 from subspec.spectral import (
-    SpectralResult,
     compare_spectra,
     converged_mask,
     eigen_mu,
@@ -21,24 +20,14 @@ from subspec.spectral import (
 )
 
 
-def _result_from_mu(mu):
-    mu = np.asarray(mu, dtype=float)
-    return SpectralResult(mu=mu, lam=np.sort(1.0 / mu[mu > 0]),
-                          norm_estimate=float(np.max(np.abs(mu))))
-
-
 def test_eigen_mu_exp_decay_cluster(phi1):
     quad = build_quadrature(60.0, 120, 10)
-    res = eigen_mu(assemble_jacobi(phi1, quad), 10)
-    assert res.mu[0] == pytest.approx(1.0, abs=5e-3)
-    assert res.mu[0] <= 1.0 + 1e-9
+    mu = eigen_mu(assemble_jacobi(phi1, quad), 10)
+    assert mu.shape == (10,) and np.all(np.diff(mu) <= 0.0)  # descending
+    assert mu[0] == pytest.approx(1.0, abs=5e-3)
+    assert mu[0] <= 1.0 + 1e-9
     # continuous spectrum: no isolated top eigenvalue, the cluster densifies
-    assert res.mu[0] - res.mu[1] <= 0.05
-
-
-def test_lambda_reciprocals():
-    res = _result_from_mu([0.5, 0.25])
-    assert np.allclose(res.lam, [2.0, 4.0])
+    assert mu[0] - mu[1] <= 0.05
 
 
 def test_dirichlet_eigen_mu_refuses_nonpositive_mu():
@@ -50,9 +39,11 @@ def test_dirichlet_eigen_mu_refuses_nonpositive_mu():
         with pytest.raises(NonPositiveMuError):
             eigen_mu(JacobiMatrix(diag, off, 0.0, quad, cache=None), n_keep)
     # Robin: one mu < 0 is allowed
-    res = eigen_mu(JacobiMatrix(diag, off, -0.5, quad, cache=None))
-    assert np.sum(res.mu < 0) == 1
-    assert np.allclose(res.lam, np.sort(1.0 / res.mu[:2]))
+    mu = eigen_mu(JacobiMatrix(diag, off, -0.5, quad, cache=None))
+    assert np.sum(mu < 0) == 1 and mu[-1] < 0
+    # a top-k request still returns k positive mu when lambda_0 < 0
+    top2 = eigen_mu(JacobiMatrix(diag, off, -0.5, quad, cache=None), 2)
+    assert np.allclose(top2, mu[:2], rtol=1e-12, atol=0.0) and np.all(top2 > 0)
 
 
 def test_full_spectrum_refuses_a_singular_T():
@@ -69,21 +60,20 @@ def test_full_spectrum_refuses_a_singular_T():
 def test_lambda_min_vs_norm(phi1):
     quad = build_quadrature(60.0, 120, 10)
     T = assemble_jacobi(phi1, quad)
-    res = eigen_mu(T, 10)
-    lam = res.lam
-    assert lam[0] >= 1.0 / eigen_mu(T, 1).norm_estimate - 1e-8
+    lam = 1.0 / eigen_mu(T, 10)
+    assert lam[0] >= 1.0 / eigen_mu(T, 1)[0] - 1e-8
     assert lam[0] >= 1.0 - 1e-3  # ||G|| = 1
 
 
 def test_compare_trivial_cases():
-    r1 = _result_from_mu([0.4, 0.2, 0.1])
+    r1 = np.array([0.4, 0.2, 0.1])
     same = compare_spectra(r1, r1, 1.0)
     assert same.holds and np.allclose(same.ratios, 1.0)
-    doubled = compare_spectra(r1, _result_from_mu([0.8, 0.4, 0.2]), 1.0)
+    doubled = compare_spectra(r1, np.array([0.8, 0.4, 0.2]), 1.0)
     assert not doubled.holds
     assert doubled.worst_n == 1
     with pytest.raises(MismatchedLengthsError):
-        compare_spectra(r1, _result_from_mu([0.4, 0.2]), 1.0)
+        compare_spectra(r1, np.array([0.4, 0.2]), 1.0)
     for c in (0.0, -2.0):
         with pytest.raises(InvalidParameterError, match="ratio bound"):
             compare_spectra(r1, r1, c)
@@ -146,25 +136,25 @@ def test_robin_sigma_values(phi1):
 
 def test_robin_spectrum_bound_state(phi1):
     quad = build_quadrature(13.8155, 120, 10)
-    res = eigen_mu(assemble_jacobi(phi1, quad, -1.0))
-    assert res.mu[-1] == pytest.approx(-1.0 / 3.0, abs=1e-3)
-    assert 1.0 / res.mu[-1] == pytest.approx(-3.0, abs=1e-2)
+    mu = eigen_mu(assemble_jacobi(phi1, quad, -1.0))
+    assert mu[-1] == pytest.approx(-1.0 / 3.0, abs=1e-3)
+    assert 1.0 / mu[-1] == pytest.approx(-3.0, abs=1e-2)
 
 
 def test_robin_spectrum_neumann_window(phi1):
     quad = build_quadrature(13.8155, 56, 10)
-    res = eigen_mu(assemble_jacobi(phi1, quad, 1.0))
-    assert res.mu[0] <= 1.0 + 1e-9
-    assert res.mu[-1] >= -1e-10
-    assert res.mu[0] >= 0.95  # cluster toward mu = 1
+    mu = eigen_mu(assemble_jacobi(phi1, quad, 1.0))
+    assert mu[0] <= 1.0 + 1e-9
+    assert mu[-1] >= -1e-10
+    assert mu[0] >= 0.95  # cluster toward mu = 1
 
 
 def test_robin_interlacing(phi3):
     # rank-one discrete perturbation: exact Weyl interlacing
     quad = build_quadrature(6.0, 60, 10)
-    mu = eigen_mu(assemble_jacobi(phi3, quad)).mu
+    mu = eigen_mu(assemble_jacobi(phi3, quad))
     for gamma in (0.7, -0.7):
-        mug = eigen_mu(assemble_jacobi(phi3, quad, gamma)).mu
+        mug = eigen_mu(assemble_jacobi(phi3, quad, gamma))
         if gamma > 0:
             assert np.all(mug[1:] <= mu[:-1] + 1e-12)
             assert np.all(mug >= mu - 1e-12)
@@ -176,8 +166,8 @@ def test_robin_interlacing(phi3):
 def test_robin_tail_invariance(phi3):
     # essential-spectrum invariance, measured: relative mu shifts decay in n
     quad = build_quadrature(8.0, 160, 10)
-    mu = eigen_mu(assemble_jacobi(phi3, quad), 25).mu
-    mug = eigen_mu(assemble_jacobi(phi3, quad, -1.0), 25).mu
+    mu = eigen_mu(assemble_jacobi(phi3, quad), 25)
+    mug = eigen_mu(assemble_jacobi(phi3, quad, -1.0), 25)
     rel = np.abs(mug - mu) / mu
     spacing = mu[:-1] - mu[1:]
     assert np.all(np.abs(mug[9:20] - mu[9:20]) <= spacing[8:19])  # within one gap
@@ -192,10 +182,10 @@ def test_converged_mask():
 
 
 def test_write_spectrum_csv(tmp_path):
-    res = _result_from_mu([0.5, 0.25, -0.1])
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(res, path)
+    write_spectrum_csv(np.array([0.5, 0.25, -0.1]), np.array([True, False, False]), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "n,mu,lambda,converged"
-    assert lines[1].startswith("1,0.5,2,")
+    assert lines[1] == "1,0.5,2,True"
+    assert lines[2] == "2,0.25,4,False"
     assert lines[3].split(",")[2] == ""  # negative mu has no lambda
