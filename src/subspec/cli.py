@@ -374,7 +374,12 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
               for tok in raw.replace(";", ",").split(",") if tok.strip()]
     if not alphas:
         raise ConfigError(f"config key 'scatter.alpha_list' lists no alpha: {raw!r}")
+    if min(alphas) <= 0.0:
+        raise ConfigError(f"config key 'scatter.alpha_list' must list positive alphas, "
+                          f"got {raw!r}")
     c = cfg.get_float("scatter.c", 1.0)
+    if c <= 0.0:
+        raise ConfigError(f"config key 'scatter.c' must be positive, got {c:g}")
     X = cfg.get_float("resolution.X", 50.0)
     quad = build_quadrature(X, cfg.get_int("resolution.panels", default_panels(X)),
                             cfg.get_int("resolution.order", ORDER))

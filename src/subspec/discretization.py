@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from ._lapack import gtsv
 from .errors import (
     ComplexGammaError,
     InvalidParameterError,
@@ -119,14 +119,11 @@ class JacobiMatrix:
 
     def apply_to_function(self, values: np.ndarray) -> np.ndarray:
         """(G f)(x_i) = sum_j w_j G(x_i, x_j) f(x_j) for node samples f, by one
-        banded solve: (G f)_i = (T^-1 sqrt(w) f)_i / sqrt(w_i)."""
+        tridiagonal solve (LAPACK dgtsv): (G f)_i = (T^-1 sqrt(w) f)_i / sqrt(w_i)."""
         sw = np.sqrt(self.quad.weights)
         k = int(np.isinf(self.diag[0]))  # singular Robin: (G f)(x_1) = 0
-        bands = np.zeros((3, self.n - k))
-        bands[0, 1:] = bands[2, :-1] = self.off[k:]
-        bands[1] = self.diag[k:]
         out = np.zeros(self.n)
-        out[k:] = solve_banded((1, 1), bands, (sw * values)[k:]) / sw[k:]
+        out[k:] = gtsv(self.off[k:], self.diag[k:], (sw * values)[k:]) / sw[k:]
         return out
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import stebz
 from .errors import InvalidParameterError, NonSmoothModelError, NotCompactError
 from .phi_models import PhiModel
 
@@ -45,9 +45,7 @@ def fd_eigenvalues(potential: Callable[[np.ndarray], np.ndarray], X: float, N: i
     diag = 2.0 / dx**2 + np.asarray(potential(x), dtype=float)
     off = np.full(N - 1, -1.0 / dx**2)
     k = min(int(k), diag.size)
-    vals = eigh_tridiagonal(diag, off, select="i",
-                            select_range=(0, k - 1), eigvals_only=True)
-    return np.asarray(vals, dtype=float)
+    return stebz(diag, off, 0, k - 1, 0.0)
 
 
 def _require_compact(model: PhiModel) -> None:

@@ -4,13 +4,15 @@ mu denotes eigenvalues of a Green matrix in decreasing order; lambda = 1/mu
 are the eigenvalues of the differential operator itself, and of the
 tridiagonal inverse (JacobiMatrix) that spectra are computed from.  Every
 positive mu gives a lambda; the mu <= 0 of a Robin matrix give none.
-A top-k request bisects for the lowest k + 1 lambda, O(N k); a full
-spectrum is one dqds pass (LAPACK dpteqr) on the Cholesky factor of the
-shifted T, O(N^2) time and O(N) memory (see _all_lambdas).
+A top-k request bisects for the lowest k + 1 lambda (LAPACK dstebz), O(N k);
+a full spectrum is one dqds pass (LAPACK dpteqr) on the Cholesky factor of
+the shifted T, O(N^2) time and O(N) memory (see _all_lambdas).
 "Converged" is operational: relative movement below CONVERGED_REL between
 two refinements of the grid.  The weighted identity check applies G by a
-banded solve on the same JacobiMatrix, and the factorization check uses
-prefix and suffix sums, so everything here runs in O(N) memory.
+tridiagonal solve (LAPACK dgtsv) on the same JacobiMatrix, and the
+factorization check uses prefix and suffix sums, so everything here runs in
+O(N) memory.  The three LAPACK routines come from scipy's compiled
+scipy.linalg._flapack, loaded without the scipy.linalg package (_lapack).
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dpteqr
 
+from ._lapack import dpteqr, stebz
 from .discretization import JacobiMatrix, Quadrature
 from .errors import (
     EigensolveError,
@@ -40,8 +41,7 @@ CONVERGED_REL = 1e-6  # operational convergence threshold of converged_mask
 def _bisect(T_diag, T_off, lo: int, hi: int) -> np.ndarray:
     """Eigenvalues lo..hi (ascending order) of a tridiagonal matrix by
     bisection to full precision."""
-    return eigvalsh_tridiagonal(T_diag, T_off, select="i", select_range=(lo, hi),
-                                lapack_driver="stebz", tol=np.finfo(float).tiny)
+    return stebz(T_diag, T_off, lo, hi, np.finfo(float).tiny)
 
 
 def _extreme_eigenvalues(T_diag, T_off) -> tuple:

@@ -64,6 +64,8 @@ CUSTOM = "task = spectrum\nphi.kind = custom-log-profile\n"
     ("task = oracle\nphi.kind = stretched-exp\nphi.c = 2\noracle.k = 0\n", "oracle.k"),
     ("task = scatter\nscatter.alpha_list = 1, nan\n", "scatter.alpha_list"),
     ("task = scatter\nscatter.alpha_list = ,\n", "scatter.alpha_list"),
+    ("task = scatter\nscatter.alpha_list = 1.5, 0\n", "scatter.alpha_list"),
+    ("task = scatter\nscatter.c = -1\n", "scatter.c"),
     (SPECTRUM + "resolution.eps = 2\n", "resolution.eps"),
     (SPECTRUM + "resolution.X = 5\nresolution.eps = 7\n", "resolution.eps"),
     ("task = robin\nphi.kind = exp-decay\nrobin.gamma = 0\n", "robin.gamma"),
@@ -570,13 +572,15 @@ def _subprocess_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def test_startup_imports_no_interpolate_or_optimize():
-    # what `subspec run` loads for any task: the CLI and every task module
+def test_startup_imports_none_of_the_heavy_scipy_and_numpy_modules():
+    # what `subspec run` loads for any task: the CLI and every task module.
+    # The LAPACK routines come without scipy.linalg, whose array-API shim
+    # imports numpy.f2py and numpy.testing
     code = ("import sys, subspec.cli, subspec.discretization, subspec.green_kernel, "
             "subspec.oracle_fd, subspec.phi_models, subspec.scattering, subspec.spectral, "
             "subspec.subordinate; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.linalg', "
+            "'numpy.f2py', 'numpy.testing') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -98,8 +98,8 @@ def test_one_matrix_representation():
     src = Path(subspec.__file__).parent
     for path in src.glob("*.py"):
         text = path.read_text()
-        # no dense eigensolve, SVD or solve: scipy.linalg's banded and
-        # tridiagonal routines only
+        # no dense eigensolve, SVD or solve: the tridiagonal LAPACK routines
+        # dstebz, dpteqr and dgtsv only
         assert "np.linalg." not in text and "svd" not in text, path.name
 
 
