@@ -5,9 +5,9 @@ The submodules follow the pipeline:
     lse_quad        adaptive log-space quadrature, the one integrator
     phi_models      profiles phi, decay metadata, L2 norms
     subordinate     the psi cache (I and psi at grid nodes), Wronskian check
-    green_kernel    the pointwise Dirichlet kernel G and its exponential bound
+    green_kernel    the exponential kernel bound, audited on T's psi cache
     discretization  quadrature grids and the tridiagonal Nystrom inverse T
-    spectral        eigenvalues, comparisons, factorization and identity checks
+    spectral        eigenvalues, comparisons and the weighted identity check
     scattering      trace-norm criteria for phi = exp(-c x - zeta)
     oracle_fd       independent finite-difference Dirichlet solver
     cli             config-driven command line front end

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, SubspecError
+from .errors import ConfigError, InvalidParameterError, SubspecError
 
 _TASKS = ("spectrum", "compare", "robin", "scatter", "validate", "oracle")
 
@@ -168,6 +168,14 @@ def build_phi(cfg: RunConfig, prefix: str = "phi"):
     from .phi_models import DecayInfo, inv_power_zeta, make_phi
 
     key = lambda name: f"{prefix}.{name}"
+
+    def checked(name, build, **params):
+        # make_phi and inv_power_zeta own the parameter ranges; name the key
+        try:
+            return build(**params)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"config key '{key(name)}' is out of range: {exc}") from None
+
     kind = cfg.require(key("kind"))
     if kind not in _KIND_KEYS:
         raise ConfigError(f"unknown {key('kind')} '{kind}'")
@@ -179,13 +187,13 @@ def build_phi(cfg: RunConfig, prefix: str = "phi"):
             raise ConfigError(f"config key '{given}' is not read by {key('kind')} = {kind}")
 
     if kind in ("exp-decay", "power", "stretched-exp"):
-        return make_phi(kind, c=cfg.get_float(key("c"), 1.0))
+        return checked("c", make_phi, kind=kind, c=cfg.get_float(key("c"), 1.0))
     if kind == "oscillating":
         return make_phi(kind)
     if kind == "scattering-profile":
-        zeta = inv_power_zeta(cfg.get_float(key("zeta.k"), 1.0),
-                              cfg.get_float(key("zeta.alpha"), 1.0))
-        return make_phi(kind, c=cfg.get_float(key("c"), 1.0), zeta=zeta)
+        zeta = checked("zeta.alpha", inv_power_zeta, k=cfg.get_float(key("zeta.k"), 1.0),
+                       alpha=cfg.get_float(key("zeta.alpha"), 1.0))
+        return checked("c", make_phi, kind=kind, c=cfg.get_float(key("c"), 1.0), zeta=zeta)
     if kind == "tabulated":
         path = cfg.require(key("csv"))
         try:
@@ -201,6 +209,9 @@ def build_phi(cfg: RunConfig, prefix: str = "phi"):
     log_phi = expr("log_expr")
     decay = None
     if with_decay:
+        for name in ("decay.rate", "decay.c1", "decay.c2"):
+            if (v := cfg.get_float(key(name), 1.0)) <= 0.0:
+                raise ConfigError(f"config key '{key(name)}' must be positive, got {v:g}")
         decay = DecayInfo(rate=cfg.get_float(key("decay.rate")),
                           c_lower=cfg.get_float(key("decay.c1"), 1.0),
                           c_upper=cfg.get_float(key("decay.c2"), 1.0),
@@ -406,7 +417,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     from .discretization import build_quadrature
     from .green_kernel import exp_bound_margin
     from .phi_models import verify_decay_hypothesis
-    from .spectral import _extreme_eigenvalues, factorization_forms, weighted_identity_residual
+    from .spectral import _extreme_eigenvalues, weighted_identity_residual
     from .subordinate import wronskian_residual
 
     model = build_phi(cfg)
@@ -425,10 +436,8 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     if model.decay is not None:
         margin = verify_decay_hypothesis(model, np.linspace(0.0, X, 401))
         checks.append(("decay sandwich", margin >= -1e-12, margin))
-        gx = np.linspace(0.0, X, 81)
-        margins = exp_bound_margin(model, gx[:, None], gx[None, :])
-        checks.append(("kernel bound audit", bool(np.min(margins) >= -1e-12),
-                       float(np.min(margins))))
+        audit = exp_bound_margin(model, T)
+        checks.append(("kernel bound audit", audit >= -1e-12, audit))
 
     nodes = np.linspace(max(0.25, X / 40.0), min(X, 5.0), 12)
     tol_w = 1e-3 if oscillatory or model.dlog_phi is None else 1e-6
@@ -439,16 +448,6 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     growth = np.all(quad.nodes**2 <= model.l2_norm_phi**2 * ratio * (1 + 1e-9))
     checks.append(("growth bound x^2 <= ||phi||^2 psi/phi", bool(growth),
                    float(np.max(quad.nodes**2 / (model.l2_norm_phi**2 * ratio)))))
-
-    fs = np.random.default_rng(20).standard_normal((20, quad.n))
-    fGf, Mf2 = factorization_forms(model, quad, fs)
-    worst = float(np.max(np.abs(fGf - Mf2) / np.sum(fs * fs, axis=1)))
-    # scale guard: entries of order s push float roundoff to ~s * eps; the
-    # largest entry of the Gram matrix G is on its diagonal w phi psi
-    scale = max(1.0, float(np.max(quad.weights
-                                  * np.exp(model.log_phi(quad.nodes) + T.cache.log_psi_nodes))))
-    checks.append(("factorization |f^T G f - ||M f||^2| <= 1e-8 scale ||f||^2",
-                   worst <= 1e-8 * scale, worst))
 
     # G = T^-1 is positive iff T is, and then min mu = 1/lambda_max(T);
     # otherwise 1/lambda_min(T) <= 0 is an eigenvalue of G and the check fails

@@ -1,53 +1,28 @@
-"""Pointwise Dirichlet kernel G and its exponential bound.
-
-    G(x, y) = psi(x ^ y) phi(x v y)            (symmetric, >= 0)
-
-Everything is evaluated through logs of phi and psi; x ^ y = 0 short-circuits
-to exactly 0 so that -inf + inf never forms.  psi comes from a
-SubordinateCache built on the unique positive minima.  The discretization
-module assembles G and its Robin shift G + gamma phi(x) phi(y) (real gamma;
-gamma = 0 is G) as the tridiagonal inverse of their Nystrom matrix.
+"""The bound G(x, y) <= c2^3/(2 c c1^3) e^{-c|x-y|} on the Dirichlet kernel
+G(x, y) = psi(x ^ y) phi(x v y) of a profile with decay metadata, audited
+on the nodes of a matrix T through the psi cache that T was built from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingDecayError, NegativeArgumentError
+from .discretization import JacobiMatrix
+from .errors import MissingDecayError
 from .phi_models import PhiModel
-from .subordinate import SubordinateCache
 
 
-def _pair_arrays(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
-        raise NegativeArgumentError("kernel arguments must be >= 0")
-    return np.broadcast_arrays(x, y)
+def exp_bound_margin(model: PhiModel, T: JacobiMatrix) -> float:
+    """Worst log margin, log K - max log(G(x_i, x_j) e^{c|x_i - x_j|}) over
+    the node pairs of T, with K = c2^3/(2 c c1^3) and c = decay.rate; >= 0
+    under the sandwich.
 
-
-def green_eval(model: PhiModel, x, y) -> np.ndarray:
-    """G(x, y); symmetric in (x, y) through a shared min/max code path."""
-    x, y = _pair_arrays(x, y)
-    mn = np.minimum(x, y)
-    mx = np.maximum(x, y)
-    log_psi_mn = np.full(mn.shape, -np.inf)
-    pos = mn > 0
-    if np.any(pos):
-        uniq, inv = np.unique(mn[pos], return_inverse=True)
-        log_psi_mn[pos] = SubordinateCache(model, uniq).log_psi_nodes[inv]
-    with np.errstate(invalid="ignore"):
-        vals = np.exp(log_psi_mn + model.log_phi(mx))
-    vals = np.where(mn == 0.0, 0.0, vals)
-    return vals if vals.ndim else float(vals)
-
-
-def exp_bound_margin(model: PhiModel, x, y) -> np.ndarray:
-    """(c2^3 / (2 c c1^3)) e^{-c|x-y|} - G(x, y); >= 0 under the sandwich."""
+    For i <= j, G(x_i, x_j) = psi_i phi_j; with a_i = log psi_i - c x_i and
+    b_j = log phi_j + c x_j the maximum is max_j (b_j + max_{i<=j} a_i).
+    """
     if model.decay is None:
         raise MissingDecayError(f"{model.label} carries no decay metadata")
-    x, y = _pair_arrays(x, y)
-    const = model.decay.kernel_bound_const()
-    bound = const * np.exp(-model.decay.rate * np.abs(x - y))
-    out = bound - green_eval(model, x, y)
-    return out if np.ndim(out) else float(out)
+    x = T.quad.nodes
+    c = model.decay.rate
+    a = np.maximum.accumulate(T.cache.log_psi_nodes - c * x)
+    return float(np.log(model.decay.kernel_bound_const()) - np.max(a + model.log_phi(x) + c * x))

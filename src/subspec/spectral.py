@@ -9,10 +9,10 @@ a full spectrum is one dqds pass (LAPACK dpteqr) on the Cholesky factor of
 the shifted T, O(N^2) time and O(N) memory (see _all_lambdas).
 "Converged" is operational: relative movement below CONVERGED_REL between
 two refinements of the grid.  The weighted identity check applies G by a
-tridiagonal solve (LAPACK dgtsv) on the same JacobiMatrix, and the
-factorization check uses prefix and suffix sums, so everything here runs in
-O(N) memory.  The three LAPACK routines come from scipy's compiled
-scipy.linalg._flapack, loaded without the scipy.linalg package (_lapack).
+tridiagonal solve (LAPACK dgtsv) on the same JacobiMatrix, so everything
+here runs in O(N) memory.  The three LAPACK routines come from scipy's
+compiled scipy.linalg._flapack, loaded without the scipy.linalg package
+(_lapack).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ._lapack import dpteqr, stebz
-from .discretization import JacobiMatrix, Quadrature
+from .discretization import JacobiMatrix
 from .errors import (
     EigensolveError,
     InvalidParameterError,
@@ -159,36 +159,6 @@ def converged_mask(mu_fine: np.ndarray, mu_coarse: np.ndarray) -> np.ndarray:
     denom = np.maximum(np.abs(mu_fine[:m]), 1e-300)
     out[:m] = np.abs(mu_fine[:m] - mu_coarse[:m]) / denom < CONVERGED_REL
     return out
-
-
-def factorization_forms(model: PhiModel, quad: Quadrature, f) -> tuple:
-    """(f^T G_h f, ||M_h f||^2) for node samples f, stacked along the first
-    axis when f is 2-D, in O(N) memory.
-
-    G_h is the Green matrix with the grid's own psi_h = phi P, where
-    P_i = sum_{k<=i} w_k phi_k^-2, and M_h_ij = sqrt(w_i) phi_j / phi_i
-    sqrt(w_j) [j >= i] the factor matrix; G_h = M_h^T M_h exactly, so the
-    forms agree to roundoff.  With the suffix sums
-    u_i = sum_{j>=i} sqrt(w_j) f_j phi_j / phi_i, so (M_h f)_i = sqrt(w_i) u_i,
-    summation by parts gives
-
-        ||M_h f||^2 = sum_i w_i u_i^2
-        f^T G_h f   = sum_i sqrt(w_i) f_i phi_i^2 P_i (2 u_i - sqrt(w_i) f_i)
-
-    Both sums run in log space, one sign of f at a time, so phi^-2 is never
-    formed.
-    """
-    lp = model.log_phi(quad.nodes)
-    sw = np.sqrt(quad.weights)
-    a = sw * np.asarray(f, dtype=float)
-    D_h = np.exp(2.0 * lp + np.logaddexp.accumulate(np.log(quad.weights) - 2.0 * lp))
-    u = np.zeros(a.shape)
-    with np.errstate(divide="ignore"):
-        for sign in (1.0, -1.0):
-            log_terms = np.log(np.maximum(sign * a, 0.0)) + lp
-            suffix = np.logaddexp.accumulate(log_terms[..., ::-1], axis=-1)[..., ::-1]
-            u += sign * np.exp(suffix - lp)
-    return np.sum(a * D_h * (2.0 * u - a), axis=-1), np.sum(quad.weights * u**2, axis=-1)
 
 
 def smoothstep_quintic(x, x0: float):

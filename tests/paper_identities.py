@@ -131,6 +131,36 @@ def quadratic_form_residual(model, T, f):
     return abs(fg - Q) / abs(fg)
 
 
+def factorization_forms(model, quad, f):
+    """(f^T G_h f, ||M_h f||^2) for node samples f, stacked along the first
+    axis when f is 2-D, in O(N) memory.
+
+    G_h is the Green matrix with the grid's own psi_h = phi P, where
+    P_i = sum_{k<=i} w_k phi_k^-2, and M_h_ij = sqrt(w_i) phi_j / phi_i
+    sqrt(w_j) [j >= i] the factor matrix; G_h = M_h^T M_h exactly, so the
+    forms agree to roundoff.  With the suffix sums
+    u_i = sum_{j>=i} sqrt(w_j) f_j phi_j / phi_i, so (M_h f)_i = sqrt(w_i) u_i,
+    summation by parts gives
+
+        ||M_h f||^2 = sum_i w_i u_i^2
+        f^T G_h f   = sum_i sqrt(w_i) f_i phi_i^2 P_i (2 u_i - sqrt(w_i) f_i)
+
+    Both sums run in log space, one sign of f at a time, so phi^-2 is never
+    formed.
+    """
+    lp = model.log_phi(quad.nodes)
+    sw = np.sqrt(quad.weights)
+    a = sw * np.asarray(f, dtype=float)
+    D_h = np.exp(2.0 * lp + np.logaddexp.accumulate(np.log(quad.weights) - 2.0 * lp))
+    u = np.zeros(a.shape)
+    with np.errstate(divide="ignore"):
+        for sign in (1.0, -1.0):
+            log_terms = np.log(np.maximum(sign * a, 0.0)) + lp
+            suffix = np.logaddexp.accumulate(log_terms[..., ::-1], axis=-1)[..., ::-1]
+            u += sign * np.exp(suffix - lp)
+    return np.sum(a * D_h * (2.0 * u - a), axis=-1), np.sum(quad.weights * u**2, axis=-1)
+
+
 def robin_fd_eigenvalues(potential, X, N, sigma, k):
     """Lowest k eigenvalues of -g'' + V g on [0, X] with g'(0) = sigma g(0)
     and g(X) = 0, by the 3-point stencil on the nodes i*dx, i = 0..N, with

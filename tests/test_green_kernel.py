@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dense_oracle import factor_kernel_eval, green_gamma_eval
+from dense_oracle import (
+    exp_bound_margin_pointwise,
+    factor_kernel_eval,
+    green_eval,
+    green_gamma_eval,
+)
+from subspec.discretization import assemble_jacobi, build_quadrature
 from subspec.errors import MissingDecayError, NegativeArgumentError
-from subspec.green_kernel import exp_bound_margin, green_eval
+from subspec.green_kernel import exp_bound_margin
+from subspec.phi_models import inv_power_zeta, make_phi
 from subspec.subordinate import SubordinateCache
 
 
@@ -74,19 +81,55 @@ def test_factor_kernels(phi1, phi4):
 
 
 def test_exp_bound_margin_values(phi1):
-    margin = exp_bound_margin(phi1, 1.0, 2.0)
+    margin = exp_bound_margin_pointwise(phi1, 1.0, 2.0)
     assert margin == pytest.approx(0.5 * math.exp(-1.0) - math.sinh(1.0) * math.exp(-2.0),
                                    rel=1e-10)
     assert margin == pytest.approx(0.024894, abs=1e-6)
-    assert exp_bound_margin(phi1, 0.0, 0.0) == pytest.approx(0.5)
+    assert exp_bound_margin_pointwise(phi1, 0.0, 0.0) == pytest.approx(0.5)
 
 
 def test_exp_bound_sweep_oscillating(phi4):
     g = np.linspace(0.0, 10.0, 60)
-    margins = exp_bound_margin(phi4, g[:, None], g[None, :])
+    margins = exp_bound_margin_pointwise(phi4, g[:, None], g[None, :])
     assert np.min(margins) >= -1e-12  # bound constant e^6/2 ~ 201.7
 
 
 def test_exp_bound_missing_decay(phi2):
     with pytest.raises(MissingDecayError):
-        exp_bound_margin(phi2, 1.0, 2.0)
+        exp_bound_margin_pointwise(phi2, 1.0, 2.0)
+    with pytest.raises(MissingDecayError):
+        exp_bound_margin(phi2, assemble_jacobi(phi2, build_quadrature(4.0, 4, 10)))
+
+
+def _dense_log_margin(model, nodes):
+    # min over node pairs i <= j of log(bound) - log G, G from the pointwise
+    # kernel on its own psi cache
+    i, j = np.triu_indices(nodes.size)
+    x, y = nodes[i], nodes[j]
+    log_bound = (math.log(model.decay.kernel_bound_const())
+                 - model.decay.rate * np.abs(x - y))
+    return float(np.min(log_bound - np.log(green_eval(model, x, y))))
+
+
+@pytest.mark.parametrize("kind, params, X", [
+    ("exp-decay", {"c": 1.0}, 14.0),
+    ("stretched-exp", {"c": 2.0}, 3.0),
+    ("oscillating", {}, 6.0),
+    # the worst pair lies off the diagonal here, so a slip in the c x terms shows
+    ("scattering-profile", {"c": 1.0, "zeta": inv_power_zeta(1.0, 1.0)}, 8.0),
+])
+def test_exp_bound_audit_matches_the_dense_route(kind, params, X):
+    model = make_phi(kind, **params)
+    T = assemble_jacobi(model, build_quadrature(X, 40, 10))
+    assert T.n == 400
+    audit = exp_bound_margin(model, T)
+    assert audit == pytest.approx(_dense_log_margin(model, T.quad.nodes), rel=0, abs=1e-12)
+    assert audit >= -1e-12
+
+
+def test_exp_bound_audit_tight_cases_hold_on_long_windows():
+    # c2^3/(2 c c1^3) e^{-c|x-y|} is attained as x, y -> inf for these two
+    for model in (make_phi("exp-decay", c=1.0), make_phi("stretched-exp", c=1.0)):
+        for X in (14.0, 20.0, 50.0):
+            T = assemble_jacobi(model, build_quadrature(X, int(4 * X), 10))
+            assert exp_bound_margin(model, T) >= -1e-12, (model.label, X)

@@ -29,6 +29,7 @@ LEFT_THE_PACKAGE = {
     "green_gamma_eval", "factor_kernel_eval", "regularized_potential", "riccati_residual",
     "xi_norms", "xi_norm_bound", "elementary_bound_margin", "nu_is_valid", "growth_exponent",
     "quadratic_form_residual", "zero_zeta", "kink_bias_estimate", "compute_xi", "RobinBC",
+    "green_eval", "factorization_forms",
 }
 
 
@@ -164,7 +165,7 @@ def test_test_only_code_and_options_left_the_package():
     assert not hasattr(phi_models.DecayInfo, "triple")
     for mod, gone in ((scattering, "_tail_window"), (spectral, "_extrapolate_to_zero"),
                       (errors, "NonPositiveFError"), (errors, "InsufficientDataError"),
-                      (errors, "MissingNuError")):
+                      (errors, "MissingNuError"), (green_kernel, "_pair_arrays")):
         assert not hasattr(mod, gone)
     # the sweep runs on the grid its caller builds
     sweep = inspect.signature(scattering.example_scatt_sweep).parameters

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 import dense_oracle
 from paper_identities import (
     elementary_bound_margin,
+    factorization_forms,
     nu_is_valid,
     xi_norm_bound,
     xi_norms,
@@ -16,7 +17,6 @@ from subspec.discretization import ORDER, build_quadrature
 from subspec.errors import IndefiniteDifferenceError, InvalidParameterError
 from subspec.phi_models import Zeta, inv_power_zeta, make_phi
 from subspec.scattering import example_scatt_sweep, trace_norm_difference
-from subspec.spectral import factorization_forms
 
 
 def test_xi_norms_zero_zeta():
