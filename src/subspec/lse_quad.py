@@ -36,8 +36,27 @@ share), where share is the panel's width fraction of its interval's running
 total (accepted values plus every pending split).  Summed over an interval
 these differences are at most 2 * RTOL times its integral, and no samples
 are spent on panels whose mass cannot change it.  RTOL is the package's one
-quadrature tolerance.  A panel accepted only because it reached the depth
-limit is unresolved; segment_log_integrals reports which segments hold one.
+quadrature tolerance.
+
+A panel is also accepted at its own rounding floor (in the spirit of
+QUADPACK's roundoff detection, Piessens et al. 1983): when |expm1(whole -
+split)| <= eps * |s| * |d log f / ds|, with s the panel's far end and the
+slope the larger secant of log f across the first and last nodes of its two
+halves.  Rounding s to a double moves log f by that much, so the samples
+already carry that relative error and no bisection resolves below it.  Such
+a panel is off by about twice its floor, so an interval is off by at most
+2 * RTOL plus twice the largest floor it accepted at, relative to its
+integral.  The floor costs no samples.  Where eps * |s (log f)'| <= RTOL,
+as for the smooth families on their working windows, it accepts no panel
+the relative test rejects, and the result is the same to the last bit.  On
+oscillating, phi^-2 = exp(2x + 2 sin e^x) has a floor of up to 2 x e^x eps,
+which passes RTOL near x = 6; the rounding noise of its samples stalled
+bisection from x ~ 7.8.  From there until bisection truly stops resolving
+sin e^x (x ~ 12.5), panels are accepted at the floor instead of being
+bisected to the depth limit.
+
+A panel accepted only because it reached the depth limit is unresolved;
+segment_log_integrals reports which segments hold one.
 A NaN sample of the log integrand raises InvalidParameterError.
 """
 
@@ -66,16 +85,20 @@ def gauss_legendre(order: int):
 
 
 def _batch_panel_logs(log_f, a, b):
-    """log of the one-panel Gauss-Legendre integral over each [a_i, b_i],
-    evaluated CHUNK panels at a time.
+    """(log of the one-panel Gauss-Legendre integral over each [a_i, b_i],
+    its rounding floor), evaluated CHUNK panels at a time.
 
     Each row of samples is shifted by its finite maximum before the weighted
     sum, so rows of -inf give -inf and rows with a +inf sample give +inf.
-    The array log_f returns is only read.
+    The floor is eps * max(|a_i|, |b_i|) times the secant of log_f across
+    the first and last node: the change in log_f that rounding a node
+    causes (0 where either sample is not finite).  The array log_f returns
+    is only read.
     """
     if a.size > CHUNK:
-        return np.concatenate([_batch_panel_logs(log_f, a[i:i + CHUNK], b[i:i + CHUNK])
-                               for i in range(0, a.size, CHUNK)])
+        parts = [_batch_panel_logs(log_f, a[i:i + CHUNK], b[i:i + CHUNK])
+                 for i in range(0, a.size, CHUNK)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
     x, w = gauss_legendre(ORDER)
     half = 0.5 * (b - a)
     pts = half[:, None] * x[None, :]
@@ -89,10 +112,13 @@ def _batch_panel_logs(log_f, a, b):
             f"log integrand is not finite (NaN) at s = {pts[np.isnan(vals)][0]:.6g}")
     peak[~np.isfinite(peak)] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
+        floor = (np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
+                 * np.abs(vals[:, -1] - vals[:, 0]) / (pts[:, -1] - pts[:, 0]))
+        floor[~np.isfinite(floor)] = 0.0
         shifted = vals - peak[:, None]
         np.exp(shifted, out=shifted)
         total = np.einsum("ij,j->i", shifted, w)
-        return np.log(total) + peak + np.log(half)
+        return np.log(total) + peak + np.log(half), floor
 
 
 def _interval_totals(out, split, owner):
@@ -143,18 +169,20 @@ def _log_integrals(log_f, a, b):
     out = np.full(a.size, -np.inf)
     depth_limited = np.zeros(a.size, dtype=bool)
 
-    stack = _by_interval(0, lo, hi, owner, _batch_panel_logs(log_f, lo, hi))
+    stack = _by_interval(0, lo, hi, owner, _batch_panel_logs(log_f, lo, hi)[0])
     while stack:
         depth, lo, hi, owner, whole = stack.pop()
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])  # left, right halves
-        halves = _batch_panel_logs(log_f, lo, hi)
+        halves, floors = _batch_panel_logs(log_f, lo, hi)
         left, right = np.split(halves, 2)
         split = np.logaddexp(left, right)
         share = (_interval_totals(out, split, owner) - log_n - depth * np.log(2.0))[owner]
         with np.errstate(invalid="ignore"):
-            gap = np.exp(split - np.maximum(split, share)) * np.abs(np.expm1(whole - split))
-        accept = (gap <= RTOL) | ((whole == -np.inf) & (split == -np.inf))
+            diff = np.abs(np.expm1(whole - split))
+            gap = np.exp(split - np.maximum(split, share)) * diff
+        accept = ((gap <= RTOL) | (diff <= np.maximum(*np.split(floors, 2)))
+                  | ((whole == -np.inf) & (split == -np.inf)))
         at_limit = limit[owner] == depth
         depth_limited[owner[at_limit & ~accept]] = True
         accept |= at_limit

@@ -12,8 +12,7 @@ any other x comes from a cache whose grid contains x.
 Writing I(x) = int_0^x phi(s)^-2 ds, the identities used below are
 
     log psi                = log phi + log I
-    D(x)                   = G(x,x) = phi(x) psi(x)
-    psi' phi - phi' psi    = D(x) (log I)'(x)
+    psi' phi - phi' psi    = phi^2 I' = 1
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError, NegativeArgumentError
-from .lse_quad import segment_log_integrals
+from .lse_quad import log_integral_exp, segment_log_integrals
 from .phi_models import PhiModel
 
 WRONSKIAN_H = 1e-5  # central-difference step of wronskian_residual
@@ -63,16 +62,18 @@ class SubordinateCache:
 def wronskian_residual(model: PhiModel, nodes) -> float:
     """max over nodes of |psi' phi - phi' psi - 1|.
 
-    Differentiates the computed log I (an honest check of the quadrature)
-    with step h = WRONSKIAN_H; the three values I(x-h), I(x), I(x+h) share
-    one prefix integral, so quadrature noise cancels in the difference.
+    psi' phi - phi' psi = phi^2 I', and I' is the central difference
+    (I(x+h) - I(x-h)) / 2h with h = WRONSKIAN_H, an O(h^2) truncation.  The
+    increment is the sum of the segment integrals over [x-h, x] and
+    [x, x+h], as a cache on those nodes holds them: a difference of the
+    rounded log I(x+-h) falls below the rounding of log I where phi^-2 spans
+    many orders of magnitude.
     """
     h = WRONSKIAN_H
-    worst = 0.0
-    for x in np.atleast_1d(np.asarray(nodes, dtype=float)):
-        if x <= h:
-            raise NegativeArgumentError(f"nodes must satisfy x > {h:g}")
-        lo, mid, hi = SubordinateCache(model, [x - h, x, x + h]).log_I_nodes
-        D = np.exp(2.0 * float(model.log_phi(np.asarray(x))) + mid)
-        worst = max(worst, float(abs(D * (hi - lo) / (2.0 * h) - 1.0)))
-    return worst
+    x = np.atleast_1d(np.asarray(nodes, dtype=float))
+    if np.any(x <= h):
+        raise NegativeArgumentError(f"nodes must satisfy x > {h:g}")
+    segments = log_integral_exp(lambda s: -2.0 * model.log_phi(s),
+                                np.stack([x - h, x], axis=1), np.stack([x, x + h], axis=1))
+    log_w = 2.0 * model.log_phi(x) + np.logaddexp(segments[:, 0], segments[:, 1]) - np.log(2.0 * h)
+    return float(np.max(np.abs(np.expm1(log_w))))

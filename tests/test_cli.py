@@ -328,6 +328,17 @@ def test_validate_task_fails_a_false_decay_sandwich(tmp_path, body, failed):
     assert "VALIDATION FAILED" in report
 
 
+def test_validate_wronskian_holds_where_phi_spans_many_orders(tmp_path):
+    # phi swings by e^40 along sin(e^x): log I(x + h) - log I(x - h) lies
+    # below the rounding of log I, so a difference of prefix logs read 1;
+    # the two segment integrals around x give the increment itself
+    cfgfile = _write(tmp_path, "swing.cfg", CUSTOM_VALIDATE
+                     + "phi.log_expr = -x - 20*sin(exp(x))\nresolution.X = 3\n")
+    run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")])
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert any(line.startswith("[PASS] wronskian residual <= 0.001") for line in report), report
+
+
 def _validate_report(tmp_path, name, body):
     cfgfile = _write(tmp_path, f"{name}.cfg", "task = validate\nphi.kind = custom-log-profile\n"
                      + body + "resolution.X = 4\n")
@@ -543,7 +554,9 @@ UNRESOLVED = re.compile(r"psi quadrature unresolved in (\d+) of (\d+) segments "
 
 def test_spectrum_notes_unresolved_quadrature(tmp_path):
     # sin(e^x) is evaluated with an absolute error of about e^x * x * eps,
-    # which passes RTOL near x = 8: from there panels stop at the depth limit
+    # which passes RTOL near x = 8: from there panels are accepted at that
+    # rounding floor, until near x = 12.5 bisection truly stops resolving
+    # sin(e^x) and panels stop at the depth limit
     cfgfile = _write(tmp_path, "run.cfg", """
 task = spectrum
 phi.kind = oscillating
@@ -555,7 +568,7 @@ resolution.panels = 60
     assert len(found) == 1
     count, segments, first = found[0]
     assert 0 < int(count) < int(segments) == 600
-    assert 7.5 <= float(first) <= 12.0
+    assert 12.0 <= float(first) <= 13.0
 
 
 @pytest.mark.parametrize("task", ["spectrum", "validate"])
@@ -571,17 +584,17 @@ resolution.panels = 40
     assert "unresolved" not in (tmp_path / "o" / "report.txt").read_text()
 
 
-# X = 12 with 48 panels: the oscillating cache stops resolving from x ~ 8 on;
+# X = 14 with 56 panels: the oscillating cache stops resolving from x ~ 12 on;
 # the note names the cache when a task builds two (compare: two profiles,
 # spectrum: the fine grid and the half-panel grid of its converged column)
 NOTE_CONFIGS = {
     "compare": ("phi.kind = exp-decay\ncompare.phi2.kind = {kind}\ncompare.c = 3\n",
-                r"psi quadrature of oscillating unresolved in (\d+) of 480 segments", 480),
+                r"psi quadrature of oscillating unresolved in (\d+) of 560 segments", 560),
     "robin": ("phi.kind = {kind}\nrobin.gamma = -0.5\n",
-              r"psi quadrature unresolved in (\d+) of 480 segments", 480),
+              r"psi quadrature unresolved in (\d+) of 560 segments", 560),
     "spectrum": ("phi.kind = {kind}\n",
-                 r"psi quadrature on the half-panel grid unresolved in (\d+) of 240 segments",
-                 240),
+                 r"psi quadrature on the half-panel grid unresolved in (\d+) of 280 segments",
+                 280),
 }
 
 
@@ -590,7 +603,7 @@ NOTE_CONFIGS = {
 def test_each_psi_cache_notes_unresolved_quadrature(tmp_path, task, kind, noted):
     body, pattern, segments = NOTE_CONFIGS[task]
     cfgfile = _write(tmp_path, "run.cfg", f"task = {task}\n" + body.format(kind=kind)
-                     + "resolution.X = 12\nresolution.panels = 48\n")
+                     + "resolution.X = 14\nresolution.panels = 56\n")
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) in (0, 2)
     report = (tmp_path / "o" / "report.txt").read_text()
     if noted:

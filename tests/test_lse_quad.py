@@ -1,6 +1,7 @@
 """The one integration engine (lse_quad) and the psi cache built on it."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,8 +87,10 @@ def test_panel_reduction_matches_logsumexp():
     b = a + rng.uniform(0.01, 2.0, 64)
     b[[5, 8, 12]] = a[[5, 8, 12]]  # zero-width panels, one with a +inf sample
     given = vals.copy()
-    got = _batch_panel_logs(lambda s: vals.ravel(), a, b)
+    got, floor = _batch_panel_logs(lambda s: vals.ravel(), a, b)
     assert np.array_equal(vals, given)  # the integrand's array is only read
+    # no rounding floor where an end sample is not finite or the panel is empty
+    assert np.all(floor[[3, 5, 6, 8, 12]] == 0.0) and np.all(np.isfinite(floor))
     w = gauss_legendre(ORDER)[1]
     ref = logsumexp(vals, axis=1, b=w[None, :] * (0.5 * (b - a))[:, None])
     assert got[3] == got[8] == got[12] == -np.inf and got[7] == np.inf
@@ -166,11 +169,12 @@ def test_cache_on_a_wide_power_grid_is_exact():
     assert np.max(np.abs(np.expm1(cache.log_I_nodes - exact))) <= 1e-12
 
 
-@pytest.mark.parametrize("kind, params, X, panels", [("oscillating", {}, 12.0, 48),
+@pytest.mark.parametrize("kind, params, X, panels", [("oscillating", {}, 13.0, 52),
                                                      ("stretched-exp", {"c": 2.0}, 20.0, 10)])
 def test_result_does_not_depend_on_the_budget(monkeypatch, kind, params, X, panels):
-    # 480 and 100 segments already exceed 64 panels, so the stack splits
-    # from the first depth on; on oscillating 158 segments bisect to the limit
+    # 520 and 100 segments already exceed 64 panels, so the stack splits
+    # from the first depth on; on oscillating 8 segments, from x = 12.57,
+    # bisect to the limit
     model = make_phi(kind, **params)
     edges = np.concatenate(([0.0], build_quadrature(X, panels, 10).nodes))
     log_f = lambda s: -2.0 * model.log_phi(s)
@@ -180,6 +184,72 @@ def test_result_does_not_depend_on_the_budget(monkeypatch, kind, params, X, pane
     assert np.array_equal(split_logs, logs)
     assert np.array_equal(split_limited, limited)
     assert limited.any() == (kind == "oscillating")
+
+
+@pytest.fixture(scope="module")
+def fine_oscillating(phi4):
+    """(cache, integrand samples) of oscillating on X = 15 with 60 panels."""
+    samples = []
+
+    def log_phi(x):
+        samples.append(np.size(x))
+        return phi4.log_phi(x)
+
+    cache = SubordinateCache(replace(phi4, log_phi=log_phi), build_quadrature(15.0, 60, 10).nodes)
+    return cache, sum(samples)
+
+
+def test_oscillating_cache_work_count(fine_oscillating):
+    # panels within the rounding floor of sin(e^x) are not bisected: 33.19M
+    # samples and 278 depth-limited segments (from x = 7.93) before the
+    # floor; now only truly unresolved ones, from x ~ 12.5, reach the limit
+    cache, samples = fine_oscillating
+    assert samples <= 22_000_000
+    assert 50 <= cache.unresolved_segments <= 100
+
+
+def _log_t_reference(x0, x1, points=20):
+    """log int_x0^x1 exp(2x + 2 sin e^x) dx = log int t e^{2 sin t} dt over
+    [e^x0, e^x1], by composite Gauss-Legendre on quarter periods of t."""
+    t0, t1 = np.exp(x0), np.exp(x1)
+    q = 0.5 * np.pi
+    cuts = np.concatenate(([t0], q * np.arange(np.floor(t0 / q) + 1, np.ceil(t1 / q)), [t1]))
+    z, w = np.polynomial.legendre.leggauss(points)
+    half, mid = 0.5 * np.diff(cuts), 0.5 * (cuts[1:] + cuts[:-1])
+    t = mid[:, None] + half[:, None] * z
+    return np.log(np.sum(half[:, None] * w * t * np.exp(2.0 * np.sin(t))))
+
+
+def test_floor_accepted_segments_match_the_t_route(fine_oscillating):
+    # from x ~ 7.8 the panels of these 186 segments are accepted at the
+    # rounding floor of sin(e^x), and none at the depth limit
+    cache, _ = fine_oscillating
+    edges = np.concatenate(([0.0], cache.grid))
+    seg = np.nonzero((edges[:-1] >= 7.8) & (edges[1:] <= 12.5))[0]
+    assert seg.size > 150 and cache.first_unresolved_x > 12.5
+    ref = np.array([_log_t_reference(edges[i], edges[i + 1]) for i in seg])
+    assert np.max(np.abs(np.expm1(cache.panel_logsums[seg] - ref))) <= 1e-10
+
+
+# log I at nodes 0, 24, 49, 74 and 99 of stretched-exp(2) on X = 20 with 10
+# panels, before the floor test existed (x86-64 with AVX-512, numpy 2.4.6)
+STRETCHED_LOG_I_HEX = ["-0x1.97cc73a7ea332p+0", "0x1.054dad01f4ef7p+6", "0x1.da25a4906d227p+7",
+                       "0x1.f25e2a3da7459p+8", "0x1.b5b0b469bbd57p+9"]
+
+
+def test_floor_leaves_a_smooth_cache_bit_identical(monkeypatch, phi3):
+    # eps |s (log f)'| <= 3.7e-13 < RTOL on [0, 20], so the floor accepts no
+    # panel the relative test rejects: a zero floor gives the same bits (a
+    # floor ten times larger would not, on these 0.2-wide segments)
+    nodes = build_quadrature(20.0, 10, 10).nodes
+    got = SubordinateCache(phi3, nodes).log_I_nodes
+    monkeypatch.setattr(lse_quad, "_batch_panel_logs",
+                        lambda log_f, a, b: (_batch_panel_logs(log_f, a, b)[0], np.zeros(a.size)))
+    assert np.array_equal(SubordinateCache(phi3, nodes).log_I_nodes, got)
+    # the recorded values agree to the bit where they were recorded; other
+    # exp and log kernels may round their last bits differently
+    recorded = np.array([float.fromhex(v) for v in STRETCHED_LOG_I_HEX])
+    assert np.all(np.abs(got[[0, 24, 49, 74, 99]] - recorded) <= 4 * np.spacing(np.abs(recorded)))
 
 
 # window per built-in family inside which adaptive panels resolve phi^-2

@@ -5,11 +5,11 @@ millions of panels.
 Both tasks run in O(N) memory: a single dense N x N matrix of doubles would
 be 122 MiB at N = 4000, so a peak below 32 MiB shows that none is formed.
 The cache refines at most a fixed budget of pending panels at a time, so its
-peak does not grow with the number of segments that bisect to the depth
-limit.
+peak does not grow with the number of panels it bisects.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 from subspec.cli import parse_config, run
 from subspec.discretization import ORDER, assemble_jacobi, build_quadrature
@@ -56,8 +56,14 @@ def test_full_robin_spectrum_peak_memory(phi3):
 
 
 def test_oscillating_cache_peak_memory(phi4):
-    # 1107 of its 2400 segments bisect to the depth limit
+    # 45.7M samples, 87 of its 2400 segments bisected to the depth limit
+    samples = []
+
+    def log_phi(x):
+        samples.append(x.size)
+        return phi4.log_phi(x)
+
     nodes = build_quadrature(15.0, 240, ORDER).nodes
-    cache, peak = _peak_bytes(lambda: SubordinateCache(phi4, nodes))
-    assert cache.unresolved_segments > 1000
+    cache, peak = _peak_bytes(lambda: SubordinateCache(replace(phi4, log_phi=log_phi), nodes))
+    assert sum(samples) > 40_000_000 and cache.unresolved_segments > 50
     assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"
