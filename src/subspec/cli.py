@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, InvalidParameterError, SubspecError
+from .errors import ConfigError, InvalidParameterError, NoDecayDetectedError, SubspecError
 
 _TASKS = ("spectrum", "compare", "robin", "scatter", "validate", "oracle")
 
@@ -223,28 +223,29 @@ def build_phi(cfg: RunConfig, prefix: str = "phi"):
                     label=cfg.get(key("label"), f"custom[{cfg.get(key('log_expr'))}]"))
 
 
-# Upper bound on N = panels * order of the grid tasks.  The spectra cost only
-# O(N) memory; the bound exists because equal panels on the auto window of a
-# sub-exponential profile would reach N ~ 4e7 (power(c=1)).
-_MAX_N = 4000
-
-
 def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     """(X, panels, order) shared by the grid-based tasks.
 
-    X defaults to the largest auto truncation of `models` at resolution.eps,
-    cut to `cap` when given; panels default to
-    discretization.default_panels(X) (at least that many on a capped
-    window); N = panels * order is then clamped to _MAX_N.
+    X defaults to the largest auto truncation of `models` at resolution.eps
+    (AUTO_X_END, with a note, for a profile that has none), cut to `cap`
+    when given; panels default to discretization.default_panels(X) (at
+    least that many on a capped window).
     """
-    from .discretization import ORDER, auto_truncation, default_panels
+    from .discretization import AUTO_X_END, ORDER, auto_truncation, default_panels
     X = cfg.get_float("resolution.X")
     panels = cfg.get_int("resolution.panels")
     eps = cfg.get_float("resolution.eps", 1e-6)
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"config key 'resolution.eps' must lie in (0, 1), got {eps:g}")
     if X is None:
-        X = max(auto_truncation(m, eps) for m in models)
+        X = 0.0
+        for m in models:
+            try:
+                X = max(X, auto_truncation(m, eps))
+            except NoDecayDetectedError:
+                X = AUTO_X_END
+                notes.append(f"{m.label}: phi has not fallen below resolution.eps = {eps:g} "
+                             f"by x = {AUTO_X_END:g}")
         notes.append(f"auto truncation X = {X:.6g}")
         if cap is not None and X > cap:
             X = cap
@@ -253,10 +254,6 @@ def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     order = cfg.get_int("resolution.order", ORDER)
     if panels is None:
         panels = default_panels(X)
-    if panels * order > _MAX_N:
-        panels = _MAX_N // order
-        notes.append(f"resolution clamped to N = {panels * order} "
-                     "(equal-panel resolution bound); treat spectra as unconverged")
     return X, panels, order
 
 
@@ -408,7 +405,7 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
 
 
 # a custom log phi that calls sin or cos gets the oscillating profile's
-# validation window, panel density and Wronskian tolerance
+# validation window and panel density
 _OSCILLATING_CALL = re.compile(r"\b(sin|cos)\s*\(")
 
 
@@ -440,7 +437,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
         checks.append(("kernel bound audit", audit >= -1e-12, audit))
 
     nodes = np.linspace(max(0.25, X / 40.0), min(X, 5.0), 12)
-    tol_w = 1e-3 if oscillatory or model.dlog_phi is None else 1e-6
+    tol_w = 1e-3 if model.dlog_phi is None else 1e-6
     wr = wronskian_residual(model, nodes)
     checks.append((f"wronskian residual <= {tol_w:g}", wr <= tol_w, wr))
 
@@ -497,7 +494,7 @@ def run(config: RunConfig) -> int:
     """Execute one task pipeline; returns the process exit status.
 
     report.txt holds the task line, the runner's lines and then the notes
-    collected along the way (auto truncation, clamps, measured bounds).
+    collected along the way (auto truncation, window cap, measured bounds).
     """
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)

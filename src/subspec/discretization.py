@@ -12,23 +12,18 @@ from the cache, and no N x N array is ever formed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._lapack import gtsv
-from .errors import (
-    ComplexGammaError,
-    InvalidParameterError,
-    NoDecayDetectedError,
-    SlowDecayWarning,
-)
+from .errors import ComplexGammaError, InvalidParameterError, NoDecayDetectedError
 from .lse_quad import gauss_legendre
 from .phi_models import PhiModel
 from .subordinate import SubordinateCache
 
 ORDER = 10  # Gauss-Legendre nodes per panel of every Nystrom grid not set by a config
+AUTO_X_END = 200.0  # end of the auto truncation scan, and the window where it finds no X
 
 
 @dataclass(frozen=True)
@@ -63,34 +58,24 @@ def default_panels(X: float) -> int:
 
 
 def auto_truncation(model: PhiModel, eps: float) -> float:
-    """Smallest grid-searched X with phi(X)/max phi <= eps and, when decay
-    metadata exists, tail mass int_X^inf phi^2 <= eps^2 ||phi||^2.
-
-    Sub-exponential profiles that only satisfy the ratio condition far out
-    trigger SlowDecayWarning; if the ratio never drops below eps inside the
-    search window, NoDecayDetectedError is raised.
+    """Smallest X on a grid of step 0.0125 in (0, AUTO_X_END) with phi(X)/max
+    phi <= eps and, when decay metadata exists, tail mass int_X^inf phi^2 <=
+    eps^2 ||phi||^2; NoDecayDetectedError when there is none (power(c=1)).
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParameterError("eps must lie in (0, 1)")
-    lin = np.arange(0.0125, 200.0, 0.0125)
-    geo = np.geomspace(200.0, 1.0e8, 1200)
-    for cands in (lin, geo):
-        lp = model.log_phi(cands)
-        lp0 = float(model.log_phi(np.asarray(0.0)))
-        runmax = np.maximum.accumulate(np.maximum(lp, lp0))
-        ok = (lp - runmax) <= np.log(eps)
-        if model.decay is not None:
-            ok &= model.decay.tail_l2sq(cands) <= (eps * model.l2_norm_phi) ** 2
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            X = float(cands[hits[0]])
-            if X > 1000.0:
-                warnings.warn(
-                    f"{model.label}: truncation at X={X:.4g} (sub-exponential decay)",
-                    SlowDecayWarning, stacklevel=2)
-            return X
-    raise NoDecayDetectedError(
-        f"{model.label} never fell below eps={eps:g} within the search window")
+    cands = np.arange(0.0125, AUTO_X_END, 0.0125)
+    lp = model.log_phi(cands)
+    lp0 = float(model.log_phi(np.asarray(0.0)))
+    runmax = np.maximum.accumulate(np.maximum(lp, lp0))
+    ok = (lp - runmax) <= np.log(eps)
+    if model.decay is not None:
+        ok &= model.decay.tail_l2sq(cands) <= (eps * model.l2_norm_phi) ** 2
+    hits = np.nonzero(ok)[0]
+    if not hits.size:
+        raise NoDecayDetectedError(
+            f"{model.label} never fell below eps={eps:g} by x = {AUTO_X_END:g}")
+    return float(cands[hits[0]])
 
 
 @dataclass(frozen=True)

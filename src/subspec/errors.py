@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class SubspecError(Exception):
@@ -59,7 +59,3 @@ class NotCompactError(SubspecError):
 
 class ConfigError(SubspecError):
     """The CLI configuration file could not be parsed or validated."""
-
-
-class SlowDecayWarning(UserWarning):
-    """Truncation search succeeded only at a very large X (sub-exponential phi)."""

@@ -23,7 +23,7 @@ from .errors import InvalidParameterError, NegativeArgumentError
 from .lse_quad import log_integral_exp, segment_log_integrals
 from .phi_models import PhiModel
 
-WRONSKIAN_H = 1e-5  # central-difference step of wronskian_residual
+WRONSKIAN_H = 1e-5  # central-difference step of wronskian_residual where |(log phi)'| <= 1
 
 
 class SubordinateCache:
@@ -63,16 +63,19 @@ def wronskian_residual(model: PhiModel, nodes) -> float:
     """max over nodes of |psi' phi - phi' psi - 1|.
 
     psi' phi - phi' psi = phi^2 I', and I' is the central difference
-    (I(x+h) - I(x-h)) / 2h with h = WRONSKIAN_H, an O(h^2) truncation.  The
-    increment is the sum of the segment integrals over [x-h, x] and
-    [x, x+h], as a cache on those nodes holds them: a difference of the
-    rounded log I(x+-h) falls below the rounding of log I where phi^-2 spans
-    many orders of magnitude.
+    (I(x+h) - I(x-h)) / 2h, whose O(h^2 (log phi)'^2) truncation sets h =
+    WRONSKIAN_H / max(1, |(log phi)'(x)|) where the model has dlog_phi.  The
+    increment is the sum of the segment integrals over [x-h, x] and [x, x+h],
+    as a cache on those nodes holds them: a difference of the rounded
+    log I(x+-h) falls below the rounding of log I where phi^-2 spans many
+    orders of magnitude.
     """
     h = WRONSKIAN_H
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
     if np.any(x <= h):
         raise NegativeArgumentError(f"nodes must satisfy x > {h:g}")
+    if model.dlog_phi is not None:
+        h = h / np.maximum(1.0, np.abs(model.dlog_phi(x)))
     segments = log_integral_exp(lambda s: -2.0 * model.log_phi(s),
                                 np.stack([x - h, x], axis=1), np.stack([x, x + h], axis=1))
     log_w = 2.0 * model.log_phi(x) + np.logaddexp(segments[:, 0], segments[:, 1]) - np.log(2.0 * h)

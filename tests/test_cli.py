@@ -259,6 +259,27 @@ spectrum.n_keep = 5
     assert "one panel has no coarser grid: no eigenvalue is claimed converged" in report
 
 
+def test_spectrum_without_decay_runs_on_the_end_of_the_scan(tmp_path):
+    # power(c=1) reaches 1e-6 only near x = 1e6; the window is the scan's end,
+    # at default panels, and nothing is written to stderr (warnings are errors)
+    cfgfile = _write(tmp_path, "power.cfg", "task = spectrum\nphi.kind = power\nphi.c = 1\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert "X = 200, panels = 800, order = 10" in report
+    assert "power(c=1): phi has not fallen below resolution.eps = 1e-06 by x = 200" in report
+
+
+def test_spectrum_runs_the_panels_it_is_given(tmp_path):
+    cfgfile = _write(tmp_path, "wide.cfg", "task = spectrum\nphi.kind = stretched-exp\n"
+                     "phi.c = 2\nresolution.X = 8\nresolution.panels = 500\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert "X = 8, panels = 500, order = 10" in report
+    assert not any("clamped" in line for line in report)
+
+
 def test_validate_task_exp_decay(tmp_path):
     cfgfile = _write(tmp_path, "val.cfg", """
 task = validate
@@ -277,17 +298,24 @@ resolution.X = 12
 
 def test_validate_task_power_slow_decay(tmp_path):
     # sub-exponential profile: auto window is capped, identities stay local
-    from subspec.errors import SlowDecayWarning
     cfgfile = _write(tmp_path, "val2.cfg",
                      "task = validate\nphi.kind = power\nphi.c = 1\n")
     out = tmp_path / "out"
-    with pytest.warns(SlowDecayWarning):
-        assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
     report = (out / "report.txt").read_text()
     assert "validation window capped at X = 50" in report
     assert "X = 50, panels = 200, order = 10" in report
-    assert "resolution clamped" not in report  # the cap comes before the N bound
     assert "[FAIL]" not in report
+
+
+def test_validate_oscillating_wronskian_step_follows_phi(tmp_path):
+    # h = 1e-5 / |(log phi)'| keeps the O(h^2) truncation below 1e-6 where
+    # (log phi)' ~ e^x
+    cfgfile = _write(tmp_path, "osc.cfg", "task = validate\nphi.kind = oscillating\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert any(line.startswith("[PASS] wronskian residual <= 1e-06") for line in report), report
 
 
 CUSTOM_VALIDATE = "task = validate\nphi.kind = custom-log-profile\n"
