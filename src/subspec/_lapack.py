@@ -1,11 +1,16 @@
 """The three LAPACK routines the package uses, from scipy's compiled
-scipy.linalg._flapack, loaded without running scipy/linalg/__init__.py.
+scipy.linalg._flapack, loaded without running scipy/__init__.py or
+scipy/linalg/__init__.py.
 
 Importing scipy.linalg costs about 0.25 s, most of it scipy's array-API shim
 (which clones the numpy namespace and so imports numpy.f2py, numpy.testing
-and numpy.ma); scipy and the extension module alone load in about 0.02 s
-(2 vCPU, numpy 2.4.6, scipy 1.17.1; BENCH_16.json).  The module is
-registered under its full name, so a later `import scipy.linalg` reuses it:
+and numpy.ma); scipy/__init__.py alone costs 14-18 ms, its test runner
+pulling in subprocess, sysconfig, signal and selectors.  So scipy's
+directory comes from its import spec, and only the extension module is
+loaded, next to what numpy already loaded (2 vCPU, numpy 2.4.6, scipy
+1.17.1; BENCH_16.json, BENCH_20.json).  Without scipy this raises the
+ModuleNotFoundError that `import scipy` raises.  The module is registered
+under its full name, so a later `import scipy.linalg` reuses it:
 scipy.linalg.lapack.dstebz is the dstebz used here.  stebz and gtsv make the
 finiteness and info checks that scipy's eigvalsh_tridiagonal and
 solve_banded made, raising EigensolveError named after the routine.
@@ -18,7 +23,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from .errors import EigensolveError
 
@@ -28,8 +32,11 @@ _NAME = "scipy.linalg._flapack"
 def _load_flapack():
     if _NAME in sys.modules:
         return sys.modules[_NAME]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
     spec = importlib.machinery.PathFinder.find_spec(
-        _NAME, [os.path.join(p, "linalg") for p in scipy.__path__])
+        _NAME, [os.path.join(p, "linalg") for p in scipy.submodule_search_locations])
     if spec is None:  # not a plain file next to scipy (an editable build, say)
         return importlib.import_module(_NAME)
     module = importlib.util.module_from_spec(spec)

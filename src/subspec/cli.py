@@ -27,8 +27,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, InvalidParameterError, NoDecayDetectedError, SubspecError
 
@@ -69,10 +69,9 @@ _TASK_KEYS = {
 G17 = lambda v: format(float(v), ".17g")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     task: str
-    options: dict = field(default_factory=dict)
+    options: dict
     output_dir: Path = Path("out")
 
     def get(self, key, default=None):
@@ -223,6 +222,15 @@ def build_phi(cfg: RunConfig, prefix: str = "phi"):
                     label=cfg.get(key("label"), f"custom[{cfg.get(key('log_expr'))}]"))
 
 
+def _note_l2(model, notes: list, which: str = "") -> None:
+    """Note, once, that the ||phi|| a task reads came from a quadrature that
+    accepted a panel only at the depth limit; `which` names the profile
+    when a task has two."""
+    note = f"||phi|| quadrature{which} unresolved (accepted at the depth limit)"
+    if model.l2_unresolved and note not in notes:
+        notes.append(note)
+
+
 def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     """(X, panels, order) shared by the grid-based tasks.
 
@@ -240,6 +248,8 @@ def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     if X is None:
         X = 0.0
         for m in models:
+            if m.decay is not None:  # auto_truncation compares the tail with ||phi||
+                _note_l2(m, notes, f" of {m.label}" if len(models) > 1 else "")
             try:
                 X = max(X, auto_truncation(m, eps))
             except NoDecayDetectedError:
@@ -366,6 +376,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     # gamma w_i phi(x_i)^2
     trace_diff = gamma * float(np.sum(quad.weights * np.exp(2.0 * model.log_phi(quad.nodes))))
     sigma = robin_sigma(model, gamma) if model.dlog_phi is not None else float("nan")
+    _note_l2(model, notes)
     return 0, [f"model = {model.label}", f"gamma = {gamma:.6g}",
                f"boundary sigma = {sigma:.6g}",
                f"trace(G_gamma) - trace(G) = {trace_diff:.6g} "
@@ -442,6 +453,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     checks.append((f"wronskian residual <= {tol_w:g}", wr <= tol_w, wr))
 
     ratio = np.exp(T.cache.log_I_nodes)  # psi/phi at the nodes
+    _note_l2(model, notes)
     growth = np.all(quad.nodes**2 <= model.l2_norm_phi**2 * ratio * (1 + 1e-9))
     checks.append(("growth bound x^2 <= ||phi||^2 psi/phi", bool(growth),
                    float(np.max(quad.nodes**2 / (model.l2_norm_phi**2 * ratio)))))
@@ -534,7 +546,7 @@ def run_cli(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:
-        config.output_dir = args.out
+        config = config._replace(output_dir=args.out)
     return run(config)
 
 

@@ -12,7 +12,7 @@ from the cache, and no N x N array is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ ORDER = 10  # Gauss-Legendre nodes per panel of every Nystrom grid not set by a 
 AUTO_X_END = 200.0  # end of the auto truncation scan, and the window where it finds no X
 
 
-@dataclass(frozen=True)
-class Quadrature:
+class Quadrature(NamedTuple):
     """Composite Gauss-Legendre grid with equal panels on [0, X]."""
 
     nodes: np.ndarray
@@ -78,8 +77,7 @@ def auto_truncation(model: PhiModel, eps: float) -> float:
     return float(cands[hits[0]])
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
+class JacobiMatrix(NamedTuple):
     """Symmetric tridiagonal T = (W^1/2 G_gamma W^1/2)^-1 of the Green kernel
     with real Robin parameter gamma (gamma = 0: the Dirichlet kernel G).
 

@@ -77,10 +77,39 @@ CHUNK = 1 << 12  # panels per vectorized integrand call
 BUDGET = 4 * CHUNK  # pending panels above which refinement splits by interval
 
 
+def _legval(x, c):
+    """sum_k c[k] P_k(x) (len(c) >= 2) by Clenshaw's recurrence, as numpy's
+    legval runs it."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(order: int):
-    """Nodes and weights on [-1, 1], cached per order."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    """Nodes and weights on [-1, 1] (order >= 2), cached per order.
+
+    numpy.polynomial.legendre.leggauss's arithmetic, bit for bit, without
+    importing numpy.polynomial: the eigenvalues of the symmetric companion
+    matrix of P_order, one Newton step, symmetrization, weights scaled to
+    sum to 2.
+    """
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    band = np.arange(1, order) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(band, -1) + np.diag(band, 1))
+    c = [0.0] * order + [1.0]  # P_order
+    der = [float(2 * k + 1) if (order - 1 - k) % 2 == 0 else 0.0 for k in range(order)]
+    dy = _legval(x, c)
+    df = _legval(x, der)  # P_order' = sum of (2k + 1) P_k over k = order-1, order-3, ...
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     return x, w
 
 

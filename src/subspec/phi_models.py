@@ -24,8 +24,7 @@ regularity is a user obligation and is not (and cannot be) checked here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,13 +34,12 @@ from .errors import (
     NegativeArgumentError,
     NonPositiveSampleError,
 )
-from .lse_quad import log_integral_exp
+from .lse_quad import segment_log_integrals
 
 _L2_LOG_DROP = 46.0  # integrate phi^2 until log phi fell this far below its max
 
 
-@dataclass(frozen=True)
-class Zeta:
+class Zeta(NamedTuple):
     """Bounded perturbation entering phi = exp(-c x - zeta(x))."""
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -65,8 +63,7 @@ def inv_power_zeta(k: float = 1.0, alpha: float = 1.0) -> Zeta:
     )
 
 
-@dataclass(frozen=True)
-class DecayInfo:
+class DecayInfo(NamedTuple):
     """Sandwich c1 e^{-sigma} <= phi <= c2 e^{-sigma}, sigma' >= rate > 0."""
 
     rate: float
@@ -85,9 +82,10 @@ class DecayInfo:
         return self.c_upper**2 * np.exp(-2.0 * sig) / (2.0 * self.rate)
 
 
-@dataclass(frozen=True)
-class PhiModel:
-    """Realized profile: log phi plus optional derivatives and decay data."""
+class PhiModel(NamedTuple):
+    """Realized profile: log phi plus optional derivatives and decay data.
+    l2_unresolved: the quadrature of ||phi||^2 accepted a panel only at the
+    depth limit."""
 
     kind: str
     label: str
@@ -96,6 +94,7 @@ class PhiModel:
     d2log_phi: Optional[Callable[[np.ndarray], np.ndarray]]
     decay: Optional[DecayInfo]
     l2_norm_phi: float
+    l2_unresolved: bool = False
 
 
 def _as_nonneg(x):
@@ -120,16 +119,23 @@ def _l2_window(log_phi, x0: float = 8.0, cap: float = 2.0e4) -> float:
     return X
 
 
-def _l2_norm_by_quadrature(log_phi, decay: Optional[DecayInfo], label: str) -> float:
-    """||phi|| from a windowed quadrature plus the sandwich tail; an error
-    (no decay, or a log phi that is NaN) names the profile label."""
+def _l2sq_head(log_phi, X: float) -> tuple:
+    """(int_0^X phi^2, whether its quadrature was depth-limited)."""
+    log_head, limited = segment_log_integrals(lambda s: 2.0 * log_phi(s), [0.0, X])
+    return math.exp(log_head[0]), bool(limited[0])
+
+
+def _l2_norm_by_quadrature(log_phi, decay: Optional[DecayInfo], label: str) -> dict:
+    """l2_norm_phi (||phi|| from a windowed quadrature plus the sandwich
+    tail) and l2_unresolved, as PhiModel keywords; an error (no decay, or a
+    log phi that is NaN) names the profile label."""
     try:
         X = _l2_window(log_phi)
-        head = math.exp(log_integral_exp(lambda s: 2.0 * log_phi(s), 0.0, X))
+        head, limited = _l2sq_head(log_phi, X)
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"{label}: {exc}") from None
     tail = decay.tail_l2sq(X) if decay is not None else 0.0
-    return math.sqrt(head + tail)
+    return {"l2_norm_phi": math.sqrt(head + tail), "l2_unresolved": limited}
 
 
 def _exp_decay(c):
@@ -177,7 +183,7 @@ def _stretched_exp(c):
         dlog_phi=lambda x, c=c: -c * (1.0 + _as_nonneg(x)) ** (c - 1.0),
         d2log_phi=lambda x, c=c: -c * (c - 1.0) * (1.0 + _as_nonneg(x)) ** (c - 2.0),
         decay=decay,
-        l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
+        **_l2_norm_by_quadrature(log_phi, decay, label))
 
 
 def _oscillating():
@@ -200,7 +206,7 @@ def _oscillating():
         d2log_phi=lambda x: (np.exp(2.0 * _as_nonneg(x)) * np.sin(np.exp(_as_nonneg(x)))
                              - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x)))),
         decay=decay,
-        l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, "oscillating"))
+        **_l2_norm_by_quadrature(log_phi, decay, "oscillating"))
 
 
 def _scattering_profile(c, zeta: Zeta):
@@ -221,7 +227,7 @@ def _scattering_profile(c, zeta: Zeta):
     label = f"scattering(c={c:g}, zeta={zeta.label})"
     return PhiModel(
         "scattering-profile", label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log,
-        decay=decay, l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
+        decay=decay, **_l2_norm_by_quadrature(log_phi, decay, label))
 
 
 def _tabulated(x, values):
@@ -246,12 +252,12 @@ def _tabulated(x, values):
             out = np.where(beyond, logs[-1] + s * (arr - xs[-1]), out)
         return out
 
-    head = math.exp(log_integral_exp(lambda s: 2.0 * log_phi(s), 0.0, float(xs[-1])))
+    head, limited = _l2sq_head(log_phi, float(xs[-1]))
     tail = float(vals[-1]) ** 2 / (-2.0 * slope_end)
     return PhiModel(
         "tabulated", f"tabulated({xs.size} samples)",
         log_phi=log_phi, dlog_phi=None, d2log_phi=None, decay=None,
-        l2_norm_phi=math.sqrt(head + tail))
+        l2_norm_phi=math.sqrt(head + tail), l2_unresolved=limited)
 
 
 def _custom(log_phi, dlog_phi=None, d2log_phi=None, decay: Optional[DecayInfo] = None,
@@ -262,7 +268,7 @@ def _custom(log_phi, dlog_phi=None, d2log_phi=None, decay: Optional[DecayInfo] =
     return PhiModel(
         "custom-log-profile", label, log_phi=log_phi, dlog_phi=wrap(dlog_phi),
         d2log_phi=wrap(d2log_phi), decay=decay,
-        l2_norm_phi=_l2_norm_by_quadrature(log_phi, decay, label))
+        **_l2_norm_by_quadrature(log_phi, decay, label))
 
 
 _BUILDERS = {

@@ -17,8 +17,7 @@ compiled scipy.linalg._flapack, loaded without the scipy.linalg package
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -119,8 +118,7 @@ def eigen_mu(T: JacobiMatrix, n_keep: Optional[int] = None) -> np.ndarray:
     return mu[:n_keep]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     ratios: np.ndarray
     holds: bool
     worst_n: int  # 1-based index of the most extreme ratio

@@ -612,6 +612,16 @@ resolution.panels = 40
     assert "unresolved" not in (tmp_path / "o" / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("kind, noted", [("oscillating", True),
+                                         ("stretched-exp\nphi.c = 2", False)])
+def test_validate_notes_an_unresolved_phi_norm(tmp_path, kind, noted):
+    # the auto truncation and the growth check both read ||phi||: one note
+    cfgfile = _write(tmp_path, "run.cfg", f"task = validate\nphi.kind = {kind}\n")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert report.count("||phi|| quadrature unresolved") == int(noted)
+
+
 # X = 14 with 56 panels: the oscillating cache stops resolving from x ~ 12 on;
 # the note names the cache when a task builds two (compare: two profiles,
 # spectrum: the fine grid and the half-panel grid of its converged column)
@@ -647,19 +657,28 @@ def _subprocess_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def test_startup_imports_none_of_the_heavy_scipy_and_numpy_modules():
-    # what `subspec run` loads for any task: the CLI and every task module.
-    # The LAPACK routines come without scipy.linalg, whose array-API shim
-    # imports numpy.f2py and numpy.testing
-    code = ("import sys, subspec.cli, subspec.discretization, subspec.green_kernel, "
-            "subspec.oracle_fd, subspec.phi_models, subspec.scattering, subspec.spectral, "
-            "subspec.subordinate; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.linalg', "
-            "'numpy.f2py', 'numpy.testing') if m in sys.modules))")
+def test_startup_imports_none_of_the_heavy_scipy_and_numpy_modules(tmp_path):
+    # what `subspec run` loads beyond numpy for any task: one run, then every
+    # task module.  The LAPACK routines come without scipy.linalg, whose
+    # array-API shim imports numpy.f2py and numpy.testing, and without
+    # scipy/__init__.py, whose test runner imports subprocess; the records
+    # are not dataclasses, and the Gauss rule needs no numpy.polynomial.
+    # Only modules new after `import numpy` count, whatever numpy loads itself
+    cfgfile = _write(tmp_path, "run.cfg", "task = spectrum\nphi.kind = exp-decay\n"
+                     "resolution.X = 6\nresolution.panels = 12\nspectrum.n_keep = 3\n")
+    code = ("import sys, numpy; loaded = set(sys.modules); "
+            "from subspec.cli import run_cli; "
+            f"status = run_cli(['run', {str(cfgfile)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+            "import subspec.discretization, subspec.green_kernel, subspec.oracle_fd, "
+            "subspec.phi_models, subspec.scattering, subspec.spectral, subspec.subordinate; "
+            "new = set(sys.modules) - loaded; "
+            "print(status, sorted(m for m in ('scipy', 'scipy._lib._testutils', 'scipy.interpolate', "
+            "'scipy.optimize', 'scipy.linalg', 'dataclasses', 'numpy.polynomial', 'numpy.f2py', "
+            "'numpy.testing') if m in new))")
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_validate_run_leaves_numpy_random_unloaded(tmp_path):

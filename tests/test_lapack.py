@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
 
 import subspec
@@ -37,13 +38,15 @@ def _python(code):
 
 def test_a_later_scipy_linalg_import_reuses_the_loaded_module():
     # a fresh interpreter, so the module is loaded by the finder, not taken
-    # from an earlier import of scipy.linalg
+    # from an earlier import of scipy.linalg; scipy/__init__.py first runs
+    # with that later import
     assert _python(
         "import sys, subspec._lapack as L; "
-        "assert 'scipy.linalg' not in sys.modules; "
-        "import scipy.linalg.lapack as lp; "
+        "assert 'scipy' not in sys.modules and 'scipy.linalg' not in sys.modules; "
+        "import scipy, scipy.linalg.lapack as lp; "
         "print(lp.dstebz is L._flapack.dstebz, lp.dpteqr is L.dpteqr, "
-        "lp.dgtsv is L._flapack.dgtsv)") == "True True True"
+        "lp.dgtsv is L._flapack.dgtsv, scipy.__version__)"
+    ) == f"True True True {scipy.__version__}"
     # in this process scipy.linalg came first (the test oracles import it)
     import scipy.linalg.lapack as lp
     assert lp.dstebz is _lapack._flapack.dstebz and lp.dpteqr is _lapack.dpteqr
@@ -68,6 +71,21 @@ import numpy as np, subspec._lapack as L
 print(missed, "scipy.linalg" in sys.modules, L._flapack is sys.modules["scipy.linalg._flapack"],
       np.allclose(L.stebz(np.array([2.0, 2.0]), np.array([-1.0]), 0, 1, 0.0), [1.0, 3.0]))
 """) == "['scipy.linalg._flapack'] True True True"
+
+
+def test_without_scipy_the_loader_raises_what_import_scipy_raises():
+    assert _python("""
+import importlib.machinery as m
+find = m.PathFinder.find_spec
+m.PathFinder.find_spec = lambda name, *args: None if name == "scipy" else find(name, *args)
+errors = []
+for name in ("subspec._lapack", "scipy"):
+    try:
+        __import__(name)
+    except ModuleNotFoundError as exc:
+        errors.append((str(exc), exc.name))
+print(errors[0] == errors[1], errors[0])
+""") == "True (\"No module named 'scipy'\", 'scipy')"
 
 
 @pytest.fixture(scope="module", params=[0.0, -0.5], ids=["dirichlet", "robin"])

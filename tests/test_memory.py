@@ -9,7 +9,6 @@ peak does not grow with the number of panels it bisects.
 """
 
 import tracemalloc
-from dataclasses import replace
 
 from subspec.cli import parse_config, run
 from subspec.discretization import ORDER, assemble_jacobi, build_quadrature
@@ -39,7 +38,7 @@ def test_scatter_sweep_peak_memory():
 def test_validate_peak_memory(tmp_path):
     cfg = parse_config("task = validate\nphi.kind = stretched-exp\nphi.c = 2\n"
                        "resolution.X = 3\nresolution.panels = 400\n")
-    cfg.output_dir = tmp_path
+    cfg = cfg._replace(output_dir=tmp_path)
     status, peak = _peak_bytes(lambda: run(cfg))
     assert status == 0
     assert "all checks passed" in (tmp_path / "report.txt").read_text()
@@ -64,6 +63,6 @@ def test_oscillating_cache_peak_memory(phi4):
         return phi4.log_phi(x)
 
     nodes = build_quadrature(15.0, 240, ORDER).nodes
-    cache, peak = _peak_bytes(lambda: SubordinateCache(replace(phi4, log_phi=log_phi), nodes))
+    cache, peak = _peak_bytes(lambda: SubordinateCache(phi4._replace(log_phi=log_phi), nodes))
     assert sum(samples) > 40_000_000 and cache.unresolved_segments > 50
     assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"

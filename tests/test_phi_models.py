@@ -11,7 +11,7 @@ from subspec.errors import (
     NegativeArgumentError,
     NonPositiveSampleError,
 )
-from subspec.lse_quad import log_integral_exp
+from subspec.lse_quad import segment_log_integrals
 from subspec.phi_models import (
     DecayInfo,
     inv_power_zeta,
@@ -66,6 +66,7 @@ def test_l2_norm_closed_forms(phi1, phi2, phi3):
     # int exp(-2(1+x)^2) = sqrt(pi/8) erfc(sqrt 2)
     closed = math.sqrt(math.sqrt(math.pi / 8.0) * math.erfc(math.sqrt(2.0)))
     assert phi3.l2_norm_phi == pytest.approx(closed, rel=1e-10)
+    assert not (phi1.l2_unresolved or phi2.l2_unresolved or phi3.l2_unresolved)
 
 
 def test_l2_norm_oscillating_against_substitution(phi4):
@@ -73,6 +74,8 @@ def test_l2_norm_oscillating_against_substitution(phi4):
     val, _ = quad(lambda t: t ** (-3) * math.exp(-2.0 * math.sin(t)), 1.0, np.inf,
                   limit=2000)
     assert phi4.l2_norm_phi == pytest.approx(math.sqrt(val), rel=1e-7)
+    # its window [0, 52.43] accepts a panel at the depth limit
+    assert phi4.l2_unresolved
 
 
 def _oscillating_l2sq_in_t():
@@ -96,10 +99,10 @@ def test_l2_norm_oscillating_budget_and_oracle(monkeypatch):
 
     samples = []
 
-    def counted(log_f, a, b):
-        return log_integral_exp(lambda s: samples.append(np.size(s)) or log_f(s), a, b)
+    def counted(log_f, edges):
+        return segment_log_integrals(lambda s: samples.append(np.size(s)) or log_f(s), edges)
 
-    monkeypatch.setattr(phi_models, "log_integral_exp", counted)
+    monkeypatch.setattr(phi_models, "segment_log_integrals", counted)
     norm = make_phi("oscillating").l2_norm_phi
     assert 0 < sum(samples) <= 1_500_000
     assert norm ** 2 == pytest.approx(_oscillating_l2sq_in_t(), rel=1e-12)
@@ -113,6 +116,7 @@ def test_tabulated_model_from_phi1_samples(phi1):
     # extrapolation continues the last slope
     assert m.log_phi(12.0) == pytest.approx(-12.0, abs=1e-9)
     assert m.l2_norm_phi == pytest.approx(phi1.l2_norm_phi, rel=1e-8)
+    assert not m.l2_unresolved
 
 
 def test_tabulated_validation():
@@ -157,6 +161,7 @@ def test_scattering_profile_kind():
     assert m.decay.rate == 1.0
     assert m.decay.c_upper == pytest.approx(math.e)
     assert verify_decay_hypothesis(m, np.linspace(0.0, 30.0, 301)) >= -1e-12
+    assert not m.l2_unresolved
 
 
 def test_make_phi_names_the_profile_whose_log_is_nan():
