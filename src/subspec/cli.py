@@ -231,6 +231,18 @@ def _note_l2(model, notes: list, which: str = "") -> None:
         notes.append(note)
 
 
+_VERDICTS = {True: "yes", False: "no", None: "undecided"}
+
+
+def _discrete_line(*models) -> str:
+    """The report line with the discreteness verdict (PhiModel.discrete) of
+    each profile, naming the profiles when a task has two."""
+    if len(models) == 1:
+        return f"discrete spectrum = {_VERDICTS[models[0].discrete]}"
+    return "discrete spectrum = " + ", ".join(f"{_VERDICTS[m.discrete]} for {m.label}"
+                                               for m in models)
+
+
 def _resolution(cfg: RunConfig, models, notes: list, cap=None):
     """(X, panels, order) shared by the grid-based tasks.
 
@@ -312,7 +324,11 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     n_keep = cfg.get_int("spectrum.n_keep", 25)
     fine = build_quadrature(X, panels, order)
     mu = eigen_mu(_jacobi(cfg, "phi", model, fine, notes), n_keep)
-    if panels > 1:  # converged: unmoved on the grid with half the panels
+    verdict = _discrete_line(model)
+    if model.discrete is False:  # no row is an eigenvalue of H: no half-panel grid
+        converged = np.zeros(mu.size, dtype=bool)
+        verdict += f": the rows are eigenvalues of the window [0, {X:.6g}], none converged"
+    elif panels > 1:  # converged: unmoved on the grid with half the panels
         coarse = _jacobi(cfg, "phi", model, build_quadrature(X, panels // 2, order), notes,
                          which=" on the half-panel grid")
         converged = converged_mask(mu, eigen_mu(coarse, n_keep))
@@ -320,7 +336,7 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
         converged = np.zeros(mu.size, dtype=bool)
         notes.append("one panel has no coarser grid: no eigenvalue is claimed converged")
     write_spectrum_csv(mu, converged, outdir / "spectrum.csv")
-    return 0, [f"model = {model.label}",
+    return 0, [f"model = {model.label}", verdict,
                f"X = {X:.6g}, panels = {panels}, order = {order}",
                f"norm estimate = {mu[0]:.6g}",
                f"converged top eigenvalues = {int(converged.sum())} / {mu.size}"]
@@ -352,6 +368,7 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
                 for n, (m1, m2, r) in enumerate(zip(mu1, mu2, report.ratios), 1)))
     return (0 if report.holds else 2), [
         f"model1 = {model1.label}", f"model2 = {model2.label}",
+        _discrete_line(model1, model2),
         f"c = {c:.6g}, band = [{lo:.6g}, {hi:.6g}]",
         f"measured ratio band = [{report.measured_band[0]:.6g}, "
         f"{report.measured_band[1]:.6g}]",
@@ -377,11 +394,12 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     trace_diff = gamma * float(np.sum(quad.weights * np.exp(2.0 * model.log_phi(quad.nodes))))
     sigma = robin_sigma(model, gamma) if model.dlog_phi is not None else float("nan")
     _note_l2(model, notes)
-    return 0, [f"model = {model.label}", f"gamma = {gamma:.6g}",
+    return 0, [f"model = {model.label}", _discrete_line(model), f"gamma = {gamma:.6g}",
                f"boundary sigma = {sigma:.6g}",
                f"trace(G_gamma) - trace(G) = {trace_diff:.6g} "
                f"(gamma ||phi||^2 = {gamma * model.l2_norm_phi**2:.6g})",
-               f"most negative mu = {float(mu[-1]):.6g}"]
+               f"most negative mu = {float(mu[-1]):.6g}" if mu[-1] < 0.0
+               else "no negative mu"]
 
 
 def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):

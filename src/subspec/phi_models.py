@@ -17,12 +17,29 @@ sigma'(x) >= rate, attached automatically where the family admits a tight
 choice.  A power profile never gets one (sub-exponential decay), and no
 automatic discovery is attempted for user profiles.
 
+Each family also carries its discreteness verdict (PhiModel.discrete).  By
+the Kac-Krein criterion (Kac & Krein 1958; Dym & McKean 1976, ch. 5) the
+spectrum of H is discrete iff K(x) = I(x) int_x^inf phi^2 -> 0, and each
+family's K has a closed-form limit:
+
+    stretched-exp(c)      discrete iff c > 1 (K -> 0; c = 1 is exp-decay)
+    exp-decay, oscillating,
+    scattering-profile    not discrete: sigma = c x in the sandwich gives
+                          K(x) >= (c1/c2)^2 (1 - e^{-2cx}) / (4c^2) > 0
+    power(c)              not discrete: K grows like x^2
+    tabulated             not discrete: its tail is exp-decay
+    custom-log-profile    undecided (None)
+
+||phi|| is integrated on the first read of PhiModel.l2_norm_phi or
+l2_unresolved, once per model.
+
 phi' is only assumed locally square-integrable; for tabulated input that
 regularity is a user obligation and is not (and cannot be) checked here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -84,8 +101,9 @@ class DecayInfo(NamedTuple):
 
 class PhiModel(NamedTuple):
     """Realized profile: log phi plus optional derivatives and decay data.
-    l2_unresolved: the quadrature of ||phi||^2 accepted a panel only at the
-    depth limit."""
+    l2() gives (||phi||, whether its quadrature accepted a panel only at
+    the depth limit), computed on the first call; discrete is the family's
+    discreteness verdict (None: undecided)."""
 
     kind: str
     label: str
@@ -93,8 +111,16 @@ class PhiModel(NamedTuple):
     dlog_phi: Optional[Callable[[np.ndarray], np.ndarray]]
     d2log_phi: Optional[Callable[[np.ndarray], np.ndarray]]
     decay: Optional[DecayInfo]
-    l2_norm_phi: float
-    l2_unresolved: bool = False
+    l2: Callable[[], tuple]
+    discrete: Optional[bool] = None
+
+    @property
+    def l2_norm_phi(self) -> float:
+        return self.l2()[0]
+
+    @property
+    def l2_unresolved(self) -> bool:
+        return self.l2()[1]
 
 
 def _as_nonneg(x):
@@ -105,11 +131,14 @@ def _as_nonneg(x):
 
 
 def _l2_window(log_phi, x0: float = 8.0, cap: float = 2.0e4) -> float:
-    """Smallest windowed X where log phi dropped _L2_LOG_DROP below its max."""
+    """Smallest windowed X where log phi dropped _L2_LOG_DROP below its max,
+    and stays there on a probe of [X, 1.6 X] (a narrow dip at X does not
+    end the window)."""
     X = x0
     probe = np.linspace(0.0, X, 257)
     peak = float(np.max(log_phi(probe)))
-    while float(log_phi(np.asarray(X))) > peak - _L2_LOG_DROP:
+    while (float(log_phi(np.asarray(X))) > peak - _L2_LOG_DROP
+           or float(np.max(log_phi(np.linspace(X, 1.6 * X, 257)))) > peak - _L2_LOG_DROP):
         X *= 1.6
         if X > cap:
             raise InvalidParameterError(
@@ -125,17 +154,21 @@ def _l2sq_head(log_phi, X: float) -> tuple:
     return math.exp(log_head[0]), bool(limited[0])
 
 
-def _l2_norm_by_quadrature(log_phi, decay: Optional[DecayInfo], label: str) -> dict:
-    """l2_norm_phi (||phi|| from a windowed quadrature plus the sandwich
-    tail) and l2_unresolved, as PhiModel keywords; an error (no decay, or a
-    log phi that is NaN) names the profile label."""
-    try:
-        X = _l2_window(log_phi)
-        head, limited = _l2sq_head(log_phi, X)
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"{label}: {exc}") from None
-    tail = decay.tail_l2sq(X) if decay is not None else 0.0
-    return {"l2_norm_phi": math.sqrt(head + tail), "l2_unresolved": limited}
+def _l2_by_quadrature(log_phi, decay: Optional[DecayInfo], label: str):
+    """PhiModel.l2: (||phi|| from a windowed quadrature plus the sandwich
+    tail, whether that quadrature was depth-limited), computed on the first
+    call only; an error (no decay, or a log phi that is NaN) names the
+    profile label."""
+    @functools.cache
+    def l2():
+        try:
+            X = _l2_window(log_phi)
+            head, limited = _l2sq_head(log_phi, X)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{label}: {exc}") from None
+        tail = decay.tail_l2sq(X) if decay is not None else 0.0
+        return math.sqrt(head + tail), limited
+    return l2
 
 
 def _exp_decay(c):
@@ -150,7 +183,7 @@ def _exp_decay(c):
         log_phi=lambda x, c=c: -c * _as_nonneg(x),
         dlog_phi=lambda x, c=c: np.full_like(_as_nonneg(x), -c),
         d2log_phi=lambda x: np.zeros_like(_as_nonneg(x)),
-        decay=decay, l2_norm_phi=1.0 / math.sqrt(2.0 * c))
+        decay=decay, l2=lambda c=c: (1.0 / math.sqrt(2.0 * c), False), discrete=False)
 
 
 def _power(c):
@@ -162,7 +195,7 @@ def _power(c):
         log_phi=lambda x, c=c: -c * np.log1p(_as_nonneg(x)),
         dlog_phi=lambda x, c=c: -c / (1.0 + _as_nonneg(x)),
         d2log_phi=lambda x, c=c: c / (1.0 + _as_nonneg(x)) ** 2,
-        decay=None, l2_norm_phi=1.0 / math.sqrt(2.0 * c - 1.0))
+        decay=None, l2=lambda c=c: (1.0 / math.sqrt(2.0 * c - 1.0), False), discrete=False)
 
 
 def _stretched_exp(c):
@@ -182,8 +215,7 @@ def _stretched_exp(c):
         log_phi=log_phi,
         dlog_phi=lambda x, c=c: -c * (1.0 + _as_nonneg(x)) ** (c - 1.0),
         d2log_phi=lambda x, c=c: -c * (c - 1.0) * (1.0 + _as_nonneg(x)) ** (c - 2.0),
-        decay=decay,
-        **_l2_norm_by_quadrature(log_phi, decay, label))
+        decay=decay, l2=_l2_by_quadrature(log_phi, decay, label), discrete=c > 1.0)
 
 
 def _oscillating():
@@ -205,8 +237,7 @@ def _oscillating():
         dlog_phi=lambda x: -1.0 - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x))),
         d2log_phi=lambda x: (np.exp(2.0 * _as_nonneg(x)) * np.sin(np.exp(_as_nonneg(x)))
                              - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x)))),
-        decay=decay,
-        **_l2_norm_by_quadrature(log_phi, decay, "oscillating"))
+        decay=decay, l2=_l2_by_quadrature(log_phi, decay, "oscillating"), discrete=False)
 
 
 def _scattering_profile(c, zeta: Zeta):
@@ -227,7 +258,7 @@ def _scattering_profile(c, zeta: Zeta):
     label = f"scattering(c={c:g}, zeta={zeta.label})"
     return PhiModel(
         "scattering-profile", label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log,
-        decay=decay, **_l2_norm_by_quadrature(log_phi, decay, label))
+        decay=decay, l2=_l2_by_quadrature(log_phi, decay, label), discrete=False)
 
 
 def _tabulated(x, values):
@@ -252,12 +283,14 @@ def _tabulated(x, values):
             out = np.where(beyond, logs[-1] + s * (arr - xs[-1]), out)
         return out
 
-    head, limited = _l2sq_head(log_phi, float(xs[-1]))
-    tail = float(vals[-1]) ** 2 / (-2.0 * slope_end)
+    @functools.cache
+    def l2():
+        head, limited = _l2sq_head(log_phi, float(xs[-1]))
+        return math.sqrt(head + float(vals[-1]) ** 2 / (-2.0 * slope_end)), limited
+
     return PhiModel(
         "tabulated", f"tabulated({xs.size} samples)",
-        log_phi=log_phi, dlog_phi=None, d2log_phi=None, decay=None,
-        l2_norm_phi=math.sqrt(head + tail), l2_unresolved=limited)
+        log_phi=log_phi, dlog_phi=None, d2log_phi=None, decay=None, l2=l2, discrete=False)
 
 
 def _custom(log_phi, dlog_phi=None, d2log_phi=None, decay: Optional[DecayInfo] = None,
@@ -267,8 +300,7 @@ def _custom(log_phi, dlog_phi=None, d2log_phi=None, decay: Optional[DecayInfo] =
     log_phi = wrap(log_phi)
     return PhiModel(
         "custom-log-profile", label, log_phi=log_phi, dlog_phi=wrap(dlog_phi),
-        d2log_phi=wrap(d2log_phi), decay=decay,
-        **_l2_norm_by_quadrature(log_phi, decay, label))
+        d2log_phi=wrap(d2log_phi), decay=decay, l2=_l2_by_quadrature(log_phi, decay, label))
 
 
 _BUILDERS = {

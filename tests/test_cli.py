@@ -268,6 +268,80 @@ def test_spectrum_without_decay_runs_on_the_end_of_the_scan(tmp_path):
     report = (out / "report.txt").read_text().splitlines()
     assert "X = 200, panels = 800, order = 10" in report
     assert "power(c=1): phi has not fallen below resolution.eps = 1e-06 by x = 200" in report
+    # K(x) grows like x^2: no row is an eigenvalue of H, so none is converged
+    assert ("discrete spectrum = no: the rows are eigenvalues of the window [0, 200], "
+            "none converged") in report
+    assert "converged top eigenvalues = 0 / 25" in report
+
+
+def _count_psi_caches(monkeypatch):
+    """A list that gets one entry per psi cache the run builds."""
+    from subspec import discretization
+    built = []
+
+    def counted(model, nodes):
+        built.append(nodes.size)
+        return cache_class(model, nodes)
+
+    cache_class = discretization.SubordinateCache
+    monkeypatch.setattr(discretization, "SubordinateCache", counted)
+    return built
+
+
+def _refuse_l2_quadrature(monkeypatch):
+    from subspec import phi_models
+
+    def refused(log_phi, X):
+        raise AssertionError("the ||phi|| quadrature ran")
+
+    monkeypatch.setattr(phi_models, "_l2sq_head", refused)
+
+
+def test_spectrum_of_a_non_discrete_profile_builds_one_grid(tmp_path, monkeypatch):
+    built = _count_psi_caches(monkeypatch)
+    _refuse_l2_quadrature(monkeypatch)  # with resolution.X no task reads ||phi||
+    cfgfile = _write(tmp_path, "osc.cfg", "task = spectrum\nphi.kind = oscillating\n"
+                     "resolution.X = 6\nresolution.panels = 24\nspectrum.n_keep = 5\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    assert built == [240]
+    report = (out / "report.txt").read_text().splitlines()
+    assert ("discrete spectrum = no: the rows are eigenvalues of the window [0, 6], "
+            "none converged") in report
+    assert "converged top eigenvalues = 0 / 5" in report
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",False") for row in rows)
+
+
+@pytest.mark.parametrize("body, verdict", [
+    ("phi.kind = stretched-exp\nphi.c = 2\n", "yes"),
+    ("phi.kind = custom-log-profile\nphi.log_expr = -x - 0.5*x**2\n", "undecided"),
+])
+def test_spectrum_of_a_discrete_or_undecided_profile_keeps_the_half_panel_grid(
+        tmp_path, monkeypatch, body, verdict):
+    built = _count_psi_caches(monkeypatch)
+    cfgfile = _write(tmp_path, "run.cfg", "task = spectrum\n" + body
+                     + "resolution.X = 3\nresolution.panels = 40\nspectrum.n_keep = 5\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    assert built == [400, 200]
+    assert f"discrete spectrum = {verdict}" in (out / "report.txt").read_text().splitlines()
+
+
+def test_compare_reports_the_verdict_of_both_profiles(tmp_path):
+    cfgfile = _write(tmp_path, "compare.cfg", "task = compare\nphi.kind = stretched-exp\n"
+                     "phi.c = 2\ncompare.phi2.kind = exp-decay\ncompare.c = 100\n"
+                     "resolution.X = 3\nresolution.panels = 12\nspectrum.n_keep = 3\n")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    assert ("discrete spectrum = yes for stretched-exp(c=2), no for exp-decay(c=1)"
+            in (tmp_path / "out" / "report.txt").read_text().splitlines())
+
+
+def test_scatter_sweep_reads_no_phi_norm(tmp_path, monkeypatch):
+    _refuse_l2_quadrature(monkeypatch)
+    cfgfile = _write(tmp_path, "sc.cfg", "task = scatter\nscatter.alpha_list = 0.5, 2\n"
+                     "resolution.X = 20\nresolution.panels = 40\n")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_spectrum_runs_the_panels_it_is_given(tmp_path):
@@ -338,10 +412,6 @@ CUSTOM_VALIDATE = "task = validate\nphi.kind = custom-log-profile\n"
     # a phi' that is not the derivative of log phi
     ("phi.log_expr = -x - 0.5*x**2\nphi.dlog_expr = -1 + 0*x\nresolution.X = 5\n",
      "[FAIL] weighted identity residual <= 1e-3 (value = 0.742"),
-    # a dip of width 1e-9 at x = 8 ends the L2 window there and no quadrature
-    # node sees it, so ||phi||^2 counts [0, 8] only (7.4 of 50)
-    ("phi.log_expr = -0.01*x - 100*exp(-((x - 8)*1e9)**2)\nresolution.X = 20\n",
-     "[FAIL] growth bound x^2 <= ||phi||^2 psi/phi (value = 2.19"),
     # phi swings by e^40 along sin(e^x): bisection on T, accurate to about
     # eps ||T||, puts its lowest eigenvalue below 0
     ("phi.log_expr = -x - 20*sin(exp(x))\nresolution.X = 3\n",
@@ -354,6 +424,18 @@ def test_validate_task_fails_a_false_decay_sandwich(tmp_path, body, failed):
     report = (out / "report.txt").read_text().splitlines()
     assert any(line.startswith(failed) for line in report), report
     assert "VALIDATION FAILED" in report
+
+
+def test_validate_growth_bound_holds_at_the_true_norm_of_a_dipped_profile(tmp_path):
+    # the bound is Cauchy-Schwarz, so it holds with the true ||phi||^2 = 50;
+    # a dip of width 1e-9 at x = 8 once ended the L2 window there (7.4 of 50)
+    cfgfile = _write(tmp_path, "dip.cfg", CUSTOM_VALIDATE
+                     + "phi.log_expr = -0.01*x - 100*exp(-((x - 8)*1e9)**2)\n"
+                     "resolution.X = 20\n")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert any(line.startswith("[PASS] growth bound x^2 <= ||phi||^2 psi/phi")
+               for line in report), report
 
 
 def test_validate_wronskian_holds_where_phi_spans_many_orders(tmp_path):
@@ -475,6 +557,24 @@ resolution.panels = 120
     assert mus[-1] == pytest.approx(-1.0 / 3.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("gamma, line", [
+    # G_gamma = G + gamma phi phi >= G > 0: no mu is negative
+    ("0.5", "no negative mu"),
+    # I(x_1) + gamma < 0 gives G_gamma one negative mu, 1/lambda_0
+    ("-0.5", "most negative mu = -"),
+])
+def test_robin_reports_a_negative_mu_only_where_there_is_one(tmp_path, gamma, line):
+    cfgfile = _write(tmp_path, "robin.cfg", "task = robin\nphi.kind = exp-decay\nphi.c = 1\n"
+                     f"robin.gamma = {gamma}\nresolution.X = 14\nresolution.panels = 56\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert sum(row.startswith(line) for row in report) == 1, report
+    assert "discrete spectrum = no" in report
+    mus = np.loadtxt(out / "robin_spectrum.csv", delimiter=",", skiprows=1, usecols=1)
+    assert (mus[-1] < 0.0) == (float(gamma) < 0.0)
+
+
 def test_scatter_task(tmp_path):
     cfgfile = _write(tmp_path, "sc.cfg", """
 task = scatter
@@ -538,7 +638,7 @@ resolution.X = 5
     with np.errstate(all="ignore"):
         assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "InvalidParameterError: custom[-x + log(x - 1)]: log integrand is not finite" in err
+    assert "ConfigError: phi.log_expr = -x + log(x - 1) is not finite at x = 0.0" in err
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -630,17 +730,20 @@ NOTE_CONFIGS = {
                 r"psi quadrature of oscillating unresolved in (\d+) of 560 segments", 560),
     "robin": ("phi.kind = {kind}\nrobin.gamma = -0.5\n",
               r"psi quadrature unresolved in (\d+) of 560 segments", 560),
-    "spectrum": ("phi.kind = {kind}\n",
+    # a custom profile is undecided, so spectrum still builds the half-panel grid
+    "spectrum": ("phi.kind = custom-log-profile\nphi.log_expr = {expr}\n",
                  r"psi quadrature on the half-panel grid unresolved in (\d+) of 280 segments",
                  280),
 }
+NOTE_EXPRS = {"oscillating": "-x - sin(exp(x))", "exp-decay": "-x"}
 
 
 @pytest.mark.parametrize("task", sorted(NOTE_CONFIGS))
 @pytest.mark.parametrize("kind, noted", [("oscillating", True), ("exp-decay", False)])
 def test_each_psi_cache_notes_unresolved_quadrature(tmp_path, task, kind, noted):
     body, pattern, segments = NOTE_CONFIGS[task]
-    cfgfile = _write(tmp_path, "run.cfg", f"task = {task}\n" + body.format(kind=kind)
+    cfgfile = _write(tmp_path, "run.cfg", f"task = {task}\n"
+                     + body.format(kind=kind, expr=NOTE_EXPRS[kind])
                      + "resolution.X = 14\nresolution.panels = 56\n")
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) in (0, 2)
     report = (tmp_path / "o" / "report.txt").read_text()

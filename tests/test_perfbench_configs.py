@@ -39,7 +39,14 @@ def test_benchmark_config_matches_reference(tmp_path, monkeypatch, workload, cfg
     cfgfile.write_text(cfg.text)
     out = tmp_path / "out"
     status = run_cli(["run", str(cfgfile), "--out", str(out), "--threads", "1"])
-    assert checks.check_outputs(cfg, out, status, PERFBENCH / "reference" / workload, {}) == []
+    reference = PERFBENCH / "reference" / workload
+    assert checks.check_outputs(cfg, out, status, reference, {}) == []
+    # the benchmark leaves the converged column unchecked; it must not move
+    for name in cfg.outputs:
+        want = reference / cfg.name / name
+        if name.endswith(".csv") and "converged" in checks.parse_csv(want.read_text())[0]:
+            assert (checks.column((out / name).read_text(), "converged")
+                    == checks.column(want.read_text(), "converged"))
 
 
 def test_all_ten_configs_are_covered():

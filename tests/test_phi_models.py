@@ -145,7 +145,7 @@ def test_decay_verification_rejects_power(phi2):
                      dsigma=lambda x: np.ones_like(np.asarray(x, float)))
     doctored = type(phi2)(kind=phi2.kind, label=phi2.label, log_phi=phi2.log_phi,
                           dlog_phi=phi2.dlog_phi, d2log_phi=phi2.d2log_phi,
-                          decay=fake, l2_norm_phi=phi2.l2_norm_phi)
+                          decay=fake, l2=phi2.l2)
     assert verify_decay_hypothesis(doctored, np.linspace(0.0, 50.0, 501)) < -1e-12
 
 
@@ -164,11 +164,12 @@ def test_scattering_profile_kind():
     assert not m.l2_unresolved
 
 
-def test_make_phi_names_the_profile_whose_log_is_nan():
+def test_l2_norm_names_the_profile_whose_log_is_nan():
+    m = make_phi("custom-log-profile",
+                 log_phi=lambda x: -x + np.log(np.asarray(x, float) - 1.0), label="shifted-log")
     with np.errstate(all="ignore"), pytest.raises(
             InvalidParameterError, match=r"shifted-log: log integrand is not finite"):
-        make_phi("custom-log-profile",
-                 log_phi=lambda x: -x + np.log(np.asarray(x, float) - 1.0), label="shifted-log")
+        m.l2_norm_phi
 
 
 def test_make_phi_takes_a_kind_and_its_parameters():
@@ -189,3 +190,57 @@ def test_make_phi_takes_a_kind_and_its_parameters():
         make_phi("exp-decay", rate=1.0)
     with pytest.raises(TypeError):
         make_phi("stretched-exp")  # c is required
+
+
+def test_each_family_carries_its_discreteness_verdict():
+    zeta = inv_power_zeta(1.0, 1.5)
+    verdicts = {
+        # K(x) = I(x) int_x^inf phi^2 -> 0 iff the spectrum is discrete
+        ("stretched-exp", 2.0): True,
+        ("stretched-exp", 1.01): True,
+        ("stretched-exp", 1.0): False,  # exp(-(1+x)) is exp-decay: K = 1/4
+        ("stretched-exp", 0.5): False,
+        ("exp-decay", 1.0): False,      # K = 1/(4c^2)
+        ("exp-decay", 20.0): False,
+        ("power", 1.0): False,          # K grows like x^2
+        ("power", 3.0): False,
+    }
+    for (kind, c), discrete in verdicts.items():
+        assert make_phi(kind, c=c).discrete is discrete, (kind, c)
+    assert make_phi("oscillating").discrete is False  # K -> I0(2)^2 / 4
+    assert make_phi("scattering-profile", c=1.0, zeta=zeta).discrete is False
+    assert make_phi("tabulated", x=[0.0, 1.0], values=[1.0, 0.5]).discrete is False
+    assert make_phi("custom-log-profile", log_phi=lambda x: -x * x).discrete is None
+
+
+def test_phi_norm_is_integrated_on_first_read_only(monkeypatch):
+    from subspec import phi_models
+
+    calls = []
+
+    def counted(log_phi, X):
+        calls.append(X)
+        return head(log_phi, X)
+
+    head = phi_models._l2sq_head
+    monkeypatch.setattr(phi_models, "_l2sq_head", counted)
+    zeta = inv_power_zeta(1.0, 1.5)
+    models = [make_phi("stretched-exp", c=2.0), make_phi("oscillating"),
+              make_phi("scattering-profile", c=1.0, zeta=zeta),
+              make_phi("tabulated", x=[0.0, 1.0], values=[1.0, 0.5]),
+              make_phi("custom-log-profile", log_phi=lambda x: -x)]
+    assert calls == []
+    for m in models:
+        norm = m.l2_norm_phi
+        assert (m.l2_unresolved, m.l2_norm_phi, m._replace(decay=m.decay).l2_norm_phi) == \
+            (m.l2_unresolved, norm, norm)
+    assert len(calls) == len(models)
+
+
+def test_l2_window_looks_past_a_narrow_dip():
+    # log phi dips 100 below its peak for a width of about 1e-9 at x = 8; the
+    # window must not end there (it once did, giving ||phi||^2 = 7.4)
+    m = make_phi("custom-log-profile",
+                 log_phi=lambda x: -0.01 * x - 100.0 * np.exp(-((x - 8.0) * 1e9) ** 2))
+    assert m.l2_norm_phi ** 2 == pytest.approx(50.0, abs=1e-9)
+    assert not m.l2_unresolved

@@ -110,7 +110,7 @@ def test_cache_refuses_non_finite_log_phi():
     from subspec.phi_models import PhiModel
     bad = PhiModel("custom-log-profile", "log(x - 1)",
                    log_phi=lambda x: np.log(np.asarray(x, float) - 1.0),
-                   dlog_phi=None, d2log_phi=None, decay=None, l2_norm_phi=1.0)
+                   dlog_phi=None, d2log_phi=None, decay=None, l2=lambda: (1.0, False))
     with np.errstate(all="ignore"), pytest.raises(InvalidParameterError, match="log"):
         SubordinateCache(bad, np.linspace(0.5, 3.0, 20))
 
