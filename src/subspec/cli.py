@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -243,13 +242,12 @@ def _discrete_line(*models) -> str:
                                                for m in models)
 
 
-def _resolution(cfg: RunConfig, models, notes: list, cap=None):
-    """(X, panels, order) shared by the grid-based tasks.
+def _resolution(cfg: RunConfig, models, notes: list):
+    """(X, panels, order) of spectrum, compare, robin and validate: one rule.
 
     X defaults to the largest auto truncation of `models` at resolution.eps
-    (AUTO_X_END, with a note, for a profile that has none), cut to `cap`
-    when given; panels default to discretization.default_panels(X) (at
-    least that many on a capped window).
+    (AUTO_X_END, with a note, for a profile that has none); panels default
+    to discretization.default_panels(X).
     """
     from .discretization import AUTO_X_END, ORDER, auto_truncation, default_panels
     X = cfg.get_float("resolution.X")
@@ -269,10 +267,6 @@ def _resolution(cfg: RunConfig, models, notes: list, cap=None):
                 notes.append(f"{m.label}: phi has not fallen below resolution.eps = {eps:g} "
                              f"by x = {AUTO_X_END:g}")
         notes.append(f"auto truncation X = {X:.6g}")
-        if cap is not None and X > cap:
-            X = cap
-            notes.append(f"validation window capped at X = {cap:g}")
-            panels = max(default_panels(X), panels or 0)
     order = cfg.get_int("resolution.order", ORDER)
     if panels is None:
         panels = default_panels(X)
@@ -433,28 +427,16 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     return 0, lines
 
 
-# a custom log phi that calls sin or cos gets the oscillating profile's
-# validation window and panel density
-_OSCILLATING_CALL = re.compile(r"\b(sin|cos)\s*\(")
-
-
 def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
     from .discretization import build_quadrature
     from .green_kernel import exp_bound_margin
     from .phi_models import verify_decay_hypothesis
-    from .spectral import _extreme_eigenvalues, weighted_identity_residual
+    from .spectral import weighted_identity_residual
     from .subordinate import wronskian_residual
 
     model = build_phi(cfg)
-    oscillatory = model.kind == "oscillating" or (
-        model.kind == "custom-log-profile" and _OSCILLATING_CALL.search(cfg.get("phi.log_expr")))
-    # the identities under test are local; keep auto windows sane for
-    # sub-exponential profiles and oscillation-capped for phi4-like ones
-    cap = 6.0 if oscillatory else (50.0 if model.decay is None else None)
-    X, panels, order = _resolution(cfg, [model], notes, cap)
-    if oscillatory:
-        panels = max(panels, int(np.ceil(40.0 * X)))
+    X, panels, order = _resolution(cfg, [model], notes)
     quad = build_quadrature(X, panels, order)
     T = _jacobi(cfg, "phi", model, quad, notes)
     checks = []
@@ -465,7 +447,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
         audit = exp_bound_margin(model, T)
         checks.append(("kernel bound audit", audit >= -1e-12, audit))
 
-    nodes = np.linspace(max(0.25, X / 40.0), min(X, 5.0), 12)
+    nodes = np.linspace(0.25, min(X, 5.0), 12)
     tol_w = 1e-3 if model.dlog_phi is None else 1e-6
     wr = wronskian_residual(model, nodes)
     checks.append((f"wronskian residual <= {tol_w:g}", wr <= tol_w, wr))
@@ -475,13 +457,6 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     growth = np.all(quad.nodes**2 <= model.l2_norm_phi**2 * ratio * (1 + 1e-9))
     checks.append(("growth bound x^2 <= ||phi||^2 psi/phi", bool(growth),
                    float(np.max(quad.nodes**2 / (model.l2_norm_phi**2 * ratio)))))
-
-    # G = T^-1 is positive iff T is, and then min mu = 1/lambda_max(T);
-    # otherwise 1/lambda_min(T) <= 0 is an eigenvalue of G and the check fails
-    lam = np.array(_extreme_eigenvalues(T.diag, T.off))
-    with np.errstate(divide="ignore"):
-        mu_min = float(np.min(1.0 / lam))
-    checks.append(("positivity min mu > 0", bool(lam[0] > 0.0), mu_min))
 
     if model.dlog_phi is not None:
         wi = weighted_identity_residual(model, T, x0=min(3.0, 0.5 * X))
@@ -524,7 +499,7 @@ def run(config: RunConfig) -> int:
     """Execute one task pipeline; returns the process exit status.
 
     report.txt holds the task line, the runner's lines and then the notes
-    collected along the way (auto truncation, window cap, measured bounds).
+    collected along the way (auto truncation, measured bounds, unresolved quadrature).
     """
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)

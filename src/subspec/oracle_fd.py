@@ -48,15 +48,6 @@ def fd_eigenvalues(potential: Callable[[np.ndarray], np.ndarray], X: float, N: i
     return stebz(diag, off, 0, k - 1, 0.0)
 
 
-def _require_compact(model: PhiModel) -> None:
-    # confining check: V well above its near-origin values on a far window
-    V_near = np.max(np.asarray(potential_from_phi(model, np.linspace(0.0, 1.0, 21))))
-    V_far = np.min(np.asarray(potential_from_phi(model, np.linspace(20.0, 40.0, 121))))
-    if not V_far >= V_near + 10.0:
-        raise NotCompactError(
-            f"{model.label}: potential does not confine, spectrum is not discrete")
-
-
 def turning_point(model: PhiModel, level: float) -> float:
     """Smallest x beyond which V stays above `level`, on a scan of
     [0, TURNING_X_MAX]."""
@@ -66,7 +57,8 @@ def turning_point(model: PhiModel, level: float) -> float:
     if below.size == 0:
         return 0.0
     if below[-1] == xs.size - 1:
-        raise InvalidParameterError(f"V never exceeds {level} before x={TURNING_X_MAX}")
+        raise InvalidParameterError(f"{model.label}: the potential does not confine: V is "
+                                    f"below {level:g} at x = {TURNING_X_MAX:g}")
     return float(xs[below[-1] + 1])
 
 
@@ -77,12 +69,16 @@ def cross_validate(model: PhiModel, k: int) -> tuple:
     Both routes solve the same operator exactly when phi = exp(-sigma) is
     smooth, since then V = (sigma')^2 - sigma'' identically.  The domains are
     chosen so V(X) exceeds lambda_k by a wide classically forbidden margin.
+    A profile whose spectrum is not discrete (PhiModel.discrete is False)
+    raises NotCompactError; an undecided one whose potential does not
+    confine fails in turning_point.
     """
     from .discretization import (ORDER, assemble_jacobi, auto_truncation, build_quadrature,
                                  default_panels)
     from .spectral import eigen_mu
 
-    _require_compact(model)
+    if model.discrete is False:
+        raise NotCompactError(f"{model.label}: the spectrum is not discrete")
     # provisional FD pass to locate lambda_k, then a resolved one
     X_fd = turning_point(model, 50.0) + 2.0
     potential = lambda x: potential_from_phi(model, x)

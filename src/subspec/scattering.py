@@ -28,12 +28,20 @@ from typing import Sequence
 
 import numpy as np
 
+from ._lapack import stebz
 from .discretization import Quadrature, assemble_jacobi
 from .errors import IndefiniteDifferenceError, InvalidParameterError
 from .phi_models import PhiModel, inv_power_zeta, make_phi
-from .spectral import _extreme_eigenvalues
 
 DEFINITE_NOISE_FACTOR = 1e4  # |eigenvalues| of T0 - T below this many eps * max T_ii are rounding
+
+
+def _extreme_eigenvalues(T_diag, T_off) -> tuple:
+    """(lowest, highest) eigenvalue of a symmetric tridiagonal matrix by
+    bisection to full precision: the definiteness certificate of _trace_norm."""
+    n, tiny = T_diag.size, np.finfo(float).tiny
+    return (float(stebz(T_diag, T_off, 0, 0, tiny)[0]),
+            float(stebz(T_diag, T_off, n - 1, n - 1, tiny)[0]))
 
 
 def _dirichlet_form(model: PhiModel, quad: Quadrature):

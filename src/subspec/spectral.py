@@ -43,14 +43,6 @@ def _bisect(T_diag, T_off, lo: int, hi: int) -> np.ndarray:
     return stebz(T_diag, T_off, lo, hi, np.finfo(float).tiny)
 
 
-def _extreme_eigenvalues(T_diag, T_off) -> tuple:
-    """(lowest, highest) eigenvalue of a symmetric tridiagonal matrix: the
-    definiteness certificate of the scattering trace norm and of validate's
-    positivity check."""
-    n = T_diag.size
-    return float(_bisect(T_diag, T_off, 0, 0)[0]), float(_bisect(T_diag, T_off, n - 1, n - 1)[0])
-
-
 def _all_lambdas(d, e, gamma: float) -> np.ndarray:
     """Every eigenvalue (ascending) of the tridiagonal (d, e), each to high
     relative accuracy, in O(N) memory.

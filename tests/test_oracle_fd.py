@@ -94,3 +94,13 @@ def test_cross_validate_refuses_non_compact(phi1, phi4):
         cross_validate(phi1, 3)  # constant V: essential spectrum present
     with pytest.raises(NotCompactError):
         cross_validate(phi4, 3)  # V oscillates unboundedly in both signs
+
+
+def test_cross_validate_of_an_undecided_profile_fails_where_v_does_not_confine():
+    # a custom profile carries no discreteness verdict; V = 1 never rises to
+    # the turning level, and the message says why
+    model = make_phi("custom-log-profile", log_phi=lambda x: -x,
+                     dlog_phi=lambda x: -np.ones_like(x), d2log_phi=lambda x: np.zeros_like(x))
+    assert model.discrete is None
+    with pytest.raises(InvalidParameterError, match="the potential does not confine"):
+        cross_validate(model, 3)
