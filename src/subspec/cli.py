@@ -458,9 +458,15 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     checks.append(("growth bound x^2 <= ||phi||^2 psi/phi", bool(growth),
                    float(np.max(quad.nodes**2 / (model.l2_norm_phi**2 * ratio)))))
 
+    reach = f"accuracy checks reach x = {nodes[-1]:.6g} (wronskian nodes)"
     if model.dlog_phi is not None:
-        wi = weighted_identity_residual(model, T, x0=min(3.0, 0.5 * X))
+        x0 = min(3.0, 0.5 * X)
+        wi = weighted_identity_residual(model, T, x0=x0)
         checks.append(("weighted identity residual <= 1e-3", wi <= 1e-3, wi))
+        reach += f" and x = {x0:.6g} (weighted identity ramp)"
+    if T.cache.unresolved_segments:
+        notes.append(f"{reach}; the psi quadrature is unresolved from x = "
+                     f"{T.cache.first_unresolved_x:.6g}")
 
     lines = [f"model = {model.label}", f"X = {X:.6g}, panels = {panels}, order = {order}"]
     ok = True

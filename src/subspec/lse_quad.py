@@ -17,17 +17,20 @@ pieces is thus bounded whatever the interval's length.
 
 Refinement is level-batched: the panels pending at one bisection depth,
 over many intervals, are evaluated together in vectorized calls of at most
-CHUNK panels, both halves of every panel in one call, which keeps rapidly
-oscillating profiles (panel counts in the thousands) cheap.  The working
-set is bounded by BUDGET, with one exception: when the panels pending for
-the next depth exceed BUDGET, the set splits by interval onto a stack and
-is refined depth-first, one part at a time, but an interval is never split.
-A single interval can therefore hold more than BUDGET pending panels: up
-to MAX_PIECES * 2^MAX_DEPTH = 262144 when it is no longer than
-MAX_PIECES * MAX_SEG = 64, and more on a longer one, whose pieces get extra
-levels.  make_phi of the oscillating profile pushes one interval of 24682
-panels.  Each interval keeps its panels in their order, so the result does
-not depend on BUDGET to the last bit.
+CHUNK panels, the left halves of every panel in one pass and the right
+halves in another, which keeps rapidly oscillating profiles (panel counts
+in the thousands) cheap.  The working set is bounded by BUDGET = 8192, with
+one exception: when the panels pending for the next depth exceed BUDGET,
+the set splits by interval onto a stack and is refined depth-first, one
+part at a time, but an interval is never split.  A single interval can
+therefore hold more than BUDGET pending panels: up to MAX_PIECES *
+2^MAX_DEPTH = 262144 when it is no longer than MAX_PIECES * MAX_SEG = 64,
+and more on a longer one, whose pieces get extra levels.  make_phi of the
+oscillating profile pushes one interval of 24682 panels.  The stack holds
+about one part per depth, so it stays near depth * BUDGET * 32 bytes (lo,
+hi, owner and the unsplit value of each panel).  Each interval keeps its
+panels in their order, so the result depends on neither BUDGET nor CHUNK
+to the last bit.
 
 Acceptance is relative to the whole interval, not to the panel alone
 (Gander & Gautschi, BIT 40, 2000).  A panel is accepted when its unsplit
@@ -73,7 +76,7 @@ ORDER = 10  # Gauss-Legendre nodes per panel
 MAX_DEPTH = 12  # bisection levels below a piece's own width; panels are accepted there
 MAX_SEG = 1.0  # longest piece an interval is cut into before bisection ...
 MAX_PIECES = 64  # ... unless that needs more pieces than this
-CHUNK = 1 << 12  # panels per vectorized integrand call
+CHUNK = 1 << 11  # panels per vectorized integrand call
 BUDGET = 4 * CHUNK  # pending panels above which refinement splits by interval
 
 
@@ -171,8 +174,9 @@ def _by_interval(depth, lo, hi, owner, whole):
         return [(depth, lo, hi, owner, whole)] if owner.size else []
     count = np.bincount(owner)
     part = ((np.cumsum(count) - count) // BUDGET)[owner]
-    return [(depth, lo[m], hi[m], owner[m], whole[m])
-            for m in (part == p for p in np.unique(part)[::-1])]
+    order = np.argsort(part, kind="stable")
+    cuts = np.flatnonzero(np.diff(part[order])) + 1
+    return [(depth, lo[i], hi[i], owner[i], whole[i]) for i in np.split(order, cuts)[::-1]]
 
 
 def _log_integrals(log_f, a, b):
@@ -202,15 +206,14 @@ def _log_integrals(log_f, a, b):
     while stack:
         depth, lo, hi, owner, whole = stack.pop()
         mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])  # left, right halves
-        halves, floors = _batch_panel_logs(log_f, lo, hi)
-        left, right = np.split(halves, 2)
+        left, left_floor = _batch_panel_logs(log_f, lo, mid)
+        right, right_floor = _batch_panel_logs(log_f, mid, hi)
         split = np.logaddexp(left, right)
         share = (_interval_totals(out, split, owner) - log_n - depth * np.log(2.0))[owner]
         with np.errstate(invalid="ignore"):
             diff = np.abs(np.expm1(whole - split))
             gap = np.exp(split - np.maximum(split, share)) * diff
-        accept = ((gap <= RTOL) | (diff <= np.maximum(*np.split(floors, 2)))
+        accept = ((gap <= RTOL) | (diff <= np.maximum(left_floor, right_floor))
                   | ((whole == -np.inf) & (split == -np.inf)))
         at_limit = limit[owner] == depth
         depth_limited[owner[at_limit & ~accept]] = True
@@ -219,9 +222,11 @@ def _log_integrals(log_f, a, b):
             vals = split[accept]
             keep = vals > -np.inf
             np.logaddexp.at(out, owner[accept][keep], vals[keep])
-        both = np.concatenate([~accept, ~accept])
-        stack += _by_interval(depth + 1, lo[both], hi[both], np.concatenate([owner, owner])[both],
-                              halves[both])
+        rest = ~accept
+        lo, mid, hi, owner = lo[rest], mid[rest], hi[rest], owner[rest]
+        stack += _by_interval(depth + 1, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                              np.concatenate([owner, owner]),
+                              np.concatenate([left[rest], right[rest]]))
     return out, depth_limited
 
 

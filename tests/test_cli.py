@@ -486,6 +486,12 @@ SHARED_RESOLUTION_BLOCKS = {
     "tabulated": "phi.kind = tabulated\nphi.csv = {tab}",
     "custom": "phi.kind = custom-log-profile\nphi.log_expr = -x - sin(exp(x))",
 }
+# where validate's accuracy checks end, when its psi cache is unresolved
+# (a custom profile without phi.dlog_expr runs no weighted identity)
+SHARED_RESOLUTION_REACH = {
+    "oscillating": "x = 5 (wronskian nodes) and x = 3 (weighted identity ramp)",
+    "custom": "x = 5 (wronskian nodes)",
+}
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_RESOLUTION_BLOCKS))
@@ -505,6 +511,11 @@ def test_validate_and_spectrum_share_the_resolution_rule(tmp_path, name):
     noted = UNRESOLVED.findall(reports["validate"])
     assert bool(noted) == (name in ("oscillating", "custom"))
     assert noted == UNRESOLVED.findall(reports["spectrum"])
+    # and validate says that its accuracy checks end below that region
+    reach = [line for line in reports["validate"].splitlines()
+             if line.startswith("accuracy checks reach")]
+    assert reach == [f"accuracy checks reach {SHARED_RESOLUTION_REACH[name]}; the psi "
+                     f"quadrature is unresolved from x = {first}" for *_, first in noted]
 
 
 def test_validate_passes_where_phi_spans_many_orders(tmp_path):
