@@ -357,8 +357,7 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     report = compare_spectra(mu1, mu2, c)
     lo, hi = report.band
     _write_csv(outdir / "compare.csv", "n,mu1,mu2,ratio,in_band",
-               ((str(n), G17(m1), G17(m2), "" if np.isnan(r) else G17(r),
-                 str(bool(np.isfinite(r) and lo <= r <= hi)))
+               ((str(n), G17(m1), G17(m2), G17(r), str(bool(lo <= r <= hi)))
                 for n, (m1, m2, r) in enumerate(zip(mu1, mu2, report.ratios), 1)))
     return (0 if report.holds else 2), [
         f"model1 = {model1.label}", f"model2 = {model2.label}",

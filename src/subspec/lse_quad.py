@@ -7,13 +7,15 @@ panels combine through logaddexp.  Integrands spanning hundreds of orders
 of magnitude (phi^-2 for stretched-exponential profiles exceeds 1e400 well
 inside the working window) therefore never leave log space.
 
-One splitting rule holds for every interval: it is cut into equal pieces at
-most MAX_SEG long, but into no more than MAX_PIECES, and each piece is
-bisected adaptively at most MAX_DEPTH times (a capped, wider piece first
-gets the extra levels that bring it to width MAX_SEG).  The depth limit
-counts from the piece's own width: a 0.025-wide cache segment is bisected
-down to panels 0.025 * 2^-12 = 6.1e-6 wide, not 2^-12.  The number of
-pieces is thus bounded whatever the interval's length.
+One splitting rule holds for every interval [a, b]: it is cut into n =
+ceil((b - a) / MAX_SEG) equal pieces, with the edges np.linspace(a, b, n + 1)
+would give, or into MAX_PIECES pieces when n is larger, and each piece is
+bisected adaptively at most MAX_DEPTH times; the wider, capped pieces get
+ceil(log2(n / MAX_PIECES)) levels more, which bring them to width MAX_SEG.
+The depth limit counts from the piece's own width: a 0.025-wide cache
+segment is bisected down to panels 0.025 * 2^-12 = 6.1e-6 wide, not 2^-12.
+The number of pieces is thus bounded whatever the interval's length, and an
+interval with b <= a has none: its integral is -inf.
 
 Refinement is level-batched: the panels pending at one bisection depth,
 over many intervals, are evaluated together in vectorized calls of at most
@@ -179,17 +181,22 @@ def _by_interval(depth, lo, hi, owner, whole):
     return [(depth, lo[i], hi[i], owner[i], whole[i]) for i in np.split(order, cuts)[::-1]]
 
 
-def _log_integrals(log_f, a, b):
-    """(log integrals, depth-limited flags) over the intervals [a_i, b_i],
-    cut into pieces as log_integral_exp describes and refined level-batched.
+def segment_log_integrals(log_f, edges):
+    """(log of int over each consecutive interval of `edges`, whether each
+    accepted a panel only at the depth limit).
 
-    A panel at bisection depth d of an interval cut into n pieces spans
-    1 / (n 2^d) of it, and its share is that fraction of the interval's
-    running total.  Accepted panels accumulate into out[owner] through
-    logaddexp; an interval is depth-limited when it accepted a panel only
-    because the panel reached the depth limit.  Every interval sees the same
-    depths, shares and accumulation order however the stack splits the set.
+    All intervals share the level-batched refinement, so thousands of short
+    segments (cache construction) cost a few vectorized calls.  A panel at
+    bisection depth d of an interval cut into n pieces spans 1 / (n 2^d) of
+    it, and its share is that fraction of the interval's running total.
+    Accepted panels accumulate into out[owner] through logaddexp; an
+    interval is depth-limited when it accepted a panel only because the
+    panel reached the depth limit.  Every interval sees the same depths,
+    shares and accumulation order however the stack splits the set, so its
+    result depends on its own panels only.
     """
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
     full = np.ceil(np.maximum(b - a, 0.0) / MAX_SEG)
     n = np.minimum(full, MAX_PIECES).astype(np.intp)
     limit = MAX_DEPTH + np.ceil(np.log2(np.maximum(full / MAX_PIECES, 1.0))).astype(np.intp)
@@ -228,29 +235,3 @@ def _log_integrals(log_f, a, b):
                               np.concatenate([owner, owner]),
                               np.concatenate([left[rest], right[rest]]))
     return out, depth_limited
-
-
-def log_integral_exp(log_f, a, b):
-    """log of int_a^b exp(log_f(s)) ds (-inf where b <= a).
-
-    a and b broadcast; scalar bounds give a float, array bounds an array of
-    their broadcast shape.  Interval i is cut into n_i = ceil((b_i - a_i) /
-    MAX_SEG) equal pieces, with the edges np.linspace(a_i, b_i, n_i + 1)
-    would give, or into MAX_PIECES pieces when n_i is larger; those wider
-    pieces may be bisected ceil(log2(n_i / MAX_PIECES)) levels further.
-    """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    shape = a.shape
-    out, _ = _log_integrals(log_f, a.ravel(), b.ravel())
-    return float(out[0]) if shape == () else out.reshape(shape)
-
-
-def segment_log_integrals(log_f, edges):
-    """(log of int over each consecutive interval of `edges`, whether each
-    accepted a panel only at the depth limit).
-
-    All segments share the level-batched refinement, so thousands of short
-    segments (cache construction) cost a few vectorized calls.
-    """
-    edges = np.asarray(edges, dtype=float)
-    return _log_integrals(log_f, edges[:-1], edges[1:])

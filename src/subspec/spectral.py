@@ -119,26 +119,21 @@ class ComparisonReport(NamedTuple):
 
 
 def compare_spectra(mu1: np.ndarray, mu2: np.ndarray, c: float) -> ComparisonReport:
-    """Check mu2_n / mu1_n in [c^-4, c^4] for two compact-case spectra."""
+    """Check mu2_n / mu1_n in [c^-4, c^4] for two compact-case spectra, whose
+    every mu is positive (as eigen_mu gives them for Dirichlet kernels)."""
     if mu1.size != mu2.size:
         raise MismatchedLengthsError(f"spectra have {mu1.size} vs {mu2.size} entries")
     if not c > 0.0:
         raise InvalidParameterError(f"the ratio bound c must be positive, got {c}")
-    if c < 1.0:
-        c = 1.0 / c
-    usable = (mu1 > 0) & (mu2 > 0)
-    ratios = np.full(mu1.size, np.nan)
-    ratios[usable] = mu2[usable] / mu1[usable]
+    if mu1.size == 0 or not (np.all(mu1 > 0.0) and np.all(mu2 > 0.0)):
+        raise InvalidParameterError("compared spectra must be nonempty with every mu > 0")
+    c = max(c, 1.0 / c)
+    ratios = mu2 / mu1
     lo, hi = c**-4, c**4
-    vals = ratios[usable]
-    holds = bool(np.all((vals >= lo) & (vals <= hi))) if vals.size else False
-    if vals.size:
-        worst = int(np.nanargmax(np.abs(np.log(np.where(usable, ratios, 1.0)))))
-    else:
-        worst = 0
-    measured = (float(np.min(vals)), float(np.max(vals))) if vals.size else (np.nan, np.nan)
-    return ComparisonReport(ratios=ratios, holds=holds,
-                            worst_n=worst + 1, band=(lo, hi), measured_band=measured)
+    holds = bool(np.all((ratios >= lo) & (ratios <= hi)))
+    worst = int(np.argmax(np.abs(np.log(ratios))))
+    return ComparisonReport(ratios=ratios, holds=holds, worst_n=worst + 1, band=(lo, hi),
+                            measured_band=(float(np.min(ratios)), float(np.max(ratios))))
 
 
 def converged_mask(mu_fine: np.ndarray, mu_coarse: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 psi(x) = phi(x) * int_0^x phi(s)^-2 ds is the unique companion of phi with
 psi(0) = 0 and Wronskian psi' phi - phi' psi = 1.  The integral is computed
-entirely in log space (see lse_quad): for stretched-exponential profiles the
-integrand phi^-2 spans several hundred orders of magnitude over the working
-window, so direct summation is impossible.
+entirely in log space, by one segment_log_integrals call for a cache and one
+for the Wronskian check (see lse_quad): for stretched-exponential profiles
+the integrand phi^-2 spans several hundred orders of magnitude over the
+working window, so direct summation is impossible.
 
 SubordinateCache is the one producer of I and psi, at its nodes; a value at
 any other x comes from a cache whose grid contains x.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError, NegativeArgumentError
-from .lse_quad import log_integral_exp, segment_log_integrals
+from .lse_quad import segment_log_integrals
 from .phi_models import PhiModel
 
 WRONSKIAN_H = 1e-5  # central-difference step of wronskian_residual where |(log phi)'| <= 1
@@ -68,7 +69,10 @@ def wronskian_residual(model: PhiModel, nodes) -> float:
     increment is the sum of the segment integrals over [x-h, x] and [x, x+h],
     as a cache on those nodes holds them: a difference of the rounded
     log I(x+-h) falls below the rounding of log I where phi^-2 spans many
-    orders of magnitude.
+    orders of magnitude.  The nodes' triples x-h, x, x+h are the edges of one
+    segment_log_integrals call; the segments between triples are discarded
+    (each segment's value depends on its own panels only, so nodes need not
+    be sorted).
     """
     h = WRONSKIAN_H
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
@@ -76,7 +80,7 @@ def wronskian_residual(model: PhiModel, nodes) -> float:
         raise NegativeArgumentError(f"nodes must satisfy x > {h:g}")
     if model.dlog_phi is not None:
         h = h / np.maximum(1.0, np.abs(model.dlog_phi(x)))
-    segments = log_integral_exp(lambda s: -2.0 * model.log_phi(s),
-                                np.stack([x - h, x], axis=1), np.stack([x, x + h], axis=1))
-    log_w = 2.0 * model.log_phi(x) + np.logaddexp(segments[:, 0], segments[:, 1]) - np.log(2.0 * h)
+    segments, _ = segment_log_integrals(lambda s: -2.0 * model.log_phi(s),
+                                        np.column_stack([x - h, x, x + h]).ravel())
+    log_w = 2.0 * model.log_phi(x) + np.logaddexp(segments[0::3], segments[1::3]) - np.log(2.0 * h)
     return float(np.max(np.abs(np.expm1(log_w))))

@@ -15,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from subspec.discretization import ORDER, build_quadrature
 from subspec.errors import NonSmoothModelError
-from subspec.lse_quad import log_integral_exp
+from subspec.lse_quad import segment_log_integrals
 from subspec.oracle_fd import potential_from_phi
 from subspec.phi_models import Zeta
 from subspec.subordinate import SubordinateCache
@@ -223,7 +223,7 @@ def xi_norms(c, zeta, x):
         u = np.asarray(u, dtype=float)
         return -2.0 * c * (u - x) - 2.0 * np.asarray(zeta.fn(u), dtype=float) + 2.0 * zx
 
-    head = math.exp(log_integral_exp(log_f, x, x + W))
+    head = math.exp(segment_log_integrals(log_f, [x, x + W])[0][0])
     z_far = float(zeta.fn(np.asarray(x + W, dtype=float)))
     tail = math.exp(-2.0 * c * W + 2.0 * (zx - z_far)) / (2.0 * c)
     norm_xi = math.sqrt(head + tail)
@@ -235,7 +235,7 @@ def xi_norms(c, zeta, x):
         with np.errstate(divide="ignore"):  # dz = 0 contributes exp(-inf) = 0
             return -2.0 * c * (u - x) + 2.0 * np.log(np.abs(np.expm1(dz)))
 
-    norm_diff = math.exp(0.5 * log_integral_exp(log_diff, x, x + W))
+    norm_diff = math.exp(0.5 * segment_log_integrals(log_diff, [x, x + W])[0][0])
     return norm_xi, norm_xi0, norm_diff
 
 

@@ -8,6 +8,7 @@ from paper_identities import factorization_forms
 from subspec.discretization import assemble_jacobi, auto_truncation, build_quadrature
 from subspec.errors import ComplexGammaError, InvalidParameterError, NoDecayDetectedError
 from subspec.lse_quad import gauss_legendre
+from subspec.phi_models import make_phi
 from subspec.spectral import eigen_mu
 
 
@@ -58,6 +59,24 @@ def test_auto_truncation_power_slow_decay(phi2):
         auto_truncation(phi2, 1e-6)
     with pytest.raises(NoDecayDetectedError):
         auto_truncation(phi2, 1e-30)  # would need X ~ 1e30
+
+
+def test_auto_truncation_looks_past_a_narrow_dip(phi4):
+    # log phi dips 100 below its peak for a width of about 1e-9 at x = 8 and
+    # is back at -0.08 by x = 8.0125; phi ~ e^{-0.01 x} never stays below eps
+    dip = make_phi("custom-log-profile",
+                   log_phi=lambda x: -0.01 * x - 100.0 * np.exp(-((x - 8.0) * 1e9) ** 2))
+    assert dip.log_phi(np.asarray(8.0)) < math.log(1e-6)
+    with pytest.raises(NoDecayDetectedError, match=r"by x = 200$"):
+        auto_truncation(dip, 1e-6)
+    # oscillating first drops below eps at x = 15.175, where -sin(e^x) is
+    # near its minimum, and stays below from x = 15.3 on
+    X = auto_truncation(phi4, 1e-6)
+    assert X == pytest.approx(15.3)
+    lp = phi4.log_phi(np.arange(0.0, 200.0, 0.0125))
+    i = round(X / 0.0125)
+    assert np.max(lp[i:]) - np.max(lp[:i + 1]) <= math.log(1e-6)
+    assert np.max(lp[i - 1:]) - np.max(lp[:i]) > math.log(1e-6)
 
 
 def test_assembly_symmetric_nonnegative(phi1):

@@ -12,8 +12,7 @@ from subspec import lse_quad, phi_models
 from subspec.discretization import build_quadrature
 from subspec.errors import InvalidParameterError
 from subspec.lse_quad import (
-    MAX_PIECES, ORDER, RTOL, _batch_panel_logs, gauss_legendre, log_integral_exp,
-    segment_log_integrals)
+    MAX_PIECES, ORDER, RTOL, _batch_panel_logs, gauss_legendre, segment_log_integrals)
 from subspec.phi_models import make_phi
 from subspec.subordinate import SubordinateCache
 
@@ -32,9 +31,8 @@ def _nan_below_one(s):
     return np.where(s < 1.0, np.nan, -s)
 
 
-def test_nan_sample_raises_scalar():
-    with pytest.raises(InvalidParameterError, match="not finite"):
-        log_integral_exp(_nan_below_one, 0.0, 3.0)
+def _log_integral(log_f, a, b):
+    return segment_log_integrals(log_f, [a, b])[0][0]
 
 
 def test_nan_sample_raises_segments():
@@ -48,8 +46,8 @@ def test_nan_sample_raises_segments():
 @given(log_f=log_fs, ab=intervals, shift=st.floats(-500.0, 500.0))
 def test_shift_equivariance(log_f, ab, shift):
     a, b = ab
-    base = log_integral_exp(log_f, a, b)
-    shifted = log_integral_exp(lambda s: log_f(s) + shift, a, b)
+    base = _log_integral(log_f, a, b)
+    shifted = _log_integral(lambda s: log_f(s) + shift, a, b)
     assert shifted - shift == pytest.approx(base, abs=1e-11)
 
 
@@ -58,19 +56,9 @@ def test_shift_equivariance(log_f, ab, shift):
 def test_additivity_over_a_split_point(log_f, ab, frac):
     a, b = ab
     m = a + frac * (b - a)
-    whole = log_integral_exp(log_f, a, b)
-    parts = np.logaddexp(log_integral_exp(log_f, a, m), log_integral_exp(log_f, m, b))
+    whole = _log_integral(log_f, a, b)
+    parts = np.logaddexp(*segment_log_integrals(log_f, [a, m, b])[0])
     assert parts == pytest.approx(whole, abs=1e-11)
-
-
-@PROPERTY
-@given(log_f=log_fs, ab=intervals, fracs=st.lists(st.floats(0.0, 1.0), max_size=6))
-def test_scalar_integral_matches_segments(log_f, ab, fracs):
-    a, b = ab
-    edges = np.concatenate(([a], np.sort(a + np.asarray(fracs) * (b - a)), [b]))
-    segs, _ = segment_log_integrals(log_f, edges)
-    assert segs.shape == (edges.size - 1,)
-    assert float(logsumexp(segs)) == pytest.approx(log_integral_exp(log_f, a, b), abs=1e-11)
 
 
 def test_panel_reduction_matches_logsumexp():
@@ -110,7 +98,7 @@ def test_gauss_legendre_is_numpys_leggauss_bit_for_bit():
 @given(ab=intervals, a=st.floats(-60.0, 60.0))
 def test_exponential_matches_its_closed_form(ab, a):
     lo, hi = ab
-    got = log_integral_exp(lambda s: a * np.asarray(s), lo, hi)
+    got = _log_integral(lambda s: a * np.asarray(s), lo, hi)
     exact = a * lo + np.log((hi - lo) * exprel(a * (hi - lo)))
     assert abs(np.expm1(got - exact)) <= 4 * RTOL
 
@@ -122,20 +110,10 @@ def test_narrow_gaussian_on_a_long_interval(lo, length, frac, sigma):
     # the interval-relative acceptance must still find the one place with mass
     hi = lo + length
     c = lo + frac * length
-    got = log_integral_exp(lambda s: -0.5 * ((np.asarray(s) - c) / sigma) ** 2, lo, hi)
+    got = _log_integral(lambda s: -0.5 * ((np.asarray(s) - c) / sigma) ** 2, lo, hi)
     mass = ndtr((hi - c) / sigma) - ndtr((lo - c) / sigma)
     exact = np.log(sigma * np.sqrt(2.0 * np.pi) * mass)
     assert abs(np.expm1(got - exact)) <= 4 * RTOL
-
-
-def test_array_bounds_give_an_array():
-    log_f = lambda s: -np.asarray(s)
-    edges = np.array([0.0, 0.5, 2.0, 70.0])
-    got = log_integral_exp(log_f, edges[:-1], edges[1:])
-    assert got.shape == (3,)
-    assert np.array_equal(got, segment_log_integrals(log_f, edges)[0])
-    assert isinstance(log_integral_exp(log_f, 0.0, 2.0), float)
-    assert log_integral_exp(log_f, 2.0, 2.0) == -np.inf
 
 
 def test_zero_width_intervals_do_not_warn():
@@ -143,10 +121,10 @@ def test_zero_width_intervals_do_not_warn():
     tiny = np.nextafter(1.0, 2.0)  # its bisections have zero width
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = log_integral_exp(log_f, [0.0, 1.0, 1.0], [1.0, 1.0, tiny])
-        logs, limited = segment_log_integrals(log_f, [0.0, 1.0, 1.0, tiny])
-    assert got[1] == logs[1] == -np.inf
-    assert got[2] == logs[2] == pytest.approx(np.log(tiny - 1.0) - 1.0, rel=1e-15)
+        # the last interval is reversed: like [1, 1] it holds no piece
+        logs, limited = segment_log_integrals(log_f, [0.0, 1.0, 1.0, tiny, 0.5])
+    assert logs[1] == logs[3] == -np.inf
+    assert logs[2] == pytest.approx(np.log(tiny - 1.0) - 1.0, rel=1e-15)
     assert not limited.any()
 
 

@@ -121,11 +121,14 @@ def test_gamma_is_one_real_number():
 
 def test_one_way_to_read_I_psi_and_phi():
     """I and psi are read at the nodes of a SubordinateCache, log phi through
-    model.log_phi; no off-node bridge, pointwise wrapper or unread field."""
+    model.log_phi, integrals through one lse_quad entry point; no off-node
+    bridge, pointwise wrapper or unread field."""
     names = {attr for _, attr, _ in _public_callables()}
     assert not {"log_int_phi_inv2", "compute_log_psi", "compute_psi", "diagonal_D",
                 "eval_log_phi", "eval_phi", "log_I", "log_psi", "psi", "norm_bound"} & names
     assert not hasattr(subordinate, "_neg2_log_phi")
+    # every integral, the Wronskian check's too, goes through segment_log_integrals
+    assert not hasattr(lse_quad, "log_integral_exp") and not hasattr(lse_quad, "_log_integrals")
     assert list(inspect.signature(subordinate.wronskian_residual).parameters) == ["model", "nodes"]
     cache = subordinate.SubordinateCache(
         phi_models.make_phi("exp-decay", c=1.0), [1.0])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from subspec.discretization import JacobiMatrix, assemble_jacobi, build_quadrature
 from paper_identities import growth_exponent, quadratic_form_residual
@@ -10,6 +12,7 @@ from subspec.errors import (
     NonPositiveMuError,
     ZeroGammaError,
 )
+from subspec.phi_models import make_phi
 from subspec.spectral import (
     compare_spectra,
     converged_mask,
@@ -77,6 +80,39 @@ def test_compare_trivial_cases():
     for c in (0.0, -2.0):
         with pytest.raises(InvalidParameterError, match="ratio bound"):
             compare_spectra(r1, r1, c)
+
+
+def test_compare_refuses_a_nonpositive_or_empty_spectrum():
+    # eigen_mu never gives a Dirichlet mu <= 0, so no ratio is undefined
+    r1 = np.array([0.4, 0.2, 0.1])
+    for mu1, mu2 in ((r1, np.array([0.4, 0.2, 0.0])), (np.array([0.4, -0.2, 0.1]), r1),
+                     (np.array([]), np.array([]))):
+        with pytest.raises(InvalidParameterError, match="mu > 0"):
+            compare_spectra(mu1, mu2, 1.0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(0.2, 2.0), b=st.floats(0.0, 2.0), A=st.floats(0.0, 2.0),
+       f=st.floats(0.5, 3.0), X=st.floats(2.0, 8.0), panels=st.integers(2, 60),
+       order=st.integers(2, 12))
+def test_ratio_theorem_is_exact_on_one_grid(a, b, A, f, X, panels, order):
+    # On one grid D T D = L g = lambda M g is a bead string: springs 1/Delta I
+    # (the first one to x = 0) and masses w phi^2 at the nodes.  Where every
+    # spring of phi2 is within e^{+-s} of phi1's and every mass within
+    # e^{+-m}, min-max puts each mu2_n / mu1_n within e^{+-(s + m)}
+    def log_phi1(x):
+        return -b * x - 0.5 * a * x**2
+
+    phi1 = make_phi("custom-log-profile", log_phi=log_phi1)
+    phi2 = make_phi("custom-log-profile",
+                    log_phi=lambda x: log_phi1(x) - A * np.sin(np.exp(f * x / 3.0)))
+    quad = build_quadrature(X, panels, order)
+    T1, T2 = assemble_jacobi(phi1, quad), assemble_jacobi(phi2, quad)
+    springs = np.max(np.abs(T2.cache.panel_logsums - T1.cache.panel_logsums))
+    masses = np.max(np.abs(2.0 * (phi2.log_phi(quad.nodes) - phi1.log_phi(quad.nodes))))
+    k = min(20, quad.n)
+    ratios = np.log(eigen_mu(T2, k) / eigen_mu(T1, k))
+    assert np.max(np.abs(ratios)) <= springs + masses + 1e-10
 
 
 def test_growth_exponent_synthetic():

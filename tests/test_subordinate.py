@@ -7,7 +7,7 @@ from scipy.special import erfi
 
 from paper_identities import regularized_potential, riccati_residual
 from subspec.errors import NegativeArgumentError, NonSmoothModelError
-from subspec.phi_models import make_phi
+from subspec.phi_models import inv_power_zeta, make_phi
 from subspec.spectral import robin_sigma
 from subspec.subordinate import SubordinateCache, wronskian_residual
 
@@ -137,6 +137,42 @@ def test_wronskian_residuals(phi1, phi3, phi4):
     assert wronskian_residual(phi3, np.linspace(0.25, 5.0, 20)) <= 1e-6
     # oscillatory derivative: looser tolerance, FD path
     assert wronskian_residual(phi4, np.linspace(0.25, 4.5, 18)) <= 1e-3
+
+
+WRONSKIAN_PROFILES = {
+    "oscillating": lambda: make_phi("oscillating"),
+    "stretched-exp2": lambda: make_phi("stretched-exp", c=2.0),
+    "power1": lambda: make_phi("power", c=1.0),
+    "scattering": lambda: make_phi("scattering-profile", c=1.0, zeta=inv_power_zeta(1.0, 1.5)),
+    # no phi': the step stays WRONSKIAN_H
+    "custom-sin": lambda: make_phi("custom-log-profile", log_phi=lambda x: -x - np.sin(np.exp(x))),
+    "custom-gauss": lambda: make_phi("custom-log-profile", log_phi=lambda x: -x - 0.5 * x**2,
+                                     dlog_phi=lambda x: -1.0 - x),
+}
+# validate's Wronskian nodes on X = 3 and on X >= 5, and an unsorted list with a repeat
+VALIDATE_NODES_3 = np.linspace(0.25, 3.0, 12)
+VALIDATE_NODES_5 = np.linspace(0.25, 5.0, 12)
+UNSORTED = [3.0, 0.5, 3.0, 1e-3, 2.0]
+
+
+@pytest.mark.parametrize("profile, nodes, recorded", [
+    ("oscillating", VALIDATE_NODES_5, "0x1.2518600a7c867p-28"),
+    ("oscillating", UNSORTED, "0x1.126a000024c4ep-34"),
+    ("stretched-exp2", VALIDATE_NODES_5, "0x1.66707fff05109p-32"),
+    ("stretched-exp2", UNSORTED, "0x1.6e7600004192bp-34"),
+    ("power1", VALIDATE_NODES_3, "0x1.88e8000012d84p-36"),
+    ("scattering", VALIDATE_NODES_5, "0x1.326a00002dd83p-34"),
+    ("custom-sin", VALIDATE_NODES_5, "0x1.527cf61470f13p-20"),
+    ("custom-gauss", UNSORTED, "0x1.b78200005e51ep-34"),
+])
+def test_wronskian_residual_recorded_values(profile, nodes, recorded):
+    # recorded when each node's two intervals were integrated on their own;
+    # integrating the node triples and the gaps between them in one call
+    # gives the same bits on x86-64 with AVX-512, numpy 2.4.6.  Other exp
+    # and log kernels may round the samples differently: +-2 ulps of noise
+    # in log phi moves these residuals by at most 3e-14
+    got = wronskian_residual(WRONSKIAN_PROFILES[profile](), nodes)
+    assert abs(got - float.fromhex(recorded)) <= 1e-13, (got.hex(), recorded)
 
 
 def test_diagonal_values(phi1, phi2):
