@@ -264,7 +264,7 @@ def _resolution(cfg: RunConfig, models, notes: list):
                 X = max(X, auto_truncation(m, eps))
             except NoDecayDetectedError:
                 X = AUTO_X_END
-                notes.append(f"{m.label}: phi has not fallen below resolution.eps = {eps:g} "
+                notes.append(f"{m.label}: phi has not stayed below resolution.eps = {eps:g} "
                              f"by x = {AUTO_X_END:g}")
         notes.append(f"auto truncation X = {X:.6g}")
     order = cfg.get_int("resolution.order", ORDER)

@@ -59,9 +59,9 @@ def default_panels(X: float) -> int:
 def auto_truncation(model: PhiModel, eps: float) -> float:
     """Smallest X on a grid of step 0.0125 in (0, AUTO_X_END) from which phi
     stays at or below eps max_[0, X] phi over the rest of the grid (a narrow
-    dip does not end the window) and, when decay metadata exists, tail mass
-    int_X^inf phi^2 <= eps^2 ||phi||^2; NoDecayDetectedError when there is
-    none (power(c=1)).
+    dip does not end the window; NaN samples past X are skipped) and, when
+    decay metadata exists, tail mass int_X^inf phi^2 <= eps^2 ||phi||^2;
+    NoDecayDetectedError when there is none (power(c=1)).
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParameterError("eps must lie in (0, 1)")
@@ -69,14 +69,14 @@ def auto_truncation(model: PhiModel, eps: float) -> float:
     lp = model.log_phi(cands)
     lp0 = float(model.log_phi(np.asarray(0.0)))
     runmax = np.maximum.accumulate(np.maximum(lp, lp0))
-    ahead = np.maximum.accumulate(lp[::-1])[::-1]  # max of log phi from each candidate on
+    ahead = np.fmax.accumulate(lp[::-1])[::-1]  # max of log phi from each candidate on
     ok = (ahead - runmax) <= np.log(eps)
     if model.decay is not None:
         ok &= model.decay.tail_l2sq(cands) <= (eps * model.l2_norm_phi) ** 2
     hits = np.nonzero(ok)[0]
     if not hits.size:
         raise NoDecayDetectedError(
-            f"{model.label} never fell below eps={eps:g} by x = {AUTO_X_END:g}")
+            f"{model.label} did not stay below eps={eps:g} by x = {AUTO_X_END:g}")
     return float(cands[hits[0]])
 
 

@@ -267,7 +267,7 @@ def test_spectrum_without_decay_runs_on_the_end_of_the_scan(tmp_path):
     assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
     report = (out / "report.txt").read_text().splitlines()
     assert "X = 200, panels = 800, order = 10" in report
-    assert "power(c=1): phi has not fallen below resolution.eps = 1e-06 by x = 200" in report
+    assert "power(c=1): phi has not stayed below resolution.eps = 1e-06 by x = 200" in report
     # K(x) grows like x^2: no row is an eigenvalue of H, so none is converged
     assert ("discrete spectrum = no: the rows are eigenvalues of the window [0, 200], "
             "none converged") in report
@@ -386,7 +386,7 @@ def test_validate_task_power_slow_decay(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
     report = (out / "report.txt").read_text().splitlines()
-    assert "power(c=1): phi has not fallen below resolution.eps = 1e-06 by x = 200" in report
+    assert "power(c=1): phi has not stayed below resolution.eps = 1e-06 by x = 200" in report
     assert "X = 200, panels = 800, order = 10" in report
     assert "all checks passed" in report
     assert np.array_equal(seen[0], np.linspace(0.25, 5.0, 12))
@@ -820,17 +820,20 @@ def _subprocess_env():
 def test_startup_imports_none_of_the_heavy_scipy_and_numpy_modules(tmp_path):
     # what `subspec run` loads beyond numpy for any task: one run, then every
     # task module.  An allowlist: the package, its one LAPACK extension
-    # (without scipy/__init__.py or scipy.linalg), __future__, and what
-    # argparse alone loads in the same interpreter (gettext and, once a
-    # parser translates its messages, locale).  A module that numpy loads
-    # itself does not count, so a new import anywhere in the package (a
+    # (without scipy/__init__.py or scipy.linalg), and what the standard
+    # library modules the package imports load in the same interpreter
+    # (argparse with a parser built, as gettext imports locale only when a
+    # message is translated).  Which of those numpy or a site hook has
+    # already loaded varies between installations, so they are imported
+    # here rather than listed.  A new import anywhere in the package (a
     # dataclass, numpy.polynomial, scipy.special) fails here and not only in
     # start-up timings
     cfgfile = _write(tmp_path, "run.cfg", "task = spectrum\nphi.kind = exp-decay\n"
                      "resolution.X = 6\nresolution.panels = 12\nspectrum.n_keep = 3\n")
     code = ("import sys, numpy; loaded = set(sys.modules); "
-            "import argparse; argparse.ArgumentParser(); allowed = set(sys.modules) - loaded; "
-            "allowed |= {'scipy.linalg._flapack', '__future__'}; "
+            "import __future__, argparse, functools, importlib.machinery, importlib.util, "
+            "math, os, pathlib, typing; argparse.ArgumentParser(); "
+            "allowed = set(sys.modules) - loaded | {'scipy.linalg._flapack'}; "
             "from subspec.cli import run_cli; "
             f"status = run_cli(['run', {str(cfgfile)!r}, '--out', {str(tmp_path / 'o')!r}]); "
             "import subspec.discretization, subspec.green_kernel, subspec.oracle_fd, "

@@ -69,6 +69,10 @@ def test_auto_truncation_looks_past_a_narrow_dip(phi4):
     assert dip.log_phi(np.asarray(8.0)) < math.log(1e-6)
     with pytest.raises(NoDecayDetectedError, match=r"by x = 200$"):
         auto_truncation(dip, 1e-6)
+    # a profile defined only up to x = 150 (NaN beyond) keeps the window that
+    # its finite part gives: the NaN does not count as rising above eps
+    cut = make_phi("custom-log-profile", log_phi=lambda x: -x + np.where(x < 150.0, 0.0, np.nan))
+    assert auto_truncation(cut, 1e-6) == auto_truncation(make_phi("exp-decay", c=1.0), 1e-6)
     # oscillating first drops below eps at x = 15.175, where -sin(e^x) is
     # near its minimum, and stays below from x = 15.3 on
     X = auto_truncation(phi4, 1e-6)
