@@ -310,7 +310,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import build_quadrature
+    from .discretization import AUTO_X_END, build_quadrature
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
 
     model = build_phi(cfg)
@@ -319,7 +319,10 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     fine = build_quadrature(X, panels, order)
     mu = eigen_mu(_jacobi(cfg, "phi", model, fine, notes), n_keep)
     verdict = _discrete_line(model)
-    if model.discrete is False:  # no row is an eigenvalue of H: no half-panel grid
+    # auto truncation found no X (it never gives AUTO_X_END itself): phi has
+    # not decayed on the window, so agreement of two grids certifies nothing
+    no_decay = cfg.get_float("resolution.X") is None and X == AUTO_X_END
+    if model.discrete is False or no_decay:  # no row is claimed: no half-panel grid
         converged = np.zeros(mu.size, dtype=bool)
         verdict += f": the rows are eigenvalues of the window [0, {X:.6g}], none converged"
     elif panels > 1:  # converged: unmoved on the grid with half the panels

@@ -328,6 +328,24 @@ def test_spectrum_of_a_discrete_or_undecided_profile_keeps_the_half_panel_grid(
     assert f"discrete spectrum = {verdict}" in (out / "report.txt").read_text().splitlines()
 
 
+def test_spectrum_claims_no_row_where_phi_has_not_decayed(tmp_path, monkeypatch):
+    # phi ~ e^{-0.01x} dips below eps at x = 8 but rises again, so auto
+    # truncation falls back to the end of its scan: two grids of [0, 200]
+    # agree on window eigenvalues there, which is no convergence (once 4 / 25)
+    built = _count_psi_caches(monkeypatch)
+    cfgfile = _write(tmp_path, "dip.cfg", CUSTOM
+                     + "phi.log_expr = -0.01*x - 100*exp(-((x - 8)*1e9)**2)\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    assert built == [8000]
+    report = (out / "report.txt").read_text().splitlines()
+    assert ("discrete spectrum = undecided: the rows are eigenvalues of the window [0, 200], "
+            "none converged") in report
+    assert "converged top eigenvalues = 0 / 25" in report
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    assert len(rows) == 25 and all(row.endswith(",False") for row in rows)
+
+
 def test_compare_reports_the_verdict_of_both_profiles(tmp_path):
     cfgfile = _write(tmp_path, "compare.cfg", "task = compare\nphi.kind = stretched-exp\n"
                      "phi.c = 2\ncompare.phi2.kind = exp-decay\ncompare.c = 100\n"
