@@ -1,4 +1,4 @@
-"""The three LAPACK routines the package uses, from scipy's compiled
+"""The four LAPACK routines the package uses, from scipy's compiled
 scipy.linalg._flapack, loaded without running scipy/__init__.py or
 scipy/linalg/__init__.py.
 
@@ -14,6 +14,9 @@ under its full name, so a later `import scipy.linalg` reuses it:
 scipy.linalg.lapack.dstebz is the dstebz used here.  stebz and gtsv make the
 finiteness and info checks that scipy's eigvalsh_tridiagonal and
 solve_banded made, raising EigensolveError named after the routine.
+dsterf gives the Gauss-Legendre nodes: numpy's eigvalsh reaches the same
+routine on a tridiagonal matrix, so the nodes stay numpy's to the bit and
+numpy's own LAPACK is never called.
 """
 
 import importlib
@@ -47,6 +50,7 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dpteqr = _flapack.dpteqr  # no check here: scipy.linalg.lapack.dpteqr makes none
+dsterf = _flapack.dsterf  # the same: each caller reads info
 
 
 def _require_finite(routine: str, *arrays) -> None:

@@ -242,6 +242,20 @@ def _discrete_line(*models) -> str:
                                                for m in models)
 
 
+def _grid_keys(cfg: RunConfig, X_default=None):
+    """(X, panels, order) as given: X > 0 or X_default, panels or None,
+    order >= 2 or discretization.ORDER."""
+    from .discretization import ORDER
+    X = cfg.get_float("resolution.X", X_default)
+    if X is not None and X <= 0.0:
+        raise ConfigError(f"config key 'resolution.X' must be positive, got {X:g}")
+    order = cfg.get_int("resolution.order", ORDER)
+    if order < 2:
+        raise ConfigError(f"config key 'resolution.order' must be a whole number >= 2, "
+                          f"got {cfg.get('resolution.order')!r}")
+    return X, cfg.get_int("resolution.panels"), order
+
+
 def _resolution(cfg: RunConfig, models, notes: list):
     """(X, panels, order) of spectrum, compare, robin and validate: one rule.
 
@@ -249,9 +263,8 @@ def _resolution(cfg: RunConfig, models, notes: list):
     (AUTO_X_END, with a note, for a profile that has none); panels default
     to discretization.default_panels(X).
     """
-    from .discretization import AUTO_X_END, ORDER, auto_truncation, default_panels
-    X = cfg.get_float("resolution.X")
-    panels = cfg.get_int("resolution.panels")
+    from .discretization import AUTO_X_END, auto_truncation, default_panels
+    X, panels, order = _grid_keys(cfg)
     eps = cfg.get_float("resolution.eps", 1e-6)
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"config key 'resolution.eps' must lie in (0, 1), got {eps:g}")
@@ -267,7 +280,6 @@ def _resolution(cfg: RunConfig, models, notes: list):
                 notes.append(f"{m.label}: phi has not stayed below resolution.eps = {eps:g} "
                              f"by x = {AUTO_X_END:g}")
         notes.append(f"auto truncation X = {X:.6g}")
-    order = cfg.get_int("resolution.order", ORDER)
     if panels is None:
         panels = default_panels(X)
     return X, panels, order
@@ -399,7 +411,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
 
 
 def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
-    from .discretization import ORDER, build_quadrature, default_panels
+    from .discretization import build_quadrature, default_panels
     from .scattering import example_scatt_sweep
 
     raw = cfg.get("scatter.alpha_list", "0.5,1,1.5,2,4")
@@ -413,9 +425,8 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     c = cfg.get_float("scatter.c", 1.0)
     if c <= 0.0:
         raise ConfigError(f"config key 'scatter.c' must be positive, got {c:g}")
-    X = cfg.get_float("resolution.X", 50.0)
-    quad = build_quadrature(X, cfg.get_int("resolution.panels", default_panels(X)),
-                            cfg.get_int("resolution.order", ORDER))
+    X, panels, order = _grid_keys(cfg, 50.0)
+    quad = build_quadrature(X, panels or default_panels(X), order)
     rows = example_scatt_sweep(alphas, c, quad)
     columns = ("alpha", "trace_numeric", "bound_nu_route", "bound_derivative_route")
     _write_csv(outdir / "scatter.csv", ",".join(columns) + ",criterion_met",

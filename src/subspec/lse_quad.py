@@ -74,7 +74,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from ._lapack import dsterf
+from .errors import EigensolveError, InvalidParameterError
 
 RTOL = 1e-12  # agreement of a panel with its bisection, relative to its share
 ORDER = 10  # Gauss-Legendre nodes per panel
@@ -101,11 +102,16 @@ def gauss_legendre(order: int):
     numpy.polynomial.legendre.leggauss's arithmetic, bit for bit, without
     importing numpy.polynomial: the eigenvalues of the symmetric companion
     matrix of P_order, one Newton step, symmetrization, weights scaled to
-    sum to 2.
+    sum to 2.  leggauss takes the eigenvalues with numpy's eigvalsh, which
+    is LAPACK dsyevd: its reduction to tridiagonal form leaves this already
+    tridiagonal matrix as it is (every reflector is the identity) before it
+    calls dsterf, so scipy's dsterf on the band gives the same nodes.
     """
     scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
     band = np.arange(1, order) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(band, -1) + np.diag(band, 1))
+    x, info = dsterf(np.zeros(order), band)
+    if info != 0:
+        raise EigensolveError(f"dsterf failed, info = {info}")
     c = [0.0] * order + [1.0]  # P_order
     der = [float(2 * k + 1) if (order - 1 - k) % 2 == 0 else 0.0 for k in range(order)]
     dy = _legval(x, c)

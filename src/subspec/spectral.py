@@ -10,9 +10,9 @@ the shifted T, O(N^2) time and O(N) memory (see _all_lambdas).
 "Converged" is operational: relative movement below CONVERGED_REL between
 two refinements of the grid.  The weighted identity check applies G by a
 tridiagonal solve (LAPACK dgtsv) on the same JacobiMatrix, so everything
-here runs in O(N) memory.  The three LAPACK routines come from scipy's
-compiled scipy.linalg._flapack, loaded without the scipy.linalg package
-(_lapack).
+here runs in O(N) memory.  These three LAPACK routines, and dsterf for the
+Gauss-Legendre nodes, come from scipy's compiled scipy.linalg._flapack,
+loaded without the scipy.linalg package (_lapack).
 """
 
 from __future__ import annotations

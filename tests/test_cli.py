@@ -68,6 +68,13 @@ CUSTOM = "task = spectrum\nphi.kind = custom-log-profile\n"
     ("task = scatter\nscatter.c = -1\n", "scatter.c"),
     (SPECTRUM + "resolution.eps = 2\n", "resolution.eps"),
     (SPECTRUM + "resolution.X = 5\nresolution.eps = 7\n", "resolution.eps"),
+    # a grid build_quadrature refuses
+    (SPECTRUM + "resolution.X = -1\n", "resolution.X"),
+    (SPECTRUM + "resolution.X = 0\n", "resolution.X"),
+    (SPECTRUM + "resolution.order = 1\n", "resolution.order"),
+    ("task = scatter\nresolution.X = 0\n", "resolution.X"),
+    ("task = scatter\nresolution.order = 1\n", "resolution.order"),
+    ("task = validate\nphi.kind = exp-decay\nresolution.order = 1\n", "resolution.order"),
     ("task = robin\nphi.kind = exp-decay\nrobin.gamma = 0\n", "robin.gamma"),
     # bad input other than numbers: {tmp} is the test's directory
     ("task = spectrum\nphi.kind = tabulated\nphi.csv = {tmp}/missing.csv\n", "phi.csv"),

@@ -45,12 +45,12 @@ def test_a_later_scipy_linalg_import_reuses_the_loaded_module():
         "assert 'scipy' not in sys.modules and 'scipy.linalg' not in sys.modules; "
         "import scipy, scipy.linalg.lapack as lp; "
         "print(lp.dstebz is L._flapack.dstebz, lp.dpteqr is L.dpteqr, "
-        "lp.dgtsv is L._flapack.dgtsv, scipy.__version__)"
-    ) == f"True True True {scipy.__version__}"
+        "lp.dgtsv is L._flapack.dgtsv, lp.dsterf is L.dsterf, scipy.__version__)"
+    ) == f"True True True True {scipy.__version__}"
     # in this process scipy.linalg came first (the test oracles import it)
     import scipy.linalg.lapack as lp
     assert lp.dstebz is _lapack._flapack.dstebz and lp.dpteqr is _lapack.dpteqr
-    assert lp.dgtsv is _lapack._flapack.dgtsv
+    assert lp.dgtsv is _lapack._flapack.dgtsv and lp.dsterf is _lapack.dsterf
 
 
 def test_without_a_file_spec_the_loader_imports_the_package():

@@ -99,11 +99,9 @@ def test_one_matrix_representation():
     src = Path(subspec.__file__).parent
     for path in src.glob("*.py"):
         text = path.read_text()
-        # the one exception: the order x order Legendre companion matrix of
-        # the Gauss rule, whose eigenvalues are numpy's leggauss nodes
-        text = text.replace("np.linalg.eigvalsh(np.diag(band, -1) + np.diag(band, 1))", "", 1)
-        # no dense eigensolve, SVD or solve: the tridiagonal LAPACK routines
-        # dstebz, dpteqr and dgtsv only
+        # no dense eigensolve, SVD or solve, not even for the Gauss rule's
+        # nodes: the tridiagonal LAPACK routines dstebz, dpteqr, dgtsv and
+        # dsterf only
         assert "np.linalg." not in text and "svd" not in text, path.name
 
 
