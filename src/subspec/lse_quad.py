@@ -19,21 +19,26 @@ interval with b <= a has none: its integral is -inf.
 
 Refinement is level-batched: the panels pending at one bisection depth,
 over many intervals, are evaluated together in vectorized calls of at most
-CHUNK panels, the left halves of every panel in one pass and the right
-halves in another, which keeps rapidly oscillating profiles (panel counts
-in the thousands) cheap.  The working set is bounded by BUDGET = 8192, with
-one exception: when the panels pending for the next depth exceed BUDGET,
-the set splits by interval onto a stack and is refined depth-first, one
-part at a time, but an interval is never split.  A single interval can
+CHUNK panels, in one pass over chunks that evaluates the left and then the
+right halves of each chunk, which keeps rapidly oscillating profiles (panel
+counts in the thousands) cheap.  The working set is bounded by BUDGET =
+8192, with one exception: when the panels pending for the next depth
+exceed BUDGET, the set splits by interval onto a stack and is refined
+depth-first, one part at a time, but an interval is never split.  A single interval can
 therefore hold more than BUDGET pending panels: up to MAX_PIECES *
 2^MAX_DEPTH = 262144 when it is no longer than MAX_PIECES * MAX_SEG = 64,
 and more on a longer one, whose pieces get extra levels.  make_phi of the
 oscillating profile pushes one interval of 24682 panels.  The stack holds
-about one part per depth, so it stays near depth * BUDGET * 32 bytes (lo,
-hi, owner and the unsplit value of each panel).  Each array of the refined
-entry is dropped once its last reader is done, so the oscillating psi cache
-on X = 15 with 60 panels peaks at 2.3 MiB of traced memory, and ||phi||
-of oscillating, whose pending panels are never split, at 2.4 MiB.  Each
+about one part per depth, so it stays near depth * BUDGET * 28 bytes: a
+pending panel holds its bounds lo and hi, its unsplit value and the int32
+index of its interval.  While a part is refined, each panel also holds its
+two halves and its floor, and the acceptance test overwrites the unsplit
+value and the share with what it computes from them; the midpoints of a
+chunk live only while its halves are evaluated, and those of the kept
+panels are computed again, to the same bits, for the next depth.  Each
+array is dropped once its last reader is done, so the oscillating psi cache
+on X = 15 with 60 panels peaks at 2.0 MiB of traced memory, and ||phi|| of
+oscillating, whose pending panels are never split, at 1.8 MiB.  Each
 interval keeps its panels in their order, so the result depends on neither
 BUDGET nor CHUNK to the last bit.
 
@@ -160,7 +165,8 @@ def _batch_panel_logs(log_f, a, b):
         floor = (np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
                  * np.abs(vals[:, -1] - vals[:, 0]) / (pts[:, -1] - pts[:, 0]))
         floor[~np.isfinite(floor)] = 0.0
-        shifted = vals - peak[:, None]
+        shifted = np.subtract(vals, peak[:, None], out=pts)  # pts is not read again
+        del vals
         np.exp(shifted, out=shifted)
         total = np.einsum("ij,j->i", shifted, w)
         return np.log(total) + peak + np.log(half), floor
@@ -172,8 +178,9 @@ def _interval_totals(out, split, owner):
     np.maximum.at(peak, owner, split)
     peak[~np.isfinite(peak)] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        mass = np.exp(out - peak) + np.bincount(owner, np.exp(split - peak[owner]),
-                                                minlength=out.size)
+        scaled = peak[owner]
+        np.exp(np.subtract(split, scaled, out=scaled), out=scaled)
+        mass = np.exp(out - peak) + np.bincount(owner, scaled, minlength=out.size)
         return np.log(mass) + peak
 
 
@@ -211,7 +218,7 @@ def segment_log_integrals(log_f, edges):
     full = np.ceil(np.maximum(b - a, 0.0) / MAX_SEG)
     n = np.minimum(full, MAX_PIECES).astype(np.intp)
     limit = MAX_DEPTH + np.ceil(np.log2(np.maximum(full / MAX_PIECES, 1.0))).astype(np.intp)
-    owner = np.repeat(np.arange(a.size), n)
+    owner = np.repeat(np.arange(a.size, dtype=np.int32), n)
     k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)  # piece index
     step = ((b - a) / np.maximum(n, 1))[owner]
     lo = k * step + a[owner]
@@ -223,21 +230,27 @@ def segment_log_integrals(log_f, edges):
     stack = _by_interval(0, lo, hi, owner, _batch_panel_logs(log_f, lo, hi)[0])
     while stack:  # each array is dropped once its last reader is done
         depth, lo, hi, owner, whole = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left, floor = _batch_panel_logs(log_f, lo, mid)
-        right, right_floor = _batch_panel_logs(log_f, mid, hi)
-        np.maximum(floor, right_floor, out=floor)
-        del right_floor
+        left, right, floor = np.empty(lo.size), np.empty(lo.size), np.empty(lo.size)
+        for i in range(0, lo.size, CHUNK):  # both halves of one chunk, then the next
+            part = slice(i, i + CHUNK)
+            mid = 0.5 * (lo[part] + hi[part])
+            left[part], floor[part] = _batch_panel_logs(log_f, lo[part], mid)
+            right[part], right_floor = _batch_panel_logs(log_f, mid, hi[part])
+            np.maximum(floor[part], right_floor, out=floor[part])
         split = np.logaddexp(left, right)
-        share = (_interval_totals(out, split, owner) - log_n - depth * np.log(2.0))[owner]
+        accept = (whole == -np.inf) & (split == -np.inf)
         with np.errstate(invalid="ignore"):
-            diff = np.subtract(whole, split)
+            diff = np.subtract(whole, split, out=whole)  # whole is not read again
+            del whole
             np.abs(np.expm1(diff, out=diff), out=diff)
-            gap = np.maximum(split, share)
+            accept |= diff <= floor
+            del floor
+            gap = (_interval_totals(out, split, owner) - log_n - depth * np.log(2.0))[owner]
+            np.maximum(split, gap, out=gap)  # the share, or split where it is larger
             np.exp(np.subtract(split, gap, out=gap), out=gap)
             gap *= diff
-        accept = (gap <= RTOL) | (diff <= floor) | ((whole == -np.inf) & (split == -np.inf))
-        del whole, diff, gap, share, floor
+            accept |= gap <= RTOL
+        del diff, gap
         at_limit = limit[owner] == depth
         depth_limited[owner[at_limit & ~accept]] = True
         accept |= at_limit
@@ -245,8 +258,10 @@ def segment_log_integrals(log_f, edges):
         np.logaddexp.at(out, owner[done], split[done])
         rest = ~accept
         del at_limit, split, done, accept
-        lo = np.concatenate([lo[rest], mid[rest]])
-        hi = np.concatenate([mid[rest], hi[rest]])
+        lo, hi = lo[rest], hi[rest]
+        mid = 0.5 * (lo + hi)  # the midpoints of the half passes, bit for bit
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([mid, hi])
         del mid
         whole = np.concatenate([left[rest], right[rest]])
         del left, right

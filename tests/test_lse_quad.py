@@ -157,12 +157,15 @@ def test_cache_on_a_wide_power_grid_is_exact():
 @pytest.mark.parametrize("kind, params, X, panels", [("oscillating", {}, 13.0, 52),
                                                      ("stretched-exp", {"c": 2.0}, 20.0, 10),
                                                      ("oscillating", {}, None, None)])
-def test_result_does_not_depend_on_the_budget(monkeypatch, kind, params, X, panels):
+@pytest.mark.parametrize("chunk", [16, 7, 13])
+def test_result_does_not_depend_on_the_budget(monkeypatch, kind, params, X, panels, chunk):
     # nor on the chunk size: with 16-panel calls and BUDGET = 64, 520 and
     # 100 segments already exceed the budget, so the stack splits from the
     # first depth on; on oscillating 8 segments, from x = 12.57, bisect to
     # the limit.  X = None is the ||phi||^2 integral of oscillating: one
-    # interval, never split, with up to 24682 pending panels
+    # interval, never split, with up to 24682 pending panels.  7 and 13
+    # divide neither BUDGET nor the 64 pieces of that interval, so the last
+    # chunk of a set's half passes is a short one
     model = make_phi(kind, **params)
     if X is None:
         edges = [0.0, phi_models._l2_window(model.log_phi)]
@@ -171,7 +174,7 @@ def test_result_does_not_depend_on_the_budget(monkeypatch, kind, params, X, pane
         edges = np.concatenate(([0.0], build_quadrature(X, panels, 10).nodes))
         log_f = lambda s: -2.0 * model.log_phi(s)
     logs, limited = segment_log_integrals(log_f, edges)
-    monkeypatch.setattr(lse_quad, "CHUNK", 16)
+    monkeypatch.setattr(lse_quad, "CHUNK", chunk)
     monkeypatch.setattr(lse_quad, "BUDGET", 64)
     split_logs, split_limited = segment_log_integrals(log_f, edges)
     assert np.array_equal(split_logs, logs)
