@@ -24,23 +24,28 @@ right halves of each chunk, which keeps rapidly oscillating profiles (panel
 counts in the thousands) cheap.  The working set is bounded by BUDGET =
 8192, with one exception: when the panels pending for the next depth
 exceed BUDGET, the set splits by interval onto a stack and is refined
-depth-first, one part at a time, but an interval is never split.  A single interval can
-therefore hold more than BUDGET pending panels: up to MAX_PIECES *
-2^MAX_DEPTH = 262144 when it is no longer than MAX_PIECES * MAX_SEG = 64,
-and more on a longer one, whose pieces get extra levels.  make_phi of the
-oscillating profile pushes one interval of 24682 panels.  The stack holds
-about one part per depth, so it stays near depth * BUDGET * 28 bytes: a
-pending panel holds its bounds lo and hi, its unsplit value and the int32
-index of its interval.  While a part is refined, each panel also holds its
-two halves and its floor, and the acceptance test overwrites the unsplit
-value and the share with what it computes from them; the midpoints of a
-chunk live only while its halves are evaluated, and those of the kept
-panels are computed again, to the same bits, for the next depth.  Each
-array is dropped once its last reader is done, so the oscillating psi cache
-on X = 15 with 60 panels peaks at 2.0 MiB of traced memory, and ||phi|| of
-oscillating, whose pending panels are never split, at 1.8 MiB.  Each
-interval keeps its panels in their order, so the result depends on neither
-BUDGET nor CHUNK to the last bit.
+depth-first, one part at a time, but an interval is never split.  A
+single interval can therefore hold more than BUDGET pending panels: up to
+MAX_PIECES * 2^MAX_DEPTH = 262144 when it is no longer than MAX_PIECES *
+MAX_SEG = 64, and more on a longer one, whose pieces get extra levels.
+make_phi of the oscillating profile pushes one interval of 24682 panels.
+The stack defers the panels kept at one depth as parents: their bounds lo
+and hi, the int32 index of their interval and the values of their two
+halves, 36 bytes per parent, split by interval at BUDGET // 2 parents,
+which gives the parts BUDGET children would.  It holds about one part per
+depth, so it stays near depth * BUDGET * 18 bytes.  A popped part is
+bisected into its pending panels, at the midpoints its parents were split at,
+and the parents are dropped.  While a part is refined, each panel holds its
+bounds, index and unsplit value, its two halves and an acceptance flag.
+One pass over chunks evaluates both halves of a chunk, with one node buffer
+for all of the part's batches, and tests the chunk against its rounding
+floor, overwriting its unsplit values with their distance to the split
+value; the split values are then computed again, to the same bits, for the
+relative test.  Each array is dropped once its last reader is done, so the
+oscillating psi cache on X = 15 with 60 panels peaks at 1.57 MiB of traced
+memory, and ||phi|| of oscillating, whose pending panels are never split,
+at 1.63 MiB.  Each interval keeps its panels in their order, so the result
+depends on neither BUDGET nor CHUNK to the last bit.
 
 Acceptance is relative to the whole interval, not to the panel alone
 (Gander & Gautschi, BIT 40, 2000).  A panel is accepted when its unsplit
@@ -132,7 +137,7 @@ def gauss_legendre(order: int):
     return x, w
 
 
-def _batch_panel_logs(log_f, a, b):
+def _batch_panel_logs(log_f, a, b, nodes):
     """(log of the one-panel Gauss-Legendre integral over each [a_i, b_i],
     its rounding floor), evaluated CHUNK panels at a time.
 
@@ -140,18 +145,19 @@ def _batch_panel_logs(log_f, a, b):
     sum, so rows of -inf give -inf and rows with a +inf sample give +inf.
     The floor is eps * max(|a_i|, |b_i|) times the secant of log_f across
     the first and last node: the change in log_f that rounding a node
-    causes (0 where either sample is not finite).  The array log_f returns
-    is only read.
+    causes (0 where either sample is not finite).  `nodes`, a (CHUNK,
+    ORDER) array the caller reuses, holds each batch's nodes and then its
+    shifted samples; the array log_f returns is only read.
     """
     if a.size > CHUNK:
         logs, floor = np.empty(a.size), np.empty(a.size)
         for i in range(0, a.size, CHUNK):
             logs[i:i + CHUNK], floor[i:i + CHUNK] = _batch_panel_logs(
-                log_f, a[i:i + CHUNK], b[i:i + CHUNK])
+                log_f, a[i:i + CHUNK], b[i:i + CHUNK], nodes)
         return logs, floor
     x, w = gauss_legendre(ORDER)
     half = 0.5 * (b - a)
-    pts = half[:, None] * x[None, :]
+    pts = np.multiply(half[:, None], x[None, :], out=nodes[:a.size])
     pts += (0.5 * (a + b))[:, None]
     vals = np.asarray(log_f(pts.ravel()), dtype=float).reshape(pts.shape)
     peak = vals[:, 0].copy()
@@ -184,19 +190,24 @@ def _interval_totals(out, split, owner):
         return np.log(mass) + peak
 
 
-def _by_interval(depth, lo, hi, owner, whole):
-    """Stack entries (depth, lo, hi, owner, whole) for the panels pending at
-    one depth: one entry, or, above BUDGET panels, one per run of whole
-    intervals holding about BUDGET panels, the first on top.  An interval is
-    never split, so an entry exceeds BUDGET when one interval alone has more
-    pending panels.  Each interval keeps its panels in their order."""
-    if owner.size <= BUDGET:
-        return [(depth, lo, hi, owner, whole)] if owner.size else []
+def _by_interval(budget, depth, lo, hi, owner, *values):
+    """Stack entries (depth, lo, hi, owner, *values) for a pending set: one
+    entry, or, above `budget` rows, one per run of whole intervals holding
+    about `budget` rows, the first on top.  An interval is never split, so
+    an entry exceeds `budget` when one interval alone has more rows; a set
+    that falls into one run comes back as the arrays it was given.  Each
+    interval keeps its rows in their order."""
+    if owner.size <= budget:
+        return [(depth, lo, hi, owner, *values)] if owner.size else []
     count = np.bincount(owner)
-    part = ((np.cumsum(count) - count) // BUDGET)[owner]
+    start = np.cumsum(count) - count
+    if start[-1] < budget:  # every interval starts in the first run
+        return [(depth, lo, hi, owner, *values)]
+    part = (start // budget)[owner]
     order = np.argsort(part, kind="stable")
     cuts = np.flatnonzero(np.diff(part[order])) + 1
-    return [(depth, lo[i], hi[i], owner[i], whole[i]) for i in np.split(order, cuts)[::-1]]
+    return [(depth, lo[i], hi[i], owner[i], *(v[i] for v in values))
+            for i in np.split(order, cuts)[::-1]]
 
 
 def segment_log_integrals(log_f, edges):
@@ -227,44 +238,53 @@ def segment_log_integrals(log_f, edges):
     out = np.full(a.size, -np.inf)
     depth_limited = np.zeros(a.size, dtype=bool)
 
-    stack = _by_interval(0, lo, hi, owner, _batch_panel_logs(log_f, lo, hi)[0])
+    whole = _batch_panel_logs(log_f, lo, hi, np.empty((CHUNK, ORDER)))[0]
+    stack = _by_interval(BUDGET, 0, lo, hi, owner, whole)
+    del k, step, lo, hi, owner, whole
     while stack:  # each array is dropped once its last reader is done
-        depth, lo, hi, owner, whole = stack.pop()
-        left, right, floor = np.empty(lo.size), np.empty(lo.size), np.empty(lo.size)
-        for i in range(0, lo.size, CHUNK):  # both halves of one chunk, then the next
+        depth, lo, hi, owner, *whole = stack.pop()
+        if depth:  # the parents kept at depth - 1: bisect them into their children
+            mid = 0.5 * (lo + hi)  # the midpoints of their half passes, bit for bit
+            lo = np.concatenate([lo, mid])
+            hi = np.concatenate([mid, hi])
+            del mid
+            owner = np.concatenate([owner, owner])
+        whole = np.concatenate(whole)  # their halves, or the pieces' values
+        left, right = np.empty(lo.size), np.empty(lo.size)
+        accept = np.empty(lo.size, dtype=bool)
+        nodes = np.empty((CHUNK, ORDER))  # every batch's nodes, then its shifted samples
+        for i in range(0, lo.size, CHUNK):  # both halves of one chunk, then its floor test
             part = slice(i, i + CHUNK)
             mid = 0.5 * (lo[part] + hi[part])
-            left[part], floor[part] = _batch_panel_logs(log_f, lo[part], mid)
-            right[part], right_floor = _batch_panel_logs(log_f, mid, hi[part])
-            np.maximum(floor[part], right_floor, out=floor[part])
-        split = np.logaddexp(left, right)
-        accept = (whole == -np.inf) & (split == -np.inf)
+            left[part], floor = _batch_panel_logs(log_f, lo[part], mid, nodes)
+            right[part], right_floor = _batch_panel_logs(log_f, mid, hi[part], nodes)
+            del mid
+            np.maximum(floor, right_floor, out=floor)
+            split = np.logaddexp(left[part], right[part])
+            diff = whole[part]  # a view: the floor test overwrites the unsplit values
+            accept[part] = (diff == -np.inf) & (split == -np.inf)
+            with np.errstate(invalid="ignore"):
+                np.subtract(diff, split, out=diff)  # the unsplit value is not read again
+                np.abs(np.expm1(diff, out=diff), out=diff)
+                accept[part] |= diff <= floor
+        del nodes, diff
+        split = np.logaddexp(left, right)  # each chunk's split again, to the same bits
         with np.errstate(invalid="ignore"):
-            diff = np.subtract(whole, split, out=whole)  # whole is not read again
-            del whole
-            np.abs(np.expm1(diff, out=diff), out=diff)
-            accept |= diff <= floor
-            del floor
             gap = (_interval_totals(out, split, owner) - log_n - depth * np.log(2.0))[owner]
             np.maximum(split, gap, out=gap)  # the share, or split where it is larger
             np.exp(np.subtract(split, gap, out=gap), out=gap)
-            gap *= diff
+            gap *= whole  # |expm1(whole - split)|, from the chunk loop
             accept |= gap <= RTOL
-        del diff, gap
-        at_limit = limit[owner] == depth
+        del whole, gap
+        at_limit = (limit == depth)[owner]
         depth_limited[owner[at_limit & ~accept]] = True
         accept |= at_limit
         done = accept & (split > -np.inf)
         np.logaddexp.at(out, owner[done], split[done])
         rest = ~accept
         del at_limit, split, done, accept
-        lo, hi = lo[rest], hi[rest]
-        mid = 0.5 * (lo + hi)  # the midpoints of the half passes, bit for bit
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-        del mid
-        whole = np.concatenate([left[rest], right[rest]])
-        del left, right
-        owner = np.concatenate([owner[rest], owner[rest]])
-        stack += _by_interval(depth + 1, lo, hi, owner, whole)
+        lo, hi, owner = lo[rest], hi[rest], owner[rest]
+        left, right = left[rest], right[rest]
+        del rest
+        stack += _by_interval(BUDGET // 2, depth + 1, lo, hi, owner, left, right)
     return out, depth_limited

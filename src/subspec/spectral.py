@@ -57,8 +57,9 @@ def _all_lambdas(d, e, gamma: float) -> np.ndarray:
     (7.6e-10 relative on the top mu of power(1) with gamma = -0.05,
     N = 2000).  Where eps |s| exceeds RTOL lambda_k, RTOL being the
     quadrature tolerance that T's entries are computed to, lambda_k keeps
-    its bisected value: lambda_0 always, and never a value above the former
-    low end 1e-3 max|lambda|.
+    its bisected value: lambda_0 always (the shift's own bisection, so it
+    is bisected once), and never a value above the former low end
+    1e-3 max|lambda|.
     """
     lam0 = float(_bisect(d, e, 0, 0)[0])
     s = min(0.0, 2.0 * lam0)
@@ -71,7 +72,9 @@ def _all_lambdas(d, e, gamma: float) -> np.ndarray:
     lam = np.sort(w) + s
     if s < 0.0:
         low = int(np.searchsorted(lam, -s * np.finfo(float).eps / RTOL))
-        lam[:low] = _bisect(d, e, 0, low - 1)
+        lam[0] = lam0
+        if low > 1:
+            lam[1:low] = _bisect(d, e, 1, low - 1)
     return lam
 
 

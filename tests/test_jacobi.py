@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+from subspec import spectral
 from subspec.discretization import assemble_jacobi, build_quadrature
 from subspec.errors import ComplexGammaError
 from subspec.phi_models import inv_power_zeta, make_phi
@@ -103,6 +104,18 @@ def test_full_spectrum_matches_mpmath_sturm_bisection(phi2, phi3, family, X, gam
         for k in (0, 1, 2, n // 4, n // 2, 3 * n // 4, n - 2, n - 1):
             ref = _sturm_lambda(d, e2, k, lam[k])
             assert abs(lam[k] - float(ref)) <= 1e-12 * abs(float(ref)), k
+
+
+def test_full_robin_spectrum_bisects_lambda_0_once(monkeypatch, phi3):
+    # the dense-spectra robin T (N = 4000): lambda_0 < 0 is the one value
+    # that keeps its bisected value, and the shift already bisected it
+    T = assemble_jacobi(phi3, build_quadrature(8.0, 400, 10), -0.5)
+    calls, bisect = [], spectral._bisect
+    monkeypatch.setattr(spectral, "_bisect",
+                        lambda d, e, lo, hi: calls.append((lo, hi)) or bisect(d, e, lo, hi))
+    mu = eigen_mu(T)
+    assert calls == [(0, 0)]
+    assert mu.size == 4000 and np.sum(mu < 0.0) == 1
 
 
 @st.composite

@@ -12,7 +12,8 @@ from subspec import lse_quad, phi_models
 from subspec.discretization import build_quadrature
 from subspec.errors import InvalidParameterError
 from subspec.lse_quad import (
-    MAX_PIECES, ORDER, RTOL, _batch_panel_logs, gauss_legendre, segment_log_integrals)
+    BUDGET, CHUNK, MAX_PIECES, ORDER, RTOL, _batch_panel_logs, _by_interval, gauss_legendre,
+    segment_log_integrals)
 from subspec.phi_models import make_phi
 from subspec.subordinate import SubordinateCache
 
@@ -74,7 +75,7 @@ def test_panel_reduction_matches_logsumexp():
     b = a + rng.uniform(0.01, 2.0, 64)
     b[[5, 8, 12]] = a[[5, 8, 12]]  # zero-width panels, one with a +inf sample
     given = vals.copy()
-    got, floor = _batch_panel_logs(lambda s: vals.ravel(), a, b)
+    got, floor = _batch_panel_logs(lambda s: vals.ravel(), a, b, np.empty((CHUNK, ORDER)))
     assert np.array_equal(vals, given)  # the integrand's array is only read
     # no rounding floor where an end sample is not finite or the panel is empty
     assert np.all(floor[[3, 5, 6, 8, 12]] == 0.0) and np.all(np.isfinite(floor))
@@ -182,6 +183,18 @@ def test_result_does_not_depend_on_the_budget(monkeypatch, kind, params, X, pane
     assert limited.any() == (kind == "oscillating")
 
 
+def test_a_set_in_one_run_of_intervals_is_not_copied():
+    # above the budget, but every interval starts in the first BUDGET rows:
+    # one interval (as ||phi||^2 of oscillating) or one that crosses the
+    # budget.  Nothing is split, so the entry holds the arrays themselves
+    n = BUDGET + 100
+    for counts in ([n], [BUDGET - 10, 110]):
+        owner = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        arrays = (np.arange(n, dtype=float), np.arange(1.0, n + 1.0), owner, np.zeros(n))
+        (entry,) = _by_interval(BUDGET, 3, *arrays)
+        assert entry[0] == 3 and all(got is given for got, given in zip(entry[1:], arrays))
+
+
 @pytest.fixture(scope="module")
 def fine_oscillating(phi4):
     """(cache, integrand samples) of oscillating on X = 15 with 60 panels."""
@@ -239,8 +252,8 @@ def test_floor_leaves_a_smooth_cache_bit_identical(monkeypatch, phi3):
     # floor ten times larger would not, on these 0.2-wide segments)
     nodes = build_quadrature(20.0, 10, 10).nodes
     got = SubordinateCache(phi3, nodes).log_I_nodes
-    monkeypatch.setattr(lse_quad, "_batch_panel_logs",
-                        lambda log_f, a, b: (_batch_panel_logs(log_f, a, b)[0], np.zeros(a.size)))
+    monkeypatch.setattr(lse_quad, "_batch_panel_logs", lambda log_f, a, b, nodes: (
+        _batch_panel_logs(log_f, a, b, nodes)[0], np.zeros(a.size)))
     assert np.array_equal(SubordinateCache(phi3, nodes).log_I_nodes, got)
     # the recorded values agree to the bit where they were recorded; other
     # exp and log kernels may round their last bits differently
