@@ -3,10 +3,10 @@
 The submodules follow the pipeline:
 
     lse_quad        adaptive log-space quadrature, the one integrator
-    phi_models      profiles phi, decay metadata, L2 norms
+    phi_models      profiles phi, decay metadata, discreteness verdicts
     subordinate     the psi cache (I and psi at grid nodes), Wronskian check
     green_kernel    the exponential kernel bound, audited on T's psi cache
-    discretization  quadrature grids and the tridiagonal Nystrom inverse T
+    discretization  quadrature grids, auto truncation, int_0^X phi^2 and T
     spectral        eigenvalues, comparisons and the weighted identity check
     scattering      trace-norm criteria for phi = exp(-c x - zeta)
     oracle_fd       independent finite-difference Dirichlet solver

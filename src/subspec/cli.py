@@ -221,15 +221,6 @@ def build_phi(cfg: RunConfig, prefix: str = "phi"):
                     label=cfg.get(key("label"), f"custom[{cfg.get(key('log_expr'))}]"))
 
 
-def _note_l2(model, notes: list, which: str = "") -> None:
-    """Note, once, that the ||phi|| a task reads came from a quadrature that
-    accepted a panel only at the depth limit; `which` names the profile
-    when a task has two."""
-    note = f"||phi|| quadrature{which} unresolved (accepted at the depth limit)"
-    if model.l2_unresolved and note not in notes:
-        notes.append(note)
-
-
 _VERDICTS = {True: "yes", False: "no", None: "undecided"}
 
 
@@ -271,8 +262,6 @@ def _resolution(cfg: RunConfig, models, notes: list):
     if X is None:
         X = 0.0
         for m in models:
-            if m.decay is not None:  # auto_truncation compares the tail with ||phi||
-                _note_l2(m, notes, f" of {m.label}" if len(models) > 1 else "")
             try:
                 X = max(X, auto_truncation(m, eps))
             except NoDecayDetectedError:
@@ -385,7 +374,7 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import build_quadrature
+    from .discretization import build_quadrature, mass
     from .spectral import eigen_mu, robin_sigma, write_spectrum_csv
 
     model = build_phi(cfg)
@@ -401,11 +390,10 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     # gamma w_i phi(x_i)^2
     trace_diff = gamma * float(np.sum(quad.weights * np.exp(2.0 * model.log_phi(quad.nodes))))
     sigma = robin_sigma(model, gamma) if model.dlog_phi is not None else float("nan")
-    _note_l2(model, notes)
     return 0, [f"model = {model.label}", _discrete_line(model), f"gamma = {gamma:.6g}",
                f"boundary sigma = {sigma:.6g}",
                f"trace(G_gamma) - trace(G) = {trace_diff:.6g} "
-               f"(gamma ||phi||^2 = {gamma * model.l2_norm_phi**2:.6g})",
+               f"(gamma int_0^X phi^2 = {gamma * mass(model, X):.6g})",
                f"most negative mu = {float(mu[-1]):.6g}" if mu[-1] < 0.0
                else "no negative mu"]
 
@@ -442,7 +430,7 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import build_quadrature
+    from .discretization import build_quadrature, mass
     from .green_kernel import exp_bound_margin
     from .phi_models import verify_decay_hypothesis
     from .spectral import weighted_identity_residual
@@ -465,11 +453,11 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     wr = wronskian_residual(model, nodes)
     checks.append((f"wronskian residual <= {tol_w:g}", wr <= tol_w, wr))
 
-    ratio = np.exp(T.cache.log_I_nodes)  # psi/phi at the nodes
-    _note_l2(model, notes)
-    growth = np.all(quad.nodes**2 <= model.l2_norm_phi**2 * ratio * (1 + 1e-9))
-    checks.append(("growth bound x^2 <= ||phi||^2 psi/phi", bool(growth),
-                   float(np.max(quad.nodes**2 / (model.l2_norm_phi**2 * ratio)))))
+    # Cauchy-Schwarz: x^2 <= int_0^x phi^2 I(x) <= int_0^X phi^2 psi/phi
+    bound = mass(model, X) * np.exp(T.cache.log_I_nodes)
+    checks.append(("growth bound x^2 <= int_0^X phi^2 psi/phi",
+                   bool(np.all(quad.nodes**2 <= bound * (1 + 1e-9))),
+                   float(np.max(quad.nodes**2 / bound))))
 
     reach = f"accuracy checks reach x = {nodes[-1]:.6g} (wronskian nodes)"
     if model.dlog_phi is not None:

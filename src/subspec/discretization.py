@@ -18,7 +18,7 @@ import numpy as np
 
 from ._lapack import gtsv
 from .errors import ComplexGammaError, InvalidParameterError, NoDecayDetectedError
-from .lse_quad import gauss_legendre
+from .lse_quad import gauss_legendre, segment_log_integrals
 from .phi_models import PhiModel
 from .subordinate import SubordinateCache
 
@@ -56,12 +56,25 @@ def default_panels(X: float) -> int:
     return max(40, int(np.ceil(4.0 * X)))
 
 
+def mass(model: PhiModel, X: float) -> float:
+    """int_0^X phi^2, by one segment_log_integrals pass over [0, X]; a NaN
+    sample of log phi raises InvalidParameterError naming the profile."""
+    try:
+        log_mass, _ = segment_log_integrals(lambda s: 2.0 * model.log_phi(s), [0.0, X])
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{model.label}: {exc}") from None
+    return float(np.exp(log_mass[0]))
+
+
 def auto_truncation(model: PhiModel, eps: float) -> float:
     """Smallest X on a grid of step 0.0125 in (0, AUTO_X_END) from which phi
     stays at or below eps max_[0, X] phi over the rest of the grid (a narrow
     dip does not end the window; NaN samples past X are skipped) and, when
-    decay metadata exists, tail mass int_X^inf phi^2 <= eps^2 ||phi||^2;
-    NoDecayDetectedError when there is none (power(c=1)).
+    decay metadata exists, the sandwich's tail int_X^inf phi^2 is at most
+    eps^2 mass(model, X_p).  X_p is the first X of the pointwise test, which
+    never exceeds the answer, so only [0, X_p] is integrated.
+    NoDecayDetectedError when no X qualifies (power(c=1)); without an X_p
+    it is raised before anything is integrated.
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParameterError("eps must lie in (0, 1)")
@@ -71,8 +84,9 @@ def auto_truncation(model: PhiModel, eps: float) -> float:
     runmax = np.maximum.accumulate(np.maximum(lp, lp0))
     ahead = np.fmax.accumulate(lp[::-1])[::-1]  # max of log phi from each candidate on
     ok = (ahead - runmax) <= np.log(eps)
-    if model.decay is not None:
-        ok &= model.decay.tail_l2sq(cands) <= (eps * model.l2_norm_phi) ** 2
+    if model.decay is not None and ok.any():
+        head = mass(model, float(cands[np.argmax(ok)]))
+        ok &= model.decay.tail_l2sq(cands) <= eps**2 * head
     hits = np.nonzero(ok)[0]
     if not hits.size:
         raise NoDecayDetectedError(

@@ -28,7 +28,8 @@ depth-first, one part at a time, but an interval is never split.  A
 single interval can therefore hold more than BUDGET pending panels: up to
 MAX_PIECES * 2^MAX_DEPTH = 262144 when it is no longer than MAX_PIECES *
 MAX_SEG = 64, and more on a longer one, whose pieces get extra levels.
-make_phi of the oscillating profile pushes one interval of 24682 panels.
+The head mass int_0^15.3 phi^2 that auto truncation of the oscillating
+profile integrates at eps = 1e-6 pushes one interval of 21682 panels.
 The stack defers the panels kept at one depth as parents: their bounds lo
 and hi, the int32 index of their interval and the values of their two
 halves, 36 bytes per parent, split by interval at BUDGET // 2 parents,
@@ -43,8 +44,8 @@ floor, overwriting its unsplit values with their distance to the split
 value; the split values are then computed again, to the same bits, for the
 relative test.  Each array is dropped once its last reader is done, so the
 oscillating psi cache on X = 15 with 60 panels peaks at 1.57 MiB of traced
-memory, and ||phi|| of oscillating, whose pending panels are never split,
-at 1.63 MiB.  Each interval keeps its panels in their order, so the result
+memory, and that head mass, whose pending panels are never split, at 1.48
+MiB.  Each interval keeps its panels in their order, so the result
 depends on neither BUDGET nor CHUNK to the last bit.
 
 Acceptance is relative to the whole interval, not to the panel alone

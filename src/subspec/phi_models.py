@@ -30,16 +30,12 @@ family's K has a closed-form limit:
     tabulated             not discrete: its tail is exp-decay
     custom-log-profile    undecided (None)
 
-||phi|| is integrated on the first read of PhiModel.l2_norm_phi or
-l2_unresolved, once per model.
-
 phi' is only assumed locally square-integrable; for tabulated input that
 regularity is a user obligation and is not (and cannot be) checked here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -51,9 +47,6 @@ from .errors import (
     NegativeArgumentError,
     NonPositiveSampleError,
 )
-from .lse_quad import segment_log_integrals
-
-_L2_LOG_DROP = 46.0  # integrate phi^2 until log phi fell this far below its max
 
 
 class Zeta(NamedTuple):
@@ -100,10 +93,8 @@ class DecayInfo(NamedTuple):
 
 
 class PhiModel(NamedTuple):
-    """Realized profile: log phi plus optional derivatives and decay data.
-    l2() gives (||phi||, whether its quadrature accepted a panel only at
-    the depth limit), computed on the first call; discrete is the family's
-    discreteness verdict (None: undecided)."""
+    """Realized profile: log phi plus optional derivatives and decay data;
+    discrete is the family's discreteness verdict (None: undecided)."""
 
     kind: str
     label: str
@@ -111,16 +102,7 @@ class PhiModel(NamedTuple):
     dlog_phi: Optional[Callable[[np.ndarray], np.ndarray]]
     d2log_phi: Optional[Callable[[np.ndarray], np.ndarray]]
     decay: Optional[DecayInfo]
-    l2: Callable[[], tuple]
     discrete: Optional[bool] = None
-
-    @property
-    def l2_norm_phi(self) -> float:
-        return self.l2()[0]
-
-    @property
-    def l2_unresolved(self) -> bool:
-        return self.l2()[1]
 
 
 def _as_nonneg(x):
@@ -128,47 +110,6 @@ def _as_nonneg(x):
     if np.any(arr < 0):
         raise NegativeArgumentError("profiles live on x >= 0")
     return arr
-
-
-def _l2_window(log_phi, x0: float = 8.0, cap: float = 2.0e4) -> float:
-    """Smallest windowed X where log phi dropped _L2_LOG_DROP below its max,
-    and stays there on a probe of [X, 1.6 X] (a narrow dip at X does not
-    end the window)."""
-    X = x0
-    probe = np.linspace(0.0, X, 257)
-    peak = float(np.max(log_phi(probe)))
-    while (float(log_phi(np.asarray(X))) > peak - _L2_LOG_DROP
-           or float(np.max(log_phi(np.linspace(X, 1.6 * X, 257)))) > peak - _L2_LOG_DROP):
-        X *= 1.6
-        if X > cap:
-            raise InvalidParameterError(
-                "profile does not decay enough to estimate its L2 norm; "
-                "supply decay metadata or a finite-l2 profile")
-        peak = max(peak, float(np.max(log_phi(np.linspace(0.0, X, 257)))))
-    return X
-
-
-def _l2sq_head(log_phi, X: float) -> tuple:
-    """(int_0^X phi^2, whether its quadrature was depth-limited)."""
-    log_head, limited = segment_log_integrals(lambda s: 2.0 * log_phi(s), [0.0, X])
-    return math.exp(log_head[0]), bool(limited[0])
-
-
-def _l2_by_quadrature(log_phi, decay: Optional[DecayInfo], label: str):
-    """PhiModel.l2: (||phi|| from a windowed quadrature plus the sandwich
-    tail, whether that quadrature was depth-limited), computed on the first
-    call only; an error (no decay, or a log phi that is NaN) names the
-    profile label."""
-    @functools.cache
-    def l2():
-        try:
-            X = _l2_window(log_phi)
-            head, limited = _l2sq_head(log_phi, X)
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"{label}: {exc}") from None
-        tail = decay.tail_l2sq(X) if decay is not None else 0.0
-        return math.sqrt(head + tail), limited
-    return l2
 
 
 def _exp_decay(c):
@@ -183,7 +124,7 @@ def _exp_decay(c):
         log_phi=lambda x, c=c: -c * _as_nonneg(x),
         dlog_phi=lambda x, c=c: np.full_like(_as_nonneg(x), -c),
         d2log_phi=lambda x: np.zeros_like(_as_nonneg(x)),
-        decay=decay, l2=lambda c=c: (1.0 / math.sqrt(2.0 * c), False), discrete=False)
+        decay=decay, discrete=False)
 
 
 def _power(c):
@@ -195,27 +136,25 @@ def _power(c):
         log_phi=lambda x, c=c: -c * np.log1p(_as_nonneg(x)),
         dlog_phi=lambda x, c=c: -c / (1.0 + _as_nonneg(x)),
         d2log_phi=lambda x, c=c: c / (1.0 + _as_nonneg(x)) ** 2,
-        decay=None, l2=lambda c=c: (1.0 / math.sqrt(2.0 * c - 1.0), False), discrete=False)
+        decay=None, discrete=False)
 
 
 def _stretched_exp(c):
     c = float(c)
     if c <= 0:
         raise InvalidParameterError(f"stretched-exp needs c > 0, got {c}")
-    log_phi = lambda x, c=c: -((1.0 + _as_nonneg(x)) ** c)
     decay = None
     if c >= 1.0:  # sigma' = c (1+x)^(c-1) >= c only from c >= 1 on
         decay = DecayInfo(
             c, 1.0, 1.0,
             sigma=lambda x, c=c: (1.0 + np.asarray(x, dtype=float)) ** c,
             dsigma=lambda x, c=c: c * (1.0 + np.asarray(x, dtype=float)) ** (c - 1.0))
-    label = f"stretched-exp(c={c:g})"
     return PhiModel(
-        "stretched-exp", label,
-        log_phi=log_phi,
+        "stretched-exp", f"stretched-exp(c={c:g})",
+        log_phi=lambda x, c=c: -((1.0 + _as_nonneg(x)) ** c),
         dlog_phi=lambda x, c=c: -c * (1.0 + _as_nonneg(x)) ** (c - 1.0),
         d2log_phi=lambda x, c=c: -c * (c - 1.0) * (1.0 + _as_nonneg(x)) ** (c - 2.0),
-        decay=decay, l2=_l2_by_quadrature(log_phi, decay, label), discrete=c > 1.0)
+        decay=decay, discrete=c > 1.0)
 
 
 def _oscillating():
@@ -237,14 +176,13 @@ def _oscillating():
         dlog_phi=lambda x: -1.0 - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x))),
         d2log_phi=lambda x: (np.exp(2.0 * _as_nonneg(x)) * np.sin(np.exp(_as_nonneg(x)))
                              - np.exp(_as_nonneg(x)) * np.cos(np.exp(_as_nonneg(x)))),
-        decay=decay, l2=_l2_by_quadrature(log_phi, decay, "oscillating"), discrete=False)
+        decay=decay, discrete=False)
 
 
 def _scattering_profile(c, zeta: Zeta):
     c = float(c)
     if c <= 0:
         raise InvalidParameterError(f"scattering-profile needs c > 0, got {c}")
-    log_phi = lambda x, c=c, z=zeta: -c * _as_nonneg(x) - z.fn(_as_nonneg(x))
     dlog = None
     if zeta.dfn is not None:
         dlog = lambda x, c=c, z=zeta: -c - z.dfn(_as_nonneg(x))
@@ -255,10 +193,10 @@ def _scattering_profile(c, zeta: Zeta):
         c, math.exp(-zeta.sup), math.exp(zeta.sup),
         sigma=lambda x, c=c: c * np.asarray(x, dtype=float),
         dsigma=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c))
-    label = f"scattering(c={c:g}, zeta={zeta.label})"
     return PhiModel(
-        "scattering-profile", label, log_phi=log_phi, dlog_phi=dlog, d2log_phi=d2log,
-        decay=decay, l2=_l2_by_quadrature(log_phi, decay, label), discrete=False)
+        "scattering-profile", f"scattering(c={c:g}, zeta={zeta.label})",
+        log_phi=lambda x, c=c, z=zeta: -c * _as_nonneg(x) - z.fn(_as_nonneg(x)),
+        dlog_phi=dlog, d2log_phi=d2log, decay=decay, discrete=False)
 
 
 def _tabulated(x, values):
@@ -283,24 +221,18 @@ def _tabulated(x, values):
             out = np.where(beyond, logs[-1] + s * (arr - xs[-1]), out)
         return out
 
-    @functools.cache
-    def l2():
-        head, limited = _l2sq_head(log_phi, float(xs[-1]))
-        return math.sqrt(head + float(vals[-1]) ** 2 / (-2.0 * slope_end)), limited
-
     return PhiModel(
         "tabulated", f"tabulated({xs.size} samples)",
-        log_phi=log_phi, dlog_phi=None, d2log_phi=None, decay=None, l2=l2, discrete=False)
+        log_phi=log_phi, dlog_phi=None, d2log_phi=None, decay=None, discrete=False)
 
 
 def _custom(log_phi, dlog_phi=None, d2log_phi=None, decay: Optional[DecayInfo] = None,
             label: str = "custom"):
     def wrap(f):  # user callables see x >= 0 and answer with a float array
         return None if f is None else lambda x: np.asarray(f(_as_nonneg(x)), dtype=float)
-    log_phi = wrap(log_phi)
     return PhiModel(
-        "custom-log-profile", label, log_phi=log_phi, dlog_phi=wrap(dlog_phi),
-        d2log_phi=wrap(d2log_phi), decay=decay, l2=_l2_by_quadrature(log_phi, decay, label))
+        "custom-log-profile", label, log_phi=wrap(log_phi), dlog_phi=wrap(dlog_phi),
+        d2log_phi=wrap(d2log_phi), decay=decay)
 
 
 _BUILDERS = {

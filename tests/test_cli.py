@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -295,18 +296,18 @@ def _count_psi_caches(monkeypatch):
     return built
 
 
-def _refuse_l2_quadrature(monkeypatch):
-    from subspec import phi_models
+def _refuse_mass(monkeypatch):
+    from subspec import discretization
 
-    def refused(log_phi, X):
-        raise AssertionError("the ||phi|| quadrature ran")
+    def refused(model, X):
+        raise AssertionError(f"int_0^{X:g} phi^2 was integrated")
 
-    monkeypatch.setattr(phi_models, "_l2sq_head", refused)
+    monkeypatch.setattr(discretization, "mass", refused)
 
 
 def test_spectrum_of_a_non_discrete_profile_builds_one_grid(tmp_path, monkeypatch):
     built = _count_psi_caches(monkeypatch)
-    _refuse_l2_quadrature(monkeypatch)  # with resolution.X no task reads ||phi||
+    _refuse_mass(monkeypatch)  # with resolution.X spectrum integrates no phi^2
     cfgfile = _write(tmp_path, "osc.cfg", "task = spectrum\nphi.kind = oscillating\n"
                      "resolution.X = 6\nresolution.panels = 24\nspectrum.n_keep = 5\n")
     out = tmp_path / "out"
@@ -362,8 +363,8 @@ def test_compare_reports_the_verdict_of_both_profiles(tmp_path):
             in (tmp_path / "out" / "report.txt").read_text().splitlines())
 
 
-def test_scatter_sweep_reads_no_phi_norm(tmp_path, monkeypatch):
-    _refuse_l2_quadrature(monkeypatch)
+def test_scatter_sweep_integrates_no_phi_squared(tmp_path, monkeypatch):
+    _refuse_mass(monkeypatch)
     cfgfile = _write(tmp_path, "sc.cfg", "task = scatter\nscatter.alpha_list = 0.5, 2\n"
                      "resolution.X = 20\nresolution.panels = 40\n")
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
@@ -395,7 +396,7 @@ resolution.X = 12
     # no check tests it; every check listed can fail
     assert re.findall(r"^\[PASS\] (.+?) \(value = \S+\)$", report, re.M) == [
         "decay sandwich", "kernel bound audit", "wronskian residual <= 1e-06",
-        "growth bound x^2 <= ||phi||^2 psi/phi", "weighted identity residual <= 1e-3"]
+        "growth bound x^2 <= int_0^X phi^2 psi/phi", "weighted identity residual <= 1e-3"]
 
 
 def test_validate_task_power_slow_decay(tmp_path, monkeypatch):
@@ -457,15 +458,16 @@ def test_validate_task_fails_a_false_decay_sandwich(tmp_path, body, failed):
     assert "VALIDATION FAILED" in report
 
 
-def test_validate_growth_bound_holds_at_the_true_norm_of_a_dipped_profile(tmp_path):
-    # the bound is Cauchy-Schwarz, so it holds with the true ||phi||^2 = 50;
-    # a dip of width 1e-9 at x = 8 once ended the L2 window there (7.4 of 50)
+def test_validate_growth_bound_holds_on_a_dipped_profile(tmp_path):
+    # the bound is Cauchy-Schwarz, x^2 <= int_0^x phi^2 I(x), so it holds
+    # with int_0^20 phi^2 = 50 (1 - e^-0.4) beside the e^200 spike of phi^-2
+    # in a dip of width 1e-9 at x = 8
     cfgfile = _write(tmp_path, "dip.cfg", CUSTOM_VALIDATE
                      + "phi.log_expr = -0.01*x - 100*exp(-((x - 8)*1e9)**2)\n"
                      "resolution.X = 20\n")
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
     report = (tmp_path / "out" / "report.txt").read_text().splitlines()
-    assert any(line.startswith("[PASS] growth bound x^2 <= ||phi||^2 psi/phi")
+    assert any(line.startswith("[PASS] growth bound x^2 <= int_0^X phi^2 psi/phi")
                for line in report), report
 
 
@@ -657,6 +659,27 @@ def test_robin_reports_a_negative_mu_only_where_there_is_one(tmp_path, gamma, li
     assert (mus[-1] < 0.0) == (float(gamma) < 0.0)
 
 
+def test_robin_trace_line_sets_the_window_mass_beside_the_weighted_sum(tmp_path):
+    # G_gamma - G = gamma phi phi: on [0, 14] with 56 panels gamma sum w phi^2
+    # and gamma int_0^14 phi^2 both give gamma (1 - e^-28) / 2
+    from subspec.discretization import build_quadrature, mass
+    from subspec.phi_models import make_phi
+    cfgfile = _write(tmp_path, "robin.cfg", "task = robin\nphi.kind = exp-decay\nphi.c = 1\n"
+                     "robin.gamma = -0.5\nresolution.X = 14\nresolution.panels = 56\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    found = re.findall(r"^trace\(G_gamma\) - trace\(G\) = (\S+) "
+                       r"\(gamma int_0\^X phi\^2 = (\S+)\)$",
+                       (out / "report.txt").read_text(), re.M)
+    closed = 0.25 * math.expm1(-28.0)
+    assert len(found) == 1
+    assert [float(v) for v in found[0]] == pytest.approx([closed, closed], rel=1e-10)
+    model, quad = make_phi("exp-decay", c=1.0), build_quadrature(14.0, 56, 10)
+    summed = float(np.sum(quad.weights * np.exp(2.0 * model.log_phi(quad.nodes))))
+    assert summed == pytest.approx(mass(model, 14.0), rel=1e-10)
+    assert -0.5 * summed == pytest.approx(closed, rel=1e-10)
+
+
 def test_scatter_task(tmp_path):
     cfgfile = _write(tmp_path, "sc.cfg", """
 task = scatter
@@ -794,14 +817,22 @@ resolution.panels = 40
     assert "unresolved" not in (tmp_path / "o" / "report.txt").read_text()
 
 
-@pytest.mark.parametrize("kind, noted", [("oscillating", True),
-                                         ("stretched-exp\nphi.c = 2", False)])
-def test_validate_notes_an_unresolved_phi_norm(tmp_path, kind, noted):
-    # the auto truncation and the growth check both read ||phi||: one note
-    cfgfile = _write(tmp_path, "run.cfg", f"task = validate\nphi.kind = {kind}\n")
+@pytest.mark.parametrize("task, body", [("robin", "robin.gamma = -0.5\n"), ("validate", "")])
+def test_tasks_integrate_phi_squared_on_their_own_window(tmp_path, monkeypatch, task, body):
+    # auto truncation integrates up to the first X of its pointwise test,
+    # 2.85, and its tail test moves X to 2.8625; the task's trace line or
+    # growth check then integrates over its own window [0, X]
+    from subspec import discretization
+    windows = []
+    mass = discretization.mass
+    monkeypatch.setattr(discretization, "mass",
+                        lambda model, X: windows.append(X) or mass(model, X))
+    cfgfile = _write(tmp_path, "run.cfg",
+                     f"task = {task}\nphi.kind = stretched-exp\nphi.c = 2\n{body}")
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    assert windows == pytest.approx([2.85, 2.8625], abs=1e-9)
     report = (tmp_path / "o" / "report.txt").read_text()
-    assert report.count("||phi|| quadrature unresolved") == int(noted)
+    assert "auto truncation X = 2.8625" in report and "||phi||" not in report
 
 
 # X = 14 with 56 panels: the oscillating cache stops resolving from x ~ 12 on;

@@ -5,10 +5,11 @@ import pytest
 
 import dense_oracle
 from paper_identities import factorization_forms
-from subspec.discretization import assemble_jacobi, auto_truncation, build_quadrature
+from subspec import discretization
+from subspec.discretization import assemble_jacobi, auto_truncation, build_quadrature, mass
 from subspec.errors import ComplexGammaError, InvalidParameterError, NoDecayDetectedError
-from subspec.lse_quad import gauss_legendre
-from subspec.phi_models import make_phi
+from subspec.lse_quad import gauss_legendre, segment_log_integrals
+from subspec.phi_models import inv_power_zeta, make_phi
 from subspec.spectral import eigen_mu
 
 
@@ -43,14 +44,76 @@ def test_auto_truncation_exp(phi1):
 def test_auto_truncation_stretched(phi3):
     X = auto_truncation(phi3, 1e-6)
     assert 2.7 <= X <= 3.0
-    # postconditions: ratio below eps, tail below eps^2 ||phi||^2, minimality
+    # postconditions: ratio below eps, tail below eps^2 int_0^{x_p} phi^2 with
+    # x_p the first grid point of the ratio test, minimality
     lp0 = float(phi3.log_phi(np.asarray(0.0)))
     assert float(phi3.log_phi(np.asarray(X))) - lp0 <= math.log(1e-6) + 1e-12
-    assert phi3.decay.tail_l2sq(X) <= (1e-6 * phi3.l2_norm_phi) ** 2 * (1 + 1e-9)
-    back = X - 0.05
+    cands = np.arange(0.0125, 200.0, 0.0125)
+    x_p = float(cands[np.argmax(phi3.log_phi(cands) - lp0 <= math.log(1e-6))])
+    assert x_p == pytest.approx(2.85) and x_p < X  # the tail test binds
+    head = mass(phi3, x_p)
+    assert phi3.decay.tail_l2sq(X) <= 1e-12 * head * (1 + 1e-9)
+    back = X - 0.0125
     ratio_ok = float(phi3.log_phi(np.asarray(back))) - lp0 <= math.log(1e-6)
-    tail_ok = phi3.decay.tail_l2sq(back) <= (1e-6 * phi3.l2_norm_phi) ** 2
+    tail_ok = phi3.decay.tail_l2sq(back) <= 1e-12 * head
     assert not (ratio_ok and tail_ok)
+
+
+@pytest.mark.parametrize("kind, params, windows", [
+    ("exp-decay", {"c": 1.0}, (6.9125, 13.825, 23.0375)),
+    ("exp-decay", {"c": 0.3}, (23.0375, 46.0625, 76.7625)),
+    ("stretched-exp", {"c": 2.0}, (1.8375, 2.8625, 3.9125)),
+    ("stretched-exp", {"c": 1.5}, (3.0, 5.05, 7.35)),
+    ("oscillating", {}, (8.4125, 15.3, 24.5375)),
+    ("scattering-profile", {"c": 1.0, "zeta": inv_power_zeta(1.0, 0.5)},
+     (8.7375, 15.65, 24.8625)),
+])
+@pytest.mark.parametrize("k, eps", enumerate((1e-3, 1e-6, 1e-10)))
+def test_auto_truncation_windows(kind, params, windows, k, eps):
+    # the tail test gives the same windows against eps^2 int_0^{x_p} phi^2
+    # as against eps^2 ||phi||^2
+    assert auto_truncation(make_phi(kind, **params), eps) == pytest.approx(windows[k],
+                                                                           abs=1e-9)
+
+
+def test_mass_closed_forms(phi1, phi2, phi3):
+    assert mass(phi1, 13.8) == pytest.approx(-0.5 * math.expm1(-27.6), rel=1e-13)
+    assert mass(phi2, 40.0) == pytest.approx(40.0 / 41.0, rel=1e-13)  # X / (1 + X)
+    # int_0^4 exp(-2(1+x)^2) = sqrt(pi/8) (erfc(sqrt 2) - erfc(5 sqrt 2))
+    closed = math.sqrt(math.pi / 8.0) * (math.erfc(math.sqrt(2.0))
+                                         - math.erfc(5.0 * math.sqrt(2.0)))
+    assert mass(phi3, 4.0) == pytest.approx(closed, rel=1e-13)
+
+
+def _oscillating_mass_in_t(X):
+    """int_0^X phi^2 = int_1^{e^X} t^-3 e^{-2 sin t} dt (t = e^x): composite
+    40-node Gauss-Legendre on panels of width pi."""
+    T = math.exp(X)
+    x, w = np.polynomial.legendre.leggauss(40)
+    lo = 1.0 + math.pi * np.arange(math.ceil((T - 1.0) / math.pi))
+    half = 0.5 * (np.minimum(lo + math.pi, T) - lo)
+    t = (lo + half)[:, None] + half[:, None] * x
+    return math.fsum(half * ((t ** -3.0 * np.exp(-2.0 * np.sin(t))) @ w))
+
+
+def test_mass_oscillating_budget_and_oracle(monkeypatch, phi4):
+    samples = []
+
+    def counted(log_f, edges):
+        return segment_log_integrals(lambda s: samples.append(np.size(s)) or log_f(s), edges)
+
+    monkeypatch.setattr(discretization, "segment_log_integrals", counted)
+    head = mass(phi4, 6.0)
+    assert 0 < sum(samples) <= 10_000  # 8340 with numpy 2.4
+    assert head == pytest.approx(_oscillating_mass_in_t(6.0), rel=1e-12)
+
+
+def test_mass_names_the_profile_whose_log_is_nan():
+    m = make_phi("custom-log-profile",
+                 log_phi=lambda x: -x + np.log(np.asarray(x, float) - 1.0), label="shifted-log")
+    with np.errstate(all="ignore"), pytest.raises(
+            InvalidParameterError, match=r"shifted-log: log integrand is not finite"):
+        mass(m, 3.0)
 
 
 def test_auto_truncation_power_slow_decay(phi2):
@@ -135,7 +198,7 @@ def test_positivity_sampled_gram(phi2):
 
 
 def test_bounded_map_property(phi1):
-    # |(G f)(x)| / psi(x) <= ||phi|| ||f|| pointwise
+    # |(G f)(x)| / psi(x) <= ||phi|| ||f|| pointwise, ||phi|| = 1/sqrt(2)
     quad = build_quadrature(13.8155, 56, 10)
     T = assemble_jacobi(phi1, quad)
     rng = np.random.default_rng(5)
@@ -144,7 +207,7 @@ def test_bounded_map_property(phi1):
         f = rng.standard_normal(quad.n)
         g = T.apply_to_function(f)
         fnorm = math.sqrt(float(np.sum(quad.weights * f * f)))
-        assert np.max(np.abs(g) / psi) <= phi1.l2_norm_phi * fnorm + 1e-6
+        assert np.max(np.abs(g) / psi) <= math.sqrt(0.5) * fnorm + 1e-6
 
 
 def test_apply_to_function_matches_dense(phi3):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import exprel, logsumexp, ndtr
 
-from subspec import lse_quad, phi_models
+from subspec import lse_quad
 from subspec.discretization import build_quadrature
 from subspec.errors import InvalidParameterError
 from subspec.lse_quad import (
@@ -163,13 +163,13 @@ def test_result_does_not_depend_on_the_budget(monkeypatch, kind, params, X, pane
     # nor on the chunk size: with 16-panel calls and BUDGET = 64, 520 and
     # 100 segments already exceed the budget, so the stack splits from the
     # first depth on; on oscillating 8 segments, from x = 12.57, bisect to
-    # the limit.  X = None is the ||phi||^2 integral of oscillating: one
+    # the limit.  X = None is int_0^52.4288 phi^2 of oscillating: one long
     # interval, never split, with up to 24682 pending panels.  7 and 13
     # divide neither BUDGET nor the 64 pieces of that interval, so the last
     # chunk of a set's half passes is a short one
     model = make_phi(kind, **params)
     if X is None:
-        edges = [0.0, phi_models._l2_window(model.log_phi)]
+        edges = [0.0, 52.4288]
         log_f = lambda s: 2.0 * model.log_phi(s)
     else:
         edges = np.concatenate(([0.0], build_quadrature(X, panels, 10).nodes))
@@ -185,7 +185,7 @@ def test_result_does_not_depend_on_the_budget(monkeypatch, kind, params, X, pane
 
 def test_a_set_in_one_run_of_intervals_is_not_copied():
     # above the budget, but every interval starts in the first BUDGET rows:
-    # one interval (as ||phi||^2 of oscillating) or one that crosses the
+    # one interval (as a head mass of oscillating) or one that crosses the
     # budget.  Nothing is split, so the entry holds the arrays themselves
     n = BUDGET + 100
     for counts in ([n], [BUDGET - 10, 110]):

@@ -1,6 +1,6 @@
 """Peak traced memory of scatter and validate at N = 4000-5000, of a full
 Robin spectrum at N = 4000, and of the oscillating profile's psi caches and
-||phi|| quadrature, which bisect millions of panels.
+auto truncation head mass, which bisect millions of panels.
 
 Both tasks run in O(N) memory: a single dense N x N matrix of doubles would
 be 122 MiB at N = 4000, so a peak below 32 MiB shows that none is formed.
@@ -14,10 +14,11 @@ they are refined each also holds its two halves and an acceptance flag,
 the floor test runs chunk by chunk in place of the unsplit value, and one
 node buffer per part, dropped before the acceptance step, serves all of
 its integrand batches.  The peaks are about 2.0 MiB for the cache on
-X = 15 with 240 panels, 1.57 MiB with 60 panels, and 1.63 MiB for
-||phi||, whose one interval holds 24682 pending panels (2.5, 1.96 and
-1.76 MiB when the stack deferred the pending panels themselves, 28 bytes
-each, and a part held an entry-wide floor); each bound fails at those.
+X = 15 with 240 panels and 1.57 MiB with 60 panels (2.5 and 1.96 MiB when
+the stack deferred the pending panels themselves, 28 bytes each, and a
+part held an entry-wide floor; each bound fails at those), and 1.48 MiB
+for the head mass int_0^15.3 phi^2, whose one interval holds 21682
+pending panels.
 Splitting the pending set loads no numpy module.
 """
 
@@ -29,8 +30,7 @@ from pathlib import Path
 
 import subspec
 from subspec.cli import parse_config, run
-from subspec.discretization import ORDER, assemble_jacobi, build_quadrature
-from subspec.phi_models import make_phi
+from subspec.discretization import ORDER, assemble_jacobi, build_quadrature, mass
 from subspec.scattering import example_scatt_sweep
 from subspec.spectral import eigen_mu
 from subspec.subordinate import SubordinateCache
@@ -95,11 +95,12 @@ def test_fine_oscillating_cache_working_set(phi4):
     assert peak < 1.8 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
-def test_oscillating_norm_working_set():
-    # one interval of 24682 pending panels at the depth limit, never split
-    (norm, unresolved), peak = _peak_bytes(make_phi("oscillating").l2)
-    assert norm > 0.0 and unresolved
-    assert peak < 1.69 * 2**20, f"{peak / 2**20:.2f} MiB"
+def test_oscillating_head_mass_working_set(phi4):
+    # auto truncation's head mass at eps = 1e-6: about 1.0M samples, one
+    # interval of 21682 pending panels at the depth limit, never split
+    head, peak = _peak_bytes(lambda: mass(phi4, 15.3))
+    assert head > 0.0
+    assert peak < 1.55 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_splitting_the_pending_set_loads_no_numpy_module():

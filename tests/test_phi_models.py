@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.special import i0
 
 from subspec.errors import (
     InvalidParameterError,
@@ -11,7 +9,7 @@ from subspec.errors import (
     NegativeArgumentError,
     NonPositiveSampleError,
 )
-from subspec.lse_quad import segment_log_integrals
+from subspec.discretization import mass
 from subspec.phi_models import (
     DecayInfo,
     inv_power_zeta,
@@ -60,63 +58,15 @@ def test_positivity_on_audit_grid(phi1, phi2, phi3, phi4):
         assert np.all(np.exp(m.log_phi(grid)) > 0.0)
 
 
-def test_l2_norm_closed_forms(phi1, phi2, phi3):
-    assert phi1.l2_norm_phi == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
-    assert phi2.l2_norm_phi == pytest.approx(1.0, rel=1e-13)  # 1/sqrt(2c-1)
-    # int exp(-2(1+x)^2) = sqrt(pi/8) erfc(sqrt 2)
-    closed = math.sqrt(math.sqrt(math.pi / 8.0) * math.erfc(math.sqrt(2.0)))
-    assert phi3.l2_norm_phi == pytest.approx(closed, rel=1e-10)
-    assert not (phi1.l2_unresolved or phi2.l2_unresolved or phi3.l2_unresolved)
-
-
-def test_l2_norm_oscillating_against_substitution(phi4):
-    # t = e^x turns the wild integrand into a tame one
-    val, _ = quad(lambda t: t ** (-3) * math.exp(-2.0 * math.sin(t)), 1.0, np.inf,
-                  limit=2000)
-    assert phi4.l2_norm_phi == pytest.approx(math.sqrt(val), rel=1e-7)
-    # its window [0, 52.43] accepts a panel at the depth limit
-    assert phi4.l2_unresolved
-
-
-def _oscillating_l2sq_in_t():
-    """||phi||^2 = int_1^inf t^-3 e^{-2 sin t} dt (t = e^x): composite
-    40-node Gauss-Legendre on panels of width pi up to T = e^15, and the
-    tail I0(2) / (2 T^2) (e^{-2 sin t} averages to I0(2) over a period)."""
-    T = math.exp(15.0)
-    x, w = np.polynomial.legendre.leggauss(40)
-    lo_all = 1.0 + math.pi * np.arange(math.ceil((T - 1.0) / math.pi))
-    parts = []
-    for i in range(0, lo_all.size, 1 << 14):
-        lo = lo_all[i:i + (1 << 14)]
-        half = 0.5 * (np.minimum(lo + math.pi, T) - lo)
-        t = (lo + half)[:, None] + half[:, None] * x
-        parts.append(np.sum(half * ((t ** -3.0 * np.exp(-2.0 * np.sin(t))) @ w)))
-    return math.fsum(parts) + i0(2.0) / (2.0 * T * T)
-
-
-def test_l2_norm_oscillating_budget_and_oracle(monkeypatch):
-    from subspec import phi_models
-
-    samples = []
-
-    def counted(log_f, edges):
-        return segment_log_integrals(lambda s: samples.append(np.size(s)) or log_f(s), edges)
-
-    monkeypatch.setattr(phi_models, "segment_log_integrals", counted)
-    norm = make_phi("oscillating").l2_norm_phi
-    assert 0 < sum(samples) <= 1_500_000
-    assert norm ** 2 == pytest.approx(_oscillating_l2sq_in_t(), rel=1e-12)
-
-
-def test_tabulated_model_from_phi1_samples(phi1):
+def test_tabulated_model_from_phi1_samples():
     xs = np.linspace(0.0, 10.0, 201)
     m = make_phi("tabulated", x=xs, values=np.exp(-xs))
     # log interpolation is exact for an exponential profile
     assert m.log_phi(3.333) == pytest.approx(-3.333, abs=1e-12)
     # extrapolation continues the last slope
     assert m.log_phi(12.0) == pytest.approx(-12.0, abs=1e-9)
-    assert m.l2_norm_phi == pytest.approx(phi1.l2_norm_phi, rel=1e-8)
-    assert not m.l2_unresolved
+    # int_0^12 e^{-2x}, past the samples too
+    assert mass(m, 12.0) == pytest.approx(-0.5 * math.expm1(-24.0), rel=1e-8)
 
 
 def test_tabulated_validation():
@@ -145,7 +95,7 @@ def test_decay_verification_rejects_power(phi2):
                      dsigma=lambda x: np.ones_like(np.asarray(x, float)))
     doctored = type(phi2)(kind=phi2.kind, label=phi2.label, log_phi=phi2.log_phi,
                           dlog_phi=phi2.dlog_phi, d2log_phi=phi2.d2log_phi,
-                          decay=fake, l2=phi2.l2)
+                          decay=fake)
     assert verify_decay_hypothesis(doctored, np.linspace(0.0, 50.0, 501)) < -1e-12
 
 
@@ -161,15 +111,6 @@ def test_scattering_profile_kind():
     assert m.decay.rate == 1.0
     assert m.decay.c_upper == pytest.approx(math.e)
     assert verify_decay_hypothesis(m, np.linspace(0.0, 30.0, 301)) >= -1e-12
-    assert not m.l2_unresolved
-
-
-def test_l2_norm_names_the_profile_whose_log_is_nan():
-    m = make_phi("custom-log-profile",
-                 log_phi=lambda x: -x + np.log(np.asarray(x, float) - 1.0), label="shifted-log")
-    with np.errstate(all="ignore"), pytest.raises(
-            InvalidParameterError, match=r"shifted-log: log integrand is not finite"):
-        m.l2_norm_phi
 
 
 def test_make_phi_takes_a_kind_and_its_parameters():
@@ -211,36 +152,3 @@ def test_each_family_carries_its_discreteness_verdict():
     assert make_phi("scattering-profile", c=1.0, zeta=zeta).discrete is False
     assert make_phi("tabulated", x=[0.0, 1.0], values=[1.0, 0.5]).discrete is False
     assert make_phi("custom-log-profile", log_phi=lambda x: -x * x).discrete is None
-
-
-def test_phi_norm_is_integrated_on_first_read_only(monkeypatch):
-    from subspec import phi_models
-
-    calls = []
-
-    def counted(log_phi, X):
-        calls.append(X)
-        return head(log_phi, X)
-
-    head = phi_models._l2sq_head
-    monkeypatch.setattr(phi_models, "_l2sq_head", counted)
-    zeta = inv_power_zeta(1.0, 1.5)
-    models = [make_phi("stretched-exp", c=2.0), make_phi("oscillating"),
-              make_phi("scattering-profile", c=1.0, zeta=zeta),
-              make_phi("tabulated", x=[0.0, 1.0], values=[1.0, 0.5]),
-              make_phi("custom-log-profile", log_phi=lambda x: -x)]
-    assert calls == []
-    for m in models:
-        norm = m.l2_norm_phi
-        assert (m.l2_unresolved, m.l2_norm_phi, m._replace(decay=m.decay).l2_norm_phi) == \
-            (m.l2_unresolved, norm, norm)
-    assert len(calls) == len(models)
-
-
-def test_l2_window_looks_past_a_narrow_dip():
-    # log phi dips 100 below its peak for a width of about 1e-9 at x = 8; the
-    # window must not end there (it once did, giving ||phi||^2 = 7.4)
-    m = make_phi("custom-log-profile",
-                 log_phi=lambda x: -0.01 * x - 100.0 * np.exp(-((x - 8.0) * 1e9) ** 2))
-    assert m.l2_norm_phi ** 2 == pytest.approx(50.0, abs=1e-9)
-    assert not m.l2_unresolved

@@ -7,6 +7,7 @@ from scipy.special import erfi
 
 from paper_identities import regularized_potential, riccati_residual
 from subspec.errors import NegativeArgumentError, NonSmoothModelError
+from subspec.discretization import mass
 from subspec.phi_models import inv_power_zeta, make_phi
 from subspec.spectral import robin_sigma
 from subspec.subordinate import SubordinateCache, wronskian_residual
@@ -110,7 +111,7 @@ def test_cache_refuses_non_finite_log_phi():
     from subspec.phi_models import PhiModel
     bad = PhiModel("custom-log-profile", "log(x - 1)",
                    log_phi=lambda x: np.log(np.asarray(x, float) - 1.0),
-                   dlog_phi=None, d2log_phi=None, decay=None, l2=lambda: (1.0, False))
+                   dlog_phi=None, d2log_phi=None, decay=None)
     with np.errstate(all="ignore"), pytest.raises(InvalidParameterError, match="log"):
         SubordinateCache(bad, np.linspace(0.5, 3.0, 20))
 
@@ -124,12 +125,12 @@ def test_psi_over_phi_strictly_increasing(phi1, phi2, phi3, phi4):
 
 
 def test_growth_bound_all_builtins(phi1, phi2, phi3, phi4):
-    # x^2 <= ||phi||^2 psi(x)/phi(x)
+    # x^2 <= int_0^X phi^2 psi(x)/phi(x) on [0, X], by Cauchy-Schwarz
     for m, X in ((phi1, 13.8), (phi2, 30.0), (phi3, 4.0), (phi4, 6.0)):
         nodes = np.linspace(0.05, X, 200)
         cache = SubordinateCache(m, nodes)
         ratio = np.exp(cache.log_I_nodes)
-        assert np.all(nodes**2 <= m.l2_norm_phi**2 * ratio * (1.0 + 1e-9))
+        assert np.all(nodes**2 <= mass(m, X) * ratio * (1.0 + 1e-9))
 
 
 def test_wronskian_residuals(phi1, phi3, phi4):
