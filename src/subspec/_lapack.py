@@ -1,24 +1,44 @@
-"""The four LAPACK routines the package uses, from scipy's compiled
-scipy.linalg._flapack, loaded without running scipy/__init__.py or
-scipy/linalg/__init__.py.
+"""The four LAPACK routines the package uses (dstebz, dpteqr, dgtsv and
+dsterf), taken from the OpenBLAS library that numpy's wheel ships and has
+already mapped.
 
-Importing scipy.linalg costs about 0.25 s, most of it scipy's array-API shim
-(which clones the numpy namespace and so imports numpy.f2py, numpy.testing
-and numpy.ma); scipy/__init__.py alone costs 14-18 ms, its test runner
-pulling in subprocess, sysconfig, signal and selectors.  So scipy's
-directory comes from its import spec, and only the extension module is
-loaded, next to what numpy already loaded (2 vCPU, numpy 2.4.6, scipy
-1.17.1; BENCH_16.json, BENCH_20.json).  Without scipy this raises the
+numpy >= 2 wheels put libscipy_openblas64_ in numpy.libs/ (numpy/.dylibs/ on
+macOS), and it exports the Fortran routines as scipy_<routine>_64_; numpy
+1.2x wheels export them as <routine>_64_.  Both are ILP64: every integer is
+an int64, passed by reference like every other argument, and each string
+argument carries gfortran's trailing size_t length.  The routines are bound
+through ctypes, which numpy has already imported, so a run maps one
+OpenBLAS.  Loading scipy.linalg._flapack instead maps scipy's own
+libscipy_openblas (1.46 MiB resident) and _flapack.so (0.88 MiB), and
+0.14 MiB more anonymous pages: 2.48 MiB (/proc/self/smaps before and after
+importing this module on either path; numpy 2.4.6, scipy 1.17.1, x86-64).
+The Fortran symbols are called, not LAPACKE's: LAPACKE_dpteqr sizes WORK as
+1 for COMPZ = 'N', but DPTEQR hands it to DLASQ1, which needs 4N, and the
+heap is corrupted.  Work arrays are sized as scipy's f2py wrappers size
+them (DSTEBZ: 4N work and 3N iwork; DPTEQR: 4N).
+
+Where numpy ships no single OpenBLAS with those symbols, or it cannot be
+opened (Accelerate, MKL or distribution builds), scipy's compiled
+scipy.linalg._flapack is loaded without running scipy/__init__.py or
+scipy/linalg/__init__.py.  Importing scipy.linalg costs about 0.25 s, most
+of it scipy's array-API shim; scipy/__init__.py alone costs 14-18 ms, its
+test runner pulling in subprocess, sysconfig, signal and selectors.  So
+scipy's directory comes from its import spec, and only the extension module
+is loaded (BENCH_16.json, BENCH_20.json).  Without scipy this raises the
 ModuleNotFoundError that `import scipy` raises.  The module is registered
-under its full name, so a later `import scipy.linalg` reuses it:
-scipy.linalg.lapack.dstebz is the dstebz used here.  stebz and gtsv make the
-finiteness and info checks that scipy's eigvalsh_tridiagonal and
-solve_banded made, raising EigensolveError named after the routine.
-dsterf gives the Gauss-Legendre nodes: numpy's eigvalsh reaches the same
-routine on a tridiagonal matrix, so the nodes stay numpy's to the bit and
-numpy's own LAPACK is never called.
+under its full name, so a later `import scipy.linalg` reuses it.
+
+Both backends give the same numbers to the bit.  The functions below take
+one signature on either: they check finiteness and info as scipy's
+eigvalsh_tridiagonal and solve_banded did, raising EigensolveError named
+after the routine, take scipy's quick exit on 1 x 1 matrices, and never
+write an array passed in.  dsterf gives the Gauss-Legendre nodes: numpy's
+eigvalsh reaches the same routine on a tridiagonal matrix, so the nodes stay
+numpy's to the bit and numpy's own LAPACK is never called.  LIBRARY is the
+file the routines come from.
 """
 
+import ctypes
 import importlib
 import importlib.machinery
 import importlib.util
@@ -30,6 +50,33 @@ import numpy as np
 from .errors import EigensolveError
 
 _NAME = "scipy.linalg._flapack"
+# each Fortran routine's pointer arguments (INFO included) and string lengths
+_ROUTINES = {"dstebz": (18, 2), "dpteqr": (8, 1), "dgtsv": (8, 0), "dsterf": (4, 0)}
+
+
+def _numpy_openblas():
+    """(path, {routine: Fortran function}) of the one OpenBLAS in numpy's
+    wheel, or None."""
+    here = os.path.dirname(np.__file__)
+    folders = [os.path.join(os.path.dirname(here), "numpy.libs"), os.path.join(here, ".dylibs")]
+    found = [os.path.join(f, name) for f in folders if os.path.isdir(f)
+             for name in os.listdir(f) if "openblas" in name]
+    if len(found) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(found[0])
+    except OSError:
+        return None
+    for symbol in ("scipy_{}_64_", "{}_64_"):
+        try:
+            routines = {r: getattr(lib, symbol.format(r)) for r in _ROUTINES}
+        except AttributeError:
+            continue
+        for r, (pointers, lengths) in _ROUTINES.items():
+            routines[r].argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * lengths
+            routines[r].restype = None
+        return found[0], routines
+    return None
 
 
 def _load_flapack():
@@ -48,9 +95,40 @@ def _load_flapack():
     return module
 
 
-_flapack = _load_flapack()
-dpteqr = _flapack.dpteqr  # no check here: scipy.linalg.lapack.dpteqr makes none
-dsterf = _flapack.dsterf  # the same: each caller reads info
+_openblas = _numpy_openblas()
+_flapack = _load_flapack() if _openblas is None else None
+LIBRARY = _flapack.__file__ if _openblas is None else _openblas[0]
+
+
+def _fortran(routine: str, *args) -> int:
+    """Call `routine` of numpy's OpenBLAS with INFO appended, and return
+    INFO.  Arrays are passed by address (the routine may write them), ints
+    as int64 and floats as double by reference, and strings with their
+    lengths after the last argument."""
+    refs, lengths = [], []
+    for a in args:
+        if isinstance(a, np.ndarray):
+            refs.append(a.ctypes.data)
+        elif isinstance(a, str):
+            refs.append(a.encode())
+            lengths.append(len(a))
+        elif isinstance(a, (int, np.integer)):
+            refs.append(ctypes.byref(ctypes.c_int64(int(a))))
+        else:
+            refs.append(ctypes.byref(ctypes.c_double(a)))
+    info = ctypes.c_int64(0)
+    _openblas[1][routine](*refs, ctypes.byref(info), *lengths)
+    return info.value
+
+
+def _band(d, e, *rest) -> list:
+    """Float64 copies of the tridiagonal (d, e) and of any right-hand side,
+    for a routine that reads n, n - 1 and n entries (and may write them)."""
+    d, e, *rest = (np.array(a, dtype=float) for a in (d, e, *rest))
+    if d.ndim != 1 or e.shape != (d.size - 1,) or any(b.shape != d.shape for b in rest):
+        raise ValueError(f"a tridiagonal system of order {d.size} cannot have entries of "
+                         f"shapes {[a.shape for a in (e, *rest)]}")
+    return [d, e, *rest]
 
 
 def _require_finite(routine: str, *arrays) -> None:
@@ -64,10 +142,33 @@ def stebz(d, e, lo: int, hi: int, tol: float) -> np.ndarray:
     _require_finite("dstebz", d, e)
     if len(d) == 1:  # the f2py wrappers reject an empty e (scipy's quick exit)
         return np.array(d, dtype=float)
-    m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "E")
+    if _flapack is not None:
+        m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "E")
+    else:
+        d, e = _band(d, e)
+        n = d.size
+        m, nsplit, iblock, isplit = (np.zeros(k, dtype=np.int64) for k in (1, 1, n, n))
+        w = np.empty(n)
+        info = _fortran("dstebz", "I", "E", n, 0.0, 1.0, lo + 1, hi + 1, tol, d, e, m, nsplit,
+                        w, iblock, isplit, np.empty(4 * n), np.empty(3 * n, dtype=np.int64))
+        m = int(m[0])
     if info != 0:
         raise EigensolveError(f"dstebz failed, info = {info}")
     return w[:m]
+
+
+def pteqr(d, e) -> tuple:
+    """(eigenvalues, info) of the symmetric positive definite tridiagonal
+    (d, e): Cholesky factorization and dqds on the factor (COMPZ = 'N'), the
+    eigenvalues in descending order.  The caller reads info (> 0: not
+    positive definite)."""
+    if len(d) == 1:  # LAPACK's own quick exit
+        return np.array(d, dtype=float), 0
+    if _flapack is not None:
+        w, _, _, info = _flapack.dpteqr(d, e, np.zeros((1, 1)), compute_z=0)
+        return w, info
+    w, e = _band(d, e)
+    return w, _fortran("dpteqr", "N", w.size, w, e, np.zeros(1), 1, np.empty(4 * w.size))
 
 
 def gtsv(off, diag, b) -> np.ndarray:
@@ -76,7 +177,22 @@ def gtsv(off, diag, b) -> np.ndarray:
     _require_finite("dgtsv", off, diag, b)
     if len(diag) == 1:
         return b / diag  # scipy's quick exit, as above
-    _, _, _, x, info = _flapack.dgtsv(off, diag, off, b)
+    if _flapack is not None:
+        _, _, _, x, info = _flapack.dgtsv(off, diag, off, b)
+    else:
+        diag, lower, x = _band(diag, off, b)
+        info = _fortran("dgtsv", diag.size, 1, lower, diag, lower.copy(), x, diag.size)
     if info != 0:
         raise EigensolveError(f"dgtsv failed, info = {info}")
     return x
+
+
+def sterf(d, e) -> tuple:
+    """(eigenvalues, info) of the symmetric tridiagonal (d, e), ascending, by
+    the root-free QL/QR iteration.  The caller reads info."""
+    if len(d) == 1:
+        return np.array(d, dtype=float), 0
+    if _flapack is not None:
+        return _flapack.dsterf(d, e)
+    w, e = _band(d, e)
+    return w, _fortran("dsterf", w.size, w, e)

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, InvalidParameterError, NoDecayDetectedError, SubspecError
 
@@ -247,12 +247,13 @@ def _grid_keys(cfg: RunConfig, X_default=None):
     return X, cfg.get_int("resolution.panels"), order
 
 
-def _resolution(cfg: RunConfig, models, notes: list):
+def _resolution(cfg: RunConfig, models, notes: list, memo: Optional[dict] = None):
     """(X, panels, order) of spectrum, compare, robin and validate: one rule.
 
     X defaults to the largest auto truncation of `models` at resolution.eps
     (AUTO_X_END, with a note, for a profile that has none); panels default
-    to discretization.default_panels(X).
+    to discretization.default_panels(X).  memo, given with one model, keeps
+    the head masses that auto truncation integrates (discretization.mass).
     """
     from .discretization import AUTO_X_END, auto_truncation, default_panels
     X, panels, order = _grid_keys(cfg)
@@ -263,7 +264,7 @@ def _resolution(cfg: RunConfig, models, notes: list):
         X = 0.0
         for m in models:
             try:
-                X = max(X, auto_truncation(m, eps))
+                X = max(X, auto_truncation(m, eps, memo))
             except NoDecayDetectedError:
                 X = AUTO_X_END
                 notes.append(f"{m.label}: phi has not stayed below resolution.eps = {eps:g} "
@@ -382,7 +383,8 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     if gamma == 0.0:
         raise ConfigError("config key 'robin.gamma' must be nonzero (gamma = 0 is the "
                           "Dirichlet kernel of task spectrum)")
-    X, panels, order = _resolution(cfg, [model], notes)
+    masses = {}  # int_0^X phi^2 by X: auto truncation's head is often [0, X]
+    X, panels, order = _resolution(cfg, [model], notes, masses)
     quad = build_quadrature(X, panels, order)
     mu = eigen_mu(_jacobi(cfg, "phi", model, quad, notes, gamma))
     write_spectrum_csv(mu, np.zeros(mu.size, dtype=bool), outdir / "robin_spectrum.csv")
@@ -393,7 +395,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     return 0, [f"model = {model.label}", _discrete_line(model), f"gamma = {gamma:.6g}",
                f"boundary sigma = {sigma:.6g}",
                f"trace(G_gamma) - trace(G) = {trace_diff:.6g} "
-               f"(gamma int_0^X phi^2 = {gamma * mass(model, X):.6g})",
+               f"(gamma int_0^X phi^2 = {gamma * mass(model, X, masses):.6g})",
                f"most negative mu = {float(mu[-1]):.6g}" if mu[-1] < 0.0
                else "no negative mu"]
 
@@ -437,7 +439,8 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     from .subordinate import wronskian_residual
 
     model = build_phi(cfg)
-    X, panels, order = _resolution(cfg, [model], notes)
+    masses = {}  # as in robin
+    X, panels, order = _resolution(cfg, [model], notes, masses)
     quad = build_quadrature(X, panels, order)
     T = _jacobi(cfg, "phi", model, quad, notes)
     checks = []
@@ -454,7 +457,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     checks.append((f"wronskian residual <= {tol_w:g}", wr <= tol_w, wr))
 
     # Cauchy-Schwarz: x^2 <= int_0^x phi^2 I(x) <= int_0^X phi^2 psi/phi
-    bound = mass(model, X) * np.exp(T.cache.log_I_nodes)
+    bound = mass(model, X, masses) * np.exp(T.cache.log_I_nodes)
     checks.append(("growth bound x^2 <= int_0^X phi^2 psi/phi",
                    bool(np.all(quad.nodes**2 <= bound * (1 + 1e-9))),
                    float(np.max(quad.nodes**2 / bound))))

@@ -12,7 +12,7 @@ from the cache, and no N x N array is ever formed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,23 +56,31 @@ def default_panels(X: float) -> int:
     return max(40, int(np.ceil(4.0 * X)))
 
 
-def mass(model: PhiModel, X: float) -> float:
+def mass(model: PhiModel, X: float, memo: Optional[dict] = None) -> float:
     """int_0^X phi^2, by one segment_log_integrals pass over [0, X]; a NaN
-    sample of log phi raises InvalidParameterError naming the profile."""
+    sample of log phi raises InvalidParameterError naming the profile.
+    memo, a dict {X: int_0^X phi^2} of this model, is read and filled, so
+    that a window is integrated once for all callers that share it."""
+    if memo is not None and X in memo:
+        return memo[X]
     try:
         log_mass, _ = segment_log_integrals(lambda s: 2.0 * model.log_phi(s), [0.0, X])
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"{model.label}: {exc}") from None
-    return float(np.exp(log_mass[0]))
+    value = float(np.exp(log_mass[0]))
+    if memo is not None:
+        memo[X] = value
+    return value
 
 
-def auto_truncation(model: PhiModel, eps: float) -> float:
+def auto_truncation(model: PhiModel, eps: float, memo: Optional[dict] = None) -> float:
     """Smallest X on a grid of step 0.0125 in (0, AUTO_X_END) from which phi
     stays at or below eps max_[0, X] phi over the rest of the grid (a narrow
     dip does not end the window; NaN samples past X are skipped) and, when
     decay metadata exists, the sandwich's tail int_X^inf phi^2 is at most
     eps^2 mass(model, X_p).  X_p is the first X of the pointwise test, which
-    never exceeds the answer, so only [0, X_p] is integrated.
+    never exceeds the answer, so only [0, X_p] is integrated, through mass's
+    memo when one is given (the window of a task whose X is X_p).
     NoDecayDetectedError when no X qualifies (power(c=1)); without an X_p
     it is raised before anything is integrated.
     """
@@ -85,7 +93,7 @@ def auto_truncation(model: PhiModel, eps: float) -> float:
     ahead = np.fmax.accumulate(lp[::-1])[::-1]  # max of log phi from each candidate on
     ok = (ahead - runmax) <= np.log(eps)
     if model.decay is not None and ok.any():
-        head = mass(model, float(cands[np.argmax(ok)]))
+        head = mass(model, float(cands[np.argmax(ok)]), memo)
         ok &= model.decay.tail_l2sq(cands) <= eps**2 * head
     hits = np.nonzero(ok)[0]
     if not hits.size:

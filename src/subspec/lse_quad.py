@@ -85,7 +85,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._lapack import dsterf
+from ._lapack import sterf
 from .errors import EigensolveError, InvalidParameterError
 
 RTOL = 1e-12  # agreement of a panel with its bisection, relative to its share
@@ -116,11 +116,12 @@ def gauss_legendre(order: int):
     sum to 2.  leggauss takes the eigenvalues with numpy's eigvalsh, which
     is LAPACK dsyevd: its reduction to tridiagonal form leaves this already
     tridiagonal matrix as it is (every reflector is the identity) before it
-    calls dsterf, so scipy's dsterf on the band gives the same nodes.
+    calls dsterf, so dsterf on the band gives the same nodes (_lapack.sterf:
+    numpy's own OpenBLAS where its wheel ships one, else scipy's).
     """
     scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
     band = np.arange(1, order) * scl[:-1] * scl[1:]
-    x, info = dsterf(np.zeros(order), band)
+    x, info = sterf(np.zeros(order), band)
     if info != 0:
         raise EigensolveError(f"dsterf failed, info = {info}")
     c = [0.0] * order + [1.0]  # P_order

@@ -11,8 +11,8 @@ the shifted T, O(N^2) time and O(N) memory (see _all_lambdas).
 two refinements of the grid.  The weighted identity check applies G by a
 tridiagonal solve (LAPACK dgtsv) on the same JacobiMatrix, so everything
 here runs in O(N) memory.  These three LAPACK routines, and dsterf for the
-Gauss-Legendre nodes, come from scipy's compiled scipy.linalg._flapack,
-loaded without the scipy.linalg package (_lapack).
+Gauss-Legendre nodes, come from the OpenBLAS that numpy's wheel ships, or
+else from scipy's compiled scipy.linalg._flapack (_lapack).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._lapack import dpteqr, stebz
+from ._lapack import pteqr, stebz
 from .discretization import JacobiMatrix
 from .errors import (
     EigensolveError,
@@ -63,7 +63,7 @@ def _all_lambdas(d, e, gamma: float) -> np.ndarray:
     """
     lam0 = float(_bisect(d, e, 0, 0)[0])
     s = min(0.0, 2.0 * lam0)
-    w, _, _, info = dpteqr(d - s, e, np.zeros((1, 1)), compute_z=0)
+    w, info = pteqr(d - s, e)
     if info != 0:
         if gamma == 0.0:
             raise NonPositiveMuError(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import subspec
+from subspec import _lapack
 from subspec.cli import build_phi, parse_config, run, run_cli
 from subspec.errors import ConfigError
 
@@ -299,7 +300,7 @@ def _count_psi_caches(monkeypatch):
 def _refuse_mass(monkeypatch):
     from subspec import discretization
 
-    def refused(model, X):
+    def refused(model, X, memo=None):
         raise AssertionError(f"int_0^{X:g} phi^2 was integrated")
 
     monkeypatch.setattr(discretization, "mass", refused)
@@ -826,13 +827,30 @@ def test_tasks_integrate_phi_squared_on_their_own_window(tmp_path, monkeypatch, 
     windows = []
     mass = discretization.mass
     monkeypatch.setattr(discretization, "mass",
-                        lambda model, X: windows.append(X) or mass(model, X))
+                        lambda model, X, memo=None: windows.append(X) or mass(model, X, memo))
     cfgfile = _write(tmp_path, "run.cfg",
                      f"task = {task}\nphi.kind = stretched-exp\nphi.c = 2\n{body}")
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
     assert windows == pytest.approx([2.85, 2.8625], abs=1e-9)
     report = (tmp_path / "o" / "report.txt").read_text()
     assert "auto truncation X = 2.8625" in report and "||phi||" not in report
+
+
+@pytest.mark.parametrize("task, body", [("robin", "robin.gamma = -0.5\n"), ("validate", "")])
+def test_a_window_that_auto_truncation_integrated_is_not_integrated_again(
+        tmp_path, monkeypatch, task, body):
+    # on oscillating the first X of the pointwise test is the answer, 15.3,
+    # so the head mass of auto truncation is the task's int_0^X phi^2: one
+    # depth-limited pass of about 1.0M samples, not two
+    from subspec import discretization
+    passes = []
+    integrate = discretization.segment_log_integrals
+    monkeypatch.setattr(discretization, "segment_log_integrals",
+                        lambda log_f, edges: passes.append(list(edges)) or integrate(log_f, edges))
+    cfgfile = _write(tmp_path, "run.cfg", f"task = {task}\nphi.kind = oscillating\n{body}")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    assert "auto truncation X = 15.3" in (tmp_path / "o" / "report.txt").read_text()
+    assert passes == [[0.0, 15.3]]
 
 
 # X = 14 with 56 panels: the oscillating cache stops resolving from x ~ 12 on;
@@ -875,9 +893,10 @@ def _subprocess_env():
 
 def test_startup_imports_none_of_the_heavy_scipy_and_numpy_modules(tmp_path):
     # what `subspec run` loads beyond numpy for any task: one run, then every
-    # task module.  An allowlist: the package, its one LAPACK extension
-    # (without scipy/__init__.py or scipy.linalg), and what the standard
-    # library modules the package imports load in the same interpreter
+    # task module.  An allowlist: the package, scipy's LAPACK extension
+    # (without scipy/__init__.py or scipy.linalg) only where numpy ships no
+    # OpenBLAS to take the routines from, and what the standard library
+    # modules the package imports load in the same interpreter
     # (argparse with a parser built, as gettext imports locale only when a
     # message is translated).  Which of those numpy or a site hook has
     # already loaded varies between installations, so they are imported
@@ -886,10 +905,11 @@ def test_startup_imports_none_of_the_heavy_scipy_and_numpy_modules(tmp_path):
     # start-up timings
     cfgfile = _write(tmp_path, "run.cfg", "task = spectrum\nphi.kind = exp-decay\n"
                      "resolution.X = 6\nresolution.panels = 12\nspectrum.n_keep = 3\n")
+    fallback = {"scipy.linalg._flapack"} if _lapack._flapack is not None else set()
     code = ("import sys, numpy; loaded = set(sys.modules); "
-            "import __future__, argparse, functools, importlib.machinery, importlib.util, "
-            "math, os, pathlib, typing; argparse.ArgumentParser(); "
-            "allowed = set(sys.modules) - loaded | {'scipy.linalg._flapack'}; "
+            "import __future__, argparse, ctypes, functools, importlib.machinery, "
+            "importlib.util, math, os, pathlib, typing; argparse.ArgumentParser(); "
+            f"allowed = set(sys.modules) - loaded | {fallback}; "
             "from subspec.cli import run_cli; "
             f"status = run_cli(['run', {str(cfgfile)!r}, '--out', {str(tmp_path / 'o')!r}]); "
             "import subspec.discretization, subspec.green_kernel, subspec.oracle_fd, "

@@ -1,6 +1,8 @@
-"""The LAPACK routines loaded without scipy.linalg: the same objects scipy
-hands out, bit-identical results against scipy's wrappers as oracles, and
-one-line errors on bad input."""
+"""The LAPACK routines, from numpy's OpenBLAS or else from scipy's _flapack
+loaded without scipy.linalg: the same objects scipy hands out on the
+fallback, bit-identical results on both backends and against scipy's
+wrappers as oracles, one OpenBLAS mapped per run, and one-line errors on bad
+input."""
 
 import os
 import subprocess
@@ -10,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack, solve_banded
 
 import subspec
 from subspec import _lapack
 from subspec.discretization import JacobiMatrix, assemble_jacobi, build_quadrature
 from subspec.errors import EigensolveError
+from subspec.lse_quad import RTOL
 from subspec.oracle_fd import fd_eigenvalues, potential_from_phi
 from subspec.spectral import _bisect, eigen_mu
 
@@ -36,27 +39,41 @@ def _python(code):
     return proc.stdout.strip()
 
 
+# run first in a fresh interpreter, after numpy: the lookup for numpy's
+# OpenBLAS finds nothing, as on an Accelerate, MKL or distribution build, so
+# _lapack falls back to scipy's _flapack
+NO_NUMPY_OPENBLAS = """
+import os, numpy
+listdir = os.listdir
+os.listdir = lambda path=".": ([] if os.path.basename(path) in ("numpy.libs", ".dylibs")
+                               else listdir(path))
+"""
+
+needs_numpy_openblas = pytest.mark.skipif(
+    _lapack._flapack is not None, reason="numpy ships no OpenBLAS with the four routines")
+
+
 def test_a_later_scipy_linalg_import_reuses_the_loaded_module():
     # a fresh interpreter, so the module is loaded by the finder, not taken
     # from an earlier import of scipy.linalg; scipy/__init__.py first runs
     # with that later import
-    assert _python(
+    assert _python(NO_NUMPY_OPENBLAS + (
         "import sys, subspec._lapack as L; "
         "assert 'scipy' not in sys.modules and 'scipy.linalg' not in sys.modules; "
+        "assert L.LIBRARY == L._flapack.__file__; "
         "import scipy, scipy.linalg.lapack as lp; "
-        "print(lp.dstebz is L._flapack.dstebz, lp.dpteqr is L.dpteqr, "
-        "lp.dgtsv is L._flapack.dgtsv, lp.dsterf is L.dsterf, scipy.__version__)"
+        "print(*(getattr(lp, r) is getattr(L._flapack, r) for r in L._ROUTINES), "
+        "scipy.__version__)")
     ) == f"True True True True {scipy.__version__}"
     # in this process scipy.linalg came first (the test oracles import it)
-    import scipy.linalg.lapack as lp
-    assert lp.dstebz is _lapack._flapack.dstebz and lp.dpteqr is _lapack.dpteqr
-    assert lp.dgtsv is _lapack._flapack.dgtsv and lp.dsterf is _lapack.dsterf
+    from scipy.linalg import _flapack
+    assert _lapack._load_flapack() is _flapack
 
 
 def test_without_a_file_spec_the_loader_imports_the_package():
     # a finder that does not see the module (an editable scipy, say) falls
     # back to the plain import, which loads scipy.linalg
-    assert _python("""
+    assert _python(NO_NUMPY_OPENBLAS + """
 import sys, importlib.machinery as m
 find, missed = m.PathFinder.find_spec, []
 
@@ -74,7 +91,7 @@ print(missed, "scipy.linalg" in sys.modules, L._flapack is sys.modules["scipy.li
 
 
 def test_without_scipy_the_loader_raises_what_import_scipy_raises():
-    assert _python("""
+    assert _python(NO_NUMPY_OPENBLAS + """
 import importlib.machinery as m
 find = m.PathFinder.find_spec
 m.PathFinder.find_spec = lambda name, *args: None if name == "scipy" else find(name, *args)
@@ -88,10 +105,69 @@ print(errors[0] == errors[1], errors[0])
 """) == "True (\"No module named 'scipy'\", 'scipy')"
 
 
+@needs_numpy_openblas
+def test_runs_map_one_openblas(tmp_path):
+    # a robin and a validate run bind the routines from numpy's OpenBLAS;
+    # scipy is neither imported nor mapped
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps")
+    robin = tmp_path / "robin.cfg"
+    robin.write_text("task = robin\nphi.kind = exp-decay\nrobin.gamma = -0.5\n"
+                     "resolution.X = 6\nresolution.panels = 12\n")
+    validate = tmp_path / "validate.cfg"
+    validate.write_text("task = validate\nphi.kind = stretched-exp\nphi.c = 2\n"
+                        "resolution.X = 3\nresolution.panels = 40\n")
+    assert _python(
+        "import sys; from subspec.cli import run_cli; "
+        f"print(run_cli(['run', {str(robin)!r}, '--out', {str(tmp_path / 'r')!r}]), "
+        f"run_cli(['run', {str(validate)!r}, '--out', {str(tmp_path / 'v')!r}]), "
+        "sorted(m for m in sys.modules if m.startswith('scipy')), "
+        "[line.split()[-1] for line in open('/proc/self/maps') "
+        "if 'scipy.libs' in line or '_flapack' in line])"
+    ) == "0 0 [] []"
+
+
 @pytest.fixture(scope="module", params=[0.0, -0.5], ids=["dirichlet", "robin"])
 def dense_T(request, phi3):
     # the dense-spectra benchmark grid: stretched-exp(2), X = 8, N = 4000
     return assemble_jacobi(phi3, build_quadrature(8.0, 400, 10), request.param)
+
+
+@needs_numpy_openblas
+def test_both_backends_agree_bit_for_bit(dense_T, monkeypatch):
+    # numpy's OpenBLAS through ctypes, then scipy's _flapack through f2py,
+    # on the same inputs; neither writes them
+    from scipy.linalg import _flapack
+    d, e, b = dense_T.diag, dense_T.off, np.cos(dense_T.quad.nodes)
+    given = [a.copy() for a in (d, e, b)]
+    s = min(0.0, 2.0 * float(_bisect(d, e, 0, 0)[0]))
+
+    def results():
+        return [_lapack.stebz(d, e, 0, 25, TINY), _lapack.stebz(d, e, d.size - 1, d.size - 1, 0.0),
+                *_lapack.pteqr(d - s, e), _lapack.gtsv(e, d, b), *_lapack.sterf(d, e)]
+
+    openblas = results()
+    monkeypatch.setattr(_lapack, "_flapack", _flapack)
+    flapack = results()
+    assert [_hex(r) for r in openblas] == [_hex(r) for r in flapack]
+    assert [_hex(a) for a in (d, e, b)] == [_hex(a) for a in given]
+
+
+def test_full_spectrum_is_scipys_dpteqr_bit_for_bit(dense_T):
+    # scipy's dpteqr on the same shifted T, s = min(0, 2 lambda_0); only
+    # the Robin lambda_0 = -279 lies below eps |s| / RTOL and keeps its
+    # bisected value
+    d, e = dense_T.diag, dense_T.off
+    lam0 = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0), lapack_driver="stebz",
+                                tol=TINY)[0]
+    s = min(0.0, 2.0 * lam0)
+    w, _, _, info = lapack.dpteqr(d - s, e, np.zeros((1, 1)), compute_z=0)
+    assert info == 0
+    want = np.sort(w) + s
+    if s < 0.0:
+        assert want[1] > -s * np.finfo(float).eps / RTOL
+        want[0] = lam0
+    assert _hex(eigen_mu(dense_T)) == _hex(np.sort(1.0 / want)[::-1])
 
 
 def test_bisection_is_bit_identical_to_scipy(dense_T):
@@ -122,6 +198,22 @@ def test_apply_to_function_is_bit_identical_to_scipy(dense_T):
     assert _hex(dense_T.apply_to_function(f)) == _hex(want)
     # T's arrays are inputs only
     assert _hex(dense_T.diag) == _hex(diag) and _hex(dense_T.off) == _hex(off)
+
+
+@pytest.mark.parametrize("backend", ["openblas", "flapack"])
+def test_a_short_band_fails_before_lapack_reads_past_it(backend, monkeypatch):
+    # f2py checks the shapes it is given; the ctypes calls check them first
+    if backend == "flapack":
+        from scipy.linalg import _flapack
+        monkeypatch.setattr(_lapack, "_flapack", _flapack)
+    elif _lapack._flapack is not None:
+        pytest.skip("numpy ships no OpenBLAS with the four routines")
+    d, short = np.full(3, 2.0), np.full(1, -1.0)
+    for call in (lambda: _lapack.stebz(d, short, 0, 1, 0.0), lambda: _lapack.pteqr(d, short),
+                 lambda: _lapack.sterf(d, short), lambda: _lapack.gtsv(short, d, d),
+                 lambda: _lapack.gtsv(d[:2], d, d[:2])):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_one_by_one_matrices_take_the_quick_exit():
