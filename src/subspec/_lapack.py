@@ -1,13 +1,15 @@
 """The four LAPACK routines the package uses (dstebz, dpteqr, dgtsv and
-dsterf), taken from the OpenBLAS library that numpy's wheel ships and has
-already mapped.
+dsterf): one calling convention, two libraries.
 
-numpy >= 2 wheels put libscipy_openblas64_ in numpy.libs/ (numpy/.dylibs/ on
-macOS), and it exports the Fortran routines as scipy_<routine>_64_; numpy
-1.2x wheels export them as <routine>_64_.  Both are ILP64: every integer is
-an int64, passed by reference like every other argument, and each string
-argument carries gfortran's trailing size_t length.  The routines are bound
-through ctypes, which numpy has already imported, so a run maps one
+Every routine is called the same way: its Fortran symbol through ctypes
+(which numpy has already imported), every argument by reference and each
+string argument's length after the last one, as gfortran passes it.  Only
+the library and the width of its integers differ.
+
+numpy's wheel ships an OpenBLAS and has already mapped it: numpy >= 2 puts
+libscipy_openblas64_ in numpy.libs/ (numpy/.dylibs/ on macOS) and it exports
+the routines as scipy_<routine>_64_; numpy 1.2x wheels export them as
+<routine>_64_.  Both are ILP64: integers are int64.  So a run maps one
 OpenBLAS.  Loading scipy.linalg._flapack instead maps scipy's own
 libscipy_openblas (1.46 MiB resident) and _flapack.so (0.88 MiB), and
 0.14 MiB more anonymous pages: 2.48 MiB (/proc/self/smaps before and after
@@ -20,22 +22,26 @@ them (DSTEBZ: 4N work and 3N iwork; DPTEQR: 4N).
 Where numpy ships no single OpenBLAS with those symbols, or it cannot be
 opened (Accelerate, MKL or distribution builds), scipy's compiled
 scipy.linalg._flapack is loaded without running scipy/__init__.py or
-scipy/linalg/__init__.py.  Importing scipy.linalg costs about 0.25 s, most
-of it scipy's array-API shim; scipy/__init__.py alone costs 14-18 ms, its
-test runner pulling in subprocess, sysconfig, signal and selectors.  So
-scipy's directory comes from its import spec, and only the extension module
-is loaded (BENCH_16.json, BENCH_20.json).  Without scipy this raises the
+scipy/linalg/__init__.py, and the same routines are called at the
+addresses its f2py objects hold (each one's _cpointer capsule, which
+numpy's f2py gives every Fortran routine).  That library is LP64: integers
+are int32.  Importing scipy.linalg costs about 0.25 s, most of it scipy's
+array-API shim; scipy/__init__.py alone costs 14-18 ms, its test runner
+pulling in subprocess, sysconfig, signal and selectors.  So scipy's
+directory comes from its import spec, and only the extension module is
+loaded (BENCH_16.json, BENCH_20.json).  Without scipy this raises the
 ModuleNotFoundError that `import scipy` raises.  The module is registered
 under its full name, so a later `import scipy.linalg` reuses it.
 
-Both backends give the same numbers to the bit.  The functions below take
-one signature on either: they check finiteness and info as scipy's
-eigvalsh_tridiagonal and solve_banded did, raising EigensolveError named
-after the routine, take scipy's quick exit on 1 x 1 matrices, and never
-write an array passed in.  dsterf gives the Gauss-Legendre nodes: numpy's
-eigvalsh reaches the same routine on a tridiagonal matrix, so the nodes stay
-numpy's to the bit and numpy's own LAPACK is never called.  LIBRARY is the
-file the routines come from.
+Both libraries give the same numbers to the bit.  Each function below has
+one body: it checks the band's shapes and finiteness, raising
+EigensolveError named after the routine on an inf or NaN entry, as scipy's
+eigvalsh_tridiagonal and solve_banded did, never writes an array passed
+in, and leaves 1 x 1 matrices to LAPACK's own quick returns, which give
+scipy's bits.  dsterf gives the Gauss-Legendre nodes: numpy's eigvalsh
+reaches the same routine on a tridiagonal matrix, so the nodes stay numpy's
+to the bit and numpy's own LAPACK is never called.  LIBRARY is the file the
+routines come from.
 """
 
 import ctypes
@@ -95,16 +101,30 @@ def _load_flapack():
     return module
 
 
+def _flapack_routines(flapack) -> dict:
+    """{routine: Fortran function} at the address in the _cpointer capsule
+    of each of flapack's f2py objects."""
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return {r: ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * pointers,
+                                *[ctypes.c_size_t] * lengths)(
+                address(getattr(flapack, r)._cpointer, None))
+            for r, (pointers, lengths) in _ROUTINES.items()}
+
+
 _openblas = _numpy_openblas()
 _flapack = _load_flapack() if _openblas is None else None
 LIBRARY = _flapack.__file__ if _openblas is None else _openblas[0]
+# integers are int64 in numpy's ILP64 OpenBLAS, int32 in scipy's LP64 _flapack
+_INT, _routines = ((ctypes.c_int32, _flapack_routines(_flapack)) if _openblas is None
+                   else (ctypes.c_int64, _openblas[1]))
 
 
 def _fortran(routine: str, *args) -> int:
-    """Call `routine` of numpy's OpenBLAS with INFO appended, and return
-    INFO.  Arrays are passed by address (the routine may write them), ints
-    as int64 and floats as double by reference, and strings with their
-    lengths after the last argument."""
+    """Call `routine` with INFO appended, and return INFO.  Arrays are
+    passed by address (the routine may write them), ints as _INT and floats
+    as double by reference, and strings with their lengths after the last
+    argument."""
     refs, lengths = [], []
     for a in args:
         if isinstance(a, np.ndarray):
@@ -113,48 +133,39 @@ def _fortran(routine: str, *args) -> int:
             refs.append(a.encode())
             lengths.append(len(a))
         elif isinstance(a, (int, np.integer)):
-            refs.append(ctypes.byref(ctypes.c_int64(int(a))))
+            refs.append(ctypes.byref(_INT(int(a))))
         else:
             refs.append(ctypes.byref(ctypes.c_double(a)))
-    info = ctypes.c_int64(0)
-    _openblas[1][routine](*refs, ctypes.byref(info), *lengths)
+    info = _INT(0)
+    _routines[routine](*refs, ctypes.byref(info), *lengths)
     return info.value
 
 
-def _band(d, e, *rest) -> list:
+def _band(routine: str, d, e, *rest) -> list:
     """Float64 copies of the tridiagonal (d, e) and of any right-hand side,
-    for a routine that reads n, n - 1 and n entries (and may write them)."""
-    d, e, *rest = (np.array(a, dtype=float) for a in (d, e, *rest))
+    for a routine that reads n, n - 1 and n entries (and may write them);
+    an inf or NaN entry is an EigensolveError named after the routine."""
+    d, e, *rest = arrays = [np.array(a, dtype=float) for a in (d, e, *rest)]
     if d.ndim != 1 or e.shape != (d.size - 1,) or any(b.shape != d.shape for b in rest):
         raise ValueError(f"a tridiagonal system of order {d.size} cannot have entries of "
                          f"shapes {[a.shape for a in (e, *rest)]}")
-    return [d, e, *rest]
-
-
-def _require_finite(routine: str, *arrays) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise EigensolveError(f"{routine} got an inf or NaN entry")
+    return arrays
 
 
 def stebz(d, e, lo: int, hi: int, tol: float) -> np.ndarray:
     """Eigenvalues lo..hi (0-based, ascending) of the symmetric tridiagonal
     (d, e) by bisection to absolute tolerance tol (0 = LAPACK's default)."""
-    _require_finite("dstebz", d, e)
-    if len(d) == 1:  # the f2py wrappers reject an empty e (scipy's quick exit)
-        return np.array(d, dtype=float)
-    if _flapack is not None:
-        m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "E")
-    else:
-        d, e = _band(d, e)
-        n = d.size
-        m, nsplit, iblock, isplit = (np.zeros(k, dtype=np.int64) for k in (1, 1, n, n))
-        w = np.empty(n)
-        info = _fortran("dstebz", "I", "E", n, 0.0, 1.0, lo + 1, hi + 1, tol, d, e, m, nsplit,
-                        w, iblock, isplit, np.empty(4 * n), np.empty(3 * n, dtype=np.int64))
-        m = int(m[0])
+    d, e = _band("dstebz", d, e)
+    n = d.size
+    m, nsplit, iblock, isplit = (np.zeros(k, dtype=_INT) for k in (1, 1, n, n))
+    w = np.empty(n)
+    info = _fortran("dstebz", "I", "E", n, 0.0, 1.0, lo + 1, hi + 1, tol, d, e, m, nsplit,
+                    w, iblock, isplit, np.empty(4 * n), np.empty(3 * n, dtype=_INT))
     if info != 0:
         raise EigensolveError(f"dstebz failed, info = {info}")
-    return w[:m]
+    return w[:m[0]]
 
 
 def pteqr(d, e) -> tuple:
@@ -162,37 +173,25 @@ def pteqr(d, e) -> tuple:
     (d, e): Cholesky factorization and dqds on the factor (COMPZ = 'N'), the
     eigenvalues in descending order.  The caller reads info (> 0: not
     positive definite)."""
-    if len(d) == 1:  # LAPACK's own quick exit
-        return np.array(d, dtype=float), 0
-    if _flapack is not None:
-        w, _, _, info = _flapack.dpteqr(d, e, np.zeros((1, 1)), compute_z=0)
-        return w, info
-    w, e = _band(d, e)
+    w, e = _band("dpteqr", d, e)
     return w, _fortran("dpteqr", "N", w.size, w, e, np.zeros(1), 1, np.empty(4 * w.size))
 
 
 def gtsv(off, diag, b) -> np.ndarray:
     """x with T x = b for the symmetric tridiagonal T = (diag, off); the
     arrays passed in are not written."""
-    _require_finite("dgtsv", off, diag, b)
-    if len(diag) == 1:
-        return b / diag  # scipy's quick exit, as above
-    if _flapack is not None:
-        _, _, _, x, info = _flapack.dgtsv(off, diag, off, b)
-    else:
-        diag, lower, x = _band(diag, off, b)
-        info = _fortran("dgtsv", diag.size, 1, lower, diag, lower.copy(), x, diag.size)
+    diag, lower, x = _band("dgtsv", diag, off, b)
+    info = _fortran("dgtsv", diag.size, 1, lower, diag, lower.copy(), x, diag.size)
     if info != 0:
         raise EigensolveError(f"dgtsv failed, info = {info}")
     return x
 
 
-def sterf(d, e) -> tuple:
-    """(eigenvalues, info) of the symmetric tridiagonal (d, e), ascending, by
-    the root-free QL/QR iteration.  The caller reads info."""
-    if len(d) == 1:
-        return np.array(d, dtype=float), 0
-    if _flapack is not None:
-        return _flapack.dsterf(d, e)
-    w, e = _band(d, e)
-    return w, _fortran("dsterf", w.size, w, e)
+def sterf(d, e) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal (d, e), ascending, by the
+    root-free QL/QR iteration."""
+    w, e = _band("dsterf", d, e)
+    info = _fortran("dsterf", w.size, w, e)
+    if info != 0:
+        raise EigensolveError(f"dsterf failed, info = {info}")
+    return w

@@ -51,7 +51,15 @@ def _dirichlet_form(model: PhiModel, quad: Quadrature):
 
 
 def _trace_norm(model: PhiModel, model0: PhiModel, quad: Quadrature, form0) -> float:
-    """trace_norm_difference with model0's _dirichlet_form on quad given."""
+    """||G - G0||_tr of the Dirichlet Nystrom matrices of model and model0 on
+    the grid quad, in O(N), with form0 model0's _dirichlet_form on quad.
+
+    The lowest and highest eigenvalue of the tridiagonal T0 - T must share a
+    sign, up to the rounding floor DEFINITE_NOISE_FACTOR * eps * max T_ii of
+    the entries (which two profiles that agree far out reach); then the
+    result is |sum_i w_i (D(x_i) - D0(x_i))|.  Otherwise
+    IndefiniteDifferenceError is raised.
+    """
     (T, D), (T0, D0) = _dirichlet_form(model, quad), form0
     lo, hi = _extreme_eigenvalues(T0.diag - T.diag, T0.off - T.off)
     floor = DEFINITE_NOISE_FACTOR * np.finfo(float).eps * max(np.max(T.diag), np.max(T0.diag))
@@ -60,18 +68,6 @@ def _trace_norm(model: PhiModel, model0: PhiModel, quad: Quadrature, form0) -> f
             f"T0 - T has eigenvalues in [{lo:.3g}, {hi:.3g}] for {model.label} "
             f"against {model0.label}: ||G - G0||_tr is not a trace")
     return abs(float(np.sum(quad.weights * (D - D0))))
-
-
-def trace_norm_difference(model: PhiModel, model0: PhiModel, quad: Quadrature) -> float:
-    """||G - G0||_tr of the two Dirichlet Nystrom matrices on one grid, in O(N).
-
-    The lowest and highest eigenvalue of the tridiagonal T0 - T must share a
-    sign, up to the rounding floor DEFINITE_NOISE_FACTOR * eps * max T_ii of
-    the entries (which two profiles that agree far out reach); then the
-    result is |sum_i w_i (D(x_i) - D0(x_i))|.  Otherwise
-    IndefiniteDifferenceError is raised.
-    """
-    return _trace_norm(model, model0, quad, _dirichlet_form(model0, quad))
 
 
 def example_scatt_sweep(alpha_list: Sequence[float], c: float, quad: Quadrature):
@@ -86,7 +82,8 @@ def example_scatt_sweep(alpha_list: Sequence[float], c: float, quad: Quadrature)
     |d| <= (u-x) alpha (1+x)^{-alpha-1}: bound (e^{2s} + 1) e^{2s} / (2^1.5 c^2),
     finite for every alpha > 0.
 
-    trace_numeric is trace_norm_difference against exp-decay(c), built once.
+    trace_numeric is _trace_norm against exp-decay(c), whose form is built
+    once.
     """
     for a in alpha_list:
         if a <= 0:

@@ -11,8 +11,10 @@ the shifted T, O(N^2) time and O(N) memory (see _all_lambdas).
 two refinements of the grid.  The weighted identity check applies G by a
 tridiagonal solve (LAPACK dgtsv) on the same JacobiMatrix, so everything
 here runs in O(N) memory.  These three LAPACK routines, and dsterf for the
-Gauss-Legendre nodes, come from the OpenBLAS that numpy's wheel ships, or
-else from scipy's compiled scipy.linalg._flapack (_lapack).
+Gauss-Legendre nodes, are called one way on two libraries (_lapack): the
+OpenBLAS that numpy's wheel ships (int64 integers), or else scipy's
+compiled scipy.linalg._flapack (int32), at the addresses its f2py objects
+hold.
 """
 
 from __future__ import annotations

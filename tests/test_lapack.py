@@ -39,15 +39,16 @@ def _python(code):
     return proc.stdout.strip()
 
 
-# run first in a fresh interpreter, after numpy: the lookup for numpy's
-# OpenBLAS finds nothing, as on an Accelerate, MKL or distribution build, so
-# _lapack falls back to scipy's _flapack
-NO_NUMPY_OPENBLAS = """
-import os, numpy
-listdir = os.listdir
-os.listdir = lambda path=".": ([] if os.path.basename(path) in ("numpy.libs", ".dylibs")
-                               else listdir(path))
-"""
+# run first in a fresh interpreter: _lapack falls back to scipy's _flapack
+NO_NUMPY_OPENBLAS = (Path(__file__).parent / "no_numpy_openblas.py").read_text()
+
+
+def _bound(backend):
+    """Code that binds backend's library as L in a fresh interpreter."""
+    fallback = backend == "flapack"
+    return ((NO_NUMPY_OPENBLAS if fallback else "") + "import subspec._lapack as L\n"
+            f"assert (L._flapack is not None) == {fallback}, L.LIBRARY\n")
+
 
 needs_numpy_openblas = pytest.mark.skipif(
     _lapack._flapack is not None, reason="numpy ships no OpenBLAS with the four routines")
@@ -133,22 +134,27 @@ def dense_T(request, phi3):
     return assemble_jacobi(phi3, build_quadrature(8.0, 400, 10), request.param)
 
 
+# what each backend computes from (d, e, b) and the shift s
+CALLS = ("[L.stebz(d, e, 0, 25, tiny), L.stebz(d, e, d.size - 1, d.size - 1, 0.0), "
+         "*L.pteqr(d - s, e), L.gtsv(e, d, b), L.sterf(d, e)]")
+
+
 @needs_numpy_openblas
-def test_both_backends_agree_bit_for_bit(dense_T, monkeypatch):
-    # numpy's OpenBLAS through ctypes, then scipy's _flapack through f2py,
-    # on the same inputs; neither writes them
-    from scipy.linalg import _flapack
+def test_both_backends_agree_bit_for_bit(dense_T, tmp_path):
+    # numpy's OpenBLAS here, scipy's _flapack in a fresh interpreter that
+    # cannot see numpy's, on the same inputs; the calls here do not write them
     d, e, b = dense_T.diag, dense_T.off, np.cos(dense_T.quad.nodes)
     given = [a.copy() for a in (d, e, b)]
     s = min(0.0, 2.0 * float(_bisect(d, e, 0, 0)[0]))
-
-    def results():
-        return [_lapack.stebz(d, e, 0, 25, TINY), _lapack.stebz(d, e, d.size - 1, d.size - 1, 0.0),
-                *_lapack.pteqr(d - s, e), _lapack.gtsv(e, d, b), *_lapack.sterf(d, e)]
-
-    openblas = results()
-    monkeypatch.setattr(_lapack, "_flapack", _flapack)
-    flapack = results()
+    openblas = eval(CALLS, {"L": _lapack, "d": d, "e": e, "b": b, "s": s, "tiny": TINY})
+    np.savez(tmp_path / "band.npz", d=d, e=e, b=b, s=s)
+    _python(_bound("flapack") + f"""
+import numpy as np
+d, e, b, s = np.load({str(tmp_path / "band.npz")!r}).values()
+tiny = np.finfo(float).tiny
+np.savez({str(tmp_path / "flapack.npz")!r}, *{CALLS})
+""")
+    flapack = list(np.load(tmp_path / "flapack.npz").values())
     assert [_hex(r) for r in openblas] == [_hex(r) for r in flapack]
     assert [_hex(a) for a in (d, e, b)] == [_hex(a) for a in given]
 
@@ -201,19 +207,24 @@ def test_apply_to_function_is_bit_identical_to_scipy(dense_T):
 
 
 @pytest.mark.parametrize("backend", ["openblas", "flapack"])
-def test_a_short_band_fails_before_lapack_reads_past_it(backend, monkeypatch):
-    # f2py checks the shapes it is given; the ctypes calls check them first
-    if backend == "flapack":
-        from scipy.linalg import _flapack
-        monkeypatch.setattr(_lapack, "_flapack", _flapack)
-    elif _lapack._flapack is not None:
+def test_a_short_band_fails_before_lapack_reads_past_it(backend):
+    # f2py checked the shapes it was given; the calls check them first, in
+    # a fresh interpreter bound to either library
+    if backend == "openblas" and _lapack._flapack is not None:
         pytest.skip("numpy ships no OpenBLAS with the four routines")
-    d, short = np.full(3, 2.0), np.full(1, -1.0)
-    for call in (lambda: _lapack.stebz(d, short, 0, 1, 0.0), lambda: _lapack.pteqr(d, short),
-                 lambda: _lapack.sterf(d, short), lambda: _lapack.gtsv(short, d, d),
-                 lambda: _lapack.gtsv(d[:2], d, d[:2])):
-        with pytest.raises(ValueError):
-            call()
+    assert _python(_bound(backend) + """
+import numpy as np
+d, short = np.full(3, 2.0), np.full(1, -1.0)
+raised = []
+for call in (lambda: L.stebz(d, short, 0, 1, 0.0), lambda: L.pteqr(d, short),
+             lambda: L.sterf(d, short), lambda: L.gtsv(short, d, d),
+             lambda: L.gtsv(d[:2], d, d[:2])):
+    try:
+        call()
+    except ValueError:
+        raised.append("ValueError")
+print(*raised)
+""") == " ".join(["ValueError"] * 5)
 
 
 def test_one_by_one_matrices_take_the_quick_exit():

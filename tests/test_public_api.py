@@ -5,7 +5,7 @@ only tests use."""
 
 import importlib
 import inspect
-import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -24,12 +24,13 @@ RETIRED = {
 
 # only tests need these: oracles in tests/dense_oracle.py and
 # tests/paper_identities.py (RobinBC as robin_fd_eigenvalues), the expected
-# value of one test (kink_bias_estimate), or deleted (compute_xi)
+# value of one test (kink_bias_estimate), a helper of tests/test_scattering.py
+# (trace_norm_difference), or deleted (compute_xi)
 LEFT_THE_PACKAGE = {
     "green_gamma_eval", "factor_kernel_eval", "regularized_potential", "riccati_residual",
     "xi_norms", "xi_norm_bound", "elementary_bound_margin", "nu_is_valid", "growth_exponent",
     "quadratic_form_residual", "zero_zeta", "kink_bias_estimate", "compute_xi", "RobinBC",
-    "green_eval", "factorization_forms",
+    "green_eval", "factorization_forms", "trace_norm_difference",
 }
 
 
@@ -157,10 +158,14 @@ def test_one_nystrom_order():
 
 
 def test_every_public_callable_serves_the_package():
-    """Each public name is used in src/subspec besides its own definition;
-    one that only tests call belongs in tests/ as an oracle."""
-    text = "\n".join(path.read_text() for path in Path(subspec.__file__).parent.glob("*.py"))
-    words = Counter(re.findall(r"\w+", text))
+    """Each public name is used in the code of src/subspec besides its own
+    definition (a docstring or comment naming it does not count); one that
+    only tests call belongs in tests/ as an oracle."""
+    words = Counter()
+    for path in Path(subspec.__file__).parent.glob("*.py"):
+        with path.open("rb") as f:
+            words.update(tok.string for tok in tokenize.tokenize(f.readline)
+                         if tok.type == tokenize.NAME)
     assert sorted({bare for _, bare, _ in _public_callables() if words[bare] < 2}) == []
 
 

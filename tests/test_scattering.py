@@ -16,7 +16,13 @@ from paper_identities import (
 from subspec.discretization import ORDER, build_quadrature
 from subspec.errors import IndefiniteDifferenceError, InvalidParameterError
 from subspec.phi_models import Zeta, inv_power_zeta, make_phi
-from subspec.scattering import example_scatt_sweep, trace_norm_difference
+from subspec.scattering import _dirichlet_form, _trace_norm, example_scatt_sweep
+
+
+def trace_norm_difference(model, model0, quad):
+    """||G - G0||_tr of the Dirichlet Nystrom matrices of two profiles on
+    one grid: the sweep's trace norm, with model0's form built here."""
+    return _trace_norm(model, model0, quad, _dirichlet_form(model0, quad))
 
 
 def test_xi_norms_zero_zeta():
