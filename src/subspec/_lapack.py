@@ -24,12 +24,12 @@ opened (Accelerate, MKL or distribution builds), scipy's compiled
 scipy.linalg._flapack is loaded without running scipy/__init__.py or
 scipy/linalg/__init__.py, and the same routines are called at the
 addresses its f2py objects hold (each one's _cpointer capsule, which
-numpy's f2py gives every Fortran routine).  That library is LP64: integers
-are int32.  Importing scipy.linalg costs about 0.25 s, most of it scipy's
-array-API shim; scipy/__init__.py alone costs 14-18 ms, its test runner
-pulling in subprocess, sysconfig, signal and selectors.  So scipy's
-directory comes from its import spec, and only the extension module is
-loaded (BENCH_16.json, BENCH_20.json).  Without scipy this raises the
+numpy's f2py gives every Fortran routine), with integers as wide as f2py's
+own dstebz hands back (int32 on LP64 builds).  Importing scipy.linalg costs
+about 0.25 s, most of it scipy's array-API shim; scipy/__init__.py alone
+costs 14-18 ms, its test runner pulling in subprocess, sysconfig, signal
+and selectors.  So scipy's directory comes from its import spec, and only
+the extension module is loaded (BENCH_16.json, BENCH_20.json).  Without scipy this raises the
 ModuleNotFoundError that `import scipy` raises.  The module is registered
 under its full name, so a later `import scipy.linalg` reuses it.
 
@@ -101,22 +101,24 @@ def _load_flapack():
     return module
 
 
-def _flapack_routines(flapack) -> dict:
-    """{routine: Fortran function} at the address in the _cpointer capsule
-    of each of flapack's f2py objects."""
+def _flapack_routines(flapack) -> tuple:
+    """(integer type, {routine: Fortran function}) of flapack: integers as
+    wide as the iblock of its f2py dstebz, and each routine at the address
+    in its f2py object's _cpointer capsule."""
+    iblock = flapack.dstebz(np.ones(2), np.zeros(1), 2, 0.0, 1.0, 1, 2, 0.0, "E")[2]
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return {r: ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * pointers,
-                                *[ctypes.c_size_t] * lengths)(
-                address(getattr(flapack, r)._cpointer, None))
-            for r, (pointers, lengths) in _ROUTINES.items()}
+    return {4: ctypes.c_int32, 8: ctypes.c_int64}[iblock.itemsize], {
+        r: ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * pointers, *[ctypes.c_size_t] * lengths)(
+            address(getattr(flapack, r)._cpointer, None))
+        for r, (pointers, lengths) in _ROUTINES.items()}
 
 
 _openblas = _numpy_openblas()
 _flapack = _load_flapack() if _openblas is None else None
 LIBRARY = _flapack.__file__ if _openblas is None else _openblas[0]
-# integers are int64 in numpy's ILP64 OpenBLAS, int32 in scipy's LP64 _flapack
-_INT, _routines = ((ctypes.c_int32, _flapack_routines(_flapack)) if _openblas is None
+# integers are int64 in numpy's ILP64 OpenBLAS, f2py's width in _flapack
+_INT, _routines = (_flapack_routines(_flapack) if _openblas is None
                    else (ctypes.c_int64, _openblas[1]))
 
 

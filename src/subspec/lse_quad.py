@@ -118,7 +118,7 @@ def gauss_legendre(order: int):
     tridiagonal matrix as it is (every reflector is the identity) before it
     calls dsterf, so dsterf on the band gives the same nodes (_lapack.sterf,
     called one way on either library: numpy's own OpenBLAS, ILP64, where its
-    wheel ships one, else scipy's LP64 _flapack at its f2py addresses).
+    wheel ships one, else scipy's _flapack at its f2py objects' addresses).
     """
     scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
     band = np.arange(1, order) * scl[:-1] * scl[1:]

@@ -13,8 +13,8 @@ tridiagonal solve (LAPACK dgtsv) on the same JacobiMatrix, so everything
 here runs in O(N) memory.  These three LAPACK routines, and dsterf for the
 Gauss-Legendre nodes, are called one way on two libraries (_lapack): the
 OpenBLAS that numpy's wheel ships (int64 integers), or else scipy's
-compiled scipy.linalg._flapack (int32), at the addresses its f2py objects
-hold.
+compiled scipy.linalg._flapack (integers as wide as f2py passes them,
+int32 on LP64 builds), at the addresses its f2py objects hold.
 """
 
 from __future__ import annotations

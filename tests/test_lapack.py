@@ -52,6 +52,8 @@ def _bound(backend):
 
 needs_numpy_openblas = pytest.mark.skipif(
     _lapack._flapack is not None, reason="numpy ships no OpenBLAS with the four routines")
+# the libraries _bound binds
+BACKENDS = [pytest.param("openblas", marks=needs_numpy_openblas), "flapack"]
 
 
 def test_a_later_scipy_linalg_import_reuses_the_loaded_module():
@@ -206,12 +208,10 @@ def test_apply_to_function_is_bit_identical_to_scipy(dense_T):
     assert _hex(dense_T.diag) == _hex(diag) and _hex(dense_T.off) == _hex(off)
 
 
-@pytest.mark.parametrize("backend", ["openblas", "flapack"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_a_short_band_fails_before_lapack_reads_past_it(backend):
     # f2py checked the shapes it was given; the calls check them first, in
     # a fresh interpreter bound to either library
-    if backend == "openblas" and _lapack._flapack is not None:
-        pytest.skip("numpy ships no OpenBLAS with the four routines")
     assert _python(_bound(backend) + """
 import numpy as np
 d, short = np.full(3, 2.0), np.full(1, -1.0)
@@ -225,6 +225,25 @@ for call in (lambda: L.stebz(d, short, 0, 1, 0.0), lambda: L.pteqr(d, short),
         raised.append("ValueError")
 print(*raised)
 """) == " ".join(["ValueError"] * 5)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_integers_are_as_wide_as_the_library_writes_them(backend):
+    # the integer arrays start with every bit set, so integers narrower
+    # than _INT would leave the high words of m, nsplit and iblock at -1;
+    # on the fallback _INT is as wide as f2py's own dstebz integers
+    assert _python(_bound(backend) + """
+import ctypes
+import numpy as np
+n = 3
+m, nsplit, iblock, isplit = (np.full(k, -1, dtype=L._INT) for k in (1, 1, n, n))
+info = L._fortran("dstebz", "I", "E", n, 0.0, 1.0, 1, n, 0.0, np.full(n, 2.0),
+                  np.full(n - 1, -1.0), m, nsplit, np.empty(n), iblock, isplit,
+                  np.empty(4 * n), np.empty(3 * n, dtype=L._INT))
+f2py = (8 if L._flapack is None else
+        L._flapack.dstebz(np.ones(2), np.zeros(1), 2, 0.0, 1.0, 1, 2, 0.0, "E")[2].itemsize)
+print(info, m[0], nsplit[0], *iblock, isplit[0], ctypes.sizeof(L._INT) == f2py)
+""") == "0 3 1 1 1 1 3 True"
 
 
 def test_one_by_one_matrices_take_the_quick_exit():
