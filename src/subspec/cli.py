@@ -10,9 +10,10 @@ The config is flat ``key = value`` text with dotted sections, e.g.::
     resolution.X = 8
     output_dir = out
 
-Tasks: spectrum, compare, robin, scatter, validate, oracle.  Numeric CSV
-output uses full round-trip precision ("%.17g"); report.txt carries the
-human summary.  Exit status: 0 success, 2 validation failure, 1 error.
+Tasks (_TASKS): spectrum, compare, robin, scatter, validate, oracle; all but
+oracle take their grid from _grid.  Numeric CSV output uses full round-trip
+precision ("%.17g"); report.txt carries the human summary.  Exit status: 0
+success, 2 validation failure, 1 error, an unreadable config among them.
 
 Thread control is applied by exporting the BLAS pool variables before numpy
 is imported, which is why every numeric import in this module is local.
@@ -30,8 +31,6 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError, InvalidParameterError, NoDecayDetectedError, SubspecError
-
-_TASKS = ("spectrum", "compare", "robin", "scatter", "validate", "oracle")
 
 # the keys besides kind that build_phi reads from a profile block (phi.* or
 # compare.phi2.*) of each kind; a decay.* key is read only with decay.rate
@@ -52,18 +51,6 @@ def _phi_keys(prefix: str) -> tuple:
     names = dict.fromkeys(name for kind_keys in _KIND_KEYS.values() for name in kind_keys)
     return tuple(f"{prefix}.{name}" for name in ("kind", *names))
 
-
-# every key a task reads besides task and output_dir; anything else is a typo
-_TASK_KEYS = {
-    "spectrum": _phi_keys("phi") + _GRID_KEYS + ("spectrum.n_keep",),
-    "compare": (_phi_keys("phi") + _phi_keys("compare.phi2") + _GRID_KEYS
-                + ("spectrum.n_keep", "compare.c")),
-    "robin": _phi_keys("phi") + _GRID_KEYS + ("robin.gamma",),
-    "scatter": ("resolution.X", "resolution.panels", "resolution.order",
-                "scatter.c", "scatter.alpha_list"),
-    "validate": _phi_keys("phi") + _GRID_KEYS,
-    "oracle": _phi_keys("phi") + ("oracle.k",),
-}
 
 G17 = lambda v: format(float(v), ".17g")
 
@@ -124,10 +111,10 @@ def parse_config(text: str) -> RunConfig:
         lines[key] = lineno
     task = opts.pop("task", None)
     if task not in _TASKS:
-        raise ConfigError(f"task must be one of {_TASKS}, got {task!r}")
+        raise ConfigError(f"task must be one of {tuple(_TASKS)}, got {task!r}")
     out = Path(opts.pop("output_dir", "out"))
     for key in opts:
-        if key not in _TASK_KEYS[task]:
+        if key not in _TASKS[task][1]:
             raise ConfigError(f"line {lines[key]}: unknown key '{key}' for task {task}")
     return RunConfig(task=task, options=opts, output_dir=out)
 
@@ -233,10 +220,18 @@ def _discrete_line(*models) -> str:
                                                for m in models)
 
 
-def _grid_keys(cfg: RunConfig, X_default=None):
-    """(X, panels, order) as given: X > 0 or X_default, panels or None,
-    order >= 2 or discretization.ORDER."""
-    from .discretization import ORDER
+def _grid(cfg: RunConfig, models, notes: list, memo: Optional[dict] = None,
+          X_default=None):
+    """(quad, X, panels, order) of every task but oracle: one rule.
+
+    X is resolution.X, else X_default, else the largest auto truncation of
+    `models` at resolution.eps (AUTO_X_END, with a note, for a profile that
+    has none); panels default to discretization.default_panels(X).  memo,
+    given with one model, keeps the head masses that auto truncation
+    integrates (discretization.mass).
+    """
+    from .discretization import (AUTO_X_END, ORDER, auto_truncation, build_quadrature,
+                                 default_panels)
     X = cfg.get_float("resolution.X", X_default)
     if X is not None and X <= 0.0:
         raise ConfigError(f"config key 'resolution.X' must be positive, got {X:g}")
@@ -244,19 +239,7 @@ def _grid_keys(cfg: RunConfig, X_default=None):
     if order < 2:
         raise ConfigError(f"config key 'resolution.order' must be a whole number >= 2, "
                           f"got {cfg.get('resolution.order')!r}")
-    return X, cfg.get_int("resolution.panels"), order
-
-
-def _resolution(cfg: RunConfig, models, notes: list, memo: Optional[dict] = None):
-    """(X, panels, order) of spectrum, compare, robin and validate: one rule.
-
-    X defaults to the largest auto truncation of `models` at resolution.eps
-    (AUTO_X_END, with a note, for a profile that has none); panels default
-    to discretization.default_panels(X).  memo, given with one model, keeps
-    the head masses that auto truncation integrates (discretization.mass).
-    """
-    from .discretization import AUTO_X_END, auto_truncation, default_panels
-    X, panels, order = _grid_keys(cfg)
+    panels = cfg.get_int("resolution.panels")
     eps = cfg.get_float("resolution.eps", 1e-6)
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"config key 'resolution.eps' must lie in (0, 1), got {eps:g}")
@@ -272,7 +255,7 @@ def _resolution(cfg: RunConfig, models, notes: list, memo: Optional[dict] = None
         notes.append(f"auto truncation X = {X:.6g}")
     if panels is None:
         panels = default_panels(X)
-    return X, panels, order
+    return build_quadrature(X, panels, order), X, panels, order
 
 
 def _jacobi(cfg: RunConfig, prefix: str, model, quad, notes: list, gamma=0.0, which=""):
@@ -316,9 +299,8 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
     from .spectral import converged_mask, eigen_mu, write_spectrum_csv
 
     model = build_phi(cfg)
-    X, panels, order = _resolution(cfg, [model], notes)
+    fine, X, panels, order = _grid(cfg, [model], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 25)
-    fine = build_quadrature(X, panels, order)
     mu = eigen_mu(_jacobi(cfg, "phi", model, fine, notes), n_keep)
     verdict = _discrete_line(model)
     # auto truncation found no X (it never gives AUTO_X_END itself): phi has
@@ -343,21 +325,22 @@ def _task_spectrum(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import build_quadrature
     from .spectral import compare_spectra, eigen_mu
 
     model1 = build_phi(cfg, "phi")
     model2 = build_phi(cfg, "compare.phi2")
     c = cfg.get_float("compare.c")
-    X, panels, order = _resolution(cfg, [model1, model2], notes)
+    if c is not None and c <= 0.0:
+        raise ConfigError(f"config key 'compare.c' must be positive, got {c:g}")
+    quad, X, _, _ = _grid(cfg, [model1, model2], notes)
     n_keep = cfg.get_int("spectrum.n_keep", 20)
-    quad = build_quadrature(X, panels, order)
     mu1, mu2 = [eigen_mu(_jacobi(cfg, prefix, m, quad, notes, which=f" of {m.label}"), n_keep)
                 for prefix, m in (("phi", model1), ("compare.phi2", model2))]
     if c is None:
         grid = np.linspace(0.0, X, 2001)
         diff = model2.log_phi(grid) - model1.log_phi(grid)
-        c = float(np.exp(np.max(np.abs(diff))))
+        with np.errstate(over="ignore"):  # c = inf gives the band [0, inf]
+            c = float(np.exp(np.max(np.abs(diff))))
         notes.append(f"measured ratio bound c = {c:.6g}")
     report = compare_spectra(mu1, mu2, c)
     lo, hi = report.band
@@ -375,7 +358,7 @@ def _task_compare(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import build_quadrature, mass
+    from .discretization import mass
     from .spectral import eigen_mu, robin_sigma, write_spectrum_csv
 
     model = build_phi(cfg)
@@ -384,8 +367,7 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
         raise ConfigError("config key 'robin.gamma' must be nonzero (gamma = 0 is the "
                           "Dirichlet kernel of task spectrum)")
     masses = {}  # int_0^X phi^2 by X: auto truncation's head is often [0, X]
-    X, panels, order = _resolution(cfg, [model], notes, masses)
-    quad = build_quadrature(X, panels, order)
+    quad, X, _, _ = _grid(cfg, [model], notes, masses)
     mu = eigen_mu(_jacobi(cfg, "phi", model, quad, notes, gamma))
     write_spectrum_csv(mu, np.zeros(mu.size, dtype=bool), outdir / "robin_spectrum.csv")
     # G_gamma - G = gamma phi(x) phi(y), so the weighted diagonals differ by
@@ -401,7 +383,6 @@ def _task_robin(cfg: RunConfig, outdir: Path, notes: list):
 
 
 def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
-    from .discretization import build_quadrature, default_panels
     from .scattering import example_scatt_sweep
 
     raw = cfg.get("scatter.alpha_list", "0.5,1,1.5,2,4")
@@ -414,8 +395,7 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
     c = cfg.get_float("scatter.c", 1.0)
     if c <= 0.0:
         raise ConfigError(f"config key 'scatter.c' must be positive, got {c:g}")
-    X, panels, order = _grid_keys(cfg, 50.0)
-    quad = build_quadrature(X, panels or default_panels(X), order)
+    quad, X, _, _ = _grid(cfg, (), notes, X_default=50.0)
     rows = example_scatt_sweep(alphas, c, quad)
     columns = ("alpha", "trace_numeric", "bound_nu_route", "bound_derivative_route")
     _write_csv(outdir / "scatter.csv", ",".join(columns) + ",criterion_met",
@@ -431,7 +411,7 @@ def _task_scatter(cfg: RunConfig, outdir: Path, notes: list):
 
 def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
     import numpy as np
-    from .discretization import build_quadrature, mass
+    from .discretization import mass
     from .green_kernel import exp_bound_margin
     from .phi_models import verify_decay_hypothesis
     from .spectral import weighted_identity_residual
@@ -439,8 +419,7 @@ def _task_validate(cfg: RunConfig, outdir: Path, notes: list):
 
     model = build_phi(cfg)
     masses = {}  # as in robin
-    X, panels, order = _resolution(cfg, [model], notes, masses)
-    quad = build_quadrature(X, panels, order)
+    quad, X, panels, order = _grid(cfg, [model], notes, masses)
     T = _jacobi(cfg, "phi", model, quad, notes)
     checks = []
 
@@ -494,13 +473,17 @@ def _task_oracle(cfg: RunConfig, outdir: Path, notes: list):
                f"max relative error = {max(rel_err):.6g}"]
 
 
-_RUNNERS = {
-    "spectrum": _task_spectrum,
-    "compare": _task_compare,
-    "robin": _task_robin,
-    "scatter": _task_scatter,
-    "validate": _task_validate,
-    "oracle": _task_oracle,
+# each task's runner and every key it reads besides task and output_dir;
+# anything else is a typo
+_TASKS = {
+    "spectrum": (_task_spectrum, _phi_keys("phi") + _GRID_KEYS + ("spectrum.n_keep",)),
+    "compare": (_task_compare, _phi_keys("phi") + _phi_keys("compare.phi2") + _GRID_KEYS
+                + ("spectrum.n_keep", "compare.c")),
+    "robin": (_task_robin, _phi_keys("phi") + _GRID_KEYS + ("robin.gamma",)),
+    "scatter": (_task_scatter, ("resolution.X", "resolution.panels", "resolution.order",
+                                "scatter.c", "scatter.alpha_list")),
+    "validate": (_task_validate, _phi_keys("phi") + _GRID_KEYS),
+    "oracle": (_task_oracle, _phi_keys("phi") + ("oracle.k",)),
 }
 
 
@@ -511,11 +494,11 @@ def run(config: RunConfig) -> int:
     collected along the way (auto truncation, measured bounds, unresolved quadrature).
     """
     outdir = config.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
     notes = []
     try:
-        status, lines = _RUNNERS[config.task](config, outdir, notes)
-    except SubspecError as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
+        status, lines = _TASKS[config.task][0](config, outdir, notes)
+    except (SubspecError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {config.task}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     (outdir / "report.txt").write_text("\n".join([f"task = {config.task}", *lines, *notes])
@@ -543,6 +526,10 @@ def run_cli(argv=None) -> int:
         config = parse_config(args.config.read_text())
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
+        return 1
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not text
+        print(f"error: cannot read config file {args.config}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

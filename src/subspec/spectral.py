@@ -125,16 +125,20 @@ class ComparisonReport(NamedTuple):
 
 def compare_spectra(mu1: np.ndarray, mu2: np.ndarray, c: float) -> ComparisonReport:
     """Check mu2_n / mu1_n in [c^-4, c^4] for two compact-case spectra, whose
-    every mu is positive (as eigen_mu gives them for Dirichlet kernels)."""
+    every mu is positive (as eigen_mu gives them for Dirichlet kernels).
+    Where c^4 overflows a double the band is [0, inf]."""
     if mu1.size != mu2.size:
         raise MismatchedLengthsError(f"spectra have {mu1.size} vs {mu2.size} entries")
     if not c > 0.0:
         raise InvalidParameterError(f"the ratio bound c must be positive, got {c}")
     if mu1.size == 0 or not (np.all(mu1 > 0.0) and np.all(mu2 > 0.0)):
         raise InvalidParameterError("compared spectra must be nonempty with every mu > 0")
-    c = max(c, 1.0 / c)
+    c = float(max(c, 1.0 / c))
     ratios = mu2 / mu1
-    lo, hi = c**-4, c**4
+    try:
+        lo, hi = c**-4, c**4
+    except OverflowError:  # c^4 beyond the largest double: every ratio is in the band
+        lo, hi = 0.0, float("inf")
     holds = bool(np.all((ratios >= lo) & (ratios <= hi)))
     worst = int(np.argmax(np.abs(np.log(ratios))))
     return ComparisonReport(ratios=ratios, holds=holds, worst_n=worst + 1, band=(lo, hi),

@@ -36,8 +36,10 @@ output_dir = results
 
 
 def test_parse_config_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         parse_config("task = dance")
+    assert str(exc.value) == ("task must be one of ('spectrum', 'compare', 'robin', "
+                              "'scatter', 'validate', 'oracle'), got 'dance'")
     with pytest.raises(ConfigError):
         parse_config("task = spectrum\nnot a keyvalue line")
     with pytest.raises(ConfigError):
@@ -80,6 +82,8 @@ CUSTOM = "task = spectrum\nphi.kind = custom-log-profile\n"
     ("task = scatter\nresolution.order = 1\n", "resolution.order"),
     ("task = validate\nphi.kind = exp-decay\nresolution.order = 1\n", "resolution.order"),
     ("task = robin\nphi.kind = exp-decay\nrobin.gamma = 0\n", "robin.gamma"),
+    ("task = compare\nphi.kind = exp-decay\ncompare.phi2.kind = exp-decay\ncompare.c = -1\n",
+     "compare.c"),
     # bad input other than numbers: {tmp} is the test's directory
     ("task = spectrum\nphi.kind = tabulated\nphi.csv = {tmp}/missing.csv\n", "phi.csv"),
     ("task = spectrum\nphi.kind = tabulated\nphi.csv = {tmp}/header.csv\n", "phi.csv"),
@@ -127,6 +131,38 @@ def test_bad_config_numbers_name_the_key(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {task}: ConfigError: config key '{key}'")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+# every grid key bad: the error names the first in the order X, order,
+# panels, eps (scatter reads no eps)
+@pytest.mark.parametrize("task, head, keys", [
+    ("spectrum", "phi.kind = exp-decay\n", ("X", "order", "panels", "eps")),
+    ("scatter", "", ("X", "order", "panels")),
+], ids=["spectrum", "scatter"])
+def test_grid_key_errors_keep_their_precedence(tmp_path, capsys, task, head, keys):
+    bad = {"X": "0", "order": "1", "panels": "0", "eps": "2"}
+    for i, key in enumerate(keys):
+        body = "".join(f"resolution.{k} = {bad[k]}\n" for k in keys[i:])
+        cfgfile = _write(tmp_path, "bad.cfg", f"task = {task}\n{head}{body}")
+        assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {task}: ConfigError: config key 'resolution.{key}'"), err
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "out-is-a-file"])
+def test_an_unusable_path_is_one_error_line(tmp_path, capsys, case):
+    cfgfile = _write(tmp_path, "ok.cfg", "task = scatter\nscatter.alpha_list = 1\n")
+    out = tmp_path / "o"
+    if case == "directory":
+        cfgfile = tmp_path / "cfgdir"
+        cfgfile.mkdir()
+    elif case == "not-utf8":
+        cfgfile.write_bytes(b"task = scatter\nscatter.alpha_list = 1\xff\n")
+    else:
+        out.write_text("")
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err  # no traceback
 
 
 def test_unread_profile_key_and_failing_expression_messages(tmp_path, capsys):
@@ -364,6 +400,26 @@ def test_compare_reports_the_verdict_of_both_profiles(tmp_path):
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
     assert ("discrete spectrum = yes for stretched-exp(c=2), no for exp-decay(c=1)"
             in (tmp_path / "out" / "report.txt").read_text().splitlines())
+
+
+@pytest.mark.parametrize("body, c", [
+    ("phi.kind = exp-decay\ncompare.phi2.c = 2\nresolution.X = 6\ncompare.c = 1e78\n",
+     "1e+78"),
+    # auto resolution: the measured c is e^205, and e^{x^3} overflows to inf
+    ("phi.kind = stretched-exp\nphi.c = 2\n", "2.78863e+89"),
+    ("phi.kind = stretched-exp\nphi.c = 3\n", "inf"),
+], ids=["given", "measured", "measured-inf"])
+def test_compare_band_of_a_huge_c_is_everything(tmp_path, body, c):
+    # c^4 overflows a double: the band is [0, inf], with no overflow raised
+    # or warned
+    cfgfile = _write(tmp_path, "compare.cfg",
+                     "task = compare\ncompare.phi2.kind = exp-decay\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert f"c = {c}, band = [0, inf]" in report
+    assert "holds = True (worst n = " in "\n".join(report)
 
 
 def test_scatter_sweep_integrates_no_phi_squared(tmp_path, monkeypatch):

@@ -82,6 +82,15 @@ def test_compare_trivial_cases():
             compare_spectra(r1, r1, c)
 
 
+def test_compare_band_is_everything_where_c_to_the_4_overflows():
+    r1 = np.array([0.4, 0.2, 0.1])
+    assert compare_spectra(r1, r1, 1e77).band == (1e77**-4, 1e77**4)
+    with np.errstate(over="raise"):  # also for a numpy c and its reciprocal
+        for c in (1.2e77, np.float64(1e-78), float("inf")):
+            report = compare_spectra(r1, 1e300 * r1, c)
+            assert report.band == (0.0, float("inf")) and report.holds
+
+
 def test_compare_refuses_a_nonpositive_or_empty_spectrum():
     # eigen_mu never gives a Dirichlet mu <= 0, so no ratio is undefined
     r1 = np.array([0.4, 0.2, 0.1])
